@@ -46,9 +46,12 @@ EXIT_INTERNAL = 5
 def _worker_count() -> int:
     raw = os.environ.get("FLIPFORGE_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"FLIPFORGE_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _write_provenance(out_dir: Path, command: str, options: dict):
@@ -132,7 +135,7 @@ def _search_instance(task):
     """One (polytope, seed triangulation, strategy) run; used by worker pools."""
     (
         cid,
-        config,
+        table,
         seed_tri,
         seed_index,
         strategy_name,
@@ -144,7 +147,7 @@ def _search_instance(task):
         mode,
     ) = task
     objective = Objective.from_name(objective_name)
-    table = enumerate_circuits(config)
+    config = table.config
     model = None
     if checkpoint_path:
         model, _extra = io.read_checkpoint(checkpoint_path)
@@ -179,11 +182,11 @@ def _search_instance(task):
     return cid, seed_index, trace.best_value, log
 
 
-def _exact_reference(config, objective, limit):
+def _exact_reference(table, objective, limit):
     """Best objective value over the seed's full flip-graph component."""
     from .datagen import initial_triangulation
 
-    table = enumerate_circuits(config)
+    config = table.config
     component = enumerate_component(initial_triangulation(config), table, limit=limit)
     cache = ObjectiveCache()
     best = min(
@@ -192,8 +195,7 @@ def _exact_reference(config, objective, limit):
     return best, component.truncated
 
 
-def _run_search_tasks(tasks):
-    workers = _worker_count()
+def _run_search_tasks(tasks, workers):
     if workers <= 1:
         return [_search_instance(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -201,21 +203,23 @@ def _run_search_tasks(tasks):
 
 
 def _search_common(args, strategy_name, checkpoint_path=None) -> int:
+    workers = _worker_count()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset = _load_dataset_dir(Path(args.data))
     objective = Objective.from_name(args.objective)
+    tables = {}
     tasks = []
     for cid in dataset.ids:
-        config = dataset.configs[cid]
         seeds = dataset.seeds.get(cid) or []
         if not seeds:
             raise FormatError(f"no seed triangulations for {cid}")
+        tables[cid] = enumerate_circuits(dataset.configs[cid])
         for k, seed_tri in enumerate(seeds[: args.starts]):
             tasks.append(
                 (
                     cid,
-                    config,
+                    tables[cid],
                     seed_tri,
                     k,
                     strategy_name,
@@ -227,14 +231,12 @@ def _search_common(args, strategy_name, checkpoint_path=None) -> int:
                     args.mode,
                 )
             )
-    results = sorted(_run_search_tasks(tasks), key=lambda r: (r[0], r[1]))
+    results = sorted(_run_search_tasks(tasks, workers), key=lambda r: (r[0], r[1]))
 
     references = {}
     exactness = {}
     for cid in dataset.ids:
-        ref, truncated = _exact_reference(
-            dataset.configs[cid], objective, args.ref_limit
-        )
+        ref, truncated = _exact_reference(tables[cid], objective, args.ref_limit)
         references[cid] = ref
         exactness[cid] = not truncated
 
@@ -402,10 +404,7 @@ def cmd_sample_frst(args) -> int:
             "locator": args.locator,
             "distinct_frsts": len(ledger),
             "iterations": len(ledger.entries),
-            "stopped_by_retries": (
-                len(ledger.entries) < sampler.max_iterations
-                and len(ledger.entries) > 0
-            ),
+            "stopped_by_retries": ledger.stop_reason == "retries",
         },
     )
     _write_provenance(out, "sample-frst", _option_dict(args))
@@ -432,11 +431,18 @@ class _KeyValue(argparse.Action):
             if "=" not in item:
                 raise argparse.ArgumentError(self, f"expected key=value, got {item!r}")
             key, raw = item.split("=", 1)
-            try:
-                store[key] = float(raw)
-            except ValueError:
-                store[key] = raw
+            store[key] = _typed_value(raw)
         setattr(namespace, self.dest, store)
+
+
+def _typed_value(raw: str):
+    """A key=value value as an int, else a float, else the string itself."""
+    for parse in (int, float):
+        try:
+            return parse(raw)
+        except ValueError:
+            pass
+    return raw
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -552,6 +558,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (FlipForgeError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # last resort: one line and an exit code, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

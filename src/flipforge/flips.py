@@ -3,18 +3,22 @@
 A circuit is a minimal affinely dependent subset of the configuration; its
 dependence signs split it into two parts whose induced local triangulations
 can replace each other inside a larger triangulation whenever one of them is
-realized with a common link.  Circuits are precomputed once per configuration,
-so per-state flippability testing reduces to face and link lookups.
+realized with a common link.  Circuits are computed once per configuration
+from the integer maximal minors of the homogenized points.  Each circuit
+table indexes its circuits by the first core face of each orientation, so a
+state is scanned through its own faces: only the circuits whose core is a
+face of the state are tested for flippability.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import StaleAction
-from .geometry import PointConfig, dependence_kernel
+from .geometry import PointConfig, _int_det, dependence_kernel
 from .triangulation import Triangulation
 
 
@@ -42,66 +46,94 @@ class FlipAction:
     def action_id(self):
         return (self.circuit.vertices, self.realized_side)
 
-    def reversed_side(self):
-        return -self.realized_side
-
 
 @dataclass(frozen=True)
 class CircuitTable:
-    """All circuits of one configuration, in vertex-tuple order."""
+    """All circuits of one configuration, in vertex-tuple order.
+
+    ``by_core`` maps the first core face of each orientation (the circuit
+    minus the first vertex of that side) to the positions of its circuits.
+    An orientation is realized only if all its cores are faces, so a state
+    whose faces hit no key has no action on that circuit.
+    """
 
     config: PointConfig
     circuits: tuple
+    by_core: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_core = {}
+        for pos, circuit in enumerate(self.circuits):
+            zset = frozenset(circuit.vertices)
+            for part in (circuit.positive, circuit.negative):
+                by_core.setdefault(zset - {part[0]}, []).append(pos)
+        object.__setattr__(self, "by_core", by_core)
 
     def __len__(self):
         return len(self.circuits)
 
 
-def enumerate_circuits(config: PointConfig) -> CircuitTable:
-    """Scan all vertex subsets of size 2..dim+2 for minimal affine dependences.
+def _circuit(subset, lam) -> Circuit:
+    """The circuit on ``subset`` with full-support dependence ``lam``.
 
-    A subset is a circuit iff its dependence space is one-dimensional and the
-    dependence has full support (every proper subset is then independent).
+    The coefficients are scaled so that the first one is +1.
     """
+    coeffs = tuple(Fraction(v, lam[0]) for v in lam)
+    return Circuit(
+        vertices=subset,
+        coeffs=coeffs,
+        positive=tuple(i for i, v in zip(subset, coeffs) if v > 0),
+        negative=tuple(i for i, v in zip(subset, coeffs) if v < 0),
+    )
+
+
+def enumerate_circuits(config: PointConfig) -> CircuitTable:
+    """All circuits of the configuration, from its integer maximal minors.
+
+    Every (d+1)-subset's determinant on the homogenized rows (1, x) is taken
+    once.  A (d+2)-subset Z is a circuit iff none of its d+2 minors vanishes,
+    with dependence lam_j = (-1)^j det(Z - j) by Cramer's rule.  Because the
+    configuration spans, a smaller subset is dependent iff every
+    (d+1)-superset has a zero minor; only those subsets go through the exact
+    kernel, and one is a circuit iff its dependence space is one-dimensional
+    with full support (every proper subset is then independent).
+    """
+    n, size = config.n, config.dim + 1
+    rows, _scale = config.int_rows()
+    homogeneous = [(1,) + tuple(r) for r in rows]
+    minors = {
+        subset: _int_det([homogeneous[i] for i in subset])
+        for subset in itertools.combinations(range(n), size)
+    }
     circuits = []
-    for size in range(2, config.dim + 3):
-        for subset in itertools.combinations(range(config.n), size):
+    for subset in itertools.combinations(range(n), size + 1):
+        dets = [minors[subset[:j] + subset[j + 1 :]] for j in range(size + 1)]
+        if all(dets):
+            circuits.append(_circuit(subset, [(-1) ** j * det for j, det in enumerate(dets)]))
+    for k in range(2, size + 1):
+        for subset in itertools.combinations(range(n), k):
+            rest = [i for i in range(n) if i not in subset]
+            if any(
+                minors[tuple(sorted(subset + extra))]
+                for extra in itertools.combinations(rest, size - k)
+            ):
+                continue
             basis = dependence_kernel([config.points[i] for i in subset])
-            if len(basis) != 1:
-                continue
-            lam = basis[0]
-            if any(v == 0 for v in lam):
-                continue
-            first = next(v for v in lam if v != 0)
-            lam = tuple(v / first for v in lam)
-            circuits.append(
-                Circuit(
-                    vertices=subset,
-                    coeffs=lam,
-                    positive=tuple(i for i, v in zip(subset, lam) if v > 0),
-                    negative=tuple(i for i, v in zip(subset, lam) if v < 0),
-                )
-            )
+            if len(basis) == 1 and all(basis[0]):
+                circuits.append(_circuit(subset, basis[0]))
     circuits.sort(key=lambda c: c.vertices)
     return CircuitTable(config=config, circuits=tuple(circuits))
 
 
-def _realize(tri: Triangulation, circuit: Circuit, side_part, other_part, side: int):
-    """Try to realize one orientation of a circuit inside the triangulation."""
-    face_map = tri.face_map()
+def _realize(faces, circuit: Circuit, side_part, other_part, side: int):
+    """Try to realize one orientation of a circuit, given the state's face map."""
     zset = frozenset(circuit.vertices)
-    full_simplices = {frozenset(s) for s in tri.simplices}
-    cores = []
+    link = None
     for p in side_part:
         core = zset - {p}
-        if core in face_map:
-            cores.append((core, face_map[core]))
-        elif core in full_simplices:
-            cores.append((core, [core]))  # full-dimensional circuit core
-        else:
+        members = faces.get(core)
+        if members is None:
             return None
-    link = None
-    for core, members in cores:
         this_link = frozenset(s - core for s in members)
         if link is None:
             link = this_link
@@ -131,12 +163,16 @@ def flippable_circuits(tri: Triangulation, table: CircuitTable):
 
     A circuit yields an action iff for one sign orientation every maximal core
     face is a face of the triangulation and all core faces share one identical
-    link; at most one orientation can be realized (asserted).
+    link; at most one orientation can be realized (asserted).  Only circuits
+    with a first core among the state's faces are tested.
     """
+    faces = tri.face_map()
+    hits = sorted({pos for face in faces for pos in table.by_core.get(face, ())})
     actions = []
-    for circuit in table.circuits:
-        plus = _realize(tri, circuit, circuit.positive, circuit.negative, +1)
-        minus = _realize(tri, circuit, circuit.negative, circuit.positive, -1)
+    for pos in hits:
+        circuit = table.circuits[pos]
+        plus = _realize(faces, circuit, circuit.positive, circuit.negative, +1)
+        minus = _realize(faces, circuit, circuit.negative, circuit.positive, -1)
         if plus is not None and minus is not None:
             raise AssertionError(
                 f"both sides of circuit {circuit.vertices} realized at once"

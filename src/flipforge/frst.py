@@ -220,6 +220,16 @@ class SamplerConfig:
         if self.max_iterations < 0 or self.retry_limit < 1:
             raise ValueError("bad iteration or retry bound")
 
+    def stop_reason(self, iterations, elapsed, consecutive_retries):
+        """The first stopping rule that holds, or None to keep sampling."""
+        if iterations >= self.max_iterations:
+            return "iterations"
+        if elapsed >= self.max_seconds:
+            return "time"
+        if consecutive_retries >= self.retry_limit:
+            return "retries"
+        return None
+
 
 @dataclass
 class LedgerEntry:
@@ -236,6 +246,7 @@ class FrstLedger:
 
     entries: list = field(default_factory=list)
     triangulations: dict = field(default_factory=dict)  # key -> Triangulation
+    stop_reason: str | None = None  # "iterations", "time" or "retries"
 
     @property
     def keys(self):
@@ -282,7 +293,7 @@ def sample_frsts(
 
     Every ledger insertion is re-verified fine+regular+star.  Stops on the
     iteration cap, the time cap, or ``retry_limit`` consecutive iterations
-    that discover nothing new.
+    that discover nothing new, and records which rule stopped it.
     """
     config = lattice.config
     table = table if table is not None else enumerate_circuits(config)
@@ -292,10 +303,8 @@ def sample_frsts(
     consecutive_retries = 0
     iteration = 0
     while (
-        iteration < sampler.max_iterations
-        and clock.elapsed() < sampler.max_seconds
-        and consecutive_retries < sampler.retry_limit
-    ):
+        reason := sampler.stop_reason(iteration, clock.elapsed(), consecutive_retries)
+    ) is None:
         start = _lifted_start(config, sampler, rng)
         result = nearby_frst_episode(
             start,
@@ -328,6 +337,7 @@ def sample_frsts(
                 key=key if new else None,
             )
         )
+    ledger.stop_reason = reason
     return ledger
 
 

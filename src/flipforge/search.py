@@ -37,7 +37,6 @@ class SearchContext:
     objective: Objective
     cache: ObjectiveCache
     rng: np.random.Generator
-    check_states: bool = False
 
     def value(self, tri):
         return search_value(self.objective, tri, self.config, self.cache)
@@ -314,7 +313,6 @@ def run_budgeted(
         objective=objective,
         cache=cache if cache is not None else ObjectiveCache(),
         rng=rng,
-        check_states=check_states,
     )
     if isinstance(strategy, AnnealStrategy):
         strategy.bind_budget(budget)

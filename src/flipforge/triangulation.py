@@ -63,19 +63,19 @@ class Triangulation:
         return f"Triangulation({len(self.simplices)} simplices)"
 
     def __contains__(self, simplex):
-        return tuple(simplex) in set(self.simplices)
+        return tuple(simplex) in self.simplices
 
     @property
     def vertex_union(self):
         return frozenset(v for s in self.simplices for v in s)
 
     def face_map(self):
-        """Every proper subset of every maximal simplex -> containing simplices."""
+        """Every nonempty face, maximal simplices included -> containing simplices."""
         if self._face_map is None:
             fm = {}
             for s in self.simplices:
                 sset = frozenset(s)
-                for size in range(1, len(s)):
+                for size in range(1, len(s) + 1):
                     for face in itertools.combinations(s, size):
                         fm.setdefault(frozenset(face), []).append(sset)
             self._face_map = fm

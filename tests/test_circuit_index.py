@@ -1,0 +1,181 @@
+"""Differential tests for the circuit layer against its brute-force oracles.
+
+``enumerate_circuits`` builds tables from integer maximal minors; the oracle
+scans every vertex subset with the exact dependence kernel.
+``flippable_circuits`` looks circuits up through the state's faces; the
+oracle tests every circuit of the table through ``link_of``.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import flipforge as ff
+from flipforge.datagen import GenSpec, generate, initial_triangulation
+from flipforge.errors import DegenerateConfig
+from flipforge.flips import (
+    Circuit,
+    FlipAction,
+    apply_flip,
+    enumerate_circuits,
+    flippable_circuits,
+)
+from flipforge.geometry import dependence_kernel
+from flipforge.triangulation import Triangulation, link_of, validate
+
+
+def subset_kernel_circuits(config):
+    """Oracle: every subset of size 2..dim+2 whose dependence space is one
+    line spanned by a full-support vector, scaled so its first entry is +1."""
+    circuits = []
+    for size in range(2, config.dim + 3):
+        for subset in itertools.combinations(range(config.n), size):
+            basis = dependence_kernel([config.points[i] for i in subset])
+            if len(basis) != 1 or any(v == 0 for v in basis[0]):
+                continue
+            lam = tuple(v / basis[0][0] for v in basis[0])
+            circuits.append(
+                Circuit(
+                    vertices=subset,
+                    coeffs=lam,
+                    positive=tuple(i for i, v in zip(subset, lam) if v > 0),
+                    negative=tuple(i for i, v in zip(subset, lam) if v < 0),
+                )
+            )
+    circuits.sort(key=lambda c: c.vertices)
+    return tuple(circuits)
+
+
+def realize_by_links(tri, circuit, side):
+    """Oracle for one orientation: every core a face of ``tri``, all links equal."""
+    side_part, other_part = (
+        (circuit.positive, circuit.negative) if side > 0 else (circuit.negative, circuit.positive)
+    )
+    zset = frozenset(circuit.vertices)
+    links = set()
+    for p in side_part:
+        try:
+            links.add(link_of(tri, zset - {p}))
+        except ValueError:
+            return None
+    if len(links) != 1:
+        return None
+    (link,) = links
+    removed = {tuple(sorted((zset - {p}) | g)) for p in side_part for g in link}
+    inserted = {tuple(sorted((zset - {q}) | g)) for q in other_part for g in link}
+    return FlipAction(
+        circuit=circuit,
+        realized_side=side,
+        link=tuple(sorted(tuple(sorted(g)) for g in link)),
+        removed=tuple(sorted(removed)),
+        inserted=tuple(sorted(inserted)),
+    )
+
+
+def full_scan(tri, table):
+    """Oracle: test both orientations of every circuit, in table order."""
+    actions = []
+    for circuit in table.circuits:
+        found = [a for a in (realize_by_links(tri, circuit, s) for s in (1, -1)) if a]
+        assert len(found) <= 1, f"both sides of {circuit.vertices} realized"
+        actions.extend(found)
+    return actions
+
+
+PRISM = ff.PointConfig(
+    3, sorted((x, y, z) for z in (-1, 0, 1) for (x, y) in ((1, 0), (0, 1), (-1, -1), (0, 0)))
+)
+CROSS4D = ff.PointConfig(
+    4, [tuple(s * int(i == a) for i in range(4)) for a in range(4) for s in (1, -1)]
+)
+CROSS4D_WITH_ORIGIN = ff.PointConfig(4, list(CROSS4D.points) + [(0, 0, 0, 0)])
+SQUARE_3X3 = ff.PointConfig(2, [(x, y) for x in range(3) for y in range(3)])
+
+
+@pytest.fixture(scope="module")
+def gen3d():
+    """A Gaussian 3D configuration with at least 14 vertices."""
+    config = next(iter(generate(GenSpec(dim=3, samples=40, count=1, seed=1)).configs.values()))
+    assert config.n >= 14
+    return config
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SQUARE_3X3, PRISM, CROSS4D, CROSS4D_WITH_ORIGIN],
+    ids=["square3x3", "prism", "cross4d", "cross4d_origin"],
+)
+def test_minor_circuits_match_oracle_on_degenerate_fixtures(config):
+    assert enumerate_circuits(config).circuits == subset_kernel_circuits(config)
+
+
+def test_minor_circuits_match_oracle_on_gen3d(gen3d):
+    table = enumerate_circuits(gen3d)
+    assert len(table) == len(list(itertools.combinations(range(gen3d.n), 5)))
+    assert table.circuits == subset_kernel_circuits(gen3d)
+
+
+def point_lists(dim):
+    rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    # a tiny integer box forces collinear, coplanar and repeated points
+    lattice = st.integers(-1, 1)
+    return st.one_of(
+        *(
+            st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=dim + 5)
+            for coord in (rationals, lattice)
+        )
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_minor_circuits_match_oracle_on_random_configs(dim, data):
+    points = data.draw(point_lists(dim))
+    try:
+        config = ff.PointConfig(dim, points)
+    except DegenerateConfig:
+        assume(False)
+    assert enumerate_circuits(config).circuits == subset_kernel_circuits(config)
+
+
+def walk_matches_full_scan(config, start, walks, steps, seed):
+    table = enumerate_circuits(config)
+    rnd = random.Random(seed)
+    states = 0
+    for _ in range(walks):
+        tri = start
+        for _step in range(steps):
+            actions = flippable_circuits(tri, table)
+            assert actions == full_scan(tri, table)
+            states += 1
+            if not actions:
+                break
+            tri = apply_flip(tri, actions[rnd.randrange(len(actions))])
+        assert validate(tri, config).ok
+    return states
+
+
+def test_indexed_scan_matches_full_scan_on_cube(cube, cube_corner_tri):
+    assert walk_matches_full_scan(cube, cube_corner_tri, walks=4, steps=25, seed=11) >= 50
+
+
+def test_indexed_scan_matches_full_scan_on_cross4d():
+    start = Triangulation(
+        [tuple(sorted({0, 1} | set(rest))) for rest in itertools.product((2, 3), (4, 5), (6, 7))]
+    )
+    assert walk_matches_full_scan(CROSS4D, start, walks=3, steps=15, seed=12) >= 15
+
+
+def test_indexed_scan_matches_full_scan_on_prism():
+    start = initial_triangulation(PRISM)
+    assert walk_matches_full_scan(PRISM, start, walks=3, steps=25, seed=13) >= 50
+
+
+def test_indexed_scan_matches_full_scan_on_gen3d(gen3d):
+    start = initial_triangulation(gen3d)
+    assert walk_matches_full_scan(gen3d, start, walks=1, steps=30, seed=14) == 30

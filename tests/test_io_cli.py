@@ -289,3 +289,55 @@ def test_ledger_roundtrip(tmp_path):
     with pytest.raises(FormatError):
         (tmp_path / "bad.jsonl").write_text("{broken\n")
         io.read_jsonl(tmp_path / "bad.jsonl")
+
+
+def test_cli_strategy_param_integer_and_internal_error(small_dataset, tmp_path, capsys):
+    base = (
+        "search", "--data", small_dataset, "--objective", "min_weight",
+        "--strategy", "befs", "--budget", 10,
+    )
+    assert run_cli(*base, "--strategy-param", "memory_cap=2", "--out", tmp_path / "int") == 0
+    payload = json.loads((tmp_path / "int" / "resolved_config.json").read_text())
+    assert payload["options"]["strategy_param"] == {"memory_cap": 2}
+    capsys.readouterr()
+    # an unexpected exception ends in one line and exit 5, not a traceback
+    code = run_cli(*base, "--strategy-param", "memory_cap=lots", "--out", tmp_path / "str")
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-3"])
+def test_cli_search_rejects_invalid_thread_count(
+    small_dataset, tmp_path, monkeypatch, capsys, value
+):
+    monkeypatch.setenv("FLIPFORGE_THREADS", value)
+    code = run_cli(
+        "search", "--data", small_dataset, "--objective", "min_weight",
+        "--strategy", "greedy", "--budget", 5, "--out", tmp_path / "x",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "FLIPFORGE_THREADS" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x").exists()  # rejected before any work
+
+
+def test_cli_sample_frst_reports_why_it_stopped(tmp_path):
+    def summary(name, *options):
+        out = tmp_path / name
+        code = run_cli(
+            "sample-frst", "--polytope", ff.fixture_path("triangle2d"),
+            "--locator", "random-walk", "--max-iterations", 200, "--seed", 9,
+            *options, "--out", out,
+        )
+        assert code == 0
+        return json.loads((out / "summary.json").read_text())
+
+    # the virtual clock advances 1 ms per iteration, so this stops after 3
+    timed = summary("time", "--max-seconds", 0.0025)
+    assert timed["iterations"] == 3 and not timed["stopped_by_retries"]
+    retried = summary("retries", "--retry-limit", 5)
+    assert retried["iterations"] < 200 and retried["stopped_by_retries"]
+    capped = summary("cap", "--max-iterations", 4)
+    assert capped["iterations"] == 4 and not capped["stopped_by_retries"]
