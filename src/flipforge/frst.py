@@ -21,8 +21,9 @@ from .geometry import PointConfig, lattice_points, make_point, snap_to_rational
 from .objectives import ObjectiveCache
 from .triangulation import (
     Triangulation,
+    certify_regularity,
+    height_certificate,
     is_fine,
-    is_regular,
     is_star,
     lower_facet_values_at,
     regular_from_heights,
@@ -78,35 +79,46 @@ class FrstReport:
 
 
 def is_frst(tri: Triangulation, lattice: LatticeConfig, cache: ObjectiveCache | None = None):
-    """Check fine, regular, and star separately; returns an FrstReport."""
+    """Check fine, regular, and star separately; returns an FrstReport.
+
+    Regularity comes from the certificate oracle: a certificate cached in
+    ``cache`` is re-verified exactly against ``tri``'s rows, with no LP.
+    """
     fine = is_fine(tri, lattice.config)
-    if cache is not None and tri.canonical_key in cache.regular:
-        regular = cache.regular[tri.canonical_key]
-    else:
-        regular, _w = is_regular(tri, lattice.config)
-        if cache is not None:
-            cache.regular[tri.canonical_key] = regular
+    certificates = cache.certificates if cache is not None else None
+    regular = certify_regularity(tri, lattice.config, certificates).regular
     star = is_star(tri, lattice.config, lattice.origin_index)
     return FrstReport(fine=fine, regular=regular, star=star)
 
 
-def star_closure(tri: Triangulation, lattice: LatticeConfig, witness=None) -> Triangulation:
+def star_closure(
+    tri: Triangulation,
+    lattice: LatticeConfig,
+    witness=None,
+    cache: ObjectiveCache | None = None,
+) -> Triangulation:
     """Sink the origin until every lower facet of the recomputed lift holds it.
 
-    The input must be fine and regular; its witness heights are reused and the
-    origin height is set one unit below the minimum of all lower-facet planes
-    of the remaining lifted points, extended to the origin.  Any lower facet
-    avoiding the origin would then be violated by the origin's lift, so the
-    result is a star triangulation; the boundary structure (hence fineness)
-    is untouched because non-origin heights stay fixed.  Degenerate retries
-    jitter the non-origin heights deterministically (bounded at 10 attempts).
+    The input must be fine and regular.  Its witness heights are reused: the
+    caller passes the witness of the certificate it already holds, and only
+    without one is the regularity oracle asked.  The origin height is set one
+    unit below the minimum of all lower-facet planes of the remaining lifted
+    points, extended to the origin.  Any lower facet avoiding the origin
+    would then be violated by the origin's lift, so the result is a star
+    triangulation; the boundary structure (hence fineness) is untouched
+    because non-origin heights stay fixed.  The result is certified regular
+    by its own sunk heights with an exact check of every constraint row, and
+    that certificate goes into ``cache``.  Degenerate retries jitter the
+    non-origin heights deterministically (bounded at 10 attempts).
     """
     config = lattice.config
     origin = lattice.origin_index
+    certificates = cache.certificates if cache is not None else None
     if witness is None:
-        regular, witness = is_regular(tri, config)
-        if not regular:
+        cert = certify_regularity(tri, config, certificates)
+        if not cert.regular:
             raise ValueError("star closure requires a regular input")
+        witness = cert.vector
     heights = [Fraction(h) for h in witness]
 
     for attempt in range(10):
@@ -124,8 +136,10 @@ def star_closure(tri: Triangulation, lattice: LatticeConfig, witness=None) -> Tr
             closed is not None
             and is_fine(closed, config)
             and is_star(closed, config, origin)
-            and is_regular(closed, config)[0]
+            and (cert := height_certificate(closed, config, sunk)) is not None
         ):
+            if certificates is not None:
+                certificates.setdefault(closed.canonical_key, cert)
             return closed
         bump = Fraction(1, 10 ** (9 + attempt))
         heights = [h + (bump * (i + 1) if i != origin else 0) for i, h in enumerate(heights)]
@@ -141,16 +155,6 @@ class EpisodeResult:
     visited_keys: list
 
 
-def _fine_regular(tri, lattice, cache):
-    if not is_fine(tri, lattice.config):
-        return False
-    hit = cache.regular.get(tri.canonical_key)
-    if hit is None:
-        hit, _w = is_regular(tri, lattice.config)
-        cache.regular[tri.canonical_key] = hit
-    return hit
-
-
 def nearby_frst_episode(
     start: Triangulation,
     chooser,
@@ -164,15 +168,20 @@ def nearby_frst_episode(
     """Sparse-reward search episode: succeed on the first fine regular state.
 
     ``chooser(tri, actions, rng)`` picks a flip action or None to stop; the
-    found state is closed into a star triangulation on success.
+    found state is closed into a star triangulation on success, reusing the
+    witness of its regularity certificate.  Only fine states reach the
+    regularity oracle, so each distinct fine state costs at most one LP.
     """
     cache = cache if cache is not None else ObjectiveCache()
+    config = lattice.config
     current = start
     visited = [current.canonical_key]
     for step in range(budget + 1):
-        if _fine_regular(current, lattice, cache):
-            closed = star_closure(current, lattice) if close else None
-            return EpisodeResult(True, step, current, closed, visited)
+        if is_fine(current, config):
+            cert = certify_regularity(current, config, cache.certificates)
+            if cert.regular:
+                closed = star_closure(current, lattice, cert.vector, cache) if close else None
+                return EpisodeResult(True, step, current, closed, visited)
         if step == budget:
             break
         actions = flippable_circuits(current, table)
@@ -182,7 +191,7 @@ def nearby_frst_episode(
         if action is None:
             break
         current = apply_flip(current, action)
-        assert validate(current, lattice.config).ok
+        assert validate(current, config).ok
         visited.append(current.canonical_key)
     return EpisodeResult(False, len(visited) - 1, None, None, visited)
 
@@ -291,9 +300,11 @@ def sample_frsts(
 ) -> FrstLedger:
     """Budgeted sampling loop with the consecutive-retry stopping rule.
 
-    Every ledger insertion is re-verified fine+regular+star.  Stops on the
-    iteration cap, the time cap, or ``retry_limit`` consecutive iterations
-    that discover nothing new, and records which rule stopped it.
+    Every ledger insertion is re-verified fine+regular+star; regularity by an
+    exact check of the certificate its star closure cached, so no LP is
+    solved again.  Stops on the iteration cap, the time cap, or
+    ``retry_limit`` consecutive iterations that discover nothing new, and
+    records which rule stopped it.
     """
     config = lattice.config
     table = table if table is not None else enumerate_circuits(config)

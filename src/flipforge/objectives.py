@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .flips import FlipAction, apply_flip
 from .geometry import PointConfig
-from .triangulation import Triangulation, dual_diameter, is_fine, is_regular
+from .triangulation import Triangulation, certify_regularity, dual_diameter, is_fine
 
 
 class Objective(enum.Enum):
@@ -32,11 +32,11 @@ class Objective(enum.Enum):
 
 
 class ObjectiveCache:
-    """Per-run caches: exact edge lengths and regularity verdicts by state key."""
+    """Per-run caches: exact edge lengths, regularity certificates and values by state key."""
 
     def __init__(self):
         self.edge_lengths = {}
-        self.regular = {}
+        self.certificates = {}  # canonical key -> RegularityCertificate
         self.values = {}
 
 
@@ -84,16 +84,11 @@ def evaluate(
 def fine_and_regular(
     tri: Triangulation, config: PointConfig, cache: ObjectiveCache | None = None
 ) -> bool:
+    """Fine and certified regular by the cached regularity oracle."""
     if not is_fine(tri, config):
         return False
-    if cache is not None:
-        hit = cache.regular.get(tri.canonical_key)
-        if hit is not None:
-            return hit
-    flag, _witness = is_regular(tri, config)
-    if cache is not None:
-        cache.regular[tri.canonical_key] = flag
-    return flag
+    certificates = cache.certificates if cache is not None else None
+    return certify_regularity(tri, config, certificates).regular
 
 
 def search_value(

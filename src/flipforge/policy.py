@@ -139,15 +139,16 @@ def skeleton_structure(tri: Triangulation, n: int) -> SkeletonStructure:
     e_count = len(directed)
     degree = np.zeros(n)
     np.add.at(degree, own, 1.0)
-    if np.any(degree == 0):
-        raise AssertionError("isolated vertex in skeleton")
+    # a point the triangulation leaves unused has no edges; it gets no
+    # messages, and its zero inverse degree keeps its coordinates fixed
+    inv_degree = np.divide(1.0, degree, out=np.zeros(n), where=degree > 0)
     scatter = SparseMatrix.from_coo(own, np.arange(e_count), np.ones(e_count), (n, e_count))
     return SkeletonStructure(
         edges=tuple(directed),
         gather_own=_selection(own, n),
         gather_nbr=_selection(nbr, n),
         scatter_own=scatter,
-        inv_degree=(1.0 / degree).reshape(-1, 1),
+        inv_degree=inv_degree.reshape(-1, 1),
     )
 
 

@@ -328,19 +328,79 @@ def regularity_constraints(tri: Triangulation, config: PointConfig):
     return rows
 
 
+@dataclass(frozen=True)
+class RegularityCertificate:
+    """Exact evidence for a regularity verdict over ``regularity_constraints`` rows.
+
+    A regular state carries heights w with row . w >= 1 for every row; a
+    non-regular one carries multipliers y >= 0, one per row, with
+    sum_i y_i row_i = 0 and sum_i y_i > 0, so no heights make every row
+    positive (Farkas' lemma).
+    """
+
+    regular: bool
+    vector: tuple
+
+    def holds(self, rows) -> bool:
+        """Exact check of the certificate against a state's constraint rows."""
+        ones = [1] * len(rows)
+        if self.regular:
+            return lp.satisfies(rows, ones, self.vector)
+        return lp.is_farkas(rows, ones, self.vector)
+
+
+def certify_regularity(
+    tri: Triangulation, config: PointConfig, certificates: dict | None = None
+) -> RegularityCertificate:
+    """The regularity oracle: an exactly checked certificate, cached by state key.
+
+    ``certificates`` maps canonical keys to certificates.  A cached one is
+    checked again, exactly, against the state's rows, so a stale or corrupted
+    entry is never trusted: it is replaced by a fresh LP solve.  Only a state
+    without a valid cached certificate costs an LP.
+    """
+    rows = regularity_constraints(tri, config)
+    key = tri.canonical_key
+    if certificates is not None:
+        cert = certificates.get(key)
+        if isinstance(cert, RegularityCertificate) and cert.holds(rows):
+            return cert
+    if not rows:
+        cert = RegularityCertificate(True, tuple(Fraction(0) for _ in range(config.n)))
+    else:
+        farkas = []
+        witness = lp.feasible_point(rows, [Fraction(1)] * len(rows), farkas)
+        if witness is None:
+            cert = RegularityCertificate(False, tuple(farkas))
+        else:
+            cert = RegularityCertificate(True, tuple(witness))
+    if certificates is not None:
+        certificates[key] = cert
+    return cert
+
+
+def height_certificate(tri: Triangulation, config: PointConfig, heights):
+    """Certificate from heights that induce ``tri``, or None if they do not fold every row.
+
+    Checks row . heights > 0 exactly for every constraint row and rescales
+    the heights so that the smallest fold is 1.  No LP is solved.
+    """
+    rows = regularity_constraints(tri, config)
+    folds = [sum(a * h for a, h in zip(row, heights) if a) for row in rows]
+    if any(f <= 0 for f in folds):
+        return None
+    scale = min(folds, default=Fraction(1))
+    return RegularityCertificate(True, tuple(Fraction(h) / scale for h in heights))
+
+
 def is_regular(tri: Triangulation, config: PointConfig):
     """Decide regularity; returns (flag, witness heights or None).
 
-    Feasibility of the local-folding system at strictness >= 1 is decided by an
-    exact rational phase-1 simplex method with Bland's rule.
+    Feasibility of the local-folding system at strictness >= 1 is decided by
+    :func:`certify_regularity` without a cache.
     """
-    rows = regularity_constraints(tri, config)
-    if not rows:
-        return True, tuple(Fraction(0) for _ in range(config.n))
-    witness = lp.feasible_point(rows, [Fraction(1)] * len(rows))
-    if witness is None:
-        return False, None
-    return True, tuple(witness)
+    cert = certify_regularity(tri, config)
+    return cert.regular, (cert.vector if cert.regular else None)
 
 
 def regular_from_heights(config: PointConfig, heights) -> Triangulation:

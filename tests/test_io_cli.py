@@ -232,6 +232,24 @@ def test_cli_sample_frst_and_determinism(tmp_path):
     assert set(ledger[0]) == {"iteration", "elapsed_ms", "new_key", "cumulative_count"}
 
 
+def test_cli_sample_frst_policy_locator_on_octahedron(tmp_path):
+    # lifted starts on the octahedron can leave the origin unused
+    data, train = tmp_path / "ds3", tmp_path / "train3"
+    assert run_cli("gen", "--dim", 3, "--samples", 7, "--count", 1, "--seed", 3, "--out", data) == 0
+    code = run_cli(
+        "train", "--data", data, "--objective", "min_weight", "--iterations", 1,
+        "--envs", 2, "--horizon", 4, "--hidden", 8, "--seed", 1, "--out", train,
+    )
+    assert code == 0
+    for seed in (0, 1):
+        code = run_cli(
+            "sample-frst", "--polytope", ff.fixture_path("octahedron3d"),
+            "--locator", "policy", "--checkpoint", train / "checkpoint_final.ckpt",
+            "--max-iterations", 3, "--seed", seed, "--out", tmp_path / f"frst{seed}",
+        )
+        assert code == 0
+
+
 def test_cli_search_determinism(small_dataset, tmp_path):
     outs = []
     for name in ("s1", "s2"):

@@ -36,6 +36,19 @@ def small_model(dim, kind="snn", hidden=12, seed=0):
     return PolicyModel.initialize(config, seed=seed)
 
 
+def test_unused_point_gets_zero_inverse_degree_and_finite_encoding():
+    # the centre (index 4) is left out of the triangulation, as a lifted FRST
+    # start may leave a point unused
+    config = ff.PointConfig(2, [(-1, -1), (1, -1), (1, 1), (-1, 1), (0, 0)])
+    tri = Triangulation([(0, 1, 2), (0, 2, 3)])
+    structure = skeleton_structure(tri, config.n)
+    assert structure.inv_degree[:, 0].tolist() == [1 / 3, 1 / 2, 1 / 3, 1 / 2, 0.0]
+    model = small_model(2)
+    params = {k: Tensor(v) for k, v in model.params.items()}
+    enc = encode(config, tri, params, model.config)
+    assert np.all(np.isfinite(enc.hidden.data))
+
+
 def test_twin_vertices_equal_embeddings():
     # two vertices with identical coordinates and neighborhoods
     config = ff.PointConfig(2, [(0, 0), (2, 0), (1, 2), (1, 2)], is_lattice=False)
