@@ -240,14 +240,17 @@ def _search_common(args, strategy_name, checkpoint_path=None) -> int:
         references[cid] = ref
         exactness[cid] = not truncated
 
+    # run logs and references are search values (minimization convention);
+    # the gap table reports native objective values
+    sign = -1.0 if objective.sense == "maximize" else 1.0
     labels, bests, refs = [], [], []
     rows = []
     for cid, seed_index, best, log in results:
         labels.append(f"{cid}/{seed_index}")
-        bests.append(best)
-        refs.append(references[cid])
+        bests.append(sign * best)
+        refs.append(sign * references[cid])
         io.write_jsonl(out / f"runlog_{cid}_{seed_index}.jsonl", log)
-    report = relative_gap(bests, refs, labels)
+    report = relative_gap(bests, refs, labels, objective.sense)
     for (label, best, ref, gap) in report.instances:
         rows.append((label, strategy_name, args.objective, best, ref, gap))
     io.write_tsv(

@@ -27,7 +27,7 @@ from .triangulation import (
     is_star,
     lower_facet_values_at,
     regular_from_heights,
-    validate,
+    require_valid,
 )
 
 
@@ -191,7 +191,7 @@ def nearby_frst_episode(
         if action is None:
             break
         current = apply_flip(current, action)
-        assert validate(current, config).ok
+        require_valid(current, config)
         visited.append(current.canonical_key)
     return EpisodeResult(False, len(visited) - 1, None, None, visited)
 

@@ -271,6 +271,7 @@ class PointConfig:
         self._hull = None
         self._hull_volume = None
         self._int_rows = None
+        self._dets = {}  # simplex -> simplex_det, filled as walks meet simplices
 
     def __eq__(self, other):
         return (
@@ -294,6 +295,21 @@ class PointConfig:
         if self._int_rows is None:
             self._int_rows = _scaled_int_rows(self.points)
         return self._int_rows
+
+    def simplex_det(self, simplex) -> int:
+        """Signed determinant of a simplex's edge vectors in ``int_rows`` units.
+
+        ``simplex`` is a sorted vertex tuple.  The simplex's normalized volume
+        is ``|det| / (scale**dim * dim!)``.  Values are kept: a flip walk
+        meets each simplex many times (validation, the policy's orientations).
+        """
+        det = self._dets.get(simplex)
+        if det is None:
+            rows, _scale = self.int_rows()
+            base = rows[simplex[0]]
+            det = _int_det([[a - b for a, b in zip(rows[v], base)] for v in simplex[1:]])
+            self._dets[simplex] = det
+        return det
 
     def hull(self) -> HullResult:
         if self._hull is None:

@@ -130,8 +130,14 @@ class GapReport:
     stderr: float
 
 
-def relative_gap(best_values, reference_values, labels=None) -> GapReport:
-    """Per instance (best - ref) / ref; aggregate mean and standard error."""
+def relative_gap(best_values, reference_values, labels=None, sense="minimize") -> GapReport:
+    """Per-instance gaps in the objective's own sense; their mean and standard error.
+
+    Values are native objective values, not search values.  A minimized
+    objective's gap is (best - ref) / ref, which needs ref > 0; a maximized
+    one's is ref - best (``frst_reach`` scores 0 or 1, and its reference is 0
+    when the component holds no FRST).
+    """
     if len(best_values) != len(reference_values):
         raise ValueError("mismatched instance counts")
     if labels is None:
@@ -140,9 +146,12 @@ def relative_gap(best_values, reference_values, labels=None) -> GapReport:
     gaps = []
     for label, best, ref in zip(labels, best_values, reference_values):
         ref = float(ref)
-        if ref <= 0:
+        if sense == "maximize":
+            gap = ref - float(best)
+        elif ref <= 0:
             raise ValueError(f"nonpositive reference value {ref} for {label}")
-        gap = (float(best) - ref) / ref
+        else:
+            gap = (float(best) - ref) / ref
         rows.append((label, float(best), ref, gap))
         gaps.append(gap)
     mean = sum(gaps) / len(gaps)

@@ -7,6 +7,12 @@ Chebyshev recursion on the normalized top-degree down Laplacian, and scores
 each feasible flip by pooling over the simplices it would remove.  Ablation
 actors drop the simplicial propagation ("egnn_only") or the realized local
 structure altogether ("pool_mlp").
+
+Everything a forward pass reads from a state (edge indices, inverse degrees,
+coordinates, simplex rows, the sparse Laplacian and each action's pooling
+rows) is one :class:`StateGraph`, built once per visited state; each layer is
+then a handful of whole-array ops (gathers, segment sums, one ``group_max``
+per pooling, fused dense layers).
 """
 
 from __future__ import annotations
@@ -14,13 +20,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SparseMatrix, Tensor
-from .geometry import PointConfig, _int_det
+from .geometry import PointConfig
 from .triangulation import Triangulation
 
 ACTOR_KINDS = ("snn", "egnn_only", "pool_mlp", "nls_accept")
@@ -102,149 +108,172 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator):
     return params
 
 
+@dataclass(frozen=True)
+class Skeleton:
+    """The 1-skeleton as directed edges (both directions), sorted by source."""
+
+    own: np.ndarray  # (E,) edge sources, ascending
+    nbr: np.ndarray  # (E,) edge targets
+    inv_degree: np.ndarray  # (n, 1)
+
+
+def skeleton_structure(tri: Triangulation, n: int) -> Skeleton:
+    edges = np.array(tri.skeleton_edges(), dtype=np.int64).reshape(-1, 2)
+    directed = np.concatenate([edges, edges[:, ::-1]])
+    directed = directed[np.lexsort((directed[:, 1], directed[:, 0]))]
+    degree = np.bincount(directed[:, 0], minlength=n).astype(np.float64)
+    # a point the triangulation leaves unused has no edges; it gets no
+    # messages, and its zero inverse degree keeps its coordinates fixed
+    inv_degree = np.divide(1.0, degree, out=np.zeros(n), where=degree > 0)
+    return Skeleton(
+        own=directed[:, 0].copy(), nbr=directed[:, 1].copy(), inv_degree=inv_degree.reshape(-1, 1)
+    )
+
+
+@dataclass(frozen=True)
+class StateGraph:
+    """Everything the policy reads from one state, built once per transition.
+
+    Rollouts build it for each visited state and the update that replays the
+    transition reuses it.  ``laplacian`` is set for the "snn" actor only;
+    ``action_groups`` holds the rows each action of ``actions`` pools over
+    (see :func:`action_groups`) for the actors that score actions.
+    """
+
+    coords: np.ndarray  # (n, dim) float coordinates
+    skeleton: Skeleton
+    simplices: np.ndarray  # (S, d+1) vertex rows of the maximal simplices
+    laplacian: SparseMatrix | None
+    actions: list
+    action_groups: np.ndarray | None
+
+
+def _padded(groups) -> np.ndarray:
+    """Equal-length index rows: each group padded by repeating its first member."""
+    width = max(len(g) for g in groups)
+    return np.array([list(g) + [g[0]] * (width - len(g)) for g in groups], dtype=np.int64)
+
+
+def action_groups(tri: Triangulation, actions, kind: str) -> np.ndarray:
+    """Per action, the rows its logit pools over, padded to a (A, m) array.
+
+    "snn": the removed simplices' rows of the propagated simplex features;
+    "egnn_only": the removed simplices' vertices; "pool_mlp": the circuit's
+    vertices.
+    """
+    if kind == "snn":
+        sim_index = {s: i for i, s in enumerate(tri.simplices)}
+        return _padded([[sim_index[s] for s in a.removed] for a in actions])
+    if kind == "egnn_only":
+        return _padded([sorted({v for s in a.removed for v in s}) for a in actions])
+    if kind == "pool_mlp":
+        return _padded([list(a.circuit.vertices) for a in actions])
+    raise ValueError(f"actor kind {kind!r} does not score actions")
+
+
+def state_graph(config: PointConfig, tri: Triangulation, actions, kind: str) -> StateGraph:
+    """The record of ``tri`` for an actor of ``kind``, scoring ``actions`` (may be empty)."""
+    scores = kind != "nls_accept" and len(actions) > 0
+    return StateGraph(
+        coords=np.array([[float(c) for c in p] for p in config.points]),
+        skeleton=skeleton_structure(tri, config.n),
+        simplices=np.array(tri.simplices, dtype=np.int64),
+        laplacian=simplicial_operator(tri, config) if kind == "snn" else None,
+        actions=actions,
+        action_groups=action_groups(tri, actions, kind) if scores else None,
+    )
+
+
 @dataclass
 class EncodedState:
     """Vertex embeddings and updated coordinates over the current 1-skeleton."""
 
     hidden: Tensor  # (n, hidden)
     coords: Tensor  # (n, dim)
-    edges: tuple  # directed edge pairs (i, j)
-    config: PointConfig | None = None
+    graph: StateGraph
 
 
-def _selection(rows, n):
-    idx = np.asarray(rows, dtype=np.int64)
-    return SparseMatrix.from_coo(np.arange(idx.size), idx, np.ones(idx.size), (idx.size, n))
+def _dense(x, params, name, silu=False):
+    return ad.linear(x, params[f"{name}.w"], params[f"{name}.b"], silu)
 
 
-@dataclass
-class SkeletonStructure:
-    """Constant gather/scatter operators for one triangulation's 1-skeleton."""
-
-    edges: tuple
-    gather_own: SparseMatrix  # (E, n) rows select edge sources
-    gather_nbr: SparseMatrix  # (E, n) rows select edge targets
-    scatter_own: SparseMatrix  # (n, E) sums per-edge values at the source
-    inv_degree: np.ndarray  # (n, 1)
-
-
-def skeleton_structure(tri: Triangulation, n: int) -> SkeletonStructure:
-    directed = []
-    for i, j in tri.skeleton_edges():
-        directed.append((i, j))
-        directed.append((j, i))
-    directed.sort()
-    own = [e[0] for e in directed]
-    nbr = [e[1] for e in directed]
-    e_count = len(directed)
-    degree = np.zeros(n)
-    np.add.at(degree, own, 1.0)
-    # a point the triangulation leaves unused has no edges; it gets no
-    # messages, and its zero inverse degree keeps its coordinates fixed
-    inv_degree = np.divide(1.0, degree, out=np.zeros(n), where=degree > 0)
-    scatter = SparseMatrix.from_coo(own, np.arange(e_count), np.ones(e_count), (n, e_count))
-    return SkeletonStructure(
-        edges=tuple(directed),
-        gather_own=_selection(own, n),
-        gather_nbr=_selection(nbr, n),
-        scatter_own=scatter,
-        inv_degree=inv_degree.reshape(-1, 1),
-    )
-
-
-def _dense_layer(x, params, name, activation=None):
-    out = ad.add(ad.matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
-    if activation is not None:
-        out = activation(out)
-    return out
-
-
-def egnn_layer(hidden, coords, structure: SkeletonStructure, params, layer: int):
+def egnn_layer(hidden, coords, skeleton: Skeleton, params, layer: int):
     """One equivariant message-passing layer with residual hidden update.
 
     Messages use (h_i, h_j, squared distance); coordinates move along averaged
     relative vectors, hidden states by a residual MLP of the message sum.
     """
-    own_h = ad.sparse_matmul(structure.gather_own, hidden)
-    nbr_h = ad.sparse_matmul(structure.gather_nbr, hidden)
-    own_x = ad.sparse_matmul(structure.gather_own, coords)
-    nbr_x = ad.sparse_matmul(structure.gather_nbr, coords)
+    own, nbr = skeleton.own, skeleton.nbr
+    n = hidden.shape[0]
+    own_h = ad.gather_rows(hidden, own)
+    nbr_h = ad.gather_rows(hidden, nbr)
+    own_x = ad.gather_rows(coords, own)
+    nbr_x = ad.gather_rows(coords, nbr)
     diff = ad.sub(own_x, nbr_x)
     sqdist = ad.tensor_sum(ad.square(diff), axis=1, keepdims=True)
 
     msg_in = ad.concat([own_h, nbr_h, sqdist], axis=1)
-    msg = _dense_layer(msg_in, params, f"enc{layer}.edge0", ad.silu)
-    msg = _dense_layer(msg, params, f"enc{layer}.edge1", ad.silu)
+    msg = _dense(msg_in, params, f"enc{layer}.edge0", silu=True)
+    msg = _dense(msg, params, f"enc{layer}.edge1", silu=True)
 
-    coef = _dense_layer(msg, params, f"enc{layer}.coord0", ad.silu)
-    coef = _dense_layer(coef, params, f"enc{layer}.coord1")
-    moved = ad.sparse_matmul(structure.scatter_own, ad.mul(diff, coef))
-    coords_out = ad.add(coords, ad.mul(moved, Tensor(structure.inv_degree)))
+    coef = _dense(msg, params, f"enc{layer}.coord0", silu=True)
+    coef = _dense(coef, params, f"enc{layer}.coord1")
+    moved = ad.scatter_rows(ad.mul(diff, coef), own, n)
+    coords_out = ad.add(coords, ad.mul(moved, Tensor(skeleton.inv_degree)))
 
-    agg = ad.sparse_matmul(structure.scatter_own, msg)
+    agg = ad.scatter_rows(msg, own, n)
     upd = ad.concat([hidden, agg], axis=1)
-    upd = _dense_layer(upd, params, f"enc{layer}.hidden0", ad.silu)
-    upd = _dense_layer(upd, params, f"enc{layer}.hidden1")
+    upd = _dense(upd, params, f"enc{layer}.hidden0", silu=True)
+    upd = _dense(upd, params, f"enc{layer}.hidden1")
     hidden_out = ad.add(hidden, upd)
     return hidden_out, coords_out
 
 
-def encode(config: PointConfig, tri: Triangulation, params, model: ModelConfig) -> EncodedState:
-    """Initial features h = W p, x = p, then ``encoder_layers`` EGNN layers."""
-    structure = skeleton_structure(tri, config.n)
-    coords_np = np.array([[float(c) for c in p] for p in config.points])
-    coords = Tensor(coords_np)
+def encode(
+    config: PointConfig, tri: Triangulation, params, model: ModelConfig, graph=None
+) -> EncodedState:
+    """Initial features h = W p, x = p, then ``encoder_layers`` EGNN layers.
+
+    ``graph`` is the state's :class:`StateGraph` when the caller holds one;
+    otherwise it is built here.
+    """
+    if graph is None:
+        graph = state_graph(config, tri, (), model.actor_kind)
+    coords = Tensor(graph.coords)
     hidden = ad.matmul(coords, params["embed.w"])
     for layer in range(model.encoder_layers):
-        hidden, coords = egnn_layer(hidden, coords, structure, params, layer)
-    return EncodedState(hidden=hidden, coords=coords, edges=structure.edges, config=config)
-
-
-def _orientation_sign(config: PointConfig, simplex) -> float:
-    rows, _scale = config.int_rows()
-    base = rows[simplex[0]]
-    mat = [[rows[v][i] - base[i] for i in range(config.dim)] for v in simplex[1:]]
-    det = _int_det(mat)
-    return 1.0 if det > 0 else -1.0
-
-
-def boundary_matrix(tri: Triangulation, config: PointConfig) -> SparseMatrix:
-    """Oriented boundary from maximal simplices to their (d-1)-faces.
-
-    Faces are read off the sorted vertex tuple with alternating position
-    signs; each simplex is oriented coherently by the sign of its coordinate
-    determinant, so the matrix (and the induced Laplacian) do not depend on
-    vertex labels and checkpoints stay portable across relabelings.
-    """
-    faces = sorted(
-        {
-            face
-            for s in tri.simplices
-            for face in itertools.combinations(s, len(s) - 1)
-        }
-    )
-    face_index = {f: i for i, f in enumerate(faces)}
-    rows, cols, vals = [], [], []
-    for col, s in enumerate(tri.simplices):
-        orient = _orientation_sign(config, s)
-        for pos in range(len(s)):
-            face = s[:pos] + s[pos + 1 :]
-            rows.append(face_index[face])
-            cols.append(col)
-            vals.append(orient * (-1.0) ** pos)
-    return SparseMatrix.from_coo(rows, cols, vals, (len(faces), len(tri.simplices)))
+        hidden, coords = egnn_layer(hidden, coords, graph.skeleton, params, layer)
+    return EncodedState(hidden=hidden, coords=coords, graph=graph)
 
 
 def simplicial_operator(tri: Triangulation, config: PointConfig) -> SparseMatrix:
-    """Normalized top-degree down Laplacian L = B^T B over a global row-sum scale."""
-    b = boundary_matrix(tri, config)
-    dense = b.dense()
-    lap = dense.T @ dense
-    scale = np.abs(lap).sum(axis=1).max()
-    if scale > 0:
-        lap = lap / scale
-    rows, cols = np.nonzero(lap)
-    return SparseMatrix.from_coo(rows, cols, lap[rows, cols], lap.shape)
+    """Normalized top-degree down Laplacian L = B^T B over a global row-sum scale.
+
+    B is the oriented boundary from maximal simplices to their (d-1)-faces:
+    faces are read off the sorted vertex tuple with alternating position
+    signs, and each simplex is oriented coherently by the sign of its
+    coordinate determinant, so L does not depend on vertex labels and
+    checkpoints stay portable across relabelings.  L is read off facet
+    adjacency: its diagonal is d+1, and two simplices sharing a facet meet
+    with the product of their coefficients on it.  Entries are in row-major
+    order.
+    """
+    entries = {}
+    by_facet = {}
+    for col, s in enumerate(tri.simplices):
+        orient = 1.0 if config.simplex_det(s) > 0 else -1.0
+        entries[(col, col)] = float(len(s))
+        for pos in range(len(s)):
+            by_facet.setdefault(s[:pos] + s[pos + 1 :], []).append((col, orient * (-1.0) ** pos))
+    for members in by_facet.values():
+        for (a, sign_a), (b, sign_b) in itertools.permutations(members, 2):
+            entries[(a, b)] = entries.get((a, b), 0.0) + sign_a * sign_b
+    keys = sorted(k for k, v in entries.items() if v != 0.0)
+    rows, cols = np.array(keys, dtype=np.int64).T
+    vals = np.array([entries[k] for k in keys])
+    size = len(tri.simplices)
+    scale = np.bincount(rows, weights=np.abs(vals), minlength=size).max()
+    return SparseMatrix.from_coo(rows, cols, vals / scale, (size, size))
 
 
 def _chebyshev_apply(operator: SparseMatrix, g, params, layer: int, order: int, final: bool):
@@ -270,47 +299,44 @@ def _chebyshev_apply(operator: SparseMatrix, g, params, layer: int, order: int, 
 
 def simplex_features(encoded: EncodedState, tri: Triangulation):
     """Lift vertex embeddings to one row per maximal simplex by max pooling."""
-    rows = [ad.max_pool_rows(encoded.hidden, list(s)) for s in tri.simplices]
-    return ad.concat(rows, axis=0)
+    return ad.group_max(encoded.hidden, encoded.graph.simplices)
+
+
+def _global_pool(hidden: Tensor, copies: int = 1) -> Tensor:
+    """``copies`` rows, each the column-wise max over all vertex embeddings."""
+    n = hidden.shape[0]
+    return ad.group_max(hidden, np.broadcast_to(np.arange(n), (copies, n)))
 
 
 def actor_logits(encoded, tri, actions, params, model: ModelConfig) -> Tensor:
-    """One logit per feasible action, shape (len(actions), 1)."""
+    """One logit per feasible action, shape (len(actions), 1).
+
+    The pooling groups come from the state graph when it was built for these
+    very actions, and are computed here otherwise.
+    """
     if not actions:
         raise ValueError("empty action set")
     kind = model.actor_kind
+    graph = encoded.graph
+    if graph.actions is actions and graph.action_groups is not None:
+        groups = graph.action_groups
+    else:
+        groups = action_groups(tri, actions, kind)
     if kind == "snn":
-        sim_index = {s: i for i, s in enumerate(tri.simplices)}
         g = simplex_features(encoded, tri)
-        operator = simplicial_operator(tri, encoded.config)
         for layer in range(model.actor_layers):
             final = layer == model.actor_layers - 1
-            g = _chebyshev_apply(operator, g, params, layer, model.chebyshev_order, final)
-        logits = []
-        for action in actions:
-            pooled = ad.max_pool_rows(g, [sim_index[s] for s in action.removed])
-            logits.append(ad.matmul(pooled, params["actor.readout.w"]))
-        return ad.concat(logits, axis=0)
+            g = _chebyshev_apply(graph.laplacian, g, params, layer, model.chebyshev_order, final)
+        return ad.matmul(ad.group_max(g, groups), params["actor.readout.w"])
     if kind == "egnn_only":
-        logits = []
-        for action in actions:
-            verts = sorted({v for s in action.removed for v in s})
-            pooled = ad.max_pool_rows(encoded.hidden, verts)
-            logits.append(ad.matmul(pooled, params["actor.readout.w"]))
-        return ad.concat(logits, axis=0)
-    if kind == "pool_mlp":
-        n = encoded.hidden.shape[0]
-        global_pool = ad.max_pool_rows(encoded.hidden, list(range(n)))
-        logits = []
-        for action in actions:
-            circ_pool = ad.max_pool_rows(encoded.hidden, list(action.circuit.vertices))
-            x = ad.concat([global_pool, circ_pool], axis=1)
-            x = _dense_layer(x, params, "actor.mlp0", ad.silu)
-            x = _dense_layer(x, params, "actor.mlp1", ad.silu)
-            x = _dense_layer(x, params, "actor.mlp2")
-            logits.append(x)
-        return ad.concat(logits, axis=0)
-    raise ValueError(f"actor kind {kind!r} does not score actions")
+        return ad.matmul(ad.group_max(encoded.hidden, groups), params["actor.readout.w"])
+    # pool_mlp: the global pool next to each circuit's pool
+    x = ad.concat(
+        [_global_pool(encoded.hidden, len(actions)), ad.group_max(encoded.hidden, groups)], axis=1
+    )
+    x = _dense(x, params, "actor.mlp0", silu=True)
+    x = _dense(x, params, "actor.mlp1", silu=True)
+    return _dense(x, params, "actor.mlp2")
 
 
 def policy_distribution(logits: Tensor) -> Tensor:
@@ -326,20 +352,18 @@ def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
 
 def value_estimate(encoded: EncodedState, params, model: ModelConfig) -> Tensor:
     """Scalar state value: MLP over the global max-pooled vertex embeddings."""
-    n = encoded.hidden.shape[0]
-    x = ad.max_pool_rows(encoded.hidden, list(range(n)))
+    x = _global_pool(encoded.hidden)
     for i in range(model.value_layers - 1):
-        x = _dense_layer(x, params, f"value{i}", ad.silu)
-    return _dense_layer(x, params, f"value{model.value_layers - 1}")
+        x = _dense(x, params, f"value{i}", silu=True)
+    return _dense(x, params, f"value{model.value_layers - 1}")
 
 
 def nls_accept_probability(encoded: EncodedState, params) -> Tensor:
     """Sigmoid of a 3-layer MLP on the pooled state embedding."""
-    n = encoded.hidden.shape[0]
-    x = ad.max_pool_rows(encoded.hidden, list(range(n)))
-    x = _dense_layer(x, params, "accept0", ad.silu)
-    x = _dense_layer(x, params, "accept1", ad.silu)
-    x = _dense_layer(x, params, "accept2")
+    x = _global_pool(encoded.hidden)
+    x = _dense(x, params, "accept0", silu=True)
+    x = _dense(x, params, "accept1", silu=True)
+    x = _dense(x, params, "accept2")
     return ad.sigmoid(x)
 
 
@@ -371,7 +395,8 @@ class PolicyModel:
 
     def action_logits(self, config, tri, actions, params=None):
         p = params or self._const_params()
-        enc = encode(config, tri, p, self.config)
+        graph = state_graph(config, tri, actions, self.config.actor_kind)
+        enc = encode(config, tri, p, self.config, graph)
         return actor_logits(enc, tri, actions, p, self.config)
 
     def action_probabilities(self, config, tri, actions) -> np.ndarray:

@@ -22,14 +22,16 @@ from .objectives import Objective, ObjectiveCache, evaluate, fine_and_regular
 from .policy import (
     ModelConfig,
     PolicyModel,
+    StateGraph,
     actor_logits,
     encode,
     nls_accept_probability,
     policy_distribution,
     sample_action,
+    state_graph,
     value_estimate,
 )
-from .triangulation import Triangulation, validate
+from .triangulation import Triangulation, require_valid
 
 
 @dataclass
@@ -122,6 +124,7 @@ class Transition:
     value: float
     reward: float
     done: bool
+    graph: StateGraph | None = None  # the policy's view of ``state``, reused by the update
     advantage: float = 0.0
     ret: float = 0.0
 
@@ -134,6 +137,16 @@ class RolloutBuffer:
     @property
     def transitions(self):
         return [t for ep in self.episodes for t in ep]
+
+    @property
+    def mean_episode_length(self) -> float:
+        return float(np.mean([len(ep) for ep in self.episodes])) if self.episodes else 0.0
+
+    @property
+    def mean_action_count(self) -> float:
+        """Feasible actions per visited state (every one, not just the proposals scored)."""
+        counts = [len(t.graph.actions) for t in self.transitions]
+        return float(np.mean(counts)) if counts else 0.0
 
 
 def _step_reward(objective, env, tri, nxt):
@@ -160,7 +173,8 @@ def collect_rollouts(
     Reach episodes terminate early on the first success with terminal reward
     +1; environments with no feasible action finish early with a done flag.
     """
-    nls = model.config.actor_kind == "nls_accept"
+    kind = model.config.actor_kind
+    nls = kind == "nls_accept"
     episodes = []
     returns = []
     for env, start in starts:
@@ -177,7 +191,8 @@ def collect_rollouts(
             if not actions:
                 break
             params = model._const_params()
-            enc = encode(env.config, tri, params, model.config)
+            graph = state_graph(env.config, tri, actions, kind)
+            enc = encode(env.config, tri, params, model.config, graph)
             value = float(value_estimate(enc, params, model.config).data.reshape(-1)[0])
             if nls:
                 proposal = int(rng.integers(len(actions)))
@@ -196,7 +211,8 @@ def collect_rollouts(
                 nxt = apply_flip(tri, actions[idx])
                 chosen_actions = actions
                 action_index = idx
-            assert nxt is tri or validate(nxt, env.config).ok
+            if nxt is not tri:
+                require_valid(nxt, env.config)
             reward, success = _step_reward(objective, env, tri, nxt)
             bonus = expansion_bonus(
                 counter, env.polytope_id, nxt.canonical_key, trainer.bonus_coef
@@ -212,6 +228,7 @@ def collect_rollouts(
                     value=value,
                     reward=reward + bonus,
                     done=success,
+                    graph=graph,
                 )
             )
             tri = nxt
@@ -242,6 +259,14 @@ def compute_gae(buffer: RolloutBuffer, discount: float, lam: float):
     return buffer
 
 
+def explained_variance(buffer: RolloutBuffer) -> float:
+    """1 - Var(returns - values) / Var(returns); 0.0 when the returns do not vary."""
+    values = np.array([t.value for t in buffer.transitions])
+    returns = np.array([t.ret for t in buffer.transitions])
+    spread = returns.var() if returns.size else 0.0
+    return float(1.0 - (returns - values).var() / spread) if spread > 0 else 0.0
+
+
 @dataclass
 class LossReport:
     policy_loss: float
@@ -249,10 +274,12 @@ class LossReport:
     entropy_loss: float
     total_loss: float
     clip_fraction: float
+    approx_kl: float = 0.0  # mean of (r - 1) - log r over the ratios r
+    grad_norm: float = 0.0  # L2 norm of the batch-mean gradient before Adam
 
 
 def _transition_loss(model, params, tr: Transition, trainer: TrainerConfig, adv: float):
-    enc = encode(tr.env.config, tr.state, params, model.config)
+    enc = encode(tr.env.config, tr.state, params, model.config, tr.graph)
     if model.config.actor_kind == "nls_accept":
         p_accept = nls_accept_probability(enc, params)
         eps = 1e-9
@@ -277,7 +304,8 @@ def _transition_loss(model, params, tr: Transition, trainer: TrainerConfig, adv:
         log_prob = ad.tensor_sum(ad.mul(log_probs, ad.constant(one_hot)))
         entropy_neg = ad.tensor_sum(ad.mul(probs, log_probs))
 
-    ratio = ad.exp(ad.sub(log_prob, ad.constant(tr.old_log_prob)))
+    log_ratio = ad.sub(log_prob, ad.constant(tr.old_log_prob))
+    ratio = ad.exp(log_ratio)
     adv_t = ad.constant(adv)
     unclipped = ad.mul(ratio, adv_t)
     clipped = ad.mul(
@@ -297,11 +325,13 @@ def _transition_loss(model, params, tr: Transition, trainer: TrainerConfig, adv:
         ),
     )
     ratio_val = float(ratio.data.reshape(-1)[0])
+    log_ratio_val = float(log_ratio.data.reshape(-1)[0])
     stats = (
         float(policy_loss.data.reshape(-1)[0]),
         float(value_loss.data.reshape(-1)[0]),
         float(entropy_neg.data.reshape(-1)[0]),
         abs(ratio_val - 1.0) > trainer.clip_ratio,
+        math.expm1(log_ratio_val) - log_ratio_val,
     )
     return total, stats
 
@@ -316,13 +346,13 @@ def ppo_update(model: PolicyModel, buffer: RolloutBuffer, trainer: TrainerConfig
         std = advantages.std()
         advantages = (advantages - advantages.mean()) / (std + 1e-8)
 
-    p_losses, v_losses, e_losses, clips = [], [], [], []
+    p_losses, v_losses, e_losses, clips, kls, grad_norms = [], [], [], [], [], []
     for _epoch in range(trainer.ppo_epochs):
         grad_sums = {k: np.zeros_like(v) for k, v in model.params.items()}
         for tr, adv in zip(transitions, advantages):
             tape = ad.Tape()
             params = model.taped_parameters(tape)
-            total, (pl, vl, el, was_clipped) = _transition_loss(
+            total, (pl, vl, el, was_clipped, kl) = _transition_loss(
                 model, params, tr, trainer, float(adv)
             )
             if not np.isfinite(total.data).all():
@@ -338,7 +368,9 @@ def ppo_update(model: PolicyModel, buffer: RolloutBuffer, trainer: TrainerConfig
             v_losses.append(vl)
             e_losses.append(el)
             clips.append(was_clipped)
+            kls.append(kl)
         grads_mean = {k: v / len(transitions) for k, v in grad_sums.items()}
+        grad_norms.append(math.sqrt(sum(float(np.sum(g * g)) for g in grads_mean.values())))
         ad.adam_step(adam_params, grads_mean, trainer.learning_rate)
         for p in adam_params:
             model.params[p.name] = p.value
@@ -352,6 +384,8 @@ def ppo_update(model: PolicyModel, buffer: RolloutBuffer, trainer: TrainerConfig
             + trainer.entropy_coef * np.mean(e_losses)
         ),
         clip_fraction=float(np.mean(clips)),
+        approx_kl=float(np.mean(kls)),
+        grad_norm=float(np.mean(grad_norms)),
     )
     if not all(
         np.isfinite(x)
@@ -399,6 +433,11 @@ def train(
             "value_loss": report.value_loss,
             "entropy_loss": report.entropy_loss,
             "clip_fraction": report.clip_fraction,
+            "approx_kl": report.approx_kl,
+            "grad_norm": report.grad_norm,
+            "explained_variance": explained_variance(buffer),
+            "mean_episode_length": buffer.mean_episode_length,
+            "mean_action_count": buffer.mean_action_count,
         }
         curve.append(record)
         if on_iteration is not None:

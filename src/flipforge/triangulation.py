@@ -9,18 +9,18 @@ hash and can be shared freely across workers.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lp
-from .errors import DegenerateConfig, DegenerateHeights
+from .errors import DegenerateConfig, DegenerateHeights, FlipForgeError
 from .geometry import (
     PointConfig,
     affine_dependence,
     affine_rank,
     make_point,
-    simplex_volume,
 )
 
 Simplex = tuple  # sorted tuple of vertex indices, length dim+1
@@ -128,13 +128,15 @@ def validate(tri: Triangulation, config: PointConfig) -> ValidityReport:
         failures.append(("d", "vertex ids outside the configuration"))
         return ValidityReport(False, "d", tuple(failures))
 
-    volume_sum = Fraction(0)
+    det_sum = 0
     degenerate = []
     for s in tri.simplices:
-        v = simplex_volume([config.points[i] for i in s])
-        if v == 0:
+        det = abs(config.simplex_det(s))
+        if det == 0:
             degenerate.append(s)
-        volume_sum += v
+        det_sum += det
+    _rows, scale = config.int_rows()
+    volume_sum = Fraction(det_sum, scale**config.dim * math.factorial(config.dim))
     hull_volume = config.hull_volume()
     if volume_sum != hull_volume:
         failures.append(("a", f"volume sum {volume_sum} != hull volume {hull_volume}"))
@@ -160,6 +162,18 @@ def validate(tri: Triangulation, config: PointConfig) -> ValidityReport:
         failures.sort(key=lambda item: item[0])
         return ValidityReport(False, failures[0][0], tuple(failures))
     return ValidityReport(True)
+
+
+def require_valid(tri: Triangulation, config: PointConfig) -> None:
+    """Raise ``FlipForgeError`` unless ``tri`` validates against ``config``.
+
+    The per-step check of every flip walk; unlike an ``assert`` it also runs
+    under ``python -O``.
+    """
+    report = validate(tri, config)
+    if not report.ok:
+        clause, message = report.details[0]
+        raise FlipForgeError(f"flip produced an invalid triangulation ({clause}: {message})")
 
 
 def canonical_key(tri: Triangulation):

@@ -99,12 +99,12 @@ def test_concat_and_sum_axis_gradients():
 
 def test_max_pool_rows_values_and_routing():
     x = Tensor(np.array([[1.0, 5.0], [3.0, 2.0], [9.0, -1.0]]))
-    pooled = ad.max_pool_rows(x, [0, 1])
+    pooled = ad.group_max(x, [[0, 1]])
     assert pooled.data.tolist() == [[3.0, 5.0]]
 
     tape = Tape()
     leaf = ad.leaf(tape, np.array([[1.0, 5.0], [3.0, 2.0], [9.0, -1.0]]))
-    loss = ad.tensor_sum(ad.max_pool_rows(leaf, [0, 1]))
+    loss = ad.tensor_sum(ad.group_max(leaf, [[0, 1]]))
     grads = ad.backward(tape, loss)
     assert grads[leaf.node_id].tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]
 
@@ -112,14 +112,14 @@ def test_max_pool_rows_values_and_routing():
 def test_max_pool_ties_route_to_first_argmax():
     tape = Tape()
     leaf = ad.leaf(tape, np.array([[2.0], [2.0]]))
-    loss = ad.tensor_sum(ad.max_pool_rows(leaf, [0, 1]))
+    loss = ad.tensor_sum(ad.group_max(leaf, [[0, 1]]))
     grads = ad.backward(tape, loss)
     assert grads[leaf.node_id].tolist() == [[1.0], [0.0]]
 
 
 def test_max_pool_empty_subset_rejected():
     with pytest.raises(ValueError):
-        ad.max_pool_rows(Tensor(np.ones((2, 2))), [])
+        ad.group_max(Tensor(np.ones((2, 2))), np.zeros((1, 0), dtype=np.int64))
 
 
 def test_softmax_masked_uniform():

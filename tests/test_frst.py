@@ -17,6 +17,7 @@ from flipforge.frst import (
     sample_frsts,
     star_closure,
 )
+from flipforge.errors import FlipForgeError
 from flipforge.io import read_point_config
 from flipforge.triangulation import Triangulation, is_fine, is_regular, is_star
 
@@ -277,3 +278,20 @@ def test_episode_states_all_valid(square_lattice, square_lattice_table):
     assert visited
     for tri in visited:
         assert validate(tri, square_lattice.config).ok
+
+
+def test_episode_invalid_flipped_state_raises(monkeypatch, square_lattice, square_lattice_table):
+    import flipforge.frst as frst
+
+    real = frst.apply_flip
+    monkeypatch.setattr(frst, "apply_flip", lambda tri, a: Triangulation(real(tri, a).simplices[1:]))
+    corners = Triangulation([(0, 2, 6), (2, 6, 8)])
+    with pytest.raises(FlipForgeError, match="invalid triangulation"):
+        nearby_frst_episode(
+            corners,
+            random_walk_chooser,
+            square_lattice,
+            square_lattice_table,
+            np.random.default_rng(0),
+            budget=5,
+        )

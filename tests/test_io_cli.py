@@ -359,3 +359,34 @@ def test_cli_sample_frst_reports_why_it_stopped(tmp_path):
     assert retried["iterations"] < 200 and retried["stopped_by_retries"]
     capped = summary("cap", "--max-iterations", 4)
     assert capped["iterations"] == 4 and not capped["stopped_by_retries"]
+
+
+def test_cli_search_frst_reach_gaps_in_native_sense(tmp_path):
+    data = tmp_path / "data"
+    assert run_cli("gen", "--dim", 2, "--samples", 7, "--count", 2, "--seed", 4, "--out", data) == 0
+    out = tmp_path / "reach"
+    code = run_cli(
+        "search", "--data", data, "--objective", "frst_reach", "--strategy", "anneal",
+        "--budget", 30, "--starts", 2, "--ref-limit", 100, "--seed", 3, "--out", out,
+    )
+    assert code == 0
+    rows = [line.split("\t") for line in (out / "gap_table.tsv").read_text().splitlines()[1:]]
+    assert len(rows) == 4
+    for _label, _strategy, _objective, best, ref, gap in rows:
+        assert float(best) in (0.0, 1.0) and float(ref) in (0.0, 1.0)
+        assert float(gap) == float(ref) - float(best)
+
+
+def test_cli_invalid_flipped_state_is_one_line_exit_5(small_dataset, tmp_path, monkeypatch, capsys):
+    import flipforge.search as search
+
+    real = search.apply_flip
+    monkeypatch.setattr(search, "apply_flip", lambda tri, a: Triangulation(real(tri, a).simplices[1:]))
+    code = run_cli(
+        "search", "--data", small_dataset, "--objective", "min_weight",
+        "--strategy", "random_walk", "--budget", 5, "--out", tmp_path / "broken",
+    )
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: flip produced an invalid triangulation")
+    assert err.count("\n") == 1

@@ -9,7 +9,6 @@ from flipforge.policy import (
     ModelConfig,
     PolicyModel,
     actor_logits,
-    boundary_matrix,
     egnn_layer,
     encode,
     init_parameters,
@@ -21,6 +20,7 @@ from flipforge.policy import (
     value_estimate,
 )
 from flipforge.triangulation import Triangulation
+from policy_oracle import boundary_matrix
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +145,7 @@ def test_value_head_pooling_invariances(square_setup):
     dup = type(enc)(
         hidden=Tensor(np.vstack([enc.hidden.data, enc.hidden.data])),
         coords=enc.coords,
-        edges=enc.edges,
+        graph=enc.graph,
     )
     v_dup = value_estimate(dup, params, model.config).data[0, 0]
     assert v == pytest.approx(v_dup, rel=1e-12)

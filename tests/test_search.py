@@ -13,6 +13,7 @@ from flipforge.search import (
     make_strategy,
     run_budgeted,
 )
+from flipforge.errors import FlipForgeError
 from flipforge.triangulation import Triangulation, validate
 
 
@@ -219,3 +220,14 @@ def test_empty_action_set_stays():
     trace = run("random_walk", tri, Objective.MIN_WEIGHT, 3, config, table)
     assert len(trace.records) == 4
     assert all(r.action_id is None for r in trace.records)
+
+
+def test_invalid_flipped_state_raises_without_assert(monkeypatch, hexagon, hexagon_table):
+    # the per-step check is explicit, so it also holds under python -O
+    import flipforge.search as search
+
+    real = search.apply_flip
+    monkeypatch.setattr(search, "apply_flip", lambda tri, a: Triangulation(real(tri, a).simplices[1:]))
+    seed_tri = Triangulation([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)])
+    with pytest.raises(FlipForgeError, match="invalid triangulation"):
+        run("random_walk", seed_tri, Objective.MIN_WEIGHT, 5, hexagon, hexagon_table)

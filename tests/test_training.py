@@ -16,11 +16,13 @@ from flipforge.training import (
     collect_rollouts,
     compute_gae,
     expansion_bonus,
+    explained_variance,
     initial_state_weights,
     ppo_update,
     sample_initial_states,
     train,
 )
+from flipforge.errors import FlipForgeError
 from flipforge.triangulation import Triangulation
 from flipforge import autodiff as ad
 
@@ -336,3 +338,80 @@ def test_gae_lambda_one_is_discounted_monte_carlo():
     for t, tr in enumerate(buffer.transitions):
         mc = sum(gamma ** h * rewards[t + h] for h in range(len(rewards) - t))
         assert tr.advantage == pytest.approx(mc - values[t], rel=1e-12)
+
+
+def test_collect_rollouts_invalid_flipped_state_raises(monkeypatch, square_env, square_seeds):
+    import flipforge.training as training
+
+    real = training.apply_flip
+    monkeypatch.setattr(training, "apply_flip", lambda tri, a: Triangulation(real(tri, a).simplices[1:]))
+    with pytest.raises(FlipForgeError, match="invalid triangulation"):
+        collect_rollouts(
+            make_model(dim=2),
+            [(square_env, square_seeds[0])],
+            Objective.MIN_WEIGHT,
+            small_trainer(),
+            VisitCounter(),
+            np.random.default_rng(0),
+        )
+
+
+def test_curve_records_ppo_diagnostics(hexagon):
+    envs = hexagon_environments(hexagon)
+    mc = ModelConfig(input_dim=2, hidden=8)
+    result = train(envs, Objective.MIN_WEIGHT, mc, small_trainer(iterations=2, num_envs=3, horizon=4))
+    for record in result.curve:
+        for key in ("approx_kl", "grad_norm", "explained_variance"):
+            assert np.isfinite(record[key]), key
+        # one epoch starts from the rollout policy: every ratio is exactly 1
+        assert record["approx_kl"] == 0.0
+        assert record["grad_norm"] > 0.0
+        assert record["mean_episode_length"] == 4.0  # every hexagon state has a flip
+        assert record["mean_action_count"] >= 1.0
+
+
+def test_explained_variance_limits():
+    buffer = synthetic_buffer([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+    for tr, ret in zip(buffer.transitions, (1.0, 2.0, 4.0)):
+        tr.ret = ret
+    assert explained_variance(buffer) == 0.0  # values carry no information
+    for tr in buffer.transitions:
+        tr.value = tr.ret
+    assert explained_variance(buffer) == 1.0
+    for tr in buffer.transitions:
+        tr.ret = 5.0
+    assert explained_variance(buffer) == 0.0  # returns do not vary
+    assert explained_variance(RolloutBuffer(episodes=[[]])) == 0.0
+
+
+def test_ppo_diagnostics_match_their_definitions(hexagon, square_env, square_seeds):
+    from flipforge.training import _transition_loss
+
+    trainer = small_trainer(horizon=4, learning_rate=0.05)
+    square = rollout_and_gae(make_model(seed=9), square_env, square_seeds, trainer)
+    assert square.mean_action_count == 1.0  # a triangulated square has one flip
+    assert square.mean_episode_length == 4.0
+    env, seeds = hexagon_environments(hexagon)["hex"]
+    model = make_model(seed=9)
+    buffer = rollout_and_gae(model, env, seeds, trainer)
+    advantages = np.array([t.advantage for t in buffer.transitions])
+    advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+    sums = {k: np.zeros_like(v) for k, v in model.params.items()}
+    for tr, adv in zip(buffer.transitions, advantages):
+        tape = ad.Tape()
+        params = model.taped_parameters(tape)
+        total, _stats = _transition_loss(model, params, tr, trainer, float(adv))
+        grads = ad.backward(tape, total)
+        for k, t in params.items():
+            sums[k] += grads.get(t.node_id, 0.0)
+    norm = math.sqrt(sum(float(np.sum((g / len(advantages)) ** 2)) for g in sums.values()))
+    adam_params = [ad.Parameter(k, v) for k, v in model.params.items()]
+    report = ppo_update(model, buffer, trainer, adam_params)
+    assert report.grad_norm == pytest.approx(norm, rel=1e-12)
+    assert report.approx_kl == 0.0
+    # a second epoch sees moved parameters, so its ratios differ from 1
+    model = make_model(seed=9)
+    buffer = rollout_and_gae(model, env, seeds, trainer)
+    adam_params = [ad.Parameter(k, v) for k, v in model.params.items()]
+    two = TrainerConfig(**{**trainer.to_dict(), "ppo_epochs": 2})
+    assert ppo_update(model, buffer, two, adam_params).approx_kl > 0.0

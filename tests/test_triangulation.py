@@ -1,12 +1,16 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import flipforge as ff
-from flipforge.errors import DegenerateHeights
+from flipforge.errors import DegenerateConfig, DegenerateHeights, FlipForgeError
 from flipforge.flips import enumerate_circuits, enumerate_component
+from flipforge.geometry import placing_triangulation
 from flipforge.io import format_triangulation, parse_triangulation
 from flipforge.triangulation import (
     Triangulation,
@@ -18,6 +22,7 @@ from flipforge.triangulation import (
     link_of,
     lower_envelope_value,
     regular_from_heights,
+    require_valid,
     validate,
 )
 from conftest import polygon_triangulations
@@ -224,3 +229,43 @@ def test_validate_volume_identity_exact(hexagon):
             ff.simplex_volume([hexagon.points[i] for i in s]) for s in tri.simplices
         )
         assert total == hull_volume
+
+
+def _random_points(draw, dim, rational):
+    coord = st.integers(-6, 6)
+    if rational:
+        coord = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+    return draw(
+        st.lists(st.tuples(*[coord] * dim), min_size=dim + 2, max_size=dim + 4, unique=True)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.booleans(), st.data())
+def test_validate_volumes_match_simplex_volume(dim, rational, data):
+    points = _random_points(data.draw, dim, rational)
+    try:
+        config = ff.PointConfig(dim, points, is_lattice=False)
+    except DegenerateConfig:
+        assume(False)
+    _rows, scale = config.int_rows()
+    unit = scale**dim * math.factorial(dim)
+    for simplex in itertools.combinations(range(config.n), dim + 1):
+        expected = ff.simplex_volume([config.points[i] for i in simplex])
+        assert Fraction(abs(config.simplex_det(simplex)), unit) == expected
+    tri = Triangulation(placing_triangulation(config))
+    assert validate(tri, config).ok
+    if len(tri.simplices) > 1:
+        # a missing simplex shows as the exact volume deficit
+        partial = Triangulation(tri.simplices[1:])
+        report = validate(partial, config)
+        assert report.first_violation == "a"
+        total = sum(ff.simplex_volume([config.points[i] for i in s]) for s in partial.simplices)
+        assert report.details[0][1] == f"volume sum {total} != hull volume {config.hull_volume()}"
+
+
+def test_require_valid_raises_one_line_error(unit_square):
+    require_valid(Triangulation([(0, 1, 2), (0, 2, 3)]), unit_square)
+    with pytest.raises(FlipForgeError, match="invalid triangulation") as err:
+        require_valid(Triangulation([(0, 1, 2)]), unit_square)
+    assert "\n" not in str(err.value)
