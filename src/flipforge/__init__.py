@@ -43,7 +43,6 @@ from .triangulation import (
     Heights,
     Simplex,
     Triangulation,
-    canonical_key,
     dual_diameter,
     dual_graph,
     is_fine,

@@ -78,79 +78,77 @@ def _int_det(rows):
     return sign * m[n - 1][n - 1]
 
 
-def _rank(rows):
-    """Rank of an integer (or Fraction) matrix by exact Gaussian elimination."""
-    m = [[Fraction(x) for x in r] for r in rows]
+def rref(rows):
+    """Fraction-free Gauss-Jordan elimination: ``(rows, pivots, d)``.
+
+    Each row is first scaled to integers by the lcm of its denominators,
+    which leaves the reduced form unchanged.  A pivot step replaces every
+    other row by ``(p * m[i][j] - m[i][col] * m[r][j]) // d_prev``; the
+    division is exact because every entry stays an integer minor of the
+    input (Bareiss 1968).  On return every pivot entry equals ``d``, the
+    reduced row echelon form is ``rows[i][j] / d``, rows past the pivots are
+    zero, and ``pivots`` lists the pivot columns: the first linearly
+    independent columns in index order, so the rank is ``len(pivots)``.
+    """
+    m = []
+    for row in rows:
+        scale = math.lcm(*[v.denominator for v in row])
+        m.append([v.numerator * (scale // v.denominator) for v in row])
     nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    d = 1
     for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][col]
-        for i in range(rank + 1, nrows):
-            if m[i][col] != 0:
-                f = m[i][col] / inv
-                for j in range(col, ncols):
-                    m[i][j] -= f * m[rank][j]
-        rank += 1
-        if rank == nrows:
+        r = len(pivots)
+        if r == nrows:
             break
-    return rank
+        found = next((i for i in range(r, nrows) if m[i][col]), None)
+        if found is None:
+            continue
+        m[r], m[found] = m[found], m[r]
+        top = m[r]
+        p = top[col]
+        for i in range(nrows):
+            if i == r:
+                continue
+            a = m[i][col]
+            if a:
+                m[i] = [(p * x - a * y) // d for x, y in zip(m[i], top)]
+            elif p != d:
+                m[i] = [p * x // d for x in m[i]]
+        d = p
+        pivots.append(col)
+    return m, pivots, d
+
+
+def _homogenized(points):
+    """Point coordinates as columns over a row of ones.
+
+    Column dependences of this matrix are exactly the affine dependences of
+    the points, and its pivot columns are the greedy affinely independent
+    subset in index order.
+    """
+    return [[p[i] for p in points] for i in range(len(points[0]))] + [[1] * len(points)]
 
 
 def affine_rank(points) -> int:
     """Number of affinely independent points minus one equals the span dimension."""
     if len(points) <= 1:
         return 0
-    base = points[0]
-    rows = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    return _rank(rows)
+    return len(rref(_homogenized([make_point(p) for p in points]))[1]) - 1
 
 
 def _affine_kernel_basis(points):
-    """Basis of {lam : sum lam_i p_i = 0, sum lam_i = 0}, as Fraction tuples.
-
-    The homogeneous system has one row per coordinate plus the all-ones row.
-    """
+    """Basis of {lam : sum lam_i p_i = 0, sum lam_i = 0}, as Fraction tuples."""
     k = len(points)
-    dim = len(points[0])
-    rows = [[points[j][i] for j in range(k)] for i in range(dim)]
-    rows.append([Fraction(1)] * k)
-    m = [[Fraction(v) for v in r] for r in rows]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for col in range(k):
-        pivot = None
-        for i in range(r, nrows):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][col]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
+    m, pivots, d = rref(_homogenized(points))
     free = [c for c in range(k) if c not in pivots]
     basis = []
     for fc in free:
         vec = [Fraction(0)] * k
         vec[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):
-            vec[pc] = -m[ri][fc]
+            vec[pc] = Fraction(-m[ri][fc], d)
         basis.append(tuple(vec))
     return basis
 
@@ -231,17 +229,6 @@ def _hyperplane_from_basis(rows, dim):
         return None
     offset = sum(n * c for n, c in zip(normal, base))
     return tuple(normal), offset
-
-
-def _independent_subset(rows, dim, size):
-    """Greedy prefix of affinely independent rows, or None if rank is short."""
-    chosen = [rows[0]]
-    for r in rows[1:]:
-        if len(chosen) == size:
-            break
-        if affine_rank(chosen + [r]) == len(chosen):
-            chosen.append(r)
-    return chosen if len(chosen) == size else None
 
 
 class PointConfig:
@@ -351,7 +338,7 @@ def convex_hull(config: PointConfig) -> HullResult:
     dim = config.dim
     n = len(rows)
 
-    start = _greedy_independent_indices(rows, dim)
+    start = rref(_homogenized(rows))[1]  # greedy: the first dim+1 independent points
     processed = list(start)
     facets = {}  # (normal, offset) -> set of point ids on the hyperplane
     for subset in itertools.combinations(start, dim):
@@ -377,14 +364,12 @@ def convex_hull(config: PointConfig) -> HullResult:
                 ridge = vids & kids
                 if len(ridge) < dim - 1:
                     continue
-                ridge_rows = [rows[i] for i in sorted(ridge)]
-                if affine_rank(ridge_rows) != dim - 2:
+                span = [rows[i] for i in sorted(ridge)] + [rows[p]]
+                pivots = rref(_homogenized(span))[1]
+                if len(pivots) != dim or pivots[-1] != len(ridge):
+                    # the ridge must span a (d-2)-flat that p genuinely extends
                     continue
-                span = _independent_subset(ridge_rows + [rows[p]], dim, dim)
-                if span is None or span[-1] != rows[p]:
-                    # p must genuinely extend the ridge's flat
-                    continue
-                plane = _hyperplane_from_basis(span, dim)
+                plane = _hyperplane_from_basis([span[i] for i in pivots], dim)
                 if plane is None:
                     continue
                 candidates.add(plane)
@@ -425,21 +410,9 @@ def convex_hull(config: PointConfig) -> HullResult:
     extreme = set()
     for i in range(n):
         tight = [f.normal for f in out if i in f.vertex_ids]
-        if tight and _rank(tight) == dim:
+        if tight and len(rref(tight)[1]) == dim:
             extreme.add(i)
     return HullResult(facets=tuple(out), extreme=frozenset(extreme))
-
-
-def _greedy_independent_indices(rows, dim):
-    chosen = [0]
-    for i in range(1, len(rows)):
-        if len(chosen) == dim + 1:
-            break
-        if affine_rank([rows[j] for j in chosen] + [rows[i]]) == len(chosen):
-            chosen.append(i)
-    if len(chosen) != dim + 1:
-        raise DegenerateConfig("points do not span the full dimension")
-    return chosen
 
 
 def _plane_value(plane, row):
@@ -483,7 +456,7 @@ def placing_triangulation(config: PointConfig):
     """
     rows, _scale = config.int_rows()
     dim = config.dim
-    start = _greedy_independent_indices(rows, dim)
+    start = rref(_homogenized(rows))[1]  # greedy: the first dim+1 independent points
     simplices = [tuple(sorted(start))]
     boundary = {}  # face (sorted tuple of dim ids) -> (plane oriented inside<=0)
     for face in itertools.combinations(simplices[0], dim):

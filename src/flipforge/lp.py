@@ -19,6 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .geometry import rref
+
 _TOL = 1e-9  # float entries within this of zero count as zero
 
 
@@ -163,12 +165,12 @@ def _recover_point(rows, rhs, basis):
     if split is None:
         return None
     free, structural, _artificial = split
-    values = _solve([[rows[i][k] for k in structural] for i in free], [rhs[i] for i in free])
-    if values is None:
-        return None
+    reduced, pivots, d = rref([[rows[i][k] for k in structural] + [rhs[i]] for i in free])
+    if pivots != list(range(len(free))):
+        return None  # singular basis
     w = [Fraction(0)] * n
-    for k, v in zip(structural, values):
-        w[k] = v
+    for k, row in zip(structural, reduced):
+        w[k] = Fraction(row[-1], d)
     return tuple(w)
 
 
@@ -188,30 +190,13 @@ def _recover_farkas(rows, rhs, basis):
     free, structural, artificial = split
     z = [Fraction(int(i in artificial)) for i in range(m)]
     target = [-sum(rows[i][k] for i in artificial) for k in structural]
-    values = _solve([[rows[i][k] for i in free] for k in structural], target)
-    if values is None:
-        return None
-    for i, v in zip(free, values):
-        z[i] = v
+    system = [[rows[i][k] for i in free] + [t] for k, t in zip(structural, target)]
+    reduced, pivots, d = rref(system)
+    if pivots != list(range(len(free))):
+        return None  # singular basis
+    for i, row in zip(free, reduced):
+        z[i] = Fraction(row[-1], d)
     return tuple(z)
-
-
-def _solve(matrix, rhs):
-    """Exact solution of a square system by Gauss-Jordan elimination; None if singular."""
-    size = len(matrix)
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    for col in range(size):
-        pivot = next((i for i in range(col, size) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for i in range(size):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][size] for i in range(size)]
 
 
 def _exact_phase1(rows, rhs):

@@ -6,7 +6,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .flips import FlipAction, apply_flip
 from .geometry import PointConfig
 from .triangulation import Triangulation, certify_regularity, dual_diameter, is_fine
 
@@ -105,20 +104,19 @@ def search_value(
 def reward(
     objective: Objective,
     tri: Triangulation,
-    action: FlipAction,
+    nxt: Triangulation,
     config: PointConfig,
     cache: ObjectiveCache | None = None,
 ) -> float:
-    """Improvement in the objective induced by one flip.
+    """Improvement in the objective from ``tri`` to its successor ``nxt``.
 
-    Minimization: f(before) - f(after); the sign is reversed for maximization.
-    Sparse-reward reach episodes use their own terminal reward instead.
+    Minimization: f(tri) - f(nxt); maximization: f(nxt) - f(tri), so a
+    rejected proposal (``nxt is tri``) earns 0.  From a state that is not
+    fine and regular, the reach reward is 1.0 exactly when ``nxt`` is.
     """
-    after = apply_flip(tri, action)
-    delta = evaluate(objective, tri, config, cache) - evaluate(
-        objective, after, config, cache
-    )
-    return -delta if objective.sense == "maximize" else delta
+    before = evaluate(objective, tri, config, cache)
+    after = evaluate(objective, nxt, config, cache)
+    return after - before if objective.sense == "maximize" else before - after
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .errors import TrainingError
 from .flips import CircuitTable, apply_flip, flippable_circuits
 from .geometry import PointConfig
-from .objectives import Objective, ObjectiveCache, evaluate, fine_and_regular
+from .objectives import Objective, ObjectiveCache, evaluate, reward
 from .policy import (
     ModelConfig,
     PolicyModel,
@@ -149,17 +149,6 @@ class RolloutBuffer:
         return float(np.mean(counts)) if counts else 0.0
 
 
-def _step_reward(objective, env, tri, nxt):
-    if objective is Objective.FRST_REACH:
-        return (1.0, True) if fine_and_regular(nxt, env.config, env.cache) else (0.0, False)
-    before = evaluate(objective, tri, env.config, env.cache)
-    after = evaluate(objective, nxt, env.config, env.cache)
-    delta = before - after
-    if objective.sense == "maximize":
-        delta = -delta
-    return delta, False
-
-
 def collect_rollouts(
     model: PolicyModel,
     starts,  # list of (EnvContext, Triangulation)
@@ -182,7 +171,7 @@ def collect_rollouts(
         tri = start
         episode = []
         total = 0.0
-        if objective is Objective.FRST_REACH and fine_and_regular(tri, env.config, env.cache):
+        if objective is Objective.FRST_REACH and evaluate(objective, tri, env.config, env.cache):
             episodes.append(episode)
             returns.append(0.0)
             continue
@@ -213,11 +202,12 @@ def collect_rollouts(
                 action_index = idx
             if nxt is not tri:
                 require_valid(nxt, env.config)
-            reward, success = _step_reward(objective, env, tri, nxt)
+            gain = reward(objective, tri, nxt, env.config, env.cache)
+            success = objective is Objective.FRST_REACH and gain > 0
             bonus = expansion_bonus(
                 counter, env.polytope_id, nxt.canonical_key, trainer.bonus_coef
             )
-            total += reward + bonus
+            total += gain + bonus
             episode.append(
                 Transition(
                     env=env,
@@ -226,7 +216,7 @@ def collect_rollouts(
                     action_index=action_index,
                     old_log_prob=log_prob,
                     value=value,
-                    reward=reward + bonus,
+                    reward=gain + bonus,
                     done=success,
                     graph=graph,
                 )

@@ -16,12 +16,7 @@ from fractions import Fraction
 
 from . import lp
 from .errors import DegenerateConfig, DegenerateHeights, FlipForgeError
-from .geometry import (
-    PointConfig,
-    affine_dependence,
-    affine_rank,
-    make_point,
-)
+from .geometry import PointConfig, _homogenized, affine_dependence, make_point, rref
 
 Simplex = tuple  # sorted tuple of vertex indices, length dim+1
 Heights = tuple  # one Fraction per configuration point
@@ -176,10 +171,6 @@ def require_valid(tri: Triangulation, config: PointConfig) -> None:
         raise FlipForgeError(f"flip produced an invalid triangulation ({clause}: {message})")
 
 
-def canonical_key(tri: Triangulation):
-    return tri.canonical_key
-
-
 def link_of(tri: Triangulation, face):
     """Maximal elements of the link of ``face``: {max(sigma) - face : face <= sigma}."""
     fs = frozenset(int(v) for v in face)
@@ -259,34 +250,15 @@ def _barycentric(point, simplex_points):
 
 
 def _affine_coordinates(point, simplex_points):
+    """Affine coordinates of ``point`` over the points, or None off their affine hull."""
     k = len(simplex_points)
-    dim = len(point)
-    rows = [[simplex_points[j][i] for j in range(k)] for i in range(dim)]
-    rows.append([Fraction(1)] * k)
-    target = list(point) + [Fraction(1)]
-    m = [[Fraction(v) for v in row] + [Fraction(t)] for row, t in zip(rows, target)]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for col in range(k):
-        pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][col]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, nrows):
-        if m[i][k] != 0:
-            return None  # inconsistent: point outside the affine hull
+    target = list(point) + [1]
+    m, pivots, d = rref([row + [t] for row, t in zip(_homogenized(simplex_points), target)])
+    if pivots and pivots[-1] == k:
+        return None  # inconsistent: point outside the affine hull
     lam = [Fraction(0)] * k
     for ri, col in enumerate(pivots):
-        lam[col] = m[ri][k]
+        lam[col] = Fraction(m[ri][k], d)
     return tuple(lam)
 
 
@@ -479,15 +451,8 @@ def lower_envelope_value(config: PointConfig, heights, point):
 
 def _affine_height_at(config: PointConfig, heights, point):
     """Evaluate the affine function through a flat lift at ``point``."""
-    base = [config.points[0]]
-    base_h = [heights[0]]
-    for p, w in zip(config.points[1:], heights[1:]):
-        if len(base) == config.dim + 1:
-            break
-        if affine_rank(base + [p]) == len(base):
-            base.append(p)
-            base_h.append(w)
-    coords = _affine_coordinates(point, base)
+    base = rref(_homogenized(config.points))[1]
+    coords = _affine_coordinates(point, [config.points[i] for i in base])
     if coords is None:
         raise DegenerateHeights("point outside the affine hull of a flat lift")
-    return sum(c * w for c, w in zip(coords, base_h))
+    return sum(c * heights[i] for c, i in zip(coords, base))

@@ -179,6 +179,19 @@ def test_lattice_points_segment():
     assert lattice_points(config) == [make_point([0]), make_point([1])]
 
 
+def test_hull_segment_keeps_both_ends():
+    # points beyond the starting pair on both sides: each end point's facet
+    # is rebuilt from the empty ridge it shares with the kept facet
+    config = ff.PointConfig(1, [(0,), (1,), (3,), (-2,)])
+    hull = config.hull()
+    assert [(f.normal, f.offset, f.vertex_ids) for f in hull.facets] == [
+        ((-1,), 2, {3}),
+        ((1,), 3, {2}),
+    ]
+    assert hull.extreme == {2, 3}
+    assert lattice_points(config) == [make_point([x]) for x in range(-2, 4)]
+
+
 def test_snap_basics():
     assert snap_to_rational([0.5]) == (Fraction(1, 2),)
     assert snap_to_rational([0.0]) == (Fraction(0),)

@@ -41,14 +41,14 @@ def test_min_diameter_single_simplex():
 def test_reward_min_simplices(bipyramid, bipyramid_table):
     three = Triangulation([(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4)])
     action = flippable_circuits(three, bipyramid_table)[0]
-    assert reward(Objective.MIN_SIMPLICES, three, action, bipyramid) == 1.0
+    assert reward(Objective.MIN_SIMPLICES, three, apply_flip(three, action), bipyramid) == 1.0
 
 
 def test_reward_trapezoid_min_weight(trapezoid):
     table = enumerate_circuits(trapezoid)
     long_diag = Triangulation([(0, 1, 3), (1, 2, 3)])  # uses diagonal (1,3)
     action = flippable_circuits(long_diag, table)[0]
-    got = reward(Objective.MIN_WEIGHT, long_diag, action, trapezoid)
+    got = reward(Objective.MIN_WEIGHT, long_diag, apply_flip(long_diag, action), trapezoid)
     # oracle: evaluate both triangulations directly
     short_diag = apply_flip(long_diag, action)
     expected = evaluate(Objective.MIN_WEIGHT, long_diag, trapezoid) - evaluate(
@@ -61,12 +61,12 @@ def test_reward_trapezoid_min_weight(trapezoid):
 def test_reward_antisymmetry(unit_square, unit_square_table):
     tri = Triangulation([(0, 1, 2), (0, 2, 3)])
     action = flippable_circuits(tri, unit_square_table)[0]
-    fwd = reward(Objective.MIN_WEIGHT, tri, action, unit_square)
+    fwd = reward(Objective.MIN_WEIGHT, tri, apply_flip(tri, action), unit_square)
     flipped = apply_flip(tri, action)
     from flipforge.flips import reverse_action
 
     rev = reverse_action(flipped, unit_square_table, action)
-    bwd = reward(Objective.MIN_WEIGHT, flipped, rev, unit_square)
+    bwd = reward(Objective.MIN_WEIGHT, flipped, apply_flip(flipped, rev), unit_square)
     assert fwd == pytest.approx(-bwd, abs=1e-12)
 
 
@@ -80,7 +80,9 @@ def test_reward_telescoping(hexagon, hexagon_table):
     for _ in range(60):
         actions = flippable_circuits(current, hexagon_table)
         action = actions[rnd.randrange(len(actions))]
-        total += reward(Objective.MIN_WEIGHT, current, action, hexagon, cache)
+        total += reward(
+            Objective.MIN_WEIGHT, current, apply_flip(current, action), hexagon, cache
+        )
         current = apply_flip(current, action)
     end_value = evaluate(Objective.MIN_WEIGHT, current, hexagon, cache)
     assert total == pytest.approx(start_value - end_value, rel=1e-9)
