@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ from .frst import (
     random_walk_chooser,
     sample_frsts,
 )
-from .objectives import Objective, ObjectiveCache, relative_gap, search_value
+from .objectives import Objective, ObjectiveCache, evaluate, relative_gap, search_value
 from .policy import ModelConfig, PolicyModel
 from .search import STRATEGY_NAMES, make_strategy, run_budgeted
 from .training import EnvContext, TrainerConfig, train
@@ -198,6 +197,7 @@ def _exact_reference(table, objective, limit):
 def _run_search_tasks(tasks, workers):
     if workers <= 1:
         return [_search_instance(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_search_instance, tasks))
 
@@ -317,6 +317,12 @@ def cmd_train(args) -> int:
             raise FormatError(f"no seed triangulations for {cid}")
         env = EnvContext(polytope_id=cid, config=config, table=enumerate_circuits(config))
         environments[cid] = (env, seeds)
+    if objective is Objective.FRST_REACH and all(
+        evaluate(objective, tri, env.config, env.cache)
+        for env, seeds in environments.values()
+        for tri in seeds
+    ):
+        raise FormatError("every seed is already fine and regular; frst_reach has nothing to train on")
 
     curve_path = out / "curve.jsonl"
     curve_path.write_text("")

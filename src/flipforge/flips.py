@@ -5,13 +5,14 @@ dependence signs split it into two parts whose induced local triangulations
 can replace each other inside a larger triangulation whenever one of them is
 realized with a common link.  Circuits are computed once per configuration
 from the integer maximal minors of the homogenized points.  Each circuit
-table indexes its circuits by the first core face of each orientation, so a
-state is scanned through its own faces: only the circuits whose core is a
-face of the state are tested for flippability.
+table indexes its circuits by their cores, so a state tests only the circuits
+with a core inside one of its simplices, and a flipped state only those
+touching the simplices its flip removed or inserted.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from .errors import StaleAction
 from .geometry import PointConfig, _int_det, dependence_kernel
-from .triangulation import Triangulation
+from .triangulation import Triangulation, _faces
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,12 @@ class Circuit:
     coeffs: tuple  # Fractions, first nonzero entry +1, full support
     positive: tuple  # indices with positive coefficient
     negative: tuple  # indices with negative coefficient
+
+    @functools.cached_property
+    def cores(self):
+        """The cores Z - {p}: (one per positive p, one per negative p), as frozensets."""
+        zset = frozenset(self.vertices)
+        return tuple(tuple(zset - {p} for p in part) for part in (self.positive, self.negative))
 
 
 @dataclass(frozen=True)
@@ -51,26 +58,33 @@ class FlipAction:
 class CircuitTable:
     """All circuits of one configuration, in vertex-tuple order.
 
-    ``by_core`` maps the first core face of each orientation (the circuit
-    minus the first vertex of that side) to the positions of its circuits.
-    An orientation is realized only if all its cores are faces, so a state
-    whose faces hit no key has no action on that circuit.
+    ``touching(simplex)`` gives the positions of the circuits with a core
+    inside the simplex.  Circuits are indexed by core lazily, on first use,
+    so building a table costs nothing beyond the circuits themselves.
     """
 
     config: PointConfig
     circuits: tuple
-    by_core: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        by_core = {}
-        for pos, circuit in enumerate(self.circuits):
-            zset = frozenset(circuit.vertices)
-            for part in (circuit.positive, circuit.negative):
-                by_core.setdefault(zset - {part[0]}, []).append(pos)
-        object.__setattr__(self, "by_core", by_core)
+    _touching: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __len__(self):
         return len(self.circuits)
+
+    @functools.cached_property
+    def _core_index(self):
+        cores = {}
+        for pos, circuit in enumerate(self.circuits):
+            for core in itertools.chain(*circuit.cores):
+                cores.setdefault(core, []).append(pos)
+        return cores
+
+    def touching(self, simplex) -> frozenset:
+        """Positions of the circuits with a core Z - {p}, any p in Z, inside ``simplex``."""
+        hit = self._touching.get(simplex)
+        if hit is None:
+            hit = frozenset(pos for face in _faces(simplex) for pos in self._core_index.get(face, ()))
+            self._touching[simplex] = hit
+        return hit
 
 
 def _circuit(subset, lam) -> Circuit:
@@ -125,12 +139,11 @@ def enumerate_circuits(config: PointConfig) -> CircuitTable:
     return CircuitTable(config=config, circuits=tuple(circuits))
 
 
-def _realize(faces, circuit: Circuit, side_part, other_part, side: int):
+def _realize(faces, circuit: Circuit, side: int):
     """Try to realize one orientation of a circuit, given the state's face map."""
-    zset = frozenset(circuit.vertices)
+    side_cores, other_cores = circuit.cores if side > 0 else circuit.cores[::-1]
     link = None
-    for p in side_part:
-        core = zset - {p}
+    for core in side_cores:
         members = faces.get(core)
         if members is None:
             return None
@@ -139,22 +152,12 @@ def _realize(faces, circuit: Circuit, side_part, other_part, side: int):
             link = this_link
         elif link != this_link:
             return None
-    removed = set()
-    inserted = set()
-    for p in side_part:
-        core = zset - {p}
-        for g in link:
-            removed.add(tuple(sorted(core | g)))
-    for q in other_part:
-        core = zset - {q}
-        for g in link:
-            inserted.add(tuple(sorted(core | g)))
     return FlipAction(
         circuit=circuit,
         realized_side=side,
         link=tuple(sorted(tuple(sorted(g)) for g in link)),
-        removed=tuple(sorted(removed)),
-        inserted=tuple(sorted(inserted)),
+        removed=tuple(sorted({tuple(sorted(core | g)) for core in side_cores for g in link})),
+        inserted=tuple(sorted({tuple(sorted(core | g)) for core in other_cores for g in link})),
     )
 
 
@@ -163,33 +166,49 @@ def flippable_circuits(tri: Triangulation, table: CircuitTable):
 
     A circuit yields an action iff for one sign orientation every maximal core
     face is a face of the triangulation and all core faces share one identical
-    link; at most one orientation can be realized (asserted).  Only circuits
-    with a first core among the state's faces are tested.
+    link; at most one orientation can be realized (asserted).  Both depend
+    only on the stars of the circuit's cores, and a flip changes the star of
+    a face only if a removed or inserted simplex contains it.  So a state
+    flipped from a parent with known actions keeps the parent's action on
+    every circuit not touching those simplices and re-tests the rest; any
+    other state tests every circuit touching one of its simplices.  The
+    actions are cached on the state, per table, and its lineage dropped.
     """
-    faces = tri.face_map()
-    hits = sorted({pos for face in faces for pos in table.by_core.get(face, ())})
-    actions = []
-    for pos in hits:
-        circuit = table.circuits[pos]
-        plus = _realize(faces, circuit, circuit.positive, circuit.negative, +1)
-        minus = _realize(faces, circuit, circuit.negative, circuit.positive, -1)
-        if plus is not None and minus is not None:
-            raise AssertionError(
-                f"both sides of circuit {circuit.vertices} realized at once"
-            )
-        action = plus if plus is not None else minus
-        if action is not None:
-            actions.append(action)
-    return actions
+    if tri._actions is None or tri._actions[0] is not table:
+        faces = tri.face_map()
+        parent, removed, inserted = tri._lineage or (None, (), ())
+        if parent is None or parent._actions is None or parent._actions[0] is not table:
+            kept, changed = {}, tri.simplices
+        else:
+            kept, changed = parent._actions[1], removed + inserted
+        retest = frozenset().union(*map(table.touching, changed))
+        found = {pos: a for pos, a in kept.items() if pos not in retest}
+        for pos in retest:
+            circuit = table.circuits[pos]
+            plus, minus = _realize(faces, circuit, +1), _realize(faces, circuit, -1)
+            if plus is not None and minus is not None:
+                raise AssertionError(f"both sides of circuit {circuit.vertices} realized at once")
+            if plus is not None or minus is not None:
+                found[pos] = plus or minus
+        tri._actions = (table, dict(sorted(found.items())))
+        tri._lineage = None
+    return list(tri._actions[1].values())
 
 
 def apply_flip(tri: Triangulation, action: FlipAction) -> Triangulation:
-    """Replace the realized local subtriangulation by the other side."""
+    """Replace the realized local subtriangulation by the other side.
+
+    The child records the simplices that actually left and arrived, so its
+    face map and actions are patched from ``tri``'s.
+    """
     current = set(tri.simplices)
-    removed = set(action.removed)
+    removed, inserted = set(action.removed), set(action.inserted)
     if not removed <= current:
         raise StaleAction("action's removed set is not part of the triangulation")
-    return Triangulation((current - removed) | set(action.inserted))
+    simplices = tuple(sorted((current - removed) | inserted))
+    return Triangulation._flipped(
+        tri, simplices, tuple(removed - inserted), tuple(inserted - current)
+    )
 
 
 def reverse_action(tri_after: Triangulation, table: CircuitTable, action: FlipAction):

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import CheckpointError, FormatError
 from .geometry import PointConfig
-from .policy import ModelConfig, PolicyModel
 from .triangulation import Triangulation
 
 CHECKPOINT_MAGIC = b"FFCK"
@@ -198,6 +197,7 @@ class _Reader:
 
 def read_checkpoint(path):
     """Returns (PolicyModel, extra dict); validates magic, version, and digest."""
+    from .policy import ModelConfig, PolicyModel
     reader = _Reader(Path(path).read_bytes())
     if reader.take(4) != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")

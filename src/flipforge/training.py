@@ -55,7 +55,7 @@ class TrainerConfig:
         if not 0 < self.discount <= 1 or not 0 < self.gae_lambda <= 1:
             raise ValueError("discount and gae_lambda must lie in (0, 1]")
         for name in ("horizon", "num_envs", "ppo_epochs", "clip_ratio"):
-            if getattr(self, name) <= 0 and name != "horizon":
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
     def to_dict(self):

@@ -8,6 +8,7 @@ hash and can be shared freely across workers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -23,9 +24,15 @@ Heights = tuple  # one Fraction per configuration point
 
 
 class Triangulation:
-    """Immutable set of maximal simplices with a canonical, hashable identity."""
+    """Immutable set of maximal simplices with a canonical, hashable identity.
 
-    __slots__ = ("simplices", "_face_map", "_skeleton", "_hash")
+    A state made by a flip records its lineage (parent, removed and inserted
+    simplices) until its actions are known, so its face map patches the
+    parent's and ``flippable_circuits`` re-tests only the circuits the flip
+    touched.  Caches and lineage are never pickled.
+    """
+
+    __slots__ = ("simplices", "_face_map", "_skeleton", "_hash", "_lineage", "_actions")
 
     def __init__(self, simplices):
         cleaned = sorted({tuple(sorted(int(v) for v in s)) for s in simplices})
@@ -35,10 +42,21 @@ class Triangulation:
         for s in cleaned:
             if len(s) != size or len(set(s)) != size:
                 raise ValueError(f"malformed simplex {s}")
-        self.simplices = tuple(cleaned)
-        self._face_map = None
-        self._skeleton = None
-        self._hash = hash(self.simplices)
+        self._set(tuple(cleaned))
+
+    def _set(self, simplices, lineage=None):
+        self.simplices, self._hash, self._lineage = simplices, hash(simplices), lineage
+        self._face_map = self._skeleton = self._actions = None
+
+    @classmethod
+    def _flipped(cls, parent, simplices, removed, inserted):
+        """The state ``simplices`` (already canonical) one flip away from ``parent``."""
+        tri = cls.__new__(cls)
+        tri._set(simplices, (parent, removed, inserted))
+        return tri
+
+    def __reduce__(self):
+        return (Triangulation, (self.simplices,))
 
     @property
     def canonical_key(self):
@@ -65,14 +83,26 @@ class Triangulation:
         return frozenset(v for s in self.simplices for v in s)
 
     def face_map(self):
-        """Every nonempty face, maximal simplices included -> containing simplices."""
+        """Every nonempty face, maximal simplices included -> frozenset of containing simplices.
+
+        A flipped state copies its parent's map and rebuilds only the entries
+        of faces of the removed and inserted simplices; the others are shared.
+        """
         if self._face_map is None:
-            fm = {}
-            for s in self.simplices:
-                sset = frozenset(s)
-                for size in range(1, len(s) + 1):
-                    for face in itertools.combinations(s, size):
-                        fm.setdefault(frozenset(face), []).append(sset)
+            parent, removed, inserted = self._lineage or (None, (), ())
+            if parent is None or parent._face_map is None:
+                fm, removed, inserted = {}, (), self.simplices
+            else:
+                fm = dict(parent._face_map)
+            dead = {frozenset(s) for s in removed}
+            for face in {face for s in removed for face in _faces(s)}:
+                members = fm.pop(face) - dead
+                if members:
+                    fm[face] = members
+            for s in inserted:
+                added = {frozenset(s)}
+                for face in _faces(s):
+                    fm[face] = fm.get(face, frozenset()) | added
             self._face_map = fm
         return self._face_map
 
@@ -92,6 +122,16 @@ class Triangulation:
             for face in itertools.combinations(s, len(s) - 1):
                 counts[face] = counts.get(face, 0) + 1
         return counts
+
+
+@functools.lru_cache(maxsize=4096)
+def _faces(simplex):
+    """Every nonempty face of a simplex, as frozensets; memoized per vertex tuple."""
+    return tuple(
+        frozenset(face)
+        for size in range(1, len(simplex) + 1)
+        for face in itertools.combinations(simplex, size)
+    )
 
 
 @dataclass(frozen=True)

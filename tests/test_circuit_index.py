@@ -2,11 +2,13 @@
 
 ``enumerate_circuits`` builds tables from integer maximal minors; the oracle
 scans every vertex subset with the exact dependence kernel.
-``flippable_circuits`` looks circuits up through the state's faces; the
-oracle tests every circuit of the table through ``link_of``.
+``flippable_circuits`` tests the circuits with a core inside one of the
+state's simplices, or patches a flipped state's actions from its parent's;
+the oracle tests every circuit of the table through ``link_of``.
 """
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from flipforge.flips import (
     apply_flip,
     enumerate_circuits,
     flippable_circuits,
+    reverse_action,
 )
 from flipforge.geometry import dependence_kernel
 from flipforge.triangulation import Triangulation, link_of, validate
@@ -179,3 +182,50 @@ def test_indexed_scan_matches_full_scan_on_prism():
 def test_indexed_scan_matches_full_scan_on_gen3d(gen3d):
     start = initial_triangulation(gen3d)
     assert walk_matches_full_scan(gen3d, start, walks=1, steps=30, seed=14) == 30
+
+
+def maintained_actions(tri, table):
+    """The state's actions, checked against the full scan, a lineage-free copy and pickling."""
+    patched = tri._lineage is not None and tri._lineage[0]._actions is not None
+    actions = flippable_circuits(tri, table)
+    assert actions == full_scan(tri, table)
+    assert tri._lineage is None  # dropped once the actions are known
+    assert tri.face_map() == Triangulation(tri.simplices).face_map()
+    actions.clear()  # every call hands out a fresh list
+    actions = flippable_circuits(tri, table)
+    assert actions == full_scan(tri, table)
+    clone = pickle.loads(pickle.dumps(tri))
+    assert clone == tri and clone.canonical_key == tri.canonical_key
+    assert (clone._face_map, clone._actions, clone._lineage) == (None, None, None)
+    return actions, patched
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_maintained_actions_match_full_scan_on_random_walks(dim, data):
+    points = data.draw(point_lists(dim))
+    try:
+        config = ff.PointConfig(dim, points)
+    except DegenerateConfig:
+        assume(False)
+    table = enumerate_circuits(config)
+    tri = initial_triangulation(config)
+    actions, _ = maintained_actions(tri, table)
+    for move in data.draw(st.lists(st.integers(0, 1 << 20), min_size=1, max_size=12)):
+        if not actions:
+            break
+        action = actions[move % len(actions)]
+        child = apply_flip(tri, action)
+        if move % 3 == 1 and len(actions) > 1:
+            # a sibling patched from the same parent first
+            sibling = apply_flip(tri, actions[(move + 1) % len(actions)])
+            assert maintained_actions(sibling, table)[1]
+        child_actions, patched = maintained_actions(child, table)
+        assert patched
+        if move % 3 == 0:
+            # flip straight back: the grandchild is the parent again
+            back = apply_flip(child, reverse_action(child, table, action))
+            assert back == tri
+            assert maintained_actions(back, table) == (actions, True)
+        tri, actions = child, child_actions

@@ -390,3 +390,75 @@ def test_cli_invalid_flipped_state_is_one_line_exit_5(small_dataset, tmp_path, m
     err = capsys.readouterr().err
     assert err.startswith("internal error: flip produced an invalid triangulation")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_cli_train_rejects_nonpositive_horizon(small_dataset, tmp_path, capsys, horizon):
+    code = run_cli(
+        "train", "--data", small_dataset, "--objective", "min_weight", "--iterations", 1,
+        "--envs", 2, "--horizon", horizon, "--hidden", 8, "--out", tmp_path / "h",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: horizon must be positive\n"
+    assert not (tmp_path / "h" / "curve.jsonl").exists()
+
+
+def count_regularity_lps(monkeypatch):
+    """Record the constraint rows of every regularity LP solved."""
+    from flipforge import lp
+
+    solved = []
+    real = lp.feasible_point
+
+    def counting(rows, rhs, farkas=None):
+        solved.append(tuple(tuple(row) for row in rows))
+        return real(rows, rhs, farkas)
+
+    monkeypatch.setattr(lp, "feasible_point", counting)
+    return solved
+
+
+def test_cli_train_frst_reach_without_reach_episodes_is_a_data_error(
+    tmp_path, capsys, monkeypatch
+):
+    # gen keeps only hull vertices and regular seeds, so every seed is already an FRST
+    data = tmp_path / "data"
+    assert run_cli("gen", "--dim", 2, "--samples", 7, "--count", 2, "--seed", 4, "--out", data) == 0
+    seeds = sum(json.loads((data / "manifest.json").read_text())["seed_counts"].values())
+    solved = count_regularity_lps(monkeypatch)
+    capsys.readouterr()
+    code = run_cli(
+        "train", "--data", data, "--objective", "frst_reach", "--iterations", 2,
+        "--envs", 4, "--horizon", 8, "--hidden", 16, "--out", tmp_path / "reach",
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: every seed is already fine and regular")
+    assert err.count("\n") == 1
+    assert len(solved) == len(set(solved)) == seeds
+
+
+def test_cli_train_frst_reach_checks_seeds_through_the_cache(tmp_path, monkeypatch):
+    data = tmp_path / "lattice"
+    data.mkdir()
+    io.write_point_config(data / "config_sq.poly", io.read_point_config(ff.fixture_path("square2d")))
+    fan = Triangulation(
+        [(0, 1, 4), (0, 3, 4), (1, 2, 4), (2, 4, 5), (3, 4, 6), (4, 5, 8), (4, 6, 7), (4, 7, 8)]
+    )
+    corners = Triangulation([(0, 2, 8), (0, 6, 8)])
+    io.write_triangulation_set(data / "seeds_sq.tri", [fan, corners])
+    io.write_json(
+        data / "manifest.json",
+        {"spec": {"dim": 2, "samples": 9, "count": 1}, "ids": ["sq"], "vertex_counts": {"sq": 9}},
+    )
+    solved = count_regularity_lps(monkeypatch)
+    code = run_cli(
+        "train", "--data", data, "--objective", "frst_reach", "--iterations", 2,
+        "--envs", 4, "--horizon", 6, "--hidden", 8, "--seed", 2, "--out", tmp_path / "reach",
+    )
+    assert code == 0
+    curve = [json.loads(l) for l in (tmp_path / "reach" / "curve.jsonl").read_text().splitlines()]
+    assert any(c["mean_episode_length"] > 0 for c in curve)
+    # the fan's LP from the seed check is reused by the rollouts
+    assert solved and len(solved) == len(set(solved))
