@@ -2,13 +2,12 @@
 
 The sampling loop lifts random heights to a regular start, runs a short
 locator episode toward a fine regular state, closes the find into a star
-triangulation by sinking the origin, and keeps a ledger of distinct results
-with a consecutive-retry stopping rule.
+triangulation by coning its boundary from the origin, and keeps a ledger of
+distinct results with a consecutive-retry stopping rule.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,15 +24,15 @@ from .triangulation import (
     height_certificate,
     is_fine,
     is_star,
-    lower_facet_values_at,
     regular_from_heights,
+    regularity_constraints,
     require_valid,
 )
 
 
 @dataclass(frozen=True)
 class LatticeConfig:
-    """Point configuration over ALL lattice points of a polytope, origin interior.
+    """All lattice points of a polytope whose only interior lattice point is the origin.
 
     Optional metadata (a label such as a Hodge number) is stored verbatim and
     never computed.
@@ -52,6 +51,13 @@ class LatticeConfig:
             raise ValueError("configuration must contain every lattice point of its hull")
         if self.config.points[self.origin_index] != make_point([0] * self.config.dim):
             raise ValueError("origin index does not point at the origin")
+        # the star closure cones the boundary from the origin, which is fine
+        # only if every other point lies on a facet (the hull is cached above)
+        boundary = set().union(*(f.vertex_ids for f in self.config.hull().facets))
+        if self.origin_index in boundary:
+            raise ValueError("the origin must be interior to the polytope")
+        if len(boundary) != self.config.n - 1:
+            raise ValueError("the origin must be the only interior lattice point")
 
     @classmethod
     def from_config(cls, config: PointConfig, name="", metadata=None):
@@ -97,19 +103,19 @@ def star_closure(
     witness=None,
     cache: ObjectiveCache | None = None,
 ) -> Triangulation:
-    """Sink the origin until every lower facet of the recomputed lift holds it.
+    """Cone the boundary of a fine regular triangulation from the origin.
 
-    The input must be fine and regular.  Its witness heights are reused: the
-    caller passes the witness of the certificate it already holds, and only
-    without one is the regularity oracle asked.  The origin height is set one
-    unit below the minimum of all lower-facet planes of the remaining lifted
-    points, extended to the origin.  Any lower facet avoiding the origin
-    would then be violated by the origin's lift, so the result is a star
-    triangulation; the boundary structure (hence fineness) is untouched
-    because non-origin heights stay fixed.  The result is certified regular
-    by its own sunk heights with an exact check of every constraint row, and
-    that certificate goes into ``cache``.  Degenerate retries jitter the
-    non-origin heights deterministically (bounded at 10 attempts).
+    A regular subdivision restricts to every face of the polytope (De Loera,
+    Rambau & Santos, *Triangulations*, 2010), so sinking the origin with the
+    other heights fixed gives the cone from the origin over the input's
+    boundary (d-1)-faces; it is fine because the origin is the only interior
+    lattice point.  The input's witness heights are reused for the other
+    points: the caller passes the witness of the certificate it already
+    holds, and only without one is the regularity oracle asked.  The
+    origin's height goes one unit below the smallest bound
+    (row . w without the origin) / -row[origin] over the cone's rows with a
+    negative origin coefficient.  An exact check of every row certifies the
+    cone regular, and that certificate goes into ``cache``.
     """
     config = lattice.config
     origin = lattice.origin_index
@@ -119,31 +125,26 @@ def star_closure(
         if not cert.regular:
             raise ValueError("star closure requires a regular input")
         witness = cert.vector
+    closed = Triangulation(
+        face + (origin,) for face, count in tri.boundary_faces().items() if count == 1
+    )
+    if not is_fine(closed, config):
+        raise ValueError("star closure requires an input that uses every boundary point")
+    rows = regularity_constraints(closed, config)
     heights = [Fraction(h) for h in witness]
-
-    for attempt in range(10):
-        others = [p for i, p in enumerate(config.points) if i != origin]
-        other_heights = [h for i, h in enumerate(heights) if i != origin]
-        rest = PointConfig(config.dim, others, is_lattice=False)
-        bound = min(lower_facet_values_at(rest, other_heights, config.points[origin]))
-        sunk = list(heights)
-        sunk[origin] = bound - 1
-        try:
-            closed = regular_from_heights(config, sunk)
-        except DegenerateHeights:
-            closed = None
-        if (
-            closed is not None
-            and is_fine(closed, config)
-            and is_star(closed, config, origin)
-            and (cert := height_certificate(closed, config, sunk)) is not None
-        ):
-            if certificates is not None:
-                certificates.setdefault(closed.canonical_key, cert)
-            return closed
-        bump = Fraction(1, 10 ** (9 + attempt))
-        heights = [h + (bump * (i + 1) if i != origin else 0) for i, h in enumerate(heights)]
-    raise FlipForgeError("star closure failed after 10 height perturbations")
+    heights[origin] = Fraction(0)
+    bounds = [
+        sum(a * h for a, h in zip(row, heights) if a) / -row[origin]
+        for row in rows
+        if row[origin] < 0
+    ]
+    heights[origin] = min(bounds, default=Fraction(1)) - 1
+    cert = height_certificate(rows, heights)
+    if cert is None:
+        raise FlipForgeError("sunk heights do not induce the cone over the boundary")
+    if certificates is not None:
+        certificates.setdefault(closed.canonical_key, cert)
+    return closed
 
 
 @dataclass

@@ -11,6 +11,7 @@ which covers ambient dimension <= 4 plus one lifting coordinate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -201,7 +202,17 @@ class HullFacet:
 @dataclass(frozen=True)
 class HullResult:
     facets: tuple
-    extreme: frozenset
+
+    @functools.cached_property
+    def extreme(self) -> frozenset:
+        """Indices of the vertices: points whose tight facet normals span the space."""
+        dim = len(self.facets[0].normal)
+        on_boundary = set().union(*(f.vertex_ids for f in self.facets))
+        return frozenset(
+            i
+            for i in on_boundary
+            if len(rref([f.normal for f in self.facets if i in f.vertex_ids])[1]) == dim
+        )
 
     def contains(self, point) -> bool:
         return all(f.value(make_point(point)) <= 0 for f in self.facets)
@@ -327,7 +338,7 @@ def simplex_volume(vertices) -> Fraction:
 
 
 def convex_hull(config: PointConfig) -> HullResult:
-    """Exact facets and extreme vertex indices, by incremental insertion.
+    """Exact facets by incremental insertion; ``extreme`` follows from them on demand.
 
     Non-simplicial facets are fine: a facet is stored as the set of all point
     indices on its hyperplane.  New facets after every insertion are generated
@@ -365,11 +376,14 @@ def convex_hull(config: PointConfig) -> HullResult:
                 if len(ridge) < dim - 1:
                     continue
                 span = [rows[i] for i in sorted(ridge)] + [rows[p]]
-                pivots = rref(_homogenized(span))[1]
-                if len(pivots) != dim or pivots[-1] != len(ridge):
-                    # the ridge must span a (d-2)-flat that p genuinely extends
-                    continue
-                plane = _hyperplane_from_basis([span[i] for i in pivots], dim)
+                if len(ridge) > dim - 1:
+                    pivots = rref(_homogenized(span))[1]
+                    if len(pivots) != dim or pivots[-1] != len(ridge):
+                        # the ridge must span a (d-2)-flat that p genuinely extends
+                        continue
+                    span = [span[i] for i in pivots]
+                # with exactly dim - 1 ridge points, a dependent span has no normal
+                plane = _hyperplane_from_basis(span, dim)
                 if plane is None:
                     continue
                 candidates.add(plane)
@@ -406,13 +420,7 @@ def convex_hull(config: PointConfig) -> HullResult:
             )
         )
     out.sort(key=lambda f: (f.normal, f.offset))
-
-    extreme = set()
-    for i in range(n):
-        tight = [f.normal for f in out if i in f.vertex_ids]
-        if tight and len(rref(tight)[1]) == dim:
-            extreme.add(i)
-    return HullResult(facets=tuple(out), extreme=frozenset(extreme))
+    return HullResult(facets=tuple(out))
 
 
 def _plane_value(plane, row):

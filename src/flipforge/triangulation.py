@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import lp
 from .errors import DegenerateConfig, DegenerateHeights, FlipForgeError
-from .geometry import PointConfig, _homogenized, affine_dependence, make_point, rref
+from .geometry import PointConfig, _homogenized, affine_dependence, rref
 
 Simplex = tuple  # sorted tuple of vertex indices, length dim+1
 Heights = tuple  # one Fraction per configuration point
@@ -32,7 +32,7 @@ class Triangulation:
     touched.  Caches and lineage are never pickled.
     """
 
-    __slots__ = ("simplices", "_face_map", "_skeleton", "_hash", "_lineage", "_actions")
+    __slots__ = ("simplices", "_face_map", "_skeleton", "_hash", "_lineage", "_actions", "_rows")
 
     def __init__(self, simplices):
         cleaned = sorted({tuple(sorted(int(v) for v in s)) for s in simplices})
@@ -46,7 +46,7 @@ class Triangulation:
 
     def _set(self, simplices, lineage=None):
         self.simplices, self._hash, self._lineage = simplices, hash(simplices), lineage
-        self._face_map = self._skeleton = self._actions = None
+        self._face_map = self._skeleton = self._actions = self._rows = None
 
     @classmethod
     def _flipped(cls, parent, simplices, removed, inserted):
@@ -308,29 +308,32 @@ def regularity_constraints(tri: Triangulation, config: PointConfig):
     One row per interior (d-1)-face: the unique affine dependence over the two
     adjacent simplices' vertex union, signed so the opposite vertices get
     positive coefficients.  One row per unused point: its lift must sit
-    strictly above the lifted simplex that contains it.
+    strictly above the lifted simplex that contains it.  A state keeps its
+    rows until they are asked for once more, for the same configuration, so a
+    state certified and then checked again (a star closure and its re-check
+    in ``is_frst``) derives them once, and a state kept for long, such as a
+    ledger entry, does not keep them.  Callers must not modify the rows.
     """
+    kept, tri._rows = tri._rows, None
+    if kept is not None and kept[0] is config:
+        return kept[1]
     rows = []
-    counts = {}
+    opposite = {}  # (d-1)-face -> vertices opposite it, in simplex order
     for s in tri.simplices:
-        sset = frozenset(s)
-        for face in itertools.combinations(s, len(s) - 1):
-            counts.setdefault(face, []).append(sset)
-    for face, members in sorted(counts.items()):
-        if len(members) != 2:
+        for k in range(len(s)):
+            opposite.setdefault(s[:k] + s[k + 1 :], []).append(s[k])
+    for face, ends in sorted(opposite.items()):
+        if len(ends) != 2:
             continue
-        a = next(iter(members[0] - set(face)))
-        b = next(iter(members[1] - set(face)))
-        ids = list(face) + [a, b]
+        ids = face + tuple(ends)
         lam = affine_dependence([config.points[i] for i in ids])
-        a_pos = len(face)
-        if lam[a_pos] == 0:
+        if lam[-2] == 0:
             raise AssertionError("fold dependence missing the opposite vertex")
-        if lam[a_pos] < 0:
+        if lam[-2] < 0:
             lam = tuple(-v for v in lam)
         row = [Fraction(0)] * config.n
         for i, coeff in zip(ids, lam):
-            row[i] += coeff
+            row[i] = coeff
         rows.append(row)
 
     used = tri.vertex_union
@@ -351,6 +354,7 @@ def regularity_constraints(tri: Triangulation, config: PointConfig):
             break
         if not placed:
             raise AssertionError(f"point {q} not covered by any simplex")
+    tri._rows = (config, rows)
     return rows
 
 
@@ -405,13 +409,13 @@ def certify_regularity(
     return cert
 
 
-def height_certificate(tri: Triangulation, config: PointConfig, heights):
-    """Certificate from heights that induce ``tri``, or None if they do not fold every row.
+def height_certificate(rows, heights):
+    """Certificate from heights that fold every constraint row, or None if some row fails.
 
-    Checks row . heights > 0 exactly for every constraint row and rescales
-    the heights so that the smallest fold is 1.  No LP is solved.
+    Checks row . heights > 0 exactly for every row of a state's
+    ``regularity_constraints`` and rescales the heights so that the smallest
+    fold is 1.  No LP is solved.
     """
-    rows = regularity_constraints(tri, config)
     folds = [sum(a * h for a, h in zip(row, heights) if a) for row in rows]
     if any(f <= 0 for f in folds):
         return None
@@ -459,40 +463,3 @@ def regular_from_heights(config: PointConfig, heights) -> Triangulation:
     if not cells:
         raise DegenerateHeights("no lower facets")
     return Triangulation(cells)
-
-
-def lower_facet_values_at(config: PointConfig, heights, point):
-    """Values at ``point`` of every lower-hull facet plane of the height lift."""
-    heights = [Fraction(h) for h in heights]
-    point = make_point(point)
-    lifted = [tuple(p) + (w,) for p, w in zip(config.points, heights)]
-    try:
-        lifted_config = PointConfig(config.dim + 1, lifted, is_lattice=False)
-    except DegenerateConfig:
-        # flat lift: the heights are an affine function of the coordinates and
-        # the whole configuration is the single lower facet
-        return [_affine_height_at(config, heights, point)]
-    values = []
-    for facet in lifted_config.hull().facets:
-        if facet.normal[-1] >= 0:
-            continue
-        # solve normal . (point, z) = offset for z
-        partial = sum(n * c for n, c in zip(facet.normal[:-1], point))
-        values.append((facet.offset - partial) / facet.normal[-1])
-    if not values:
-        raise DegenerateHeights("no lower facets")
-    return values
-
-
-def lower_envelope_value(config: PointConfig, heights, point):
-    """Exact lower-envelope value at ``point``: the max of the facet planes."""
-    return max(lower_facet_values_at(config, heights, point))
-
-
-def _affine_height_at(config: PointConfig, heights, point):
-    """Evaluate the affine function through a flat lift at ``point``."""
-    base = rref(_homogenized(config.points))[1]
-    coords = _affine_coordinates(point, [config.points[i] for i in base])
-    if coords is None:
-        raise DegenerateHeights("point outside the affine hull of a flat lift")
-    return sum(c * heights[i] for c, i in zip(coords, base))

@@ -1,12 +1,19 @@
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 import flipforge as ff
 from flipforge.flips import enumerate_circuits
 from flipforge.io import read_point_config
 from flipforge.triangulation import Triangulation
+
+# CI runs the property tests on a fixed example sequence with no time limit
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")
@@ -129,3 +136,16 @@ def polygon_triangulations(n):
         return out
 
     return {t for t in rec(list(range(n)))}
+
+
+def point_lists(dim):
+    """Random point lists in ``dim`` dimensions: rational, or {-1, 0, 1} lattice points."""
+    rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    # a tiny integer box forces collinear, coplanar and repeated points
+    lattice = st.integers(-1, 1)
+    return st.one_of(
+        *(
+            st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=dim + 5)
+            for coord in (rationals, lattice)
+        )
+    )

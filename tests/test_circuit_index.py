@@ -10,7 +10,6 @@ the oracle tests every circuit of the table through ``link_of``.
 import itertools
 import pickle
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,6 +28,7 @@ from flipforge.flips import (
 )
 from flipforge.geometry import dependence_kernel
 from flipforge.triangulation import Triangulation, link_of, validate
+from conftest import point_lists
 
 
 def subset_kernel_circuits(config):
@@ -120,18 +120,6 @@ def test_minor_circuits_match_oracle_on_gen3d(gen3d):
     table = enumerate_circuits(gen3d)
     assert len(table) == len(list(itertools.combinations(range(gen3d.n), 5)))
     assert table.circuits == subset_kernel_circuits(gen3d)
-
-
-def point_lists(dim):
-    rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
-    # a tiny integer box forces collinear, coplanar and repeated points
-    lattice = st.integers(-1, 1)
-    return st.one_of(
-        *(
-            st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=dim + 5)
-            for coord in (rationals, lattice)
-        )
-    )
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

@@ -56,6 +56,14 @@ def test_lattice_config_invariants(square_lattice):
         LatticeConfig.from_config(
             ff.PointConfig(2, [(-1, -1), (-1, 1), (0, 0), (1, -1), (1, 1)])
         )
+    # the star closure cones the boundary from the origin: with the origin on
+    # the boundary, or another point inside, no fine star triangulation exists
+    with pytest.raises(ValueError, match="origin must be interior"):
+        LatticeConfig.from_config(ff.PointConfig(2, [(x, y) for x in range(3) for y in range(2)]))
+    with pytest.raises(ValueError, match="only interior lattice point"):
+        LatticeConfig.from_config(
+            ff.PointConfig(2, [(x, y) for x in (-1, 0, 1) for y in range(-2, 3)])
+        )
 
 
 def test_is_frst_fan(square_lattice):

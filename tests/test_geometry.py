@@ -1,7 +1,10 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import flipforge as ff
 from flipforge.errors import DegenerateConfig
@@ -15,6 +18,7 @@ from flipforge.geometry import (
     simplex_volume,
     snap_to_rational,
 )
+from conftest import point_lists
 
 
 def test_dependence_collinear_triple():
@@ -190,6 +194,93 @@ def test_hull_segment_keeps_both_ends():
     ]
     assert hull.extreme == {2, 3}
     assert lattice_points(config) == [make_point([x]) for x in range(-2, 4)]
+
+
+def laplace_det(rows):
+    """Determinant of a small square integer matrix by cofactor expansion."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * v * laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, v in enumerate(rows[0])
+        if v
+    )
+
+
+def integer_points(config):
+    """The points scaled by a common denominator: same facets, same convex combinations."""
+    scale = math.lcm(*[c.denominator for p in config.points for c in p])
+    return [[int(c * scale) for c in p] for p in config.points]
+
+
+def hyperplane(points):
+    """(normal, base) of the hyperplane through dim integer points; normal 0 if they span none."""
+    base = points[0]
+    edges = [[a - b for a, b in zip(q, base)] for q in points[1:]]
+    dim = len(base)
+    normal = [(-1) ** j * laplace_det([e[:j] + e[j + 1 :] for e in edges]) for j in range(dim)]
+    return normal, base
+
+
+def side(plane, point):
+    normal, base = plane
+    return sum(n * (a - b) for n, a, b in zip(normal, point, base))
+
+
+def brute_force_facets(config):
+    """Oracle: the point sets on every hyperplane through dim points with all points on one side."""
+    pts = integer_points(config)
+    facets = set()
+    for subset in itertools.combinations(pts, config.dim):
+        plane = hyperplane(subset)
+        values = [side(plane, p) for p in pts]
+        if all(v == 0 for v in values):
+            continue  # the subset spans no hyperplane
+        if all(v >= 0 for v in values) or all(v <= 0 for v in values):
+            facets.add(frozenset(i for i, v in enumerate(values) if v == 0))
+    return facets
+
+
+def brute_force_extreme(config):
+    """Oracle: a point is extreme unless a nondegenerate simplex of other points holds it.
+
+    Points equal to the candidate are not "other" points, so every copy of a
+    vertex is extreme.
+    """
+    pts = integer_points(config)
+    simplices = []  # (vertices, facet planes with the opposite vertex on the >= 0 side)
+    for s in itertools.combinations(pts, config.dim + 1):
+        planes = [hyperplane(s[:k] + s[k + 1 :]) for k in range(len(s))]
+        signs = [side(plane, s[k]) for k, plane in enumerate(planes)]
+        if all(signs):
+            simplices.append((s, [([n * v for n in nrm], b) for (nrm, b), v in zip(planes, signs)]))
+    extreme = set()
+    for i, p in enumerate(pts):
+        if not any(
+            p not in s and all(side(plane, p) >= 0 for plane in planes) for s, planes in simplices
+        ):
+            extreme.add(i)
+    return frozenset(extreme)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_hull_matches_brute_force_oracle(dim, data):
+    points = data.draw(point_lists(dim))
+    try:
+        config = ff.PointConfig(dim, points)
+    except DegenerateConfig:
+        assume(False)
+    hull = config.hull()
+    expected = brute_force_facets(config)
+    assert len(hull.facets) == len(expected)
+    assert {f.vertex_ids for f in hull.facets} == expected
+    for f in hull.facets:
+        values = [f.value(p) for p in config.points]
+        assert all(v <= 0 for v in values)
+        assert {i for i, v in enumerate(values) if v == 0} == f.vertex_ids
+    assert hull.extreme == brute_force_extreme(config)
 
 
 def test_snap_basics():

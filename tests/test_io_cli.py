@@ -232,6 +232,30 @@ def test_cli_sample_frst_and_determinism(tmp_path):
     assert set(ledger[0]) == {"iteration", "elapsed_ms", "new_key", "cumulative_count"}
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([(x, y) for x in range(3) for y in range(2)], "the origin must be interior to the polytope"),
+        (
+            [(x, y) for x in (-1, 0, 1) for y in range(-2, 3)],
+            "the origin must be the only interior lattice point",
+        ),
+    ],
+    ids=["origin_on_boundary", "second_interior_point"],
+)
+def test_cli_sample_frst_rejects_lattices_without_fine_star_triangulations(
+    tmp_path, capsys, points, message
+):
+    poly = tmp_path / "lattice.poly"
+    io.write_point_config(poly, ff.PointConfig(2, points))
+    code = run_cli(
+        "sample-frst", "--polytope", poly, "--locator", "random-walk", "--max-iterations", 40,
+        "--budget", 200, "--seed", 2, "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def test_cli_sample_frst_policy_locator_on_octahedron(tmp_path):
     # lifted starts on the octahedron can leave the origin unused
     data, train = tmp_path / "ds3", tmp_path / "train3"
@@ -462,3 +486,4 @@ def test_cli_train_frst_reach_checks_seeds_through_the_cache(tmp_path, monkeypat
     assert any(c["mean_episode_length"] > 0 for c in curve)
     # the fan's LP from the seed check is reused by the rollouts
     assert solved and len(solved) == len(set(solved))
+

@@ -20,11 +20,11 @@ from flipforge.triangulation import (
     is_regular,
     is_star,
     link_of,
-    lower_envelope_value,
     regular_from_heights,
     require_valid,
     validate,
 )
+from closure_oracle import lower_envelope_value
 from conftest import polygon_triangulations
 
 
