@@ -22,7 +22,10 @@ import numpy as np
 
 
 class Tape:
-    """Ordered record of operations; creation order is the topological order."""
+    """Ordered record of operations; creation order is the topological order.
+
+    :func:`backward` consumes the records.
+    """
 
     def __init__(self):
         self.records = []  # (out_id, input ids or None for untaped inputs, vjp)
@@ -337,19 +340,40 @@ def group_max(a: Tensor, groups) -> Tensor:
     return _emit(out, (a,), vjp)
 
 
-def softmax_masked(a: Tensor, mask_indices=None) -> Tensor:
-    """Softmax over the given index subset of a column vector; zeros elsewhere."""
+def _segment_totals(x, bounds):
+    """Per segment ``bounds[i]:bounds[i + 1]`` of ``x``, its ``sum()``, repeated over the segment.
+
+    Each total is numpy's own sum of that slice, so one segment adds exactly
+    as ``x.sum()`` does.
+    """
+    totals = [x[lo:hi].sum() for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    return np.repeat(totals, np.diff(bounds))
+
+
+def softmax_masked(a: Tensor, mask_indices=None, segments=None) -> Tensor:
+    """Softmax over each segment of the given index subset of a column vector; zeros elsewhere.
+
+    ``segments`` are the k+1 boundaries of k consecutive runs of the masked
+    entries, each normalized on its own (default: one run).  Each run is
+    shifted by its max, exponentiated and divided by its own sum, so a
+    single run computes ``e = exp(z - z.max())`` and ``e / e.sum()``.
+    """
     flat = a.data.reshape(-1)
     if mask_indices is None:
         mask = np.arange(flat.size)
     else:
         mask = np.asarray(mask_indices, dtype=np.int64)
-        if mask.size == 0:
-            raise ValueError("empty softmax mask")
+    if segments is None:
+        bounds = np.array([0, mask.size])
+    else:
+        bounds = np.asarray(segments, dtype=np.int64)
+    sizes = np.diff(bounds)
+    if sizes.size == 0 or sizes.min() <= 0 or bounds[0] != 0 or bounds[-1] != mask.size:
+        raise ValueError("empty softmax mask or segment")
     z = flat[mask]
-    z = z - z.max()
+    z = z - np.repeat(np.maximum.reduceat(z, bounds[:-1]), sizes)
     e = np.exp(z)
-    p = e / e.sum()
+    p = e / _segment_totals(e, bounds)
     out = np.zeros_like(flat)
     out[mask] = p
     out = out.reshape(a.data.shape)
@@ -358,7 +382,7 @@ def softmax_masked(a: Tensor, mask_indices=None) -> Tensor:
     def vjp(g, needs):
         gm = np.asarray(g).reshape(-1)[mask]
         grad = np.zeros(flat.size)
-        grad[mask] = p * (gm - (gm * p).sum())
+        grad[mask] = p * (gm - _segment_totals(gm * p, bounds))
         return (grad.reshape(shape),)
 
     return _emit(out, (a,), vjp)
@@ -384,13 +408,22 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def backward(tape: Tape, loss: Tensor):
-    """Reverse accumulation from a scalar loss; returns node id -> gradient."""
+    """Reverse accumulation from a scalar loss; returns node id -> gradient.
+
+    The sweep consumes the tape: each record is dropped once its gradients
+    are passed on, so the activations it saved are freed during the sweep.
+    A consumed tape raises ``ValueError`` on a second sweep.
+    """
     if loss.tape is not tape:
         raise ValueError("loss does not belong to this tape")
     if loss.data.size != 1:
         raise ValueError("loss must be scalar")
+    if tape.records is None:
+        raise ValueError("the tape was consumed by an earlier backward pass")
+    records, tape.records = tape.records, None
     grads = {loss.node_id: np.ones_like(loss.data)}
-    for out_id, in_ids, vjp in reversed(tape.records):
+    while records:
+        out_id, in_ids, vjp = records.pop()
         g = grads.pop(out_id, None)
         if g is None:
             continue

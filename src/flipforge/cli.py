@@ -175,6 +175,7 @@ def _search_instance(task):
             "action": [list(r.action_id[0]), r.action_id[1]] if r.action_id else None,
             "value": r.value,
             "best": r.best,
+            "actions": r.actions,
         }
         for r in trace.records
     ]

@@ -10,9 +10,11 @@ structure altogether ("pool_mlp").
 
 Everything a forward pass reads from a state (edge indices, inverse degrees,
 coordinates, simplex rows, the sparse Laplacian and each action's pooling
-rows) is one :class:`StateGraph`, built once per visited state; each layer is
-then a handful of whole-array ops (gathers, segment sums, one ``group_max``
-per pooling, fused dense layers).
+rows) is one :class:`StateGraph`, built once per visited state; several
+states are evaluated together as the disjoint union of their graphs, and a
+single state is a batch of one.  Each layer is then a handful of whole-array
+ops over the whole batch (gathers, segment sums, one ``group_max`` per
+pooling, fused dense layers).
 """
 
 from __future__ import annotations
@@ -132,20 +134,37 @@ def skeleton_structure(tri: Triangulation, n: int) -> Skeleton:
 
 @dataclass(frozen=True)
 class StateGraph:
-    """Everything the policy reads from one state, built once per transition.
+    """Everything the policy reads from a batch of states, built once per state.
 
-    Rollouts build it for each visited state and the update that replays the
-    transition reuses it.  ``laplacian`` is set for the "snn" actor only;
+    A batch is the disjoint union of its states' graphs: graph ``j`` owns the
+    nodes ``node_offsets[j]:node_offsets[j + 1]`` and the actions
+    ``action_offsets[j]:action_offsets[j + 1]``, and its edges, simplex rows,
+    Laplacian entries and pooling groups index its own rows only.
+    :func:`state_graph` builds a batch of one and :func:`batch_graphs` joins
+    such batches.  ``laplacian`` is set for the "snn" actor only;
     ``action_groups`` holds the rows each action of ``actions`` pools over
     (see :func:`action_groups`) for the actors that score actions.
     """
 
+    kind: str  # the actor kind the graph was built for
     coords: np.ndarray  # (n, dim) float coordinates
     skeleton: Skeleton
     simplices: np.ndarray  # (S, d+1) vertex rows of the maximal simplices
     laplacian: SparseMatrix | None
     actions: list
     action_groups: np.ndarray | None
+    node_offsets: np.ndarray  # (k+1,) node boundaries of the k graphs
+    action_offsets: np.ndarray  # (k+1,) action boundaries of the k graphs
+
+    @property
+    def size(self) -> int:
+        """The number of graphs in the batch."""
+        return len(self.node_offsets) - 1
+
+    @property
+    def action_owners(self) -> np.ndarray:
+        """The graph of each action, in batch order."""
+        return np.repeat(np.arange(self.size), np.diff(self.action_offsets))
 
 
 def _padded(groups) -> np.ndarray:
@@ -172,21 +191,70 @@ def action_groups(tri: Triangulation, actions, kind: str) -> np.ndarray:
 
 
 def state_graph(config: PointConfig, tri: Triangulation, actions, kind: str) -> StateGraph:
-    """The record of ``tri`` for an actor of ``kind``, scoring ``actions`` (may be empty)."""
+    """The batch of one: ``tri`` for an actor of ``kind``, scoring ``actions`` (may be empty)."""
     scores = kind != "nls_accept" and len(actions) > 0
     return StateGraph(
+        kind=kind,
         coords=np.array([[float(c) for c in p] for p in config.points]),
         skeleton=skeleton_structure(tri, config.n),
         simplices=np.array(tri.simplices, dtype=np.int64),
         laplacian=simplicial_operator(tri, config) if kind == "snn" else None,
         actions=actions,
         action_groups=action_groups(tri, actions, kind) if scores else None,
+        node_offsets=np.array([0, config.n], dtype=np.int64),
+        action_offsets=np.array([0, len(actions)], dtype=np.int64),
+    )
+
+
+def batch_graphs(graphs) -> StateGraph:
+    """The disjoint union of ``graphs`` (batches of one, of one kind), in order.
+
+    Node, simplex and action indices are shifted past the graphs before;
+    pooling groups are re-padded to the widest by repeating their first member.
+    """
+    if len(graphs) == 1:
+        return graphs[0]
+    kind = graphs[0].kind
+    node_base = np.cumsum([0] + [g.coords.shape[0] for g in graphs])
+    sim_base = np.cumsum([0] + [g.simplices.shape[0] for g in graphs])
+    skeleton = Skeleton(
+        own=np.concatenate([g.skeleton.own + b for g, b in zip(graphs, node_base)]),
+        nbr=np.concatenate([g.skeleton.nbr + b for g, b in zip(graphs, node_base)]),
+        inv_degree=np.concatenate([g.skeleton.inv_degree for g in graphs]),
+    )
+    laplacian = None
+    if kind == "snn":
+        laplacian = SparseMatrix.from_coo(
+            np.concatenate([g.laplacian.rows + b for g, b in zip(graphs, sim_base)]),
+            np.concatenate([g.laplacian.cols + b for g, b in zip(graphs, sim_base)]),
+            np.concatenate([g.laplacian.vals for g in graphs]),
+            (sim_base[-1], sim_base[-1]),
+        )
+    # pooling groups index simplex rows for "snn" and node rows otherwise
+    bases = sim_base if kind == "snn" else node_base
+    scored = [(g.action_groups, b) for g, b in zip(graphs, bases) if g.action_groups is not None]
+    groups = None
+    if scored:
+        width = max(rows.shape[1] for rows, _b in scored)
+        groups = np.concatenate(
+            [np.hstack([rows, rows[:, [0] * (width - rows.shape[1])]]) + b for rows, b in scored]
+        )
+    return StateGraph(
+        kind=kind,
+        coords=np.concatenate([g.coords for g in graphs]),
+        skeleton=skeleton,
+        simplices=np.concatenate([g.simplices + b for g, b in zip(graphs, node_base)]),
+        laplacian=laplacian,
+        actions=[a for g in graphs for a in g.actions],
+        action_groups=groups,
+        node_offsets=node_base,
+        action_offsets=np.cumsum([0] + [len(g.actions) for g in graphs]),
     )
 
 
 @dataclass
 class EncodedState:
-    """Vertex embeddings and updated coordinates over the current 1-skeleton."""
+    """Vertex embeddings and updated coordinates over the batch's 1-skeletons."""
 
     hidden: Tensor  # (n, hidden)
     coords: Tensor  # (n, dim)
@@ -229,16 +297,11 @@ def egnn_layer(hidden, coords, skeleton: Skeleton, params, layer: int):
     return hidden_out, coords_out
 
 
-def encode(
-    config: PointConfig, tri: Triangulation, params, model: ModelConfig, graph=None
-) -> EncodedState:
+def encode(graph: StateGraph, params, model: ModelConfig) -> EncodedState:
     """Initial features h = W p, x = p, then ``encoder_layers`` EGNN layers.
 
-    ``graph`` is the state's :class:`StateGraph` when the caller holds one;
-    otherwise it is built here.
+    Every graph of the batch is encoded at once; no message crosses graphs.
     """
-    if graph is None:
-        graph = state_graph(config, tri, (), model.actor_kind)
     coords = Tensor(graph.coords)
     hidden = ad.matmul(coords, params["embed.w"])
     for layer in range(model.encoder_layers):
@@ -297,51 +360,57 @@ def _chebyshev_apply(operator: SparseMatrix, g, params, layer: int, order: int, 
     return out if final else ad.silu(out)
 
 
-def simplex_features(encoded: EncodedState, tri: Triangulation):
+def simplex_features(encoded: EncodedState):
     """Lift vertex embeddings to one row per maximal simplex by max pooling."""
     return ad.group_max(encoded.hidden, encoded.graph.simplices)
 
 
-def _global_pool(hidden: Tensor, copies: int = 1) -> Tensor:
-    """``copies`` rows, each the column-wise max over all vertex embeddings."""
-    n = hidden.shape[0]
-    return ad.group_max(hidden, np.broadcast_to(np.arange(n), (copies, n)))
+def _global_pool(encoded: EncodedState) -> Tensor:
+    """One row per graph: the column-wise max over that graph's vertex embeddings."""
+    offsets = encoded.graph.node_offsets
+    starts, sizes = offsets[:-1, None], np.diff(offsets)[:, None]
+    cols = np.arange(sizes.max())
+    # each graph's rows, padded by repeating its first node
+    return ad.group_max(encoded.hidden, np.where(cols < sizes, starts + cols, starts))
 
 
-def actor_logits(encoded, tri, actions, params, model: ModelConfig) -> Tensor:
-    """One logit per feasible action, shape (len(actions), 1).
-
-    The pooling groups come from the state graph when it was built for these
-    very actions, and are computed here otherwise.
-    """
-    if not actions:
-        raise ValueError("empty action set")
-    kind = model.actor_kind
+def actor_logits(encoded: EncodedState, params, model: ModelConfig) -> Tensor:
+    """One logit per action of every graph, in batch order; shape (actions, 1)."""
     graph = encoded.graph
-    if graph.actions is actions and graph.action_groups is not None:
-        groups = graph.action_groups
-    else:
-        groups = action_groups(tri, actions, kind)
+    if not graph.actions:
+        raise ValueError("empty action set")
+    if graph.action_groups is None:
+        raise ValueError(f"the state graph was built for the {graph.kind!r} actor")
+    groups = graph.action_groups
+    kind = model.actor_kind
     if kind == "snn":
-        g = simplex_features(encoded, tri)
+        g = simplex_features(encoded)
         for layer in range(model.actor_layers):
             final = layer == model.actor_layers - 1
             g = _chebyshev_apply(graph.laplacian, g, params, layer, model.chebyshev_order, final)
         return ad.matmul(ad.group_max(g, groups), params["actor.readout.w"])
     if kind == "egnn_only":
         return ad.matmul(ad.group_max(encoded.hidden, groups), params["actor.readout.w"])
-    # pool_mlp: the global pool next to each circuit's pool
+    # pool_mlp: its graph's global pool next to each circuit's pool
     x = ad.concat(
-        [_global_pool(encoded.hidden, len(actions)), ad.group_max(encoded.hidden, groups)], axis=1
+        [
+            ad.gather_rows(_global_pool(encoded), graph.action_owners),
+            ad.group_max(encoded.hidden, groups),
+        ],
+        axis=1,
     )
     x = _dense(x, params, "actor.mlp0", silu=True)
     x = _dense(x, params, "actor.mlp1", silu=True)
     return _dense(x, params, "actor.mlp2")
 
 
-def policy_distribution(logits: Tensor) -> Tensor:
-    """Masked softmax over exactly the feasible action set (the whole vector)."""
-    return ad.softmax_masked(logits)
+def policy_distribution(logits: Tensor, action_offsets=None) -> Tensor:
+    """Masked softmax over exactly each graph's feasible action set.
+
+    ``action_offsets`` are the batch's action boundaries; by default the whole
+    vector is one action set.
+    """
+    return ad.softmax_masked(logits, segments=action_offsets)
 
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -351,16 +420,16 @@ def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def value_estimate(encoded: EncodedState, params, model: ModelConfig) -> Tensor:
-    """Scalar state value: MLP over the global max-pooled vertex embeddings."""
-    x = _global_pool(encoded.hidden)
+    """State values, one row per graph: MLP over its max-pooled vertex embeddings."""
+    x = _global_pool(encoded)
     for i in range(model.value_layers - 1):
         x = _dense(x, params, f"value{i}", silu=True)
     return _dense(x, params, f"value{model.value_layers - 1}")
 
 
 def nls_accept_probability(encoded: EncodedState, params) -> Tensor:
-    """Sigmoid of a 3-layer MLP on the pooled state embedding."""
-    x = _global_pool(encoded.hidden)
+    """Per graph, the sigmoid of a 3-layer MLP on its pooled state embedding."""
+    x = _global_pool(encoded)
     x = _dense(x, params, "accept0", silu=True)
     x = _dense(x, params, "accept1", silu=True)
     x = _dense(x, params, "accept2")
@@ -372,7 +441,8 @@ class PolicyModel:
 
     Forward passes are pure; during rollouts parameters stay plain arrays and
     nothing is recorded.  For gradient work, wrap the parameters onto a tape
-    with :meth:`taped_parameters` and call the functional API directly.
+    with :meth:`taped_parameters` and call the functional API directly.  The
+    single-state methods below evaluate a batch of one.
     """
 
     def __init__(self, config: ModelConfig, params: dict):
@@ -390,25 +460,19 @@ class PolicyModel:
     def taped_parameters(self, tape):
         return {k: ad.leaf(tape, v) for k, v in self.params.items()}
 
-    def encode(self, config, tri, params=None):
-        return encode(config, tri, params or self._const_params(), self.config)
-
-    def action_logits(self, config, tri, actions, params=None):
-        p = params or self._const_params()
+    def _encoded(self, config, tri, actions=()):
+        p = self._const_params()
         graph = state_graph(config, tri, actions, self.config.actor_kind)
-        enc = encode(config, tri, p, self.config, graph)
-        return actor_logits(enc, tri, actions, p, self.config)
+        return encode(graph, p, self.config), p
+
+    def action_logits(self, config, tri, actions):
+        enc, p = self._encoded(config, tri, actions)
+        return actor_logits(enc, p, self.config)
 
     def action_probabilities(self, config, tri, actions) -> np.ndarray:
         logits = self.action_logits(config, tri, actions)
         return policy_distribution(logits).data.reshape(-1)
 
-    def state_value(self, config, tri) -> float:
-        p = self._const_params()
-        enc = encode(config, tri, p, self.config)
-        return float(value_estimate(enc, p, self.config).data.reshape(-1)[0])
-
     def acceptance_probability(self, config, tri) -> float:
-        p = self._const_params()
-        enc = encode(config, tri, p, self.config)
+        enc, p = self._encoded(config, tri)
         return float(nls_accept_probability(enc, p).data.reshape(-1)[0])

@@ -48,6 +48,7 @@ class StepRecord:
     action_id: tuple | None
     value: float
     best: float
+    actions: int | None = None  # feasible flips at the visited state
 
 
 @dataclass
@@ -306,7 +307,8 @@ def run_budgeted(
 
     Deterministic given the RNG seed.  Every flipped state is validated
     against the configuration; with ``check_states`` the seed is too (used by
-    the test matrix).
+    the test matrix).  Each record counts the feasible flips of its state:
+    the actions the next step reads, and for the last state one more lookup.
     """
     ctx = SearchContext(
         config=config,
@@ -325,10 +327,12 @@ def run_budgeted(
     strategy.reset(current, ctx)
     for step in range(1, budget + 1):
         actions = flippable_circuits(current, table)
+        trace.records[-1].actions = len(actions)
         nxt, action = strategy.step(current, actions, ctx)
         if nxt is not current:
             require_valid(nxt, config)
         current = nxt
         trace.visit(step, action.action_id if action else None, current, ctx.value(current))
         trace.budget_used = step
+    trace.records[-1].actions = len(flippable_circuits(current, table))
     return trace

@@ -1,10 +1,12 @@
 """On-policy training of the flip-ranking policy: rollouts, GAE, clipped updates.
 
 Each iteration samples initial triangulations weighted toward under-visited
-states, collects fixed-horizon rollouts in parallel environments, augments
-rewards with a count-based expansion bonus, and performs one full-batch
-clipped-surrogate update with Adam.  Everything is deterministic for a fixed
-seed.
+states, collects fixed-horizon rollouts in environments stepped in lockstep,
+augments rewards with a count-based expansion bonus, and performs one
+full-batch clipped-surrogate update with Adam.  Each rollout step evaluates
+the states of all running environments as one disjoint-union graph, and the
+update replays each step's union in one taped pass.  Everything is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .policy import (
     PolicyModel,
     StateGraph,
     actor_logits,
+    batch_graphs,
     encode,
     nls_accept_probability,
     policy_distribution,
@@ -124,15 +127,27 @@ class Transition:
     value: float
     reward: float
     done: bool
-    graph: StateGraph | None = None  # the policy's view of ``state``, reused by the update
     advantage: float = 0.0
     ret: float = 0.0
 
 
 @dataclass
+class RolloutStep:
+    """One lockstep step: the union of the stepping states' graphs and their transitions.
+
+    ``transitions[j]`` was taken from graph ``j`` of ``graph``; the update
+    replays the step on this very union.
+    """
+
+    graph: StateGraph
+    transitions: list
+
+
+@dataclass
 class RolloutBuffer:
-    episodes: list  # list of lists of Transition
+    episodes: list  # list of lists of Transition, one per environment
     mean_return: float = 0.0
+    steps: list = field(default_factory=list)  # RolloutStep per lockstep step
 
     @property
     def transitions(self):
@@ -145,8 +160,9 @@ class RolloutBuffer:
     @property
     def mean_action_count(self) -> float:
         """Feasible actions per visited state (every one, not just the proposals scored)."""
-        counts = [len(t.graph.actions) for t in self.transitions]
-        return float(np.mean(counts)) if counts else 0.0
+        visited = sum(len(step.transitions) for step in self.steps)
+        actions = sum(len(step.graph.actions) for step in self.steps)
+        return actions / visited if visited else 0.0
 
 
 def collect_rollouts(
@@ -159,47 +175,67 @@ def collect_rollouts(
 ) -> RolloutBuffer:
     """Fixed-horizon episodes from the given starts under the current policy.
 
-    Reach episodes terminate early on the first success with terminal reward
-    +1; environments with no feasible action finish early with a done flag.
+    The environments step in lockstep: each step evaluates every running
+    environment's state in one forward pass over their disjoint union, then
+    samples their actions in environment order.  Reach episodes terminate
+    early on the first success with terminal reward +1; environments with no
+    feasible action finish early with a done flag.  A finished environment
+    leaves the batch.
     """
-    kind = model.config.actor_kind
-    nls = kind == "nls_accept"
-    episodes = []
-    returns = []
-    for env, start in starts:
+    nls = model.config.actor_kind == "nls_accept"
+    params = model._const_params()
+    envs = [env for env, _start in starts]
+    states = [start for _env, start in starts]
+    episodes = [[] for _ in starts]
+    returns = [0.0] * len(starts)
+    running = []
+    for i, (env, start) in enumerate(starts):
         counter.observe(env.polytope_id, start.canonical_key)
-        tri = start
-        episode = []
-        total = 0.0
-        if objective is Objective.FRST_REACH and evaluate(objective, tri, env.config, env.cache):
-            episodes.append(episode)
-            returns.append(0.0)
-            continue
-        for _t in range(trainer.horizon):
-            actions = flippable_circuits(tri, env.table)
-            if not actions:
-                break
-            params = model._const_params()
-            graph = state_graph(env.config, tri, actions, kind)
-            enc = encode(env.config, tri, params, model.config, graph)
-            value = float(value_estimate(enc, params, model.config).data.reshape(-1)[0])
+        reached = objective is Objective.FRST_REACH and evaluate(
+            objective, start, env.config, env.cache
+        )
+        if not reached:
+            running.append(i)
+    steps = []
+    for _t in range(trainer.horizon):
+        stepping = []
+        for i in running:
+            actions = flippable_circuits(states[i], envs[i].table)
+            if actions:
+                stepping.append((i, actions))
+        if not stepping:
+            break
+        union = batch_graphs(
+            [
+                state_graph(envs[i].config, states[i], actions, model.config.actor_kind)
+                for i, actions in stepping
+            ]
+        )
+        enc = encode(union, params, model.config)
+        values = value_estimate(enc, params, model.config).data.reshape(-1)
+        if nls:
+            heads = nls_accept_probability(enc, params).data.reshape(-1)
+        else:
+            logits = actor_logits(enc, params, model.config)
+            heads = policy_distribution(logits, union.action_offsets).data.reshape(-1)
+        bounds = union.action_offsets
+        running, transitions = [], []
+        for j, (i, actions) in enumerate(stepping):
+            env, tri = envs[i], states[i]
             if nls:
                 proposal = int(rng.integers(len(actions)))
-                p_accept = float(nls_accept_probability(enc, params).data.reshape(-1)[0])
+                p_accept = float(heads[j])
                 accept = bool(rng.random() < p_accept)
-                idx = proposal if accept else -1
                 log_prob = math.log(max(p_accept if accept else 1.0 - p_accept, 1e-12))
                 nxt = apply_flip(tri, actions[proposal]) if accept else tri
                 chosen_actions = [actions[proposal]]
                 action_index = 0 if accept else -1
             else:
-                logits = actor_logits(enc, tri, actions, params, model.config)
-                probs = policy_distribution(logits).data.reshape(-1)
-                idx = sample_action(probs, rng)
-                log_prob = math.log(max(probs[idx], 1e-300))
-                nxt = apply_flip(tri, actions[idx])
+                probs = heads[bounds[j] : bounds[j + 1]]
+                action_index = sample_action(probs, rng)
+                log_prob = math.log(max(probs[action_index], 1e-300))
+                nxt = apply_flip(tri, actions[action_index])
                 chosen_actions = actions
-                action_index = idx
             if nxt is not tri:
                 require_valid(nxt, env.config)
             gain = reward(objective, tri, nxt, env.config, env.cache)
@@ -207,27 +243,25 @@ def collect_rollouts(
             bonus = expansion_bonus(
                 counter, env.polytope_id, nxt.canonical_key, trainer.bonus_coef
             )
-            total += gain + bonus
-            episode.append(
-                Transition(
-                    env=env,
-                    state=tri,
-                    actions=chosen_actions,
-                    action_index=action_index,
-                    old_log_prob=log_prob,
-                    value=value,
-                    reward=gain + bonus,
-                    done=success,
-                    graph=graph,
-                )
+            returns[i] += gain + bonus
+            transition = Transition(
+                env=env,
+                state=tri,
+                actions=chosen_actions,
+                action_index=action_index,
+                old_log_prob=log_prob,
+                value=float(values[j]),
+                reward=gain + bonus,
+                done=success,
             )
-            tri = nxt
-            if success:
-                break
-        episodes.append(episode)
-        returns.append(total)
+            episodes[i].append(transition)
+            transitions.append(transition)
+            states[i] = nxt
+            if not success:
+                running.append(i)
+        steps.append(RolloutStep(graph=union, transitions=transitions))
     mean_return = float(np.mean(returns)) if returns else 0.0
-    return RolloutBuffer(episodes=episodes, mean_return=mean_return)
+    return RolloutBuffer(episodes=episodes, mean_return=mean_return, steps=steps)
 
 
 def compute_gae(buffer: RolloutBuffer, discount: float, lam: float):
@@ -268,102 +302,107 @@ class LossReport:
     grad_norm: float = 0.0  # L2 norm of the batch-mean gradient before Adam
 
 
-def _transition_loss(model, params, tr: Transition, trainer: TrainerConfig, adv: float):
-    enc = encode(tr.env.config, tr.state, params, model.config, tr.graph)
+def _step_loss(model, params, step: RolloutStep, trainer: TrainerConfig, adv: np.ndarray):
+    """The PPO loss of one rollout step, summed over its transitions, from one forward pass.
+
+    ``adv`` holds the transitions' (normalized) advantages.  Each
+    transition's term is the clipped surrogate of its probability ratio, its
+    weighted squared value error and its weighted negative entropy.  Returns
+    the scalar total and, per transition, the arrays (total, policy loss,
+    value loss, negative entropy, ratio clipped, (r - 1) - log r).
+    """
+    graph, trs = step.graph, step.transitions
+    k = len(trs)
+    enc = encode(graph, params, model.config)
     if model.config.actor_kind == "nls_accept":
-        p_accept = nls_accept_probability(enc, params)
         eps = 1e-9
-        p_accept = ad.clip(p_accept, eps, 1.0 - eps)
-        if tr.action_index >= 0:
-            chosen = p_accept
-        else:
-            chosen = ad.sub(ad.constant(np.ones((1, 1))), p_accept)
+        p_accept = ad.clip(nls_accept_probability(enc, params), eps, 1.0 - eps)
+        accepted = np.array([[float(tr.action_index >= 0)] for tr in trs])
+        # p where the proposal was accepted and 1 - p where it was not
+        chosen = ad.add(
+            ad.constant(1.0 - accepted), ad.mul(p_accept, ad.constant(2.0 * accepted - 1.0))
+        )
         log_prob = ad.log(chosen)
-        p_reject = ad.sub(ad.constant(np.ones((1, 1))), p_accept)
+        p_reject = ad.sub(ad.constant(np.ones((k, 1))), p_accept)
         entropy_neg = ad.add(
             ad.mul(p_accept, ad.log(p_accept)), ad.mul(p_reject, ad.log(p_reject))
         )
     else:
-        logits = actor_logits(enc, tr.state, tr.actions, params, model.config)
-        probs = policy_distribution(logits)
-        eps = 1e-12
-        safe = ad.clip(probs, eps, 1.0)
-        log_probs = ad.log(safe)
-        one_hot = np.zeros((len(tr.actions), 1))
-        one_hot[tr.action_index, 0] = 1.0
-        log_prob = ad.tensor_sum(ad.mul(log_probs, ad.constant(one_hot)))
-        entropy_neg = ad.tensor_sum(ad.mul(probs, log_probs))
+        probs = policy_distribution(actor_logits(enc, params, model.config), graph.action_offsets)
+        log_probs = ad.log(ad.clip(probs, 1e-12, 1.0))
+        taken = graph.action_offsets[:-1] + np.array([tr.action_index for tr in trs])
+        log_prob = ad.gather_rows(log_probs, taken)
+        entropy_neg = ad.scatter_rows(ad.mul(probs, log_probs), graph.action_owners, k)
 
-    log_ratio = ad.sub(log_prob, ad.constant(tr.old_log_prob))
+    log_ratio = ad.sub(log_prob, ad.constant(np.array([[tr.old_log_prob] for tr in trs])))
     ratio = ad.exp(log_ratio)
-    adv_t = ad.constant(adv)
+    adv_t = ad.constant(adv.reshape(-1, 1))
     unclipped = ad.mul(ratio, adv_t)
     clipped = ad.mul(
         ad.clip(ratio, 1.0 - trainer.clip_ratio, 1.0 + trainer.clip_ratio), adv_t
     )
-    surrogate = ad.minimum(unclipped, clipped)
-    policy_loss = ad.neg(surrogate)
+    policy_loss = ad.neg(ad.minimum(unclipped, clipped))
 
     value = value_estimate(enc, params, model.config)
-    value_loss = ad.square(ad.sub(value, ad.constant(tr.ret)))
+    value_loss = ad.square(ad.sub(value, ad.constant(np.array([[tr.ret] for tr in trs]))))
 
-    total = ad.add(
+    per_transition = ad.add(
         policy_loss,
         ad.add(
             ad.scale(value_loss, trainer.value_coef),
             ad.scale(entropy_neg, trainer.entropy_coef),
         ),
     )
-    ratio_val = float(ratio.data.reshape(-1)[0])
-    log_ratio_val = float(log_ratio.data.reshape(-1)[0])
-    stats = (
-        float(policy_loss.data.reshape(-1)[0]),
-        float(value_loss.data.reshape(-1)[0]),
-        float(entropy_neg.data.reshape(-1)[0]),
-        abs(ratio_val - 1.0) > trainer.clip_ratio,
-        math.expm1(log_ratio_val) - log_ratio_val,
+    r, log_r = ratio.data.reshape(-1), log_ratio.data.reshape(-1)
+    terms = (
+        per_transition.data.reshape(-1),
+        policy_loss.data.reshape(-1),
+        value_loss.data.reshape(-1),
+        entropy_neg.data.reshape(-1),
+        np.abs(r - 1.0) > trainer.clip_ratio,
+        np.expm1(log_r) - log_r,
     )
-    return total, stats
+    return ad.tensor_sum(per_transition), terms
 
 
 def ppo_update(model: PolicyModel, buffer: RolloutBuffer, trainer: TrainerConfig, adam_params):
-    """One epoch over the full batch; gradients averaged across transitions."""
+    """``ppo_epochs`` passes over the full batch; gradients averaged across transitions.
+
+    Each epoch replays every rollout step as one taped forward over its
+    union and one backward pass, and sums the steps' gradients.
+    """
     transitions = buffer.transitions
     if not transitions:
         return LossReport(0.0, 0.0, 0.0, 0.0, 0.0)
-    advantages = np.array([t.advantage for t in transitions])
-    if trainer.normalize_advantages and advantages.size > 1:
-        std = advantages.std()
-        advantages = (advantages - advantages.mean()) / (std + 1e-8)
+    advantages = [np.array([t.advantage for t in step.transitions]) for step in buffer.steps]
+    if trainer.normalize_advantages and len(transitions) > 1:
+        every = np.array([t.advantage for t in transitions])
+        mean, std = every.mean(), every.std()
+        advantages = [(adv - mean) / (std + 1e-8) for adv in advantages]
 
-    p_losses, v_losses, e_losses, clips, kls, grad_norms = [], [], [], [], [], []
+    terms, grad_norms = [], []
     for _epoch in range(trainer.ppo_epochs):
         grad_sums = {k: np.zeros_like(v) for k, v in model.params.items()}
-        for tr, adv in zip(transitions, advantages):
+        for step, adv in zip(buffer.steps, advantages):
             tape = ad.Tape()
             params = model.taped_parameters(tape)
-            total, (pl, vl, el, was_clipped, kl) = _transition_loss(
-                model, params, tr, trainer, float(adv)
-            )
-            if not np.isfinite(total.data).all():
-                raise TrainingError(
-                    f"non-finite loss on state {tr.state.canonical_key[:2]}..."
-                )
+            total, step_terms = _step_loss(model, params, step, trainer, adv)
+            finite = np.isfinite(step_terms[0])
+            if not finite.all():
+                state = step.transitions[int(np.argmin(finite))].state
+                raise TrainingError(f"non-finite loss on state {state.canonical_key[:2]}...")
             grads = ad.backward(tape, total)
             for name, tensor in params.items():
                 g = grads.get(tensor.node_id)
                 if g is not None:
                     grad_sums[name] += g
-            p_losses.append(pl)
-            v_losses.append(vl)
-            e_losses.append(el)
-            clips.append(was_clipped)
-            kls.append(kl)
+            terms.append(step_terms[1:])
         grads_mean = {k: v / len(transitions) for k, v in grad_sums.items()}
         grad_norms.append(math.sqrt(sum(float(np.sum(g * g)) for g in grads_mean.values())))
         ad.adam_step(adam_params, grads_mean, trainer.learning_rate)
         for p in adam_params:
             model.params[p.name] = p.value
+    p_losses, v_losses, e_losses, clips, kls = (np.concatenate(t) for t in zip(*terms))
     report = LossReport(
         policy_loss=float(np.mean(p_losses)),
         value_loss=float(np.mean(v_losses)),

@@ -8,6 +8,7 @@ hash and can be shared freely across workers.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -107,12 +108,36 @@ class Triangulation:
         return self._face_map
 
     def skeleton_edges(self):
-        """Sorted 1-skeleton edges (i, j) with i < j."""
+        """Sorted 1-skeleton edges (i, j) with i < j.
+
+        A flipped state whose parent knows its edges and face map patches the
+        parent's edges: an edge of a removed simplex survives iff an inserted
+        simplex holds it or the parent's face map holds it in a simplex that
+        was not removed, and an edge of an inserted simplex is new iff the
+        parent's face map lacks it.
+        """
         if self._skeleton is None:
-            edges = set()
-            for s in self.simplices:
-                edges.update(itertools.combinations(s, 2))
-            self._skeleton = tuple(sorted(edges))
+            parent, removed, inserted = self._lineage or (None, (), ())
+            if parent is None or parent._skeleton is None or parent._face_map is None:
+                edges = set()
+                for s in self.simplices:
+                    edges.update(itertools.combinations(s, 2))
+                self._skeleton = tuple(sorted(edges))
+            else:
+                fm = parent._face_map
+                dead = {frozenset(s) for s in removed}
+                born = {e for s in inserted for e in itertools.combinations(s, 2)}
+                gone = {
+                    e
+                    for s in removed
+                    for e in itertools.combinations(s, 2)
+                    if e not in born and not fm[frozenset(e)] - dead
+                }
+                edges = [e for e in parent._skeleton if e not in gone]
+                for e in born:
+                    if frozenset(e) not in fm:
+                        bisect.insort(edges, e)
+                self._skeleton = tuple(edges)
         return self._skeleton
 
     def boundary_faces(self):

@@ -5,16 +5,22 @@ scatter matrices applied with ``np.add.at``, one max-pool op per simplex and
 per action, the Laplacian as a dense B^T B, separate matmul/bias/SiLU ops and
 a masked sigmoid.  It records on the same tape as ``flipforge.autodiff``, so
 its gradients come from the same ``backward``.
+
+``ppo_transition_loss`` is the per-transition PPO loss the batched update
+replaced: one forward over a batch of one per transition, on the library's
+own kernels.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from flipforge import autodiff as ad
+from flipforge import policy
 from flipforge.autodiff import Tensor
 
 
@@ -280,3 +286,68 @@ def transition_loss(config, tri, actions, action_index, params, model, old_log_p
         ad.neg(surrogate),
         ad.add(ad.scale(value_loss, 0.5), ad.scale(entropy_neg, 0.001)),
     )
+
+
+def ppo_transition_loss(model, params, tr, trainer, adv):
+    """(loss, stats) of one transition, from a forward over its batch of one.
+
+    ``stats`` is (policy loss, value loss, negative entropy, ratio clipped,
+    (r - 1) - log r).
+    """
+    kind = model.config.actor_kind
+    graph = policy.state_graph(tr.env.config, tr.state, tr.actions, kind)
+    enc = policy.encode(graph, params, model.config)
+    if kind == "nls_accept":
+        p_accept = policy.nls_accept_probability(enc, params)
+        eps = 1e-9
+        p_accept = ad.clip(p_accept, eps, 1.0 - eps)
+        if tr.action_index >= 0:
+            chosen = p_accept
+        else:
+            chosen = ad.sub(ad.constant(np.ones((1, 1))), p_accept)
+        log_prob = ad.log(chosen)
+        p_reject = ad.sub(ad.constant(np.ones((1, 1))), p_accept)
+        entropy_neg = ad.add(
+            ad.mul(p_accept, ad.log(p_accept)), ad.mul(p_reject, ad.log(p_reject))
+        )
+    else:
+        logits = policy.actor_logits(enc, params, model.config)
+        probs = policy.policy_distribution(logits)
+        eps = 1e-12
+        safe = ad.clip(probs, eps, 1.0)
+        log_probs = ad.log(safe)
+        one_hot = np.zeros((len(tr.actions), 1))
+        one_hot[tr.action_index, 0] = 1.0
+        log_prob = ad.tensor_sum(ad.mul(log_probs, ad.constant(one_hot)))
+        entropy_neg = ad.tensor_sum(ad.mul(probs, log_probs))
+
+    log_ratio = ad.sub(log_prob, ad.constant(tr.old_log_prob))
+    ratio = ad.exp(log_ratio)
+    adv_t = ad.constant(adv)
+    unclipped = ad.mul(ratio, adv_t)
+    clipped = ad.mul(
+        ad.clip(ratio, 1.0 - trainer.clip_ratio, 1.0 + trainer.clip_ratio), adv_t
+    )
+    surrogate = ad.minimum(unclipped, clipped)
+    policy_loss = ad.neg(surrogate)
+
+    value = policy.value_estimate(enc, params, model.config)
+    value_loss = ad.square(ad.sub(value, ad.constant(tr.ret)))
+
+    total = ad.add(
+        policy_loss,
+        ad.add(
+            ad.scale(value_loss, trainer.value_coef),
+            ad.scale(entropy_neg, trainer.entropy_coef),
+        ),
+    )
+    ratio_val = float(ratio.data.reshape(-1)[0])
+    log_ratio_val = float(log_ratio.data.reshape(-1)[0])
+    stats = (
+        float(policy_loss.data.reshape(-1)[0]),
+        float(value_loss.data.reshape(-1)[0]),
+        float(entropy_neg.data.reshape(-1)[0]),
+        abs(ratio_val - 1.0) > trainer.clip_ratio,
+        math.expm1(log_ratio_val) - log_ratio_val,
+    )
+    return total, stats

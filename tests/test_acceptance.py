@@ -38,7 +38,14 @@ from flipforge.frst import (
 )
 from flipforge.io import read_point_config
 from flipforge.objectives import Objective, ObjectiveCache, evaluate, relative_gap
-from flipforge.policy import ModelConfig, PolicyModel, actor_logits, encode, value_estimate
+from flipforge.policy import (
+    ModelConfig,
+    PolicyModel,
+    actor_logits,
+    encode,
+    state_graph,
+    value_estimate,
+)
 from flipforge.search import PolicyStrategy, make_strategy, run_budgeted
 from flipforge.training import (
     EnvContext,
@@ -219,23 +226,24 @@ def test_criterion_05_gradient_checks(unit_square):
 
     def enc_loss(params):
         p = full_params(params)
-        return ad.tensor_sum(ad.square(encode(unit_square, tri, p, model.config).hidden))
+        graph = state_graph(unit_square, tri, actions, model.config.actor_kind)
+        return ad.tensor_sum(ad.square(encode(graph, p, model.config).hidden))
 
     def logit_loss(params):
         p = full_params(params)
-        enc = encode(unit_square, tri, p, model.config)
-        return ad.tensor_sum(ad.square(actor_logits(enc, tri, actions, p, model.config)))
+        enc = encode(state_graph(unit_square, tri, actions, "snn"), p, model.config)
+        return ad.tensor_sum(ad.square(actor_logits(enc, p, model.config)))
 
     def value_loss(params):
         p = full_params(params)
-        enc = encode(unit_square, tri, p, model.config)
+        enc = encode(state_graph(unit_square, tri, actions, "snn"), p, model.config)
         return ad.square(value_estimate(enc, p, model.config))
 
     def losses_loss(params):
         # end-to-end surrogate: policy + value + entropy terms on one transition
         p = full_params(params)
-        enc = encode(unit_square, tri, p, model.config)
-        logits = actor_logits(enc, tri, actions, p, model.config)
+        enc = encode(state_graph(unit_square, tri, actions, "snn"), p, model.config)
+        logits = actor_logits(enc, p, model.config)
         probs = ad.softmax_masked(logits)
         safe = ad.clip(probs, 1e-12, 1.0)
         logp = ad.log(safe)
@@ -269,7 +277,7 @@ def test_criterion_05_gradient_checks(unit_square):
 
     def accept_loss(params):
         p = {k: (params[k] if k in params else ad.Tensor(v)) for k, v in nls.params.items()}
-        enc = encode(unit_square, tri, p, nls.config)
+        enc = encode(state_graph(unit_square, tri, actions, "nls_accept"), p, nls.config)
         from flipforge.policy import nls_accept_probability
 
         return ad.square(nls_accept_probability(enc, p))

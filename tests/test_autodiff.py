@@ -205,6 +205,40 @@ def test_backward_requires_scalar():
         ad.backward(tape, y)
 
 
+def test_backward_consumes_the_tape():
+    tape = Tape()
+    x = ad.leaf(tape, np.arange(4.0).reshape(2, 2))
+    loss = ad.tensor_sum(ad.square(x))
+    grads = ad.backward(tape, loss)
+    assert np.array_equal(grads[x.node_id], 2.0 * x.data)
+    with pytest.raises(ValueError, match="consumed"):
+        ad.backward(tape, loss)
+
+
+def test_segment_softmax_matches_one_softmax_per_segment():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((9, 1)) * 30.0
+    flat = x.reshape(-1)
+    # one segment: the max shift, exp and e / e.sum() of the plain formula, bit for bit
+    e = np.exp(flat - flat.max())
+    assert np.array_equal(ad.softmax_masked(Tensor(x)).data.reshape(-1), e / e.sum())
+    bounds = [0, 2, 3, 7, 9]
+    probs = ad.softmax_masked(Tensor(x), segments=bounds).data
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        alone = ad.softmax_masked(Tensor(x[lo:hi])).data
+        assert np.array_equal(probs[lo:hi], alone)
+    weights = rng.standard_normal((9, 1))
+
+    def forward(params):
+        probs = ad.softmax_masked(params["x"], segments=bounds)
+        return ad.tensor_sum(ad.mul(probs, ad.constant(weights)))
+
+    err, ok = ad.finite_diff_check(forward, {"x": x / 30.0}, tolerance=1e-5)
+    assert ok, err
+    with pytest.raises(ValueError):
+        ad.softmax_masked(Tensor(x), segments=[0, 4, 4, 9])
+
+
 def test_backward_deterministic():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((5, 5))

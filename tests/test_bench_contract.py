@@ -2,13 +2,21 @@
 
 ``perfbench/tracer.py`` wraps the functions named in its ``TARGETS`` and
 counts ``lp.feasible_point`` results that are ``None`` as infeasible solves.
+The train_3d workload counts ``len(collect_rollouts(...).transitions)`` as
+its operations, expecting envs x horizon of them when no episode ends early,
+and traces the policy's forward functions on batches of one.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from flipforge import lp
+import numpy as np
+
+from flipforge import lp, policy, training
+from flipforge.datagen import seed_triangulations
+from flipforge.flips import enumerate_circuits, flippable_circuits
+from flipforge.objectives import Objective
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -36,3 +44,61 @@ def test_feasible_point_returns_none_when_infeasible():
     assert lp.feasible_point([[1], [-1]], [1, 0], farkas) is None
     assert farkas and lp.is_farkas([[1], [-1]], [1, 0], farkas)
     assert lp.feasible_point([[1], [-1]], [1, -2]) is not None
+
+
+def traced(run):
+    """``run()`` under an installed tracer; returns (result, tracer)."""
+    tracer = load_tracer().Tracer().install()
+    try:
+        return run(), tracer
+    finally:
+        tracer.uninstall()
+
+
+def test_rollout_transitions_are_envs_times_horizon(hexagon):
+    # every hexagon triangulation has a flip, so no episode ends early
+    env = training.EnvContext(polytope_id="hex", config=hexagon, table=enumerate_circuits(hexagon))
+    seeds = seed_triangulations(hexagon, cap=5)
+    trainer = training.TrainerConfig(horizon=5, num_envs=3, seed=1)
+    model = policy.PolicyModel.initialize(policy.ModelConfig(input_dim=2, hidden=8), seed=2)
+    starts = [(env, seeds[i % len(seeds)]) for i in range(trainer.num_envs)]
+
+    def rollout():
+        return training.collect_rollouts(
+            model, starts, Objective.MIN_WEIGHT, trainer, training.VisitCounter(),
+            np.random.default_rng(0),
+        )
+
+    buffer, tracer = traced(rollout)
+    assert len(buffer.transitions) == 3 * 5
+    assert tracer.counters["training.collect_rollouts.transitions"] == 15
+    # one forward pass per lockstep step
+    names = [tracer.names[span[0]] for span in tracer.spans]
+    assert names.count("policy.encode") == 5
+
+
+def test_batch_of_one_forward_through_the_tracer(hexagon):
+    table = enumerate_circuits(hexagon)
+    tri = seed_triangulations(hexagon, cap=1)[0]
+    actions = flippable_circuits(tri, table)
+    model = policy.PolicyModel.initialize(policy.ModelConfig(input_dim=2, hidden=8), seed=3)
+    params = model._const_params()
+
+    def forward():
+        graph = policy.state_graph(hexagon, tri, actions, "snn")
+        enc = policy.encode(graph, params, model.config)
+        return (
+            policy.actor_logits(enc, params, model.config).data,
+            policy.value_estimate(enc, params, model.config).data,
+            model.action_probabilities(hexagon, tri, actions),
+        )
+
+    plain = forward()
+    wrapped, tracer = traced(forward)
+    for got, want in zip(wrapped, plain):
+        assert np.array_equal(got, want)
+    assert plain[0].shape == (len(actions), 1) and plain[1].shape == (1, 1)
+    names = [tracer.names[span[0]] for span in tracer.spans]
+    assert names.count("policy.encode") == 2
+    assert names.count("policy.actor_logits") == 2
+    assert names.count("policy.value_estimate") == 1

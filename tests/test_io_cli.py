@@ -148,7 +148,50 @@ def test_cli_search_square_zero_gap(small_dataset, tmp_path, capsys):
     logs = list(out.glob("runlog_*.jsonl"))
     assert logs
     record = json.loads(logs[0].read_text().splitlines()[0])
-    assert set(record) == {"step", "action", "value", "best"}
+    assert set(record) == {"step", "action", "value", "best", "actions"}
+
+
+@pytest.fixture(scope="module")
+def small_dataset_3d(tmp_path_factory):
+    out = tmp_path_factory.mktemp("data") / "ds3"
+    code = run_cli("gen", "--dim", 3, "--samples", 8, "--count", 2, "--seed", 4, "--out", out)
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("strategy", ("greedy", "anneal", "random_walk"))
+@pytest.mark.parametrize("budget", (0, 1, 25))
+def test_cli_search_logs_replay_to_their_action_counts(
+    small_dataset_3d, tmp_path, strategy, budget
+):
+    from flipforge.flips import apply_flip, enumerate_circuits, flippable_circuits
+
+    data = small_dataset_3d
+    out = tmp_path / "search"
+    code = run_cli(
+        "search", "--data", data, "--objective", "min_weight",
+        "--strategy", strategy, "--budget", budget, "--starts", 2, "--seed", 7, "--out", out,
+    )
+    assert code == 0
+    logs = sorted(out.glob("runlog_*.jsonl"))
+    assert logs
+    for path in logs:
+        cid, start = path.stem[len("runlog_"):].rsplit("_", 1)
+        config = io.read_point_config(data / f"config_{cid}.poly")
+        table = enumerate_circuits(config)
+        tri = io.read_triangulation_set(data / f"seeds_{cid}.tri")[int(start)]
+        for record in io.read_jsonl(path):
+            if record["action"] is not None:
+                vertices, side = tuple(record["action"][0]), record["action"][1]
+                (action,) = [
+                    a
+                    for a in flippable_circuits(tri, table)
+                    if a.circuit.vertices == vertices and a.realized_side == side
+                ]
+                tri = apply_flip(tri, action)
+            # a fresh state scans every circuit
+            fresh = Triangulation(tri.simplices)
+            assert record["actions"] == len(flippable_circuits(fresh, table)), record["step"]
 
 
 def test_cli_search_requires_checkpoint_for_policy(small_dataset, tmp_path):

@@ -17,6 +17,7 @@ from flipforge.policy import (
     sample_action,
     simplicial_operator,
     skeleton_structure,
+    state_graph,
     value_estimate,
 )
 from flipforge.triangulation import Triangulation
@@ -36,6 +37,11 @@ def small_model(dim, kind="snn", hidden=12, seed=0):
     return PolicyModel.initialize(config, seed=seed)
 
 
+def encode_state(config, tri, params, model, actions=()):
+    """``encode`` on the batch of one holding ``tri``, scoring ``actions``."""
+    return encode(state_graph(config, tri, actions, model.actor_kind), params, model)
+
+
 def test_unused_point_gets_zero_inverse_degree_and_finite_encoding():
     # the centre (index 4) is left out of the triangulation, as a lifted FRST
     # start may leave a point unused
@@ -45,7 +51,7 @@ def test_unused_point_gets_zero_inverse_degree_and_finite_encoding():
     assert structure.inv_degree[:, 0].tolist() == [1 / 3, 1 / 2, 1 / 3, 1 / 2, 0.0]
     model = small_model(2)
     params = {k: Tensor(v) for k, v in model.params.items()}
-    enc = encode(config, tri, params, model.config)
+    enc = encode_state(config, tri, params, model.config)
     assert np.all(np.isfinite(enc.hidden.data))
 
 
@@ -55,7 +61,7 @@ def test_twin_vertices_equal_embeddings():
     tri = Triangulation([(0, 1, 2), (0, 1, 3)])  # both twins see {0,1}
     model = small_model(2)
     params = {k: Tensor(v) for k, v in model.params.items()}
-    enc = encode(config, tri, params, model.config)
+    enc = encode_state(config, tri, params, model.config)
     assert np.allclose(enc.hidden.data[2], enc.hidden.data[3], atol=1e-12)
 
 
@@ -93,7 +99,7 @@ def test_zero_mlps_give_identity_encoder(square_setup):
         if ".edge" in name or ".coord" in name or ".hidden" in name:
             zeroed[name] = np.zeros_like(zeroed[name])
     params = {k: Tensor(v) for k, v in zeroed.items()}
-    enc = encode(config, tri, params, model.config)
+    enc = encode_state(config, tri, params, model.config)
     coords = np.array([[float(c) for c in p] for p in config.points])
     assert np.allclose(enc.hidden.data, coords @ zeroed["embed.w"], atol=1e-15)
     assert np.allclose(enc.coords.data, coords, atol=1e-15)
@@ -113,13 +119,13 @@ def test_vertex_permutation_equivariance(square_setup):
     pactions = flippable_circuits(ptri, ptable)
 
     params = {k: Tensor(v) for k, v in model.params.items()}
-    enc = encode(config, tri, params, model.config)
-    penc = encode(pconfig, ptri, params, model.config)
+    enc = encode_state(config, tri, params, model.config, actions)
+    penc = encode_state(pconfig, ptri, params, model.config, pactions)
     for old in range(4):
         assert np.allclose(enc.hidden.data[old], penc.hidden.data[perm[old]], atol=1e-9)
 
-    logits = actor_logits(enc, tri, actions, params, model.config).data.reshape(-1)
-    plogits = actor_logits(penc, ptri, pactions, params, model.config).data.reshape(-1)
+    logits = actor_logits(enc, params, model.config).data.reshape(-1)
+    plogits = actor_logits(penc, params, model.config).data.reshape(-1)
     # match actions by their permuted removed sets
     mapping = {}
     for i, action in enumerate(actions):
@@ -138,7 +144,7 @@ def test_value_head_pooling_invariances(square_setup):
     config, _table, tri, _actions = square_setup
     model = small_model(2, seed=5)
     params = {k: Tensor(v) for k, v in model.params.items()}
-    enc = encode(config, tri, params, model.config)
+    enc = encode_state(config, tri, params, model.config)
 
     v = value_estimate(enc, params, model.config).data[0, 0]
     # duplicated rows leave a max-pool unchanged
@@ -182,10 +188,10 @@ def test_chebyshev_identity_configuration(square_setup):
     params_np["actor0.theta0"] = np.eye(6)
     params_np["actor0.b"] = np.zeros(6)
     params = {k: Tensor(v) for k, v in params_np.items()}
-    enc = encode(config, tri, params, mc)
+    enc = encode_state(config, tri, params, mc)
     from flipforge.policy import simplex_features, _chebyshev_apply
 
-    g0 = simplex_features(enc, tri)
+    g0 = simplex_features(enc)
     operator = simplicial_operator(tri, config)
     g1 = _chebyshev_apply(operator, g0, params, 0, 1, final=True)
     assert np.allclose(g0.data, g1.data, atol=1e-15)
@@ -218,13 +224,13 @@ def test_logits_depend_on_removed_simplices(square_setup):
     config, _table, tri, actions = square_setup
     model = small_model(2, seed=11)
     params = {k: Tensor(v) for k, v in model.params.items()}
-    enc = encode(config, tri, params, model.config)
-    logit = actor_logits(enc, tri, actions, params, model.config).data[0, 0]
+    enc = encode_state(config, tri, params, model.config, actions)
+    logit = actor_logits(enc, params, model.config).data[0, 0]
 
     # oracle: recompute by hand from the propagated simplex features
     from flipforge.policy import simplex_features, _chebyshev_apply
 
-    g = simplex_features(enc, tri)
+    g = simplex_features(enc)
     operator = simplicial_operator(tri, config)
     for layer in range(model.config.actor_layers):
         final = layer == model.config.actor_layers - 1
@@ -302,7 +308,7 @@ def test_layerwise_gradient_checks(square_setup):
 
     def egnn_forward(params):
         full = {k: (params[k] if k in params else Tensor(v)) for k, v in model.params.items()}
-        enc = encode(config, tri, full, model.config)
+        enc = encode_state(config, tri, full, model.config)
         return ad.tensor_sum(ad.square(enc.hidden))
 
     values = {k: model.params[k] for k in layer_names}
@@ -311,8 +317,8 @@ def test_layerwise_gradient_checks(square_setup):
 
     def logit_forward(params):
         full = {k: (params[k] if k in params else Tensor(v)) for k, v in model.params.items()}
-        enc = encode(config, tri, full, model.config)
-        logits = actor_logits(enc, tri, actions, full, model.config)
+        enc = encode_state(config, tri, full, model.config, actions)
+        logits = actor_logits(enc, full, model.config)
         return ad.tensor_sum(ad.square(logits))
 
     actor_names = [k for k in model.params if k.startswith("actor")]

@@ -4,7 +4,10 @@
 op per simplex and per action, a dense B^T B Laplacian and unfused layers.
 The encoder and value head do the same arithmetic in the same order, so they
 must agree exactly; the batched action readouts sum in another order, so
-logits and gradients must agree to 1e-9 relative.
+logits and gradients must agree to 1e-9 relative.  A disjoint union of
+states must give each of them what its batch of one gives, to 1e-12
+relative, and one rollout step's loss must have the gradients of its
+transitions' losses summed.
 """
 
 import math
@@ -23,14 +26,16 @@ from flipforge.policy import (
     ModelConfig,
     PolicyModel,
     actor_logits,
+    batch_graphs,
     encode,
     init_parameters,
     nls_accept_probability,
+    policy_distribution,
     simplicial_operator,
     state_graph,
     value_estimate,
 )
-from flipforge.training import EnvContext, TrainerConfig, Transition, _transition_loss
+from flipforge.training import EnvContext, RolloutStep, TrainerConfig, Transition, _step_loss
 from flipforge.triangulation import Triangulation
 
 import policy_oracle as oracle
@@ -103,7 +108,7 @@ def test_forward_matches_oracle(states, kind):
         model, values = _params(config.dim, kind, case)
         params = {k: Tensor(v) for k, v in values.items()}
         actions = flippable_circuits(tri, table)
-        enc = encode(config, tri, params, model, state_graph(config, tri, actions, kind))
+        enc = encode(state_graph(config, tri, actions, kind), params, model)
         hidden, coords = oracle.encode(config, tri, params, model)
         assert np.array_equal(enc.hidden.data, hidden.data)
         assert np.array_equal(enc.coords.data, coords.data)
@@ -112,10 +117,7 @@ def test_forward_matches_oracle(states, kind):
             assert np.array_equal(got, oracle.nls_accept_probability(hidden, params).data)
             continue
         expected = oracle.actor_logits(hidden, config, tri, actions, params, model).data
-        assert _close(actor_logits(enc, tri, actions, params, model).data, expected)
-        # without a prebuilt graph the pooling groups are computed on the spot
-        plain = encode(config, tri, params, model)
-        assert _close(actor_logits(plain, tri, actions, params, model).data, expected)
+        assert _close(actor_logits(enc, params, model).data, expected)
         got = value_estimate(enc, params, model).data
         assert np.array_equal(got, oracle.value_estimate(hidden, params, model).data)
 
@@ -153,11 +155,12 @@ def test_loss_gradients_match_oracle(states, kind):
             value=0.0,
             reward=0.0,
             done=False,
-            graph=state_graph(config, tri, actions, kind),
             ret=0.3,
         )
         policy = PolicyModel(model, values)
-        new = _grads(lambda p: _transition_loss(policy, p, transition, trainer, 0.7)[0], values)
+        new = _grads(
+            lambda p: oracle.ppo_transition_loss(policy, p, transition, trainer, 0.7)[0], values
+        )
         old = _grads(
             lambda p: oracle.transition_loss(
                 config, tri, transition.actions, transition.action_index, p, model,
@@ -173,7 +176,8 @@ def test_loss_gradients_match_oracle(states, kind):
             assert _close(new[name], old[name], scale), (case, name)
 
         def encoder_loss(p):
-            return ad.tensor_sum(ad.square(encode(config, tri, p, model).hidden))
+            graph = state_graph(config, tri, actions, kind)
+            return ad.tensor_sum(ad.square(encode(graph, p, model).hidden))
 
         def oracle_encoder_loss(p):
             return ad.tensor_sum(ad.square(oracle.encode(config, tri, p, model)[0]))
@@ -196,7 +200,7 @@ def test_pooling_gradients_on_tied_embeddings(states, kind):
 
         def new_loss(p):
             enc = EncodedState(hidden=p["h"], coords=None, graph=graph)
-            logits = actor_logits(enc, tri, actions, params, model)
+            logits = actor_logits(enc, params, model)
             value = value_estimate(enc, params, model)
             return ad.add(ad.tensor_sum(ad.square(logits)), ad.tensor_sum(value))
 
@@ -248,3 +252,112 @@ def test_linear_finite_differences(silu):
 def test_stable_sigmoid_matches_masked_form():
     x = np.concatenate([np.linspace(-800.0, 800.0, 4001), [0.0, -0.0, 1e-300, -1e-300]])
     assert np.array_equal(ad._stable_sigmoid(x), oracle.stable_sigmoid(x))
+
+
+def _unions(states, count=6, seed=11):
+    """Random unions of 2-5 same-dimension states, with each member's index in ``states``."""
+    rng = np.random.default_rng(seed)
+    by_dim = {}
+    for index, (config, _tri, _table) in enumerate(states):
+        by_dim.setdefault(config.dim, []).append(index)
+    unions = []
+    for _ in range(count):
+        for dim in sorted(by_dim):
+            pool = by_dim[dim]
+            k = int(rng.integers(2, 6))
+            unions.append([pool[i] for i in rng.choice(len(pool), size=k, replace=False)])
+    return unions
+
+
+def _within(new, old):
+    """``new`` within 1e-12 of ``old``, relative to old's largest entry."""
+    return np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_union_matches_each_batch_of_one(states, kind):
+    for case, members in enumerate(_unions(states)):
+        dim = states[members[0]][0].dim
+        model, values = _params(dim, kind, 300 + case)
+        params = {k: Tensor(v) for k, v in values.items()}
+        graphs = [
+            state_graph(config, tri, flippable_circuits(tri, table), kind)
+            for config, tri, table in (states[i] for i in members)
+        ]
+        union = batch_graphs(graphs)
+        assert union.size == len(graphs)
+        enc = encode(union, params, model)
+        nodes, acts = union.node_offsets, union.action_offsets
+        if kind == "nls_accept":
+            heads = [nls_accept_probability(enc, params).data]
+        else:
+            logits = actor_logits(enc, params, model)
+            heads = [logits.data, policy_distribution(logits, acts).data]
+        heads.append(value_estimate(enc, params, model).data)
+        for j, graph in enumerate(graphs):
+            alone = encode(graph, params, model)
+            rows = slice(nodes[j], nodes[j + 1])
+            assert _within(enc.hidden.data[rows], alone.hidden.data)
+            assert _within(enc.coords.data[rows], alone.coords.data)
+            if kind == "nls_accept":
+                expected = [nls_accept_probability(alone, params).data]
+                got = [heads[0][j : j + 1]]
+            else:
+                one = actor_logits(alone, params, model)
+                expected = [one.data, policy_distribution(one).data]
+                got = [h[acts[j] : acts[j + 1]] for h in heads[:2]]
+            expected.append(value_estimate(alone, params, model).data)
+            got.append(heads[-1][j : j + 1])
+            for new, old in zip(got, expected):
+                assert new.shape == old.shape and _within(new, old), (case, j)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_step_loss_gradients_match_summed_transition_oracle(states, kind):
+    trainer = TrainerConfig()
+    nls = kind == "nls_accept"
+    for case, members in enumerate(_unions(states, count=3)):
+        dim = states[members[0]][0].dim
+        model, values = _params(dim, kind, 400 + case)
+        policy = PolicyModel(model, values)
+        rng = np.random.default_rng(case)
+        graphs, transitions = [], []
+        for i in members:
+            config, tri, table = states[i]
+            actions = flippable_circuits(tri, table)
+            pick = int(rng.integers(len(actions)))
+            graphs.append(state_graph(config, tri, actions, kind))
+            transitions.append(
+                Transition(
+                    env=EnvContext(polytope_id="case", config=config, table=table),
+                    state=tri,
+                    actions=actions[pick : pick + 1] if nls else actions,
+                    action_index=int(rng.integers(2)) - 1 if nls else pick,
+                    old_log_prob=math.log(rng.uniform(0.05, 0.9)),
+                    value=0.0,
+                    reward=0.0,
+                    done=False,
+                    ret=float(rng.normal()),
+                )
+            )
+        step = RolloutStep(graph=batch_graphs(graphs), transitions=transitions)
+        adv = rng.normal(size=len(transitions))
+        new = _grads(lambda p: _step_loss(policy, p, step, trainer, adv)[0], values)
+        old = {name: np.zeros_like(v) for name, v in values.items()}
+        for tr, a in zip(transitions, adv):
+            grads = _grads(
+                lambda p: oracle.ppo_transition_loss(policy, p, tr, trainer, float(a))[0], values
+            )
+            for name in values:
+                old[name] += grads[name]
+        scale = max(np.max(np.abs(g)) for g in old.values())
+        for name in values:
+            assert _close(new[name], old[name], scale), (case, name)
+
+        # the per-transition terms agree with the oracle's statistics
+        params = {k: Tensor(v) for k, v in values.items()}
+        _total, terms = _step_loss(policy, params, step, trainer, adv)
+        for j, (tr, a) in enumerate(zip(transitions, adv)):
+            _loss, stats = oracle.ppo_transition_loss(policy, params, tr, trainer, float(a))
+            for got, want in zip(terms[1:], stats):
+                assert got[j] == pytest.approx(want, rel=1e-9, abs=1e-12), (case, j)

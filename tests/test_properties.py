@@ -1,8 +1,9 @@
 """Property tests on random 2D-4D configurations, rational and {-1, 0, 1} lattice.
 
-A flip undone through ``reverse_action`` gives the state back, and the text
-formats round-trip triangulation sets (by canonical key) and point
-configurations exactly.
+A flip undone through ``reverse_action`` gives the state back, a flipped
+state's 1-skeleton patched from its parent's equals the one rebuilt from its
+simplices, and the text formats round-trip triangulation sets (by canonical
+key) and point configurations exactly.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from flipforge import io
 from flipforge.datagen import initial_triangulation
 from flipforge.errors import DegenerateConfig
 from flipforge.flips import apply_flip, enumerate_circuits, flippable_circuits, reverse_action
+from flipforge.triangulation import Triangulation
 from conftest import point_lists
 
 
@@ -52,6 +54,26 @@ def test_flip_is_an_involution_through_reverse_action(dim, data):
             assert (back.removed, back.inserted) == (action.inserted, action.removed)
             assert apply_flip(child, back) == tri
             assert reverse_action(tri, table, back) == action
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_patched_skeleton_equals_full_rebuild(dim, data):
+    config = draw_config(dim, data)
+    table = enumerate_circuits(config)
+    tri = initial_triangulation(config)
+    assert tri.skeleton_edges() == Triangulation(tri.simplices).skeleton_edges()
+    for move in data.draw(st.lists(st.integers(0, 1 << 20), max_size=8)):
+        actions = flippable_circuits(tri, table)
+        if not actions:
+            break
+        # every child patches the edges of ``tri``, whose face map is now known
+        children = [apply_flip(tri, action) for action in actions]
+        for child in children:
+            assert child._lineage is not None
+            assert child.skeleton_edges() == Triangulation(child.simplices).skeleton_edges()
+        tri = children[move % len(children)]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flipforge as ff
-from flipforge.flips import enumerate_circuits
+from flipforge.flips import apply_flip, enumerate_circuits, flippable_circuits
 from flipforge.objectives import Objective
 from flipforge.policy import ModelConfig, PolicyModel
 from flipforge.training import (
@@ -329,6 +329,62 @@ def test_frst_reach_episode_terminates_on_success(lattice_square):
     assert buffer.episodes[0] == []
 
 
+def _check_lockstep(buffer, lengths):
+    """Episode lengths as given, and each step holds exactly the environments still running."""
+    assert [len(ep) for ep in buffer.episodes] == lengths
+    assert len(buffer.transitions) == sum(lengths)
+    assert len(buffer.steps) == max(lengths, default=0)
+    for t, step in enumerate(buffer.steps):
+        running = [ep[t] for ep in buffer.episodes if len(ep) > t]
+        assert step.transitions == running
+        assert step.graph.size == len(running)
+
+
+def test_lockstep_reach_episodes_leave_on_success(lattice_square):
+    config = lattice_square
+    env = EnvContext(polytope_id="sq", config=config, table=enumerate_circuits(config))
+    fan = Triangulation(
+        [(0, 1, 4), (0, 3, 4), (1, 2, 4), (2, 4, 5), (3, 4, 6), (4, 5, 8), (4, 6, 7), (4, 7, 8)]
+    )
+    # the fan's neighbors that drop a point are not fine: one flip puts it back
+    coarse = [
+        nxt
+        for nxt in (apply_flip(fan, a) for a in flippable_circuits(fan, env.table))
+        if len(nxt.vertex_union) < config.n
+    ]
+    assert len(coarse) == 4
+    starts = [(env, tri) for tri in coarse[:2] + [fan] + coarse[2:]]
+    trainer = small_trainer(horizon=6)
+    buffer = collect_rollouts(
+        make_model(dim=2, seed=8), starts, Objective.FRST_REACH, trainer, VisitCounter(),
+        np.random.default_rng(0),
+    )
+    lengths = [len(ep) for ep in buffer.episodes]
+    assert lengths[2] == 0  # the fan is already fine and regular
+    # with this seed some episodes succeed early and one runs the full horizon;
+    # an episode ends early only on success, and a success ends it
+    for ep in buffer.episodes:
+        assert not any(tr.done for tr in ep[:-1])
+        assert not ep or ep[-1].done or len(ep) == 6
+    assert any(0 < n < 6 for n in lengths)
+    assert any(len(ep) == 6 and not ep[-1].done for ep in buffer.episodes)
+    _check_lockstep(buffer, lengths)
+
+
+def test_lockstep_environment_without_flips_leaves_at_once(square_env, square_seeds):
+    triangle = ff.PointConfig(2, [(0, 0), (1, 0), (0, 1)])
+    stuck = EnvContext(polytope_id="tri", config=triangle, table=enumerate_circuits(triangle))
+    single = Triangulation([(0, 1, 2)])
+    square_a, square_b = ((square_env, tri) for tri in square_seeds)
+    starts = [(stuck, single), square_a, (stuck, single), square_b]
+    buffer = collect_rollouts(
+        make_model(dim=2, seed=3), starts, Objective.MIN_WEIGHT, small_trainer(horizon=4),
+        VisitCounter(), np.random.default_rng(0),
+    )
+    _check_lockstep(buffer, [0, 4, 0, 4])
+    assert buffer.mean_action_count == 1.0
+
+
 def test_gae_lambda_one_is_discounted_monte_carlo():
     rewards = [1.0, -2.0, 0.5, 3.0]
     values = [0.4, -0.1, 0.2, 0.9]
@@ -385,7 +441,7 @@ def test_explained_variance_limits():
 
 
 def test_ppo_diagnostics_match_their_definitions(hexagon, square_env, square_seeds):
-    from flipforge.training import _transition_loss
+    from policy_oracle import ppo_transition_loss
 
     trainer = small_trainer(horizon=4, learning_rate=0.05)
     square = rollout_and_gae(make_model(seed=9), square_env, square_seeds, trainer)
@@ -400,7 +456,7 @@ def test_ppo_diagnostics_match_their_definitions(hexagon, square_env, square_see
     for tr, adv in zip(buffer.transitions, advantages):
         tape = ad.Tape()
         params = model.taped_parameters(tape)
-        total, _stats = _transition_loss(model, params, tr, trainer, float(adv))
+        total, _stats = ppo_transition_loss(model, params, tr, trainer, float(adv))
         grads = ad.backward(tape, total)
         for k, t in params.items():
             sums[k] += grads.get(t.node_id, 0.0)
