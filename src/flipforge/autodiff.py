@@ -6,11 +6,13 @@ Ops work with or without a tape; calling them on plain (untaped) tensors is
 the fast path used during rollouts.
 
 Each op records one vector-Jacobian product that returns the gradients of all
-its taped inputs at once, so fused ops (``linear``, ``group_max``) share their
-intermediate results.  Sums of rows into fewer rows (scatters, sparse products
-and the gradients of gathers and max pools) go through ``np.bincount``, which
-adds in input order exactly as ``np.add.at`` would, and is several times
-faster.
+its taped inputs at once, so fused ops (``linear``, ``pair_linear``,
+``group_max``) share their intermediate results.  The fused dense layers add
+their bias and apply SiLU in place on the fresh product, and their backward
+pass multiplies the saved slope in place: fresh row-sized temporaries cost
+page faults.  Sums of rows into fewer rows (scatters, sparse products and the
+gradients of gathers and max pools) go through ``np.bincount``, which adds in
+input order exactly as ``np.add.at`` would, and is several times faster.
 """
 
 from __future__ import annotations
@@ -179,29 +181,43 @@ def _stable_sigmoid(x):
     # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|), which
     # never overflows: the same expressions as the textbook split of x by
     # sign, with the numerator exp(min(x, 0)) in place of a mask
-    den = np.exp(-np.abs(x))
+    den = np.abs(x)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
     den += 1.0
-    return np.divide(np.exp(np.minimum(x, 0.0)), den, out=den)
+    num = np.minimum(x, 0.0)
+    np.exp(num, out=num)
+    return np.divide(num, den, out=den)
 
 
 def _silu_slope(z, sig):
-    """Derivative of SiLU at ``z``, given ``sig = sigmoid(z)``."""
-    return sig * (1.0 + z * (1.0 - sig))
+    """Derivative of SiLU at ``z``, given ``sig = sigmoid(z)``: sig * (1 + z * (1 - sig))."""
+    slope = np.subtract(1.0, sig)
+    slope *= z
+    slope += 1.0
+    slope *= sig
+    return slope
+
+
+def _silu_in_place(z, taped):
+    """Overwrites the fresh array ``z`` with SiLU(z); returns the slope if ``taped``, else None."""
+    sig = _stable_sigmoid(z)
+    slope = _silu_slope(z, sig) if taped else None
+    z *= sig
+    return slope
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, silu: bool = False) -> Tensor:
     """``x @ w + b``, followed by SiLU when ``silu`` is set, as one op."""
     xd, wd, shape_b = x.data, w.data, b.data.shape
-    out = xd @ wd + b.data
-    slope = None  # SiLU's derivative, kept only for a backward pass
-    if silu:
-        sig = _stable_sigmoid(out)
-        if _tape_of(x, w, b) is not None:
-            slope = _silu_slope(out, sig)
-        out = out * sig
+    out = xd @ wd
+    out += b.data
+    # SiLU's derivative, kept only for a backward pass
+    slope = _silu_in_place(out, _tape_of(x, w, b) is not None) if silu else None
 
     def vjp(g, needs):
-        gz = g if slope is None else g * slope
+        # the slope serves one backward sweep, so it takes the product in place
+        gz = g if slope is None else np.multiply(g, slope, out=slope)
         return (
             gz @ wd.T if needs[0] else None,
             xd.T @ gz if needs[1] else None,
@@ -211,11 +227,49 @@ def linear(x: Tensor, w: Tensor, b: Tensor, silu: bool = False) -> Tensor:
     return _emit(out, (x, w, b), vjp)
 
 
+def pair_linear(h: Tensor, own, nbr, extra: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``silu(concat([h[own], h[nbr], extra], axis=1) @ w + b)`` without the concat, as one op.
+
+    A linear layer on the rows of an edge list splits by endpoint: the
+    product is ``(h @ w[:k])[own] + (h @ w[k:2k])[nbr] + extra @ w[2k:]`` for
+    ``h`` of width k, so the endpoint blocks multiply the n node rows rather
+    than the E edge rows.  The gradient sums the edge rows onto the node rows
+    first (``segment_sum``) and multiplies there too.  Nodes no edge touches
+    get zero gradients.
+    """
+    hd, xd, wd, shape_b = h.data, extra.data, w.data, b.data.shape
+    n, k = hd.shape
+    w_own, w_nbr, w_extra = wd[:k], wd[k : 2 * k], wd[2 * k :]
+    out = (hd @ w_own)[own]
+    term = (hd @ w_nbr)[nbr]
+    out += term
+    out += np.matmul(xd, w_extra, out=term)
+    out += b.data
+    slope = _silu_in_place(out, _tape_of(h, extra, w, b) is not None)
+
+    def vjp(g, needs):
+        gz = np.multiply(g, slope, out=slope)
+        by_own = segment_sum(gz, own, n)
+        by_nbr = segment_sum(gz, nbr, n)
+        grad_w = None
+        if needs[2]:
+            grad_w = np.concatenate([hd.T @ by_own, hd.T @ by_nbr, xd.T @ gz])
+        return (
+            by_own @ w_own.T + by_nbr @ w_nbr.T if needs[0] else None,
+            gz @ w_extra.T if needs[1] else None,
+            grad_w,
+            _unbroadcast(gz, shape_b) if needs[3] else None,
+        )
+
+    return _emit(out, (h, extra, w, b), vjp)
+
+
 def silu(a: Tensor) -> Tensor:
     x = a.data
-    sig = _stable_sigmoid(x)
-    slope = _silu_slope(x, sig) if a.tape is not None else None
-    return _emit(x * sig, (a,), lambda g, needs: (g * slope,))
+    out = _stable_sigmoid(x)
+    slope = _silu_slope(x, out) if a.tape is not None else None
+    out *= x
+    return _emit(out, (a,), lambda g, needs: (np.multiply(g, slope, out=slope),))
 
 
 def sigmoid(a: Tensor) -> Tensor:

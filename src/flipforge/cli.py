@@ -293,6 +293,9 @@ def cmd_train(args) -> int:
     dims = {cfg.dim for cfg in dataset.configs.values()}
     if len(dims) != 1:
         raise FormatError("training data mixes dimensions")
+    # the trainer also accepts a zero rate (a frozen policy); a training run needs a positive one
+    if not args.lr > 0:
+        raise ValueError("lr must be positive")
     model_config = ModelConfig(
         input_dim=dims.pop(),
         hidden=args.hidden,

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DegenerateConfig
 
 Rational = Fraction
@@ -269,6 +271,7 @@ class PointConfig:
         self._hull = None
         self._hull_volume = None
         self._int_rows = None
+        self._float_rows = None
         self._dets = {}  # simplex -> simplex_det, filled as walks meet simplices
 
     def __eq__(self, other):
@@ -293,6 +296,13 @@ class PointConfig:
         if self._int_rows is None:
             self._int_rows = _scaled_int_rows(self.points)
         return self._int_rows
+
+    def float_rows(self) -> np.ndarray:
+        """The points as a read-only (n, dim) float64 array, converted once."""
+        if self._float_rows is None:
+            self._float_rows = np.array([[float(c) for c in p] for p in self.points])
+            self._float_rows.flags.writeable = False
+        return self._float_rows
 
     def simplex_det(self, simplex) -> int:
         """Signed determinant of a simplex's edge vectors in ``int_rows`` units.

@@ -49,6 +49,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.actor_kind not in ACTOR_KINDS:
             raise ValueError(f"unknown actor kind {self.actor_kind!r}")
+        for name in ("hidden", "chebyshev_order"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("encoder_layers", "actor_layers"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -195,7 +201,7 @@ def state_graph(config: PointConfig, tri: Triangulation, actions, kind: str) -> 
     scores = kind != "nls_accept" and len(actions) > 0
     return StateGraph(
         kind=kind,
-        coords=np.array([[float(c) for c in p] for p in config.points]),
+        coords=config.float_rows(),
         skeleton=skeleton_structure(tri, config.n),
         simplices=np.array(tri.simplices, dtype=np.int64),
         laplacian=simplicial_operator(tri, config) if kind == "snn" else None,
@@ -273,15 +279,14 @@ def egnn_layer(hidden, coords, skeleton: Skeleton, params, layer: int):
     """
     own, nbr = skeleton.own, skeleton.nbr
     n = hidden.shape[0]
-    own_h = ad.gather_rows(hidden, own)
-    nbr_h = ad.gather_rows(hidden, nbr)
     own_x = ad.gather_rows(coords, own)
     nbr_x = ad.gather_rows(coords, nbr)
     diff = ad.sub(own_x, nbr_x)
     sqdist = ad.tensor_sum(ad.square(diff), axis=1, keepdims=True)
 
-    msg_in = ad.concat([own_h, nbr_h, sqdist], axis=1)
-    msg = _dense(msg_in, params, f"enc{layer}.edge0", silu=True)
+    # the first edge layer on (h_own, h_nbr, sqdist), multiplied on node rows
+    edge0 = f"enc{layer}.edge0"
+    msg = ad.pair_linear(hidden, own, nbr, sqdist, params[f"{edge0}.w"], params[f"{edge0}.b"])
     msg = _dense(msg, params, f"enc{layer}.edge1", silu=True)
 
     coef = _dense(msg, params, f"enc{layer}.coord0", silu=True)

@@ -57,9 +57,12 @@ class TrainerConfig:
     def __post_init__(self):
         if not 0 < self.discount <= 1 or not 0 < self.gae_lambda <= 1:
             raise ValueError("discount and gae_lambda must lie in (0, 1]")
-        for name in ("horizon", "num_envs", "ppo_epochs", "clip_ratio"):
+        for name in ("horizon", "num_envs", "ppo_epochs", "clip_ratio", "checkpoint_every"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # zero is allowed: a frozen policy that only collects rollouts
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and nonnegative")
 
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -471,6 +471,31 @@ def test_cli_train_rejects_nonpositive_horizon(small_dataset, tmp_path, capsys, 
     assert not (tmp_path / "h" / "curve.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--checkpoint-every", "0", "checkpoint_every must be positive"),
+        ("--lr", "nan", "lr must be positive"),
+        ("--lr", "0", "lr must be positive"),
+        ("--lr", "-1", "lr must be positive"),
+        ("--lr", "inf", "learning_rate must be finite and nonnegative"),
+        ("--hidden", "0", "hidden must be positive"),
+        ("--hidden", "-2", "hidden must be positive"),
+        ("--chebyshev-order", "0", "chebyshev_order must be positive"),
+        ("--encoder-layers", "-1", "encoder_layers must be nonnegative"),
+    ],
+)
+def test_cli_train_rejects_invalid_options(small_dataset, tmp_path, capsys, option, value, message):
+    options = {"--iterations": "1", "--envs": "2", "--horizon": "2", "--hidden": "8", option: value}
+    code = run_cli(
+        "train", "--data", small_dataset, "--objective", "min_weight",
+        *(x for pair in options.items() for x in pair), "--out", tmp_path / "t",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "t" / "checkpoint_final.ckpt").exists()
+
+
 def count_regularity_lps(monkeypatch):
     """Record the constraint rows of every regularity LP solved."""
     from flipforge import lp
