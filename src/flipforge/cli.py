@@ -10,11 +10,10 @@ worker count for per-instance search fan-out.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import io
 from .datagen import Dataset, GenSpec, generate, seed_triangulations
@@ -31,9 +30,25 @@ from .frst import (
     sample_frsts,
 )
 from .objectives import Objective, ObjectiveCache, evaluate, relative_gap, search_value
-from .policy import ModelConfig, PolicyModel
 from .search import STRATEGY_NAMES, make_strategy, run_budgeted
-from .training import EnvContext, TrainerConfig, train
+
+
+def _lazy(name):
+    """Module ``flipforge.<name>``, registered now and executed on first attribute access."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[fullname]
+
+
+# The policy stack, and numpy with it, loads only for the commands that use it.
+_lazy("autodiff")
+policy, training = _lazy("policy"), _lazy("training")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -158,7 +173,6 @@ def _search_instance(task):
     if strategy_name == "policy":
         params.setdefault("mode", mode)
     strategy = make_strategy(strategy_name, model=model, params=params)
-    rng = np.random.default_rng(rng_seed)
     trace = run_budgeted(
         strategy,
         seed_tri,
@@ -166,7 +180,7 @@ def _search_instance(task):
         budget,
         config=config,
         table=table,
-        rng=rng,
+        seed=rng_seed,
         cache=ObjectiveCache(),
     )
     log = [
@@ -205,6 +219,12 @@ def _run_search_tasks(tasks, workers):
 
 def _search_common(args, strategy_name, checkpoint_path=None) -> int:
     workers = _worker_count()
+    for option, least in (("budget", 0), ("starts", 1), ("ref_limit", 1)):
+        value = getattr(args, option)
+        if value < least:
+            raise ValueError(f"{option} must be at least {least}, got {value}")
+    if checkpoint_path is None:  # the model-free strategies are checked before any work
+        make_strategy(strategy_name, params=args.strategy_param)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset = _load_dataset_dir(Path(args.data))
@@ -296,7 +316,7 @@ def cmd_train(args) -> int:
     # the trainer also accepts a zero rate (a frozen policy); a training run needs a positive one
     if not args.lr > 0:
         raise ValueError("lr must be positive")
-    model_config = ModelConfig(
+    model_config = policy.ModelConfig(
         input_dim=dims.pop(),
         hidden=args.hidden,
         encoder_layers=args.encoder_layers,
@@ -304,7 +324,7 @@ def cmd_train(args) -> int:
         chebyshev_order=args.chebyshev_order,
         actor_kind=args.actor,
     )
-    trainer = TrainerConfig(
+    trainer = training.TrainerConfig(
         horizon=args.horizon,
         num_envs=args.envs,
         iterations=args.iterations,
@@ -319,7 +339,7 @@ def cmd_train(args) -> int:
         seeds = dataset.seeds.get(cid) or []
         if not seeds:
             raise FormatError(f"no seed triangulations for {cid}")
-        env = EnvContext(polytope_id=cid, config=config, table=enumerate_circuits(config))
+        env = training.EnvContext(polytope_id=cid, config=config, table=enumerate_circuits(config))
         environments[cid] = (env, seeds)
     if objective is Objective.FRST_REACH and all(
         evaluate(objective, tri, env.config, env.cache)
@@ -339,7 +359,7 @@ def cmd_train(args) -> int:
             out / f"checkpoint_{iteration:05d}.ckpt", model, {"iteration": iteration}
         )
 
-    result = train(
+    result = training.train(
         environments,
         objective,
         model_config,
@@ -392,6 +412,8 @@ def cmd_sample_frst(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise FormatError(f"unknown locator {args.locator}")
     clock = WallClock() if args.clock == "wall" else VirtualClock()
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     ledger = sample_frsts(lattice, sampler, chooser, rng, clock=clock)
     io.write_jsonl(

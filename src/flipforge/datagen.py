@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DegenerateConfig, FlipForgeError
 from .flips import enumerate_circuits, neighbors
 from .geometry import SNAP_DENOMINATOR, PointConfig, placing_triangulation, snap_to_rational
@@ -57,6 +55,8 @@ def sample_polytope(dim, samples, rng, snap_denominator=SNAP_DENOMINATOR):
 
 def generate(spec: GenSpec) -> Dataset:
     """Draw until ``count`` pairwise non-isomorphic configurations are accepted."""
+    import numpy as np
+
     rng = np.random.default_rng(spec.seed)
     ids, configs, vertex_counts = [], {}, {}
     signatures = []

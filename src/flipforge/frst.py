@@ -12,8 +12,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DegenerateHeights, FlipForgeError
 from .flips import CircuitTable, apply_flip, enumerate_circuits, flippable_circuits
 from .geometry import PointConfig, lattice_points, make_point, snap_to_rational
@@ -209,7 +207,7 @@ def policy_chooser(model, config, mode="argmax"):
     def choose(tri, actions, rng):
         probs = model.action_probabilities(config, tri, actions)
         if mode == "argmax":
-            return actions[int(np.argmax(probs))]
+            return actions[int(probs.argmax())]
         return actions[int(rng.choice(len(actions), p=probs))]
 
     return choose

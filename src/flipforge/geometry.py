@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DegenerateConfig
 
 Rational = Fraction
@@ -300,6 +298,8 @@ class PointConfig:
     def float_rows(self) -> np.ndarray:
         """The points as a read-only (n, dim) float64 array, converted once."""
         if self._float_rows is None:
+            import numpy as np
+
             self._float_rows = np.array([[float(c) for c in p] for p in self.points])
             self._float_rows.flags.writeable = False
         return self._float_rows

@@ -11,8 +11,6 @@ import struct
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .errors import CheckpointError, FormatError
 from .geometry import PointConfig
 from .triangulation import Triangulation
@@ -155,6 +153,8 @@ def write_checkpoint(path, model: PolicyModel, extra: dict | None = None):
 
     Parameter blocks are shape-prefixed row-major float64, little-endian.
     """
+    import numpy as np
+
     config_json = json.dumps(model.config.to_dict(), sort_keys=True).encode()
     extra_json = json.dumps(extra or {}, sort_keys=True).encode()
     digest = model.config.digest().encode()
@@ -197,7 +197,10 @@ class _Reader:
 
 def read_checkpoint(path):
     """Returns (PolicyModel, extra dict); validates magic, version, and digest."""
+    import numpy as np
+
     from .policy import ModelConfig, PolicyModel
+
     reader = _Reader(Path(path).read_bytes())
     if reader.take(4) != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")

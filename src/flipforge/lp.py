@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .geometry import rref
 
 _TOL = 1e-9  # float entries within this of zero count as zero
@@ -89,6 +87,8 @@ def _signs(rhs):
 
 def _float_guess(rows, rhs):
     """Candidate (point, None) or (None, z) from a float64 phase 1; (None, None) if it fails."""
+    import numpy as np
+
     m, n = len(rows), len(rows[0])
     nstruct = 2 * n + m
     sign = np.array(_signs(rhs), dtype=float)

@@ -12,31 +12,38 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .flips import CircuitTable, apply_flip, flippable_circuits
 from .geometry import PointConfig
 from .objectives import Objective, ObjectiveCache, search_value
 from .triangulation import Triangulation, require_valid, validate
 
-STRATEGY_NAMES = (
-    "greedy",
-    "dfs",
-    "befs",
-    "anneal",
-    "random_walk",
-    "nls_accept",
-    "policy",
-)
-
 
 @dataclass
 class SearchContext:
+    """What the steps of one run share.
+
+    Besides the objective's cache, a run keeps the set of states that passed
+    ``validate``; the verdict depends only on the simplices and the
+    configuration, so a revisited state is not validated again.  The
+    generator is seeded from ``seed`` on the first draw, so strategies that
+    never draw never load numpy.
+    """
+
     config: PointConfig
     table: CircuitTable
     objective: Objective
     cache: ObjectiveCache
-    rng: np.random.Generator
+    seed: int = 0
+    valid: set = field(default_factory=set, init=False, repr=False)
+    _rng: object = field(default=None, init=False, repr=False)
+
+    @property
+    def rng(self):
+        if self._rng is None:
+            import numpy as np
+
+            self._rng = np.random.default_rng(self.seed)
+        return self._rng
 
     def value(self, tri):
         return search_value(self.objective, tri, self.config, self.cache)
@@ -83,33 +90,49 @@ class Strategy:
 
 
 class GreedyStrategy(Strategy):
-    """Always applies the best flip, falling back to the least-bad one."""
+    """Always applies the best flip, falling back to the least-bad one.
+
+    The move depends only on the state, so a run remembers the move it made
+    from each state and replays it when the walk returns there; greedy walks
+    settle into short cycles, so most steps are such returns.
+    """
 
     name = "greedy"
+
+    def reset(self, tri, ctx):
+        self.moves = {}
 
     def step(self, tri, actions, ctx):
         if not actions:
             return tri, None
-        best = None
-        for action in actions:
-            nxt = apply_flip(tri, action)
-            v = ctx.value(nxt)
-            if best is None or v < best[0]:
-                best = (v, action, nxt)
-        return best[2], best[1]
+        move = self.moves.get(tri)
+        if move is None:
+            best = None
+            for action in actions:
+                nxt = apply_flip(tri, action)
+                v = ctx.value(nxt)
+                if best is None or v < best[0]:
+                    best = (v, nxt, action)
+            move = self.moves[tri] = best[1:]
+        return move
 
 
 class DfsStrategy(Strategy):
     """Depth-first descent: improving unvisited neighbors go on a stack (best on
-    top); with none left the walk backtracks to the most recent pending state."""
+    top); with none left the walk backtracks to the most recent pending state.
+    With the stack empty it stays put for the rest of the run: its state keeps
+    the same neighbors and the visited set only grows."""
 
     name = "dfs"
 
     def reset(self, tri, ctx):
         self.visited = {tri.canonical_key}
         self.stack = []
+        self.exhausted = False
 
     def step(self, tri, actions, ctx):
+        if self.exhausted:
+            return tri, None
         current_value = ctx.value(tri)
         children = []
         for action in actions:
@@ -126,6 +149,7 @@ class DfsStrategy(Strategy):
             if nxt.canonical_key not in self.visited:
                 self.visited.add(nxt.canonical_key)
                 return nxt, action
+        self.exhausted = True
         return tri, None
 
 
@@ -136,7 +160,7 @@ class BefsStrategy(Strategy):
     name = "befs"
 
     def __init__(self, memory_cap=100_000):
-        self.memory_cap = memory_cap
+        self.memory_cap = _param("memory_cap", memory_cap, integral=True)
 
     def reset(self, tri, ctx):
         self.visited = {tri.canonical_key}
@@ -178,9 +202,9 @@ class AnnealStrategy(Strategy):
     name = "anneal"
 
     def __init__(self, initial_temperature=1.0, decay=None, final_fraction=1e-3):
-        self.initial_temperature = initial_temperature
-        self.decay = decay
-        self.final_fraction = final_fraction
+        self.initial_temperature = _param("initial_temperature", initial_temperature)
+        self.decay = None if decay is None else _param("decay", decay, high=1)
+        self.final_fraction = _param("final_fraction", final_fraction, high=1)
         self._budget = None
 
     def bind_budget(self, budget):
@@ -261,34 +285,54 @@ class PolicyStrategy(Strategy):
             return tri, None
         probs = self.model.action_probabilities(ctx.config, tri, actions)
         if self.mode == "argmax":
-            idx = int(np.argmax(probs))
+            idx = int(probs.argmax())
         else:
             idx = int(ctx.rng.choice(len(actions), p=probs))
         action = actions[idx]
         return apply_flip(tri, action), action
 
 
+def _param(name, value, high=math.inf, integral=False):
+    """``value`` if it is a positive finite number (an int if ``integral``) up to ``high``."""
+    kinds = int if integral else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not 0 < value < math.inf:
+        kind = "integer" if integral else "finite number"
+        raise ValueError(f"strategy parameter {name} must be a positive {kind}, got {value!r}")
+    if value > high:
+        raise ValueError(f"strategy parameter {name} must be at most {high}, got {value!r}")
+    return value
+
+
+_STRATEGIES = {
+    cls.name: cls
+    for cls in (
+        GreedyStrategy,
+        DfsStrategy,
+        BefsStrategy,
+        AnnealStrategy,
+        RandomWalkStrategy,
+        AcceptanceStrategy,
+        PolicyStrategy,
+    )
+}
+STRATEGY_NAMES = tuple(_STRATEGIES)
+_NEEDS_MODEL = (AcceptanceStrategy, PolicyStrategy)
+
+
 def make_strategy(name, *, model=None, params=None) -> Strategy:
-    params = dict(params or {})
-    if name == "greedy":
-        return GreedyStrategy()
-    if name == "dfs":
-        return DfsStrategy()
-    if name == "befs":
-        return BefsStrategy(**params)
-    if name == "anneal":
-        return AnnealStrategy(**params)
-    if name == "random_walk":
-        return RandomWalkStrategy()
-    if name == "nls_accept":
+    """The strategy ``name`` built from ``params``; a ``ValueError`` names a bad parameter."""
+    cls = _STRATEGIES.get(name)
+    if cls is None:
+        raise ValueError(f"unknown strategy {name!r}")
+    args = ()
+    if cls in _NEEDS_MODEL:
         if model is None:
-            raise ValueError("nls_accept strategy needs a model")
-        return AcceptanceStrategy(model)
-    if name == "policy":
-        if model is None:
-            raise ValueError("policy strategy needs a model")
-        return PolicyStrategy(model, **params)
-    raise ValueError(f"unknown strategy {name!r}")
+            raise ValueError(f"{name} strategy needs a model")
+        args = (model,)
+    try:
+        return cls(*args, **(params or {}))
+    except TypeError as exc:  # a parameter the constructor does not take
+        raise ValueError(f"strategy {name}: {exc}") from None
 
 
 def run_budgeted(
@@ -299,23 +343,24 @@ def run_budgeted(
     *,
     config: PointConfig,
     table: CircuitTable,
-    rng: np.random.Generator,
+    seed: int = 0,
     cache: ObjectiveCache | None = None,
     check_states: bool = False,
 ) -> SearchTrace:
     """Run exactly ``budget`` strategy steps from the seed, tracking the best.
 
-    Deterministic given the RNG seed.  Every flipped state is validated
-    against the configuration; with ``check_states`` the seed is too (used by
-    the test matrix).  Each record counts the feasible flips of its state:
-    the actions the next step reads, and for the last state one more lookup.
+    Deterministic given ``seed``, which seeds the generator of the strategies
+    that draw.  Every flipped state is validated against the configuration
+    on its first arrival; with ``check_states`` the seed is too (used by the
+    test matrix).  Each record counts the feasible flips of its state: the
+    actions the next step reads, and for the last state one more lookup.
     """
     ctx = SearchContext(
         config=config,
         table=table,
         objective=objective,
         cache=cache if cache is not None else ObjectiveCache(),
-        rng=rng,
+        seed=seed,
     )
     if isinstance(strategy, AnnealStrategy):
         strategy.bind_budget(budget)
@@ -329,8 +374,9 @@ def run_budgeted(
         actions = flippable_circuits(current, table)
         trace.records[-1].actions = len(actions)
         nxt, action = strategy.step(current, actions, ctx)
-        if nxt is not current:
+        if nxt is not current and nxt not in ctx.valid:
             require_valid(nxt, config)
+            ctx.valid.add(nxt)
         current = nxt
         trace.visit(step, action.action_id if action else None, current, ctx.value(current))
         trace.budget_used = step

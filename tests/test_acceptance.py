@@ -158,7 +158,7 @@ def test_criterion_03_validity_across_strategies(hexagon, bipyramid, lattice_squ
                     30,
                     config=config,
                     table=table,
-                    rng=np.random.default_rng(17),
+                    seed=17,
                 )
                 for state in trace.states:
                     checked += 1
@@ -385,7 +385,7 @@ def test_criterion_10_baseline_semantics(trapezoid):
         1,
         config=trapezoid,
         table=table,
-        rng=np.random.default_rng(0),
+        seed=0,
     )
     optimum = evaluate(Objective.MIN_WEIGHT, Triangulation([(0, 1, 2), (0, 2, 3)]), trapezoid)
     greedy_ok = trace.best_value == pytest.approx(optimum) and trace.records[1].value == pytest.approx(optimum)
@@ -407,7 +407,7 @@ def test_criterion_10_baseline_semantics(trapezoid):
         table=table,
         objective=Objective.MIN_WEIGHT,
         cache=cache,
-        rng=np.random.default_rng(2024),
+        seed=2024,
     )
     strategy.bind_budget(10_000)
     strategy.reset(short_diag, ctx)

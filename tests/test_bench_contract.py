@@ -9,6 +9,10 @@ and traces the policy's forward functions on batches of one.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +39,30 @@ def test_every_traced_target_resolves_to_a_callable():
         module = importlib.import_module(f"flipforge.{module_name}")
         for name in functions:
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+def test_cli_import_registers_every_traced_module():
+    # the tracer reads each traced module from sys.modules after importing flipforge.cli;
+    # a module cli loads lazily must still be registered there by then
+    probe = """
+import json, sys
+targets = json.loads(sys.argv[1])
+import flipforge.cli
+missing = [m for m in targets if f"flipforge.{m}" not in sys.modules]
+broken = [
+    f"{m}.{name}"
+    for m, names in targets.items() if m not in missing
+    for name in names
+    if not callable(getattr(sys.modules[f"flipforge.{m}"], name, None))
+]
+print(json.dumps([missing, broken]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(lp.__file__).resolve().parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(load_tracer().TARGETS)],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert json.loads(done.stdout) == [[], []]
 
 
 def test_feasible_point_returns_none_when_infeasible():

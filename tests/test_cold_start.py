@@ -1,0 +1,74 @@
+"""What a command loads, checked in a fresh interpreter.
+
+``import flipforge`` and the commands that need neither a generator nor a
+policy (``search`` with a strategy that draws nothing, ``enumerate``) never
+import numpy.  ``cli`` registers ``policy``, ``autodiff`` and ``training`` to
+load on first use, so ``sample-frst`` with its default locator never runs
+their code.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import flipforge as ff
+from flipforge.cli import main
+
+SRC = Path(ff.__file__).resolve().parent.parent
+
+PROBE = """
+import json, sys, types
+
+def executed(name):
+    # a lazily registered module is a module subclass until its code runs
+    return type(sys.modules.get(name)) is types.ModuleType
+
+stack = ("flipforge.policy", "flipforge.autodiff", "flipforge.training")
+steps = json.loads(sys.argv[1])
+report = {}
+import flipforge
+report["import flipforge"] = {"numpy": "numpy" in sys.modules}
+from flipforge import cli
+for label, argv in steps:
+    code = cli.main(argv)
+    report[label] = {"exit": code, "numpy": "numpy" in sys.modules, **{m: executed(m) for m in stack}}
+print(json.dumps(report))
+"""
+
+
+def probe(steps):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(steps)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_search_and_enumerate_never_import_numpy(tmp_path):
+    data = tmp_path / "data"
+    assert main(["gen", "--dim", "2", "--samples", "7", "--count", "2", "--seed", "4",
+                 "--out", str(data)]) == 0
+    report = probe([
+        ["search", ["search", "--data", str(data), "--objective", "min_weight",
+                    "--strategy", "greedy", "--budget", "20", "--starts", "2",
+                    "--out", str(tmp_path / "greedy")]],
+        ["enumerate", ["enumerate", str(ff.fixture_path("square2d")), "--limit", "50"]],
+    ])
+    assert report["import flipforge"] == {"numpy": False}
+    for label in ("search", "enumerate"):
+        assert report[label]["exit"] == 0
+        assert not any(v for k, v in report[label].items() if k != "exit"), label
+
+
+def test_sample_frst_does_not_run_the_policy_stack(tmp_path):
+    report = probe([
+        ["sample-frst", ["sample-frst", "--polytope", str(ff.fixture_path("square2d")),
+                         "--max-iterations", "3", "--out", str(tmp_path / "frst")]],
+    ])
+    result = report["sample-frst"]
+    assert result["exit"] == 0
+    assert result["numpy"]  # the lifts draw random heights
+    assert not any(result[m] for m in ("flipforge.policy", "flipforge.autodiff", "flipforge.training"))

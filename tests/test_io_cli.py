@@ -376,7 +376,11 @@ def test_ledger_roundtrip(tmp_path):
         io.read_jsonl(tmp_path / "bad.jsonl")
 
 
-def test_cli_strategy_param_integer_and_internal_error(small_dataset, tmp_path, capsys):
+def test_cli_strategy_param_integer_and_internal_error(
+    small_dataset, tmp_path, capsys, monkeypatch
+):
+    import flipforge.cli as cli
+
     base = (
         "search", "--data", small_dataset, "--objective", "min_weight",
         "--strategy", "befs", "--budget", 10,
@@ -385,11 +389,64 @@ def test_cli_strategy_param_integer_and_internal_error(small_dataset, tmp_path, 
     payload = json.loads((tmp_path / "int" / "resolved_config.json").read_text())
     assert payload["options"]["strategy_param"] == {"memory_cap": 2}
     capsys.readouterr()
+
     # an unexpected exception ends in one line and exit 5, not a traceback
-    code = run_cli(*base, "--strategy-param", "memory_cap=lots", "--out", tmp_path / "str")
-    assert code == 5
+    def broken(*args, **kwargs):
+        raise KeyError("unexpected")
+
+    monkeypatch.setattr(cli, "relative_gap", broken)
+    assert run_cli(*base, "--out", tmp_path / "broken") == 5
     err = capsys.readouterr().err
-    assert err.startswith("internal error:") and err.count("\n") == 1
+    assert err.startswith("internal error: KeyError") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--starts", "0"], "starts must be at least 1, got 0"),
+        (["--budget", "-3"], "budget must be at least 0, got -3"),
+        (["--ref-limit", "-1"], "ref_limit must be at least 1, got -1"),
+        (["--strategy", "befs", "--strategy-param", "foo=1"], "strategy befs: "),
+        (["--strategy", "befs", "--strategy-param", "memory_cap=lots"], "memory_cap must be"),
+        (["--strategy", "befs", "--strategy-param", "memory_cap=0"], "memory_cap must be"),
+        (["--strategy", "befs", "--strategy-param", "memory_cap=2.5"], "memory_cap must be"),
+        (["--strategy", "greedy", "--strategy-param", "memory_cap=2"], "strategy greedy: "),
+        (
+            ["--strategy", "anneal", "--strategy-param", "initial_temperature=abc"],
+            "initial_temperature must be",
+        ),
+        (
+            ["--strategy", "anneal", "--strategy-param", "initial_temperature=nan"],
+            "initial_temperature must be",
+        ),
+        (["--strategy", "anneal", "--strategy-param", "decay=0"], "decay must be"),
+        (["--strategy", "anneal", "--strategy-param", "decay=1.5"], "decay must be"),
+        (["--strategy", "anneal", "--strategy-param", "final_fraction=0"], "final_fraction must be"),
+        (["eval", "--starts", "0"], "starts must be at least 1, got 0"),
+        (["eval", "--budget", "-3"], "budget must be at least 0, got -3"),
+        (["eval", "--ref-limit", "-1"], "ref_limit must be at least 1, got -1"),
+        (["eval", "--strategy-param", "foo=1"], "strategy policy: "),
+        (["eval", "--strategy-param", "mode=greedy"], "unknown policy mode 'greedy'"),
+    ],
+)
+def test_cli_search_and_eval_usage_errors(small_dataset, tmp_path, capsys, options, message):
+    # the last occurrence of an option wins, so ``options`` override the defaults here
+    head = ["search", "--strategy", "greedy"]
+    if options[0] == "eval":
+        checkpoint = tmp_path / "model.ckpt"
+        io.write_checkpoint(checkpoint, PolicyModel.initialize(ModelConfig(input_dim=2, hidden=4), seed=0))
+        head, options = ["eval", "--checkpoint", checkpoint], options[1:]
+    code = run_cli(
+        *head, "--data", small_dataset, "--objective", "min_weight", "--budget", 5, *options,
+        "--out", tmp_path / "out",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err and err.count("\n") == 1
+    if head[0] == "search":
+        assert not (tmp_path / "out").exists()  # rejected before any work
+    else:  # the policy's parameters are checked once its checkpoint is read
+        assert not list(tmp_path.glob("out/runlog_*"))
 
 
 @pytest.mark.parametrize("value", ["two", "0", "-3"])

@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 import flipforge as ff
@@ -26,7 +25,7 @@ def run(strategy_name, seed_tri, objective, budget, config, table, seed=0, param
         budget,
         config=config,
         table=table,
-        rng=np.random.default_rng(seed),
+        seed=seed,
         check_states=True,
     )
 
@@ -143,7 +142,7 @@ def test_befs_priority_queue_law(hexagon, hexagon_table):
         table=hexagon_table,
         objective=Objective.MIN_WEIGHT,
         cache=cache,
-        rng=np.random.default_rng(0),
+        seed=0,
     )
     strategy.reset(worst, ctx)
     current = worst
@@ -183,13 +182,12 @@ def test_anneal_acceptance_frequencies_match_rule(trapezoid):
     strategy = AnnealStrategy(initial_temperature=temperature, decay=1.0)
     from flipforge.search import SearchContext
 
-    rng = np.random.default_rng(123)
     ctx = SearchContext(
         config=trapezoid,
         table=table,
         objective=Objective.MIN_WEIGHT,
         cache=cache,
-        rng=rng,
+        seed=123,
     )
     strategy.bind_budget(10_000)
     strategy.reset(short_diag, ctx)

@@ -1,0 +1,221 @@
+"""A run's reuse of the states it revisits, against the step loop it replaced.
+
+``run_budgeted`` validates a flipped state only on its first arrival, greedy
+replays the move it made from a state it returns to, and dfs stops looking
+once its stack is exhausted.  The reference below is the loop as it was
+before: every step flips and scores every child anew, and ``require_valid``
+runs on every flipped state.  Both must record the same steps.
+"""
+
+import gc
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import flipforge as ff
+import flipforge.triangulation as triangulation
+from flipforge.datagen import initial_triangulation
+from flipforge.errors import DegenerateConfig, FlipForgeError
+from flipforge.flips import apply_flip, enumerate_circuits, flippable_circuits
+from flipforge.objectives import Objective, ObjectiveCache
+from flipforge.search import (
+    AnnealStrategy,
+    BefsStrategy,
+    DfsStrategy,
+    SearchContext,
+    SearchTrace,
+    Strategy,
+    make_strategy,
+    run_budgeted,
+)
+from flipforge.triangulation import Triangulation, ValidityReport, require_valid
+from conftest import point_lists
+
+BASELINES = ("greedy", "dfs", "befs", "anneal", "random_walk")
+
+
+class ReferenceGreedy(Strategy):
+    """Greedy as it was: every step scores every child."""
+
+    def step(self, tri, actions, ctx):
+        if not actions:
+            return tri, None
+        best = None
+        for action in actions:
+            nxt = apply_flip(tri, action)
+            v = ctx.value(nxt)
+            if best is None or v < best[0]:
+                best = (v, action, nxt)
+        return best[2], best[1]
+
+
+class ReferenceDfs(DfsStrategy):
+    """Dfs as it was: an exhausted walk still expands its state on every step."""
+
+    def step(self, tri, actions, ctx):
+        self.exhausted = False
+        return super().step(tri, actions, ctx)
+
+
+REFERENCE = {"greedy": ReferenceGreedy, "dfs": ReferenceDfs}
+
+
+def reference_run(strategy, seed_tri, objective, budget, *, config, table, seed):
+    """The per-step loop before states were reused."""
+    ctx = SearchContext(
+        config=config, table=table, objective=objective, cache=ObjectiveCache(), seed=seed
+    )
+    if isinstance(strategy, AnnealStrategy):
+        strategy.bind_budget(budget)
+    trace = SearchTrace()
+    current = seed_tri
+    trace.visit(0, None, current, ctx.value(current))
+    strategy.reset(current, ctx)
+    for step in range(1, budget + 1):
+        actions = flippable_circuits(current, table)
+        trace.records[-1].actions = len(actions)
+        nxt, action = strategy.step(current, actions, ctx)
+        if nxt is not current:
+            require_valid(nxt, config)
+        current = nxt
+        trace.visit(step, action.action_id if action else None, current, ctx.value(current))
+        trace.budget_used = step
+    trace.records[-1].actions = len(flippable_circuits(current, table))
+    return trace
+
+
+def recorded(trace):
+    return [(r.step, r.action_id, r.value, r.best, r.actions) for r in trace.records]
+
+
+def flipped_arrivals(trace):
+    """Keys of the states that steps flipped into, in order, repeats included."""
+    return [
+        state.canonical_key
+        for record, state in zip(trace.records, trace.states)
+        if record.action_id is not None
+    ]
+
+
+def count_validations(monkeypatch, fail_key=None):
+    """Record the key of every ``validate`` call; fail it for ``fail_key``."""
+    seen = []
+    real = triangulation.validate
+
+    def counting(tri, config):
+        seen.append(tri.canonical_key)
+        if tri.canonical_key == fail_key:
+            return ValidityReport(False, "a", (("a", "forced failure"),))
+        return real(tri, config)
+
+    monkeypatch.setattr(triangulation, "validate", counting)
+    return seen
+
+
+def draw_start(dim, data):
+    """A configuration, its circuit table and a start a short random walk away."""
+    try:
+        config = ff.PointConfig(dim, data.draw(point_lists(dim)))
+    except DegenerateConfig:
+        assume(False)
+    table = enumerate_circuits(config)
+    tri = initial_triangulation(config)
+    for move in data.draw(st.lists(st.integers(0, 1 << 20), max_size=4)):
+        actions = flippable_circuits(tri, table)
+        if not actions:
+            break
+        tri = apply_flip(tri, actions[move % len(actions)])
+    # a fresh object, so neither run starts from the other's cached actions
+    return config, table, Triangulation(tri.simplices)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_reused_states_record_the_reference_steps(dim, data):
+    config, table, start = draw_start(dim, data)
+    objective = data.draw(st.sampled_from([Objective.MIN_WEIGHT, Objective.MIN_DIAMETER]))
+    seed = data.draw(st.integers(0, 1 << 16))
+    budget = data.draw(st.integers(0, 30))
+    for name in BASELINES:
+        reference = REFERENCE[name]() if name in REFERENCE else make_strategy(name)
+        want = reference_run(
+            reference, start, objective, budget, config=config, table=table, seed=seed
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            validated = count_validations(patch)
+            got = run_budgeted(
+                make_strategy(name), start, objective, budget,
+                config=config, table=table, seed=seed,
+            )
+        assert recorded(got) == recorded(want), name
+        # each distinct flipped state is validated once, on its first arrival
+        arrivals = flipped_arrivals(got)
+        assert validated == list(dict.fromkeys(arrivals)), name
+
+
+def test_greedy_validates_each_distinct_state_once(hexagon, hexagon_table, monkeypatch):
+    fan = Triangulation([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)])
+    validated = count_validations(monkeypatch)
+    trace = run_budgeted(
+        make_strategy("greedy"), fan, Objective.MIN_WEIGHT, 40,
+        config=hexagon, table=hexagon_table,
+    )
+    arrivals = flipped_arrivals(trace)
+    # greedy settles into a cycle, so most of its 40 arrivals are revisits
+    assert len(arrivals) == 40 and len(set(arrivals)) < 10
+    assert sorted(validated) == sorted(set(arrivals))
+
+
+@pytest.mark.parametrize("name", ["greedy", "random_walk"])
+def test_invalid_state_raises_on_its_first_arrival(name, hexagon, hexagon_table, monkeypatch):
+    fan = Triangulation([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)])
+
+    def run(budget):
+        return run_budgeted(
+            make_strategy(name), fan, Objective.MIN_WEIGHT, budget,
+            config=hexagon, table=hexagon_table, seed=5,
+        )
+
+    trace = run(40)
+    arrivals = flipped_arrivals(trace)
+    # a state the run returns to, and the step of its first arrival
+    revisited = next(key for key in arrivals if arrivals.count(key) > 1)
+    first = next(
+        r.step for r, s in zip(trace.records, trace.states)
+        if r.action_id is not None and s.canonical_key == revisited
+    )
+    validated = count_validations(monkeypatch, fail_key=revisited)
+    run(first - 1)
+    with pytest.raises(FlipForgeError, match="invalid triangulation"):
+        run(first)
+    assert validated.count(revisited) == 1
+
+
+def live_triangulations():
+    gc.collect()
+    return sum(isinstance(obj, Triangulation) for obj in gc.get_objects())
+
+
+class CountingBefs(BefsStrategy):
+    """Befs that notes, after each step, how many more states are alive than it holds."""
+
+    def reset(self, tri, ctx):
+        self.before = live_triangulations()
+        self.excess = []
+        super().reset(tri, ctx)
+
+    def step(self, tri, actions, ctx):
+        result = super().step(tri, actions, ctx)
+        held = len(self.visited) + len(self.frontier)
+        self.excess.append(live_triangulations() - self.before - held)
+        return result
+
+
+def test_befs_run_holds_no_more_than_its_frontier_and_trace(hexagon, hexagon_table):
+    fan = Triangulation([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)])
+    strategy = CountingBefs(memory_cap=2)
+    run_budgeted(strategy, fan, Objective.MIN_WEIGHT, 12, config=hexagon, table=hexagon_table)
+    # alive: the visited states, which the trace keeps, and the capped frontier
+    assert len(strategy.excess) == 12 and max(strategy.excess) <= 0
