@@ -17,7 +17,6 @@ input order exactly as ``np.add.at`` would, and is several times faster.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import io
-from .datagen import Dataset, GenSpec, generate, seed_triangulations
+from .datagen import Dataset, GenSpec, generate, initial_triangulation, seed_triangulations
 from .errors import CheckpointError, FlipForgeError, FormatError
 from .flips import enumerate_circuits, enumerate_component
 from .frst import (
@@ -24,9 +24,6 @@ from .frst import (
     SamplerConfig,
     VirtualClock,
     WallClock,
-    lift_only_chooser,
-    policy_chooser,
-    random_walk_chooser,
     sample_frsts,
 )
 from .objectives import Objective, ObjectiveCache, evaluate, relative_gap, search_value
@@ -94,8 +91,8 @@ def _load_dataset_dir(path: Path) -> Dataset:
 
 
 def cmd_gen(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if args.seed_cap < 1:
+        raise ValueError(f"seed_cap must be at least 1, got {args.seed_cap}")
     spec = GenSpec(
         dim=args.dim,
         samples=args.samples,
@@ -103,6 +100,8 @@ def cmd_gen(args) -> int:
         seed=args.seed,
         snap_denominator=args.snap_denominator,
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     dataset = generate(spec)
     for cid in dataset.ids:
         config = dataset.configs[cid]
@@ -133,8 +132,6 @@ def cmd_gen(args) -> int:
 def cmd_enumerate(args) -> int:
     config = io.read_point_config(args.polytope)
     table = enumerate_circuits(config)
-    from .datagen import initial_triangulation
-
     seed = initial_triangulation(config)
     result = enumerate_component(seed, table, limit=args.limit)
     print(f"states: {len(result.states)}")
@@ -162,13 +159,7 @@ def _search_instance(task):
     ) = task
     objective = Objective.from_name(objective_name)
     config = table.config
-    model = None
-    if checkpoint_path:
-        model, _extra = io.read_checkpoint(checkpoint_path)
-        if model.config.input_dim != config.dim:
-            raise CheckpointError(
-                f"checkpoint is for dimension {model.config.input_dim}, data has {config.dim}"
-            )
+    model = _read_model(checkpoint_path, config.dim) if checkpoint_path else None
     params = dict(strategy_params or {})
     if strategy_name == "policy":
         params.setdefault("mode", mode)
@@ -196,10 +187,18 @@ def _search_instance(task):
     return cid, seed_index, trace.best_value, log
 
 
+def _read_model(path, dim):
+    """The checkpoint's model, which must have been trained on dimension ``dim``."""
+    model, _extra = io.read_checkpoint(path)
+    if model.config.input_dim != dim:
+        raise CheckpointError(
+            f"checkpoint is for dimension {model.config.input_dim}, data has {dim}"
+        )
+    return model
+
+
 def _exact_reference(table, objective, limit):
     """Best objective value over the seed's full flip-graph component."""
-    from .datagen import initial_triangulation
-
     config = table.config
     component = enumerate_component(initial_triangulation(config), table, limit=limit)
     cache = ObjectiveCache()
@@ -396,26 +395,19 @@ def cmd_sample_frst(args) -> int:
         retry_limit=args.retry_limit,
         flip_budget=args.budget,
     )
+    strategy = None  # lift-only: the lifted start is the whole episode
     if args.locator == "policy":
         if not args.checkpoint:
             raise FormatError("policy locator requires --checkpoint")
-        model, _extra = io.read_checkpoint(args.checkpoint)
-        if model.config.input_dim != config.dim:
-            raise CheckpointError(
-                f"checkpoint is for dimension {model.config.input_dim}, data has {config.dim}"
-            )
-        chooser = policy_chooser(model, config, mode=args.mode)
+        model = _read_model(args.checkpoint, config.dim)
+        strategy = make_strategy("policy", model=model, params={"mode": args.mode})
     elif args.locator == "random-walk":
-        chooser = random_walk_chooser
-    elif args.locator == "lift-only":
-        chooser = lift_only_chooser
-    else:  # pragma: no cover - argparse restricts choices
-        raise FormatError(f"unknown locator {args.locator}")
+        strategy = make_strategy("random_walk")
     clock = WallClock() if args.clock == "wall" else VirtualClock()
     import numpy as np
 
     rng = np.random.default_rng(args.seed)
-    ledger = sample_frsts(lattice, sampler, chooser, rng, clock=clock)
+    ledger = sample_frsts(lattice, sampler, strategy, rng, clock=clock)
     io.write_jsonl(
         out / "ledger.jsonl",
         [
@@ -585,7 +577,7 @@ def main(argv=None) -> int:
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
-    except (FormatError, FileNotFoundError) as exc:
+    except (FormatError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegenerateConfig, FlipForgeError
-from .flips import enumerate_circuits, neighbors
+from .flips import enumerate_circuits, enumerate_component
 from .geometry import SNAP_DENOMINATOR, PointConfig, placing_triangulation, snap_to_rational
 from .triangulation import Triangulation, regular_from_heights
 from .errors import DegenerateHeights
@@ -32,6 +32,8 @@ class GenSpec:
             raise ValueError("need at least dim+1 samples per draw")
         if self.count < 1:
             raise ValueError("target dataset size must be >= 1")
+        if self.snap_denominator < 1:
+            raise ValueError(f"snap_denominator must be at least 1, got {self.snap_denominator}")
 
 
 @dataclass
@@ -178,18 +180,6 @@ def initial_triangulation(config: PointConfig) -> Triangulation:
 
 def seed_triangulations(config: PointConfig, cap: int = 2000):
     """Breadth-first flip-graph states from the lifted start, up to ``cap``."""
-    table = enumerate_circuits(config)
     start = initial_triangulation(config)
-    seen = {start.canonical_key: start}
-    queue = [start]
-    head = 0
-    while head < len(queue) and len(seen) < cap:
-        current = queue[head]
-        head += 1
-        for nxt in neighbors(current, table):
-            if len(seen) >= cap:
-                break
-            if nxt.canonical_key not in seen:
-                seen[nxt.canonical_key] = nxt
-                queue.append(nxt)
-    return list(seen.values())
+    component = enumerate_component(start, enumerate_circuits(config), cap=cap)
+    return list(component.states.values())

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -247,13 +248,15 @@ class ComponentResult:
 
 
 def enumerate_component(
-    seed: Triangulation, table: CircuitTable, limit: int = 1_000_000
+    seed: Triangulation, table: CircuitTable, limit: int = 1_000_000, cap: float = math.inf
 ) -> ComponentResult:
     """Breadth-first traversal of the seed's flip-graph component.
 
-    Stops after ``limit`` expansions with the truncation flag set; enumeration
-    is exact whenever the component is smaller than the limit.  The edge count
-    covers all flips discovered between expanded states and their neighbors.
+    Stops after ``limit`` expansions, or as soon as it holds ``cap`` states
+    (in the middle of an expansion), with the truncation flag set;
+    enumeration is exact whenever the component is smaller than both.  The
+    edge count covers all flips discovered between expanded states and their
+    neighbors.
     """
     states = {seed.canonical_key: seed}
     index = {seed.canonical_key: 0}
@@ -262,13 +265,15 @@ def enumerate_component(
     expansions = 0
     truncated = False
     while queue:
-        if expansions >= limit:
+        if expansions >= limit or len(states) >= cap:
             truncated = True
             break
         current = queue.popleft()
         expansions += 1
         cur_idx = index[current.canonical_key]
         for nxt in neighbors(current, table):
+            if len(states) >= cap:
+                break
             key = nxt.canonical_key
             if key not in states:
                 states[key] = nxt

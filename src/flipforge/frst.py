@@ -1,21 +1,23 @@
 """Fine-regular-star discovery on lattice polytopes with an interior origin.
 
-The sampling loop lifts random heights to a regular start, runs a short
-locator episode toward a fine regular state, closes the find into a star
-triangulation by coning its boundary from the origin, and keeps a ledger of
-distinct results with a consecutive-retry stopping rule.
+The sampling loop lifts random heights to a regular start, lets a search
+strategy walk from it toward a fine regular state, closes the find into a
+star triangulation by coning its boundary from the origin, and keeps a ledger
+of distinct results with a consecutive-retry stopping rule.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegenerateHeights, FlipForgeError
-from .flips import CircuitTable, apply_flip, enumerate_circuits, flippable_circuits
+from .flips import CircuitTable, enumerate_circuits, flippable_circuits
 from .geometry import PointConfig, lattice_points, make_point, snap_to_rational
-from .objectives import ObjectiveCache
+from .objectives import Objective, ObjectiveCache
+from .search import SearchContext, Strategy
 from .triangulation import (
     Triangulation,
     certify_regularity,
@@ -24,7 +26,6 @@ from .triangulation import (
     is_star,
     regular_from_heights,
     regularity_constraints,
-    require_valid,
 )
 
 
@@ -156,61 +157,44 @@ class EpisodeResult:
 
 def nearby_frst_episode(
     start: Triangulation,
-    chooser,
+    strategy: Strategy | None,
     lattice: LatticeConfig,
     table: CircuitTable,
-    rng: np.random.Generator,
+    rng,
     budget: int = 50,
     cache: ObjectiveCache | None = None,
-    close: bool = True,
 ) -> EpisodeResult:
     """Sparse-reward search episode: succeed on the first fine regular state.
 
-    ``chooser(tri, actions, rng)`` picks a flip action or None to stop; the
-    found state is closed into a star triangulation on success, reusing the
-    witness of its regularity certificate.  Only fine states reach the
-    regularity oracle, so each distinct fine state costs at most one LP.
+    ``strategy`` moves by :meth:`SearchContext.step`, drawing from the
+    generator ``rng`` and, if it reads values, scoring states by
+    ``frst_reach``; the episode ends early at a state with no flips.
+    Without a strategy (lift-only) only the start is checked.  The found
+    state is closed into a star triangulation, reusing the witness of its
+    regularity certificate.  Only fine states reach the regularity oracle,
+    so each distinct fine state costs at most one LP.
     """
     cache = cache if cache is not None else ObjectiveCache()
     config = lattice.config
+    ctx = SearchContext(config, table, Objective.FRST_REACH, cache, seed=rng, budget=budget)
     current = start
     visited = [current.canonical_key]
+    if strategy is not None:
+        strategy.reset(current, ctx)
     for step in range(budget + 1):
         if is_fine(current, config):
             cert = certify_regularity(current, config, cache.certificates)
             if cert.regular:
-                closed = star_closure(current, lattice, cert.vector, cache) if close else None
+                closed = star_closure(current, lattice, cert.vector, cache)
                 return EpisodeResult(True, step, current, closed, visited)
-        if step == budget:
+        if strategy is None or step == budget:
             break
-        actions = flippable_circuits(current, table)
-        if not actions:
-            break
-        action = chooser(current, actions, rng)
-        if action is None:
-            break
-        current = apply_flip(current, action)
-        require_valid(current, config)
+        nxt, _action = ctx.step(strategy, current)
+        if nxt is current and not flippable_circuits(current, table):
+            break  # a state with no flips ends the episode
+        current = nxt
         visited.append(current.canonical_key)
     return EpisodeResult(False, len(visited) - 1, None, None, visited)
-
-
-def random_walk_chooser(tri, actions, rng):
-    return actions[rng.integers(len(actions))]
-
-
-def lift_only_chooser(tri, actions, rng):
-    return None  # no search: only the lifted start is checked
-
-
-def policy_chooser(model, config, mode="argmax"):
-    def choose(tri, actions, rng):
-        probs = model.action_probabilities(config, tri, actions)
-        if mode == "argmax":
-            return actions[int(probs.argmax())]
-        return actions[int(rng.choice(len(actions), p=probs))]
-
-    return choose
 
 
 @dataclass(frozen=True)
@@ -222,9 +206,12 @@ class SamplerConfig:
     flip_budget: int = 50
 
     def __post_init__(self):
+        # written as "not > 0" so that NaN fails too; max_seconds=inf means no time cap
         for name in ("height_std", "max_seconds", "flip_budget"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if not math.isfinite(self.height_std):
+            raise ValueError(f"height_std must be finite, got {self.height_std!r}")
         if self.max_iterations < 0 or self.retry_limit < 1:
             raise ValueError("bad iteration or retry bound")
 
@@ -291,8 +278,8 @@ class WallClock:
 def sample_frsts(
     lattice: LatticeConfig,
     sampler: SamplerConfig,
-    chooser,
-    rng: np.random.Generator,
+    strategy: Strategy | None,
+    rng,
     table: CircuitTable | None = None,
     clock=None,
     cache: ObjectiveCache | None = None,
@@ -318,7 +305,7 @@ def sample_frsts(
         start = _lifted_start(config, sampler, rng)
         result = nearby_frst_episode(
             start,
-            chooser,
+            strategy,
             lattice,
             table,
             rng,

@@ -15,25 +15,28 @@ from dataclasses import dataclass, field
 from .flips import CircuitTable, apply_flip, flippable_circuits
 from .geometry import PointConfig
 from .objectives import Objective, ObjectiveCache, search_value
-from .triangulation import Triangulation, require_valid, validate
+from .triangulation import Triangulation, require_valid
 
 
 @dataclass
 class SearchContext:
     """What the steps of one run share.
 
-    Besides the objective's cache, a run keeps the set of states that passed
-    ``validate``; the verdict depends only on the simplices and the
-    configuration, so a revisited state is not validated again.  The
-    generator is seeded from ``seed`` on the first draw, so strategies that
-    never draw never load numpy.
+    Besides the objective's cache, a run keeps the canonical keys of the
+    states that passed ``validate``; the verdict depends only on the
+    simplices and the configuration, so a revisited state is not validated
+    again.  The generator is seeded from ``seed`` on the first draw, so
+    strategies that never draw never load numpy; a ``Generator`` passed as
+    the seed is used as it is.  ``budget`` is the run's step count, for
+    strategies whose schedule spans the run.
     """
 
     config: PointConfig
     table: CircuitTable
     objective: Objective
     cache: ObjectiveCache
-    seed: int = 0
+    seed: object = 0
+    budget: int | None = None
     valid: set = field(default_factory=set, init=False, repr=False)
     _rng: object = field(default=None, init=False, repr=False)
 
@@ -47,6 +50,19 @@ class SearchContext:
 
     def value(self, tri):
         return search_value(self.objective, tri, self.config, self.cache)
+
+    def step(self, strategy, tri):
+        """One move of ``strategy`` from ``tri``: ``(successor, action or None)``.
+
+        The flips of ``tri`` are scanned (cached on the state, so a caller
+        that looked at them first pays no second scan), the strategy moves,
+        and the successor is validated on its first arrival in this context.
+        """
+        nxt, action = strategy.step(tri, flippable_circuits(tri, self.table), self)
+        if nxt is not tri and nxt.canonical_key not in self.valid:
+            require_valid(nxt, self.config)
+            self.valid.add(nxt.canonical_key)
+        return nxt, action
 
 
 @dataclass
@@ -68,8 +84,10 @@ class SearchTrace:
     best_value: float = math.inf
     budget_used: int = 0
 
-    def visit(self, step, action_id, tri, value):
-        self.records.append(StepRecord(step, action_id, value, min(self.best_value, value)))
+    def visit(self, step, action_id, tri, value, actions=None):
+        self.records.append(
+            StepRecord(step, action_id, value, min(self.best_value, value), actions)
+        )
         self.states.append(tri)
         if value < self.best_value:
             self.best_value = value
@@ -205,18 +223,14 @@ class AnnealStrategy(Strategy):
         self.initial_temperature = _param("initial_temperature", initial_temperature)
         self.decay = None if decay is None else _param("decay", decay, high=1)
         self.final_fraction = _param("final_fraction", final_fraction, high=1)
-        self._budget = None
-
-    def bind_budget(self, budget):
-        self._budget = budget
 
     def reset(self, tri, ctx):
         self.t = 0
         self.scale = abs(ctx.value(tri)) or 1.0
         if self.decay is not None:
             self.alpha = self.decay
-        elif self._budget:
-            self.alpha = self.final_fraction ** (1.0 / self._budget)
+        elif ctx.budget:
+            self.alpha = self.final_fraction ** (1.0 / ctx.budget)
         else:
             self.alpha = 1.0
 
@@ -345,15 +359,13 @@ def run_budgeted(
     table: CircuitTable,
     seed: int = 0,
     cache: ObjectiveCache | None = None,
-    check_states: bool = False,
 ) -> SearchTrace:
     """Run exactly ``budget`` strategy steps from the seed, tracking the best.
 
     Deterministic given ``seed``, which seeds the generator of the strategies
-    that draw.  Every flipped state is validated against the configuration
-    on its first arrival; with ``check_states`` the seed is too (used by the
-    test matrix).  Each record counts the feasible flips of its state: the
-    actions the next step reads, and for the last state one more lookup.
+    that draw.  Each step is :meth:`SearchContext.step`, so every flipped
+    state is validated on its first arrival.  Each record counts the
+    feasible flips of its state.
     """
     ctx = SearchContext(
         config=config,
@@ -361,24 +373,16 @@ def run_budgeted(
         objective=objective,
         cache=cache if cache is not None else ObjectiveCache(),
         seed=seed,
+        budget=budget,
     )
-    if isinstance(strategy, AnnealStrategy):
-        strategy.bind_budget(budget)
     trace = SearchTrace()
-    current = seed_tri
-    if check_states and not validate(current, config):
-        raise AssertionError("invalid seed triangulation")
-    trace.visit(0, None, current, ctx.value(current))
+    current, action = seed_tri, None
     strategy.reset(current, ctx)
-    for step in range(1, budget + 1):
-        actions = flippable_circuits(current, table)
-        trace.records[-1].actions = len(actions)
-        nxt, action = strategy.step(current, actions, ctx)
-        if nxt is not current and nxt not in ctx.valid:
-            require_valid(nxt, config)
-            ctx.valid.add(nxt)
-        current = nxt
-        trace.visit(step, action.action_id if action else None, current, ctx.value(current))
+    for step in range(budget + 1):
+        if step:
+            current, action = ctx.step(strategy, current)
+        action_id = action.action_id if action else None
+        actions = len(flippable_circuits(current, table))
+        trace.visit(step, action_id, current, ctx.value(current), actions)
         trace.budget_used = step
-    trace.records[-1].actions = len(flippable_circuits(current, table))
     return trace

@@ -33,7 +33,6 @@ from flipforge.frst import (
     LatticeConfig,
     SamplerConfig,
     is_frst,
-    random_walk_chooser,
     sample_frsts,
 )
 from flipforge.io import read_point_config
@@ -307,7 +306,7 @@ def test_criterion_08_frst_desk(lattice_square):
         }
         sampler = SamplerConfig(max_iterations=1024, retry_limit=50)
         ledger = sample_frsts(
-            lattice, sampler, random_walk_chooser, np.random.default_rng(99), table=table
+            lattice, sampler, make_strategy("random_walk"), np.random.default_rng(99), table=table
         )
         fired_within_cap = len(ledger.entries) < sampler.max_iterations
         results.append((name, ledger.keys == oracle, len(oracle), fired_within_cap))
@@ -408,8 +407,8 @@ def test_criterion_10_baseline_semantics(trapezoid):
         objective=Objective.MIN_WEIGHT,
         cache=cache,
         seed=2024,
+        budget=10_000,
     )
-    strategy.bind_budget(10_000)
     strategy.reset(short_diag, ctx)
     trials = 10_000
     accepted = 0

@@ -139,6 +139,9 @@ def test_generate_spec_validation():
         GenSpec(dim=3, samples=3, count=1)
     with pytest.raises(ValueError):
         GenSpec(dim=2, samples=4, count=0)
+    for denominator in (0, -5):
+        with pytest.raises(ValueError, match="snap_denominator must be at least 1"):
+            GenSpec(dim=2, samples=4, count=1, snap_denominator=denominator)
 
 
 def test_seed_triangulations_square(unit_square):

@@ -11,15 +11,14 @@ from flipforge.frst import (
     SamplerConfig,
     VirtualClock,
     is_frst,
-    lift_only_chooser,
     nearby_frst_episode,
-    random_walk_chooser,
     sample_frsts,
     star_closure,
 )
 from flipforge.errors import FlipForgeError
 from flipforge.io import read_point_config
-from flipforge.triangulation import Triangulation, is_fine, is_regular, is_star
+from flipforge.search import RandomWalkStrategy, make_strategy
+from flipforge.triangulation import Triangulation, is_fine, is_regular, is_star, validate
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +30,8 @@ def square_lattice():
 def square_lattice_table(square_lattice):
     return enumerate_circuits(square_lattice.config)
 
+
+RANDOM_WALK = RandomWalkStrategy()
 
 SQUARE_FAN = Triangulation(
     [(0, 1, 4), (0, 3, 4), (1, 2, 4), (2, 4, 5), (3, 4, 6), (4, 5, 8), (4, 6, 7), (4, 7, 8)]
@@ -125,7 +126,7 @@ def test_star_closure_witness_recheck(square_lattice):
 def test_episode_success_at_step_zero(square_lattice, square_lattice_table):
     result = nearby_frst_episode(
         SQUARE_FAN,
-        random_walk_chooser,
+        RANDOM_WALK,
         square_lattice,
         square_lattice_table,
         np.random.default_rng(0),
@@ -139,7 +140,7 @@ def test_episode_budget_zero_nonfine_start(square_lattice, square_lattice_table)
     corners = Triangulation([(0, 2, 6), (2, 6, 8)])
     result = nearby_frst_episode(
         corners,
-        random_walk_chooser,
+        RANDOM_WALK,
         square_lattice,
         square_lattice_table,
         np.random.default_rng(0),
@@ -161,7 +162,7 @@ def test_episode_reachability_matches_bfs(square_lattice, square_lattice_table):
     for seed in range(12):
         result = nearby_frst_episode(
             corners,
-            random_walk_chooser,
+            RANDOM_WALK,
             square_lattice,
             square_lattice_table,
             np.random.default_rng(seed),
@@ -171,6 +172,24 @@ def test_episode_reachability_matches_bfs(square_lattice, square_lattice_table):
     assert successes > 0
 
 
+@pytest.mark.parametrize("name", ["greedy", "dfs", "befs", "anneal", "random_walk"])
+def test_episode_takes_any_model_free_strategy(name, square_lattice, square_lattice_table):
+    corners = Triangulation([(0, 2, 6), (2, 6, 8)])
+    result = nearby_frst_episode(
+        corners,
+        make_strategy(name),
+        square_lattice,
+        square_lattice_table,
+        np.random.default_rng(0),
+        budget=30,
+    )
+    # a strategy that stays at a state with flips left spends its step
+    assert result.steps == len(result.visited_keys) - 1 <= 30
+    assert result.success or result.steps == 30
+    for key in result.visited_keys:
+        assert validate(Triangulation(key), square_lattice.config).ok
+
+
 def test_sample_frsts_square_recovers_exhaustive_set(square_lattice, square_lattice_table):
     oracle = exhaustive_frsts(square_lattice, square_lattice_table)
     assert len(oracle) == 1  # the full fan is the unique FRST of the square
@@ -178,7 +197,7 @@ def test_sample_frsts_square_recovers_exhaustive_set(square_lattice, square_latt
     ledger = sample_frsts(
         square_lattice,
         sampler,
-        random_walk_chooser,
+        RANDOM_WALK,
         np.random.default_rng(11),
         table=square_lattice_table,
     )
@@ -195,7 +214,7 @@ def test_sample_frsts_retry_limit_one(square_lattice, square_lattice_table):
     ledger = sample_frsts(
         square_lattice,
         sampler,
-        random_walk_chooser,
+        RANDOM_WALK,
         np.random.default_rng(11),
         table=square_lattice_table,
     )
@@ -209,7 +228,7 @@ def test_sample_frsts_iteration_cap_zero(square_lattice, square_lattice_table):
     ledger = sample_frsts(
         square_lattice,
         sampler,
-        random_walk_chooser,
+        RANDOM_WALK,
         np.random.default_rng(1),
         table=square_lattice_table,
     )
@@ -220,7 +239,7 @@ def test_sample_frsts_monotone_ledger(square_lattice, square_lattice_table):
     ledger = sample_frsts(
         square_lattice,
         SamplerConfig(max_iterations=64, retry_limit=64),
-        random_walk_chooser,
+        RANDOM_WALK,
         np.random.default_rng(5),
         table=square_lattice_table,
     )
@@ -235,7 +254,7 @@ def test_sample_frsts_lift_only(square_lattice, square_lattice_table):
     ledger = sample_frsts(
         square_lattice,
         SamplerConfig(max_iterations=512, retry_limit=512),
-        lift_only_chooser,
+        None,  # lift-only: no strategy
         np.random.default_rng(3),
         table=square_lattice_table,
     )
@@ -251,7 +270,7 @@ def test_sample_frsts_3d_fixtures(name, expected):
     assert len(oracle) == expected
     sampler = SamplerConfig(max_iterations=1024, retry_limit=50)
     ledger = sample_frsts(
-        lattice, sampler, random_walk_chooser, np.random.default_rng(17), table=table
+        lattice, sampler, RANDOM_WALK, np.random.default_rng(17), table=table
     )
     assert ledger.keys == set(oracle)
     assert len(ledger.entries) < sampler.max_iterations  # retry rule fired
@@ -266,18 +285,17 @@ def test_virtual_clock_deterministic():
 
 
 def test_episode_states_all_valid(square_lattice, square_lattice_table):
-    from flipforge.triangulation import validate
-
     start = Triangulation([(0, 2, 6), (2, 6, 8)])  # coarse, non-fine start
     visited = []
 
-    def tracking_chooser(tri, actions, rng):
-        visited.append(tri)
-        return actions[rng.integers(len(actions))]
+    class TrackingWalk(RandomWalkStrategy):
+        def step(self, tri, actions, ctx):
+            visited.append(tri)
+            return super().step(tri, actions, ctx)
 
     nearby_frst_episode(
         start,
-        tracking_chooser,
+        TrackingWalk(),
         square_lattice,
         square_lattice_table,
         np.random.default_rng(2),
@@ -289,15 +307,15 @@ def test_episode_states_all_valid(square_lattice, square_lattice_table):
 
 
 def test_episode_invalid_flipped_state_raises(monkeypatch, square_lattice, square_lattice_table):
-    import flipforge.frst as frst
+    import flipforge.search as search
 
-    real = frst.apply_flip
-    monkeypatch.setattr(frst, "apply_flip", lambda tri, a: Triangulation(real(tri, a).simplices[1:]))
+    real = search.apply_flip
+    monkeypatch.setattr(search, "apply_flip", lambda tri, a: Triangulation(real(tri, a).simplices[1:]))
     corners = Triangulation([(0, 2, 6), (2, 6, 8)])
     with pytest.raises(FlipForgeError, match="invalid triangulation"):
         nearby_frst_episode(
             corners,
-            random_walk_chooser,
+            RANDOM_WALK,
             square_lattice,
             square_lattice_table,
             np.random.default_rng(0),

@@ -612,3 +612,67 @@ def test_cli_train_frst_reach_checks_seeds_through_the_cache(tmp_path, monkeypat
     # the fan's LP from the seed check is reused by the rollouts
     assert solved and len(solved) == len(set(solved))
 
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("search", "--data", "README.md", "--objective", "min_weight", "--strategy", "greedy"),
+        ("enumerate", "{dir}"),
+        ("sample-frst", "--polytope", "{dir}"),
+    ],
+    ids=["search_data_is_a_file", "enumerate_directory", "sample_frst_directory"],
+)
+def test_cli_directory_inputs_are_data_errors(tmp_path, capsys, command):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    argv = [str(readme) if a == "README.md" else a.format(dir=tmp_path) for a in command]
+    if argv[0] != "enumerate":
+        argv += ["--out", tmp_path / "out"]
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--seed-cap", 0, "seed_cap must be at least 1, got 0"),
+        ("--seed-cap", -3, "seed_cap must be at least 1, got -3"),
+        ("--snap-denominator", 0, "snap_denominator must be at least 1, got 0"),
+        ("--snap-denominator", -5, "snap_denominator must be at least 1, got -5"),
+    ],
+)
+def test_cli_gen_rejects_bad_caps_and_denominators(tmp_path, capsys, option, value, message):
+    out = tmp_path / "gen"
+    code = run_cli("gen", "--dim", 2, "--samples", 6, "--count", 1, option, value, "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()  # rejected before anything is written
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--max-seconds", "nan", "max_seconds must be positive, got nan"),
+        ("--std", "nan", "height_std must be positive, got nan"),
+        ("--std", "inf", "height_std must be finite, got inf"),
+        ("--std", "0", "height_std must be positive, got 0.0"),
+    ],
+)
+def test_cli_sample_frst_rejects_nan_and_infinite_options(tmp_path, capsys, option, value, message):
+    code = run_cli(
+        "sample-frst", "--polytope", ff.fixture_path("triangle2d"), option, value,
+        "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_cli_sample_frst_infinite_max_seconds_means_no_time_cap(tmp_path):
+    out = tmp_path / "out"
+    code = run_cli(
+        "sample-frst", "--polytope", ff.fixture_path("triangle2d"), "--max-seconds", "inf",
+        "--clock", "wall", "--max-iterations", 5, "--retry-limit", 10, "--out", out,
+    )
+    assert code == 0
+    assert json.loads((out / "summary.json").read_text())["iterations"] == 5

@@ -19,9 +19,10 @@ from flipforge import frst, lp
 from flipforge.datagen import initial_triangulation
 from flipforge.errors import DegenerateConfig, DegenerateHeights
 from flipforge.flips import apply_flip, enumerate_circuits, flippable_circuits
-from flipforge.frst import LatticeConfig, SamplerConfig, random_walk_chooser, sample_frsts
+from flipforge.frst import LatticeConfig, SamplerConfig, sample_frsts
 from flipforge.io import read_point_config
 from flipforge.objectives import ObjectiveCache
+from flipforge.search import make_strategy
 from flipforge.triangulation import (
     RegularityCertificate,
     Triangulation,
@@ -323,7 +324,7 @@ def lp_count_against_walks(monkeypatch, lattice, seed, iterations):
     ledger = sample_frsts(
         lattice,
         SamplerConfig(max_iterations=iterations, retry_limit=iterations, flip_budget=100),
-        random_walk_chooser,
+        make_strategy("random_walk"),
         np.random.default_rng(seed),
         table=enumerate_circuits(config),
         cache=ObjectiveCache(),
@@ -363,7 +364,7 @@ def test_is_frst_rechecks_corrupted_cached_witness(monkeypatch):
     ledger = sample_frsts(
         lattice,
         SamplerConfig(max_iterations=3, retry_limit=3),
-        random_walk_chooser,
+        make_strategy("random_walk"),
         np.random.default_rng(1),
         cache=cache,
     )

@@ -18,6 +18,7 @@ from flipforge.triangulation import Triangulation, validate
 
 def run(strategy_name, seed_tri, objective, budget, config, table, seed=0, params=None, model=None):
     strategy = make_strategy(strategy_name, params=params, model=model)
+    assert validate(seed_tri, config), "invalid seed triangulation"
     return run_budgeted(
         strategy,
         seed_tri,
@@ -26,7 +27,6 @@ def run(strategy_name, seed_tri, objective, budget, config, table, seed=0, param
         config=config,
         table=table,
         seed=seed,
-        check_states=True,
     )
 
 
@@ -188,8 +188,8 @@ def test_anneal_acceptance_frequencies_match_rule(trapezoid):
         objective=Objective.MIN_WEIGHT,
         cache=cache,
         seed=123,
+        budget=10_000,
     )
-    strategy.bind_budget(10_000)
     strategy.reset(short_diag, ctx)
     accepted = 0
     trials = 10_000

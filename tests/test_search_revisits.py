@@ -20,7 +20,6 @@ from flipforge.errors import DegenerateConfig, FlipForgeError
 from flipforge.flips import apply_flip, enumerate_circuits, flippable_circuits
 from flipforge.objectives import Objective, ObjectiveCache
 from flipforge.search import (
-    AnnealStrategy,
     BefsStrategy,
     DfsStrategy,
     SearchContext,
@@ -64,10 +63,13 @@ REFERENCE = {"greedy": ReferenceGreedy, "dfs": ReferenceDfs}
 def reference_run(strategy, seed_tri, objective, budget, *, config, table, seed):
     """The per-step loop before states were reused."""
     ctx = SearchContext(
-        config=config, table=table, objective=objective, cache=ObjectiveCache(), seed=seed
+        config=config,
+        table=table,
+        objective=objective,
+        cache=ObjectiveCache(),
+        seed=seed,
+        budget=budget,
     )
-    if isinstance(strategy, AnnealStrategy):
-        strategy.bind_budget(budget)
     trace = SearchTrace()
     current = seed_tri
     trace.visit(0, None, current, ctx.value(current))
