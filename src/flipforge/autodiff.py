@@ -52,9 +52,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self):
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, taped={self.tape is not None})"
 
@@ -403,42 +400,29 @@ def _segment_totals(x, bounds):
     return np.repeat(totals, np.diff(bounds))
 
 
-def softmax_masked(a: Tensor, mask_indices=None, segments=None) -> Tensor:
-    """Softmax over each segment of the given index subset of a column vector; zeros elsewhere.
+def softmax_masked(a: Tensor, segments=None) -> Tensor:
+    """Softmax over each segment of a column vector.
 
-    ``segments`` are the k+1 boundaries of k consecutive runs of the masked
-    entries, each normalized on its own (default: one run).  Each run is
-    shifted by its max, exponentiated and divided by its own sum, so a
-    single run computes ``e = exp(z - z.max())`` and ``e / e.sum()``.
+    ``segments`` are the k+1 boundaries of k consecutive runs of the entries,
+    each normalized on its own (default: one run).  Each run is shifted by
+    its max, exponentiated and divided by its own sum, so a single run
+    computes ``e = exp(z - z.max())`` and ``e / e.sum()``.
     """
     flat = a.data.reshape(-1)
-    if mask_indices is None:
-        mask = np.arange(flat.size)
-    else:
-        mask = np.asarray(mask_indices, dtype=np.int64)
-    if segments is None:
-        bounds = np.array([0, mask.size])
-    else:
-        bounds = np.asarray(segments, dtype=np.int64)
+    bounds = np.array([0, flat.size]) if segments is None else np.asarray(segments, dtype=np.int64)
     sizes = np.diff(bounds)
-    if sizes.size == 0 or sizes.min() <= 0 or bounds[0] != 0 or bounds[-1] != mask.size:
-        raise ValueError("empty softmax mask or segment")
-    z = flat[mask]
-    z = z - np.repeat(np.maximum.reduceat(z, bounds[:-1]), sizes)
+    if sizes.size == 0 or sizes.min() <= 0 or bounds[0] != 0 or bounds[-1] != flat.size:
+        raise ValueError("empty softmax segment")
+    z = flat - np.repeat(np.maximum.reduceat(flat, bounds[:-1]), sizes)
     e = np.exp(z)
     p = e / _segment_totals(e, bounds)
-    out = np.zeros_like(flat)
-    out[mask] = p
-    out = out.reshape(a.data.shape)
     shape = a.data.shape
 
     def vjp(g, needs):
-        gm = np.asarray(g).reshape(-1)[mask]
-        grad = np.zeros(flat.size)
-        grad[mask] = p * (gm - _segment_totals(gm * p, bounds))
-        return (grad.reshape(shape),)
+        gm = np.asarray(g).reshape(-1)
+        return ((p * (gm - _segment_totals(gm * p, bounds))).reshape(shape),)
 
-    return _emit(out, (a,), vjp)
+    return _emit(p.reshape(shape), (a,), vjp)
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:

@@ -27,7 +27,7 @@ from .frst import (
     sample_frsts,
 )
 from .objectives import Objective, ObjectiveCache, evaluate, relative_gap, search_value
-from .search import STRATEGY_NAMES, make_strategy, run_budgeted
+from .search import STRATEGY_NAMES, SearchContext, make_strategy, run_budgeted
 
 
 def _lazy(name):
@@ -100,9 +100,9 @@ def cmd_gen(args) -> int:
         seed=args.seed,
         snap_denominator=args.snap_denominator,
     )
+    dataset = generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = generate(spec)
     for cid in dataset.ids:
         config = dataset.configs[cid]
         io.write_point_config(out / f"config_{cid}.poly", config)
@@ -151,19 +151,14 @@ def _search_instance(task):
         seed_index,
         strategy_name,
         strategy_params,
-        checkpoint_path,
+        model,
         objective_name,
         budget,
         rng_seed,
-        mode,
     ) = task
     objective = Objective.from_name(objective_name)
     config = table.config
-    model = _read_model(checkpoint_path, config.dim) if checkpoint_path else None
-    params = dict(strategy_params or {})
-    if strategy_name == "policy":
-        params.setdefault("mode", mode)
-    strategy = make_strategy(strategy_name, model=model, params=params)
+    strategy = make_strategy(strategy_name, model=model, params=strategy_params)
     trace = run_budgeted(
         strategy,
         seed_tri,
@@ -187,13 +182,14 @@ def _search_instance(task):
     return cid, seed_index, trace.best_value, log
 
 
-def _read_model(path, dim):
-    """The checkpoint's model, which must have been trained on dimension ``dim``."""
+def _read_model(path, dims):
+    """The checkpoint's model, which must have been trained on each dimension of ``dims``."""
     model, _extra = io.read_checkpoint(path)
-    if model.config.input_dim != dim:
-        raise CheckpointError(
-            f"checkpoint is for dimension {model.config.input_dim}, data has {dim}"
-        )
+    for dim in dims:
+        if model.config.input_dim != dim:
+            raise CheckpointError(
+                f"checkpoint is for dimension {model.config.input_dim}, data has {dim}"
+            )
     return model
 
 
@@ -222,12 +218,15 @@ def _search_common(args, strategy_name, checkpoint_path=None) -> int:
         value = getattr(args, option)
         if value < least:
             raise ValueError(f"{option} must be at least {least}, got {value}")
-    if checkpoint_path is None:  # the model-free strategies are checked before any work
-        make_strategy(strategy_name, params=args.strategy_param)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dataset = _load_dataset_dir(Path(args.data))
     objective = Objective.from_name(args.objective)
+    model = None
+    if checkpoint_path is not None:
+        model = _read_model(checkpoint_path, [dataset.configs[cid].dim for cid in dataset.ids])
+    params = dict(args.strategy_param or {})
+    if strategy_name == "policy":
+        params.setdefault("mode", args.mode)
+    make_strategy(strategy_name, model=model, params=params)  # checked before any work
     tables = {}
     tasks = []
     for cid in dataset.ids:
@@ -243,12 +242,11 @@ def _search_common(args, strategy_name, checkpoint_path=None) -> int:
                     seed_tri,
                     k,
                     strategy_name,
-                    dict(args.strategy_param or {}),
-                    checkpoint_path,
+                    params,
+                    model,
                     args.objective,
                     args.budget,
                     args.seed + 1000 * dataset.ids.index(cid) + k,
-                    args.mode,
                 )
             )
     results = sorted(_run_search_tasks(tasks, workers), key=lambda r: (r[0], r[1]))
@@ -260,6 +258,8 @@ def _search_common(args, strategy_name, checkpoint_path=None) -> int:
         references[cid] = ref
         exactness[cid] = not truncated
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     # run logs and references are search values (minimization convention);
     # the gap table reports native objective values
     sign = -1.0 if objective.sense == "maximize" else 1.0
@@ -305,8 +305,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_train(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dataset = _load_dataset_dir(Path(args.data))
     objective = Objective.from_name(args.objective)
     dims = {cfg.dim for cfg in dataset.configs.values()}
@@ -338,15 +336,16 @@ def cmd_train(args) -> int:
         seeds = dataset.seeds.get(cid) or []
         if not seeds:
             raise FormatError(f"no seed triangulations for {cid}")
-        env = training.EnvContext(polytope_id=cid, config=config, table=enumerate_circuits(config))
-        environments[cid] = (env, seeds)
+        environments[SearchContext(config, enumerate_circuits(config), objective)] = seeds
     if objective is Objective.FRST_REACH and all(
         evaluate(objective, tri, env.config, env.cache)
-        for env, seeds in environments.values()
+        for env, seeds in environments.items()
         for tri in seeds
     ):
         raise FormatError("every seed is already fine and regular; frst_reach has nothing to train on")
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     curve_path = out / "curve.jsonl"
     curve_path.write_text("")
 
@@ -360,7 +359,6 @@ def cmd_train(args) -> int:
 
     result = training.train(
         environments,
-        objective,
         model_config,
         trainer,
         on_iteration=on_iteration,
@@ -384,8 +382,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample_frst(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     config = io.read_point_config(args.polytope)
     lattice = LatticeConfig.from_config(config, name=Path(args.polytope).stem)
     sampler = SamplerConfig(
@@ -399,7 +395,7 @@ def cmd_sample_frst(args) -> int:
     if args.locator == "policy":
         if not args.checkpoint:
             raise FormatError("policy locator requires --checkpoint")
-        model = _read_model(args.checkpoint, config.dim)
+        model = _read_model(args.checkpoint, [config.dim])
         strategy = make_strategy("policy", model=model, params={"mode": args.mode})
     elif args.locator == "random-walk":
         strategy = make_strategy("random_walk")
@@ -408,6 +404,8 @@ def cmd_sample_frst(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     ledger = sample_frsts(lattice, sampler, strategy, rng, clock=clock)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     io.write_jsonl(
         out / "ledger.jsonl",
         [

@@ -28,6 +28,8 @@ class GenSpec:
     draw_cap: int = 1_000_000
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"dim must be at least 1, got {self.dim}")
         if self.samples < self.dim + 1:
             raise ValueError("need at least dim+1 samples per draw")
         if self.count < 1:

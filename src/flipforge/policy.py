@@ -418,12 +418,6 @@ def policy_distribution(logits: Tensor, action_offsets=None) -> Tensor:
     return ad.softmax_masked(logits, segments=action_offsets)
 
 
-def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
-    cum = np.cumsum(probs)
-    u = rng.random() * cum[-1]
-    return int(np.searchsorted(cum, u, side="right").clip(0, probs.size - 1))
-
-
 def value_estimate(encoded: EncodedState, params, model: ModelConfig) -> Tensor:
     """State values, one row per graph: MLP over its max-pooled vertex embeddings."""
     x = _global_pool(encoded)
@@ -446,8 +440,7 @@ class PolicyModel:
 
     Forward passes are pure; during rollouts parameters stay plain arrays and
     nothing is recorded.  For gradient work, wrap the parameters onto a tape
-    with :meth:`taped_parameters` and call the functional API directly.  The
-    single-state methods below evaluate a batch of one.
+    with :meth:`taped_parameters` and call the functional API directly.
     """
 
     def __init__(self, config: ModelConfig, params: dict):
@@ -465,19 +458,18 @@ class PolicyModel:
     def taped_parameters(self, tape):
         return {k: ad.leaf(tape, v) for k, v in self.params.items()}
 
-    def _encoded(self, config, tri, actions=()):
-        p = self._const_params()
-        graph = state_graph(config, tri, actions, self.config.actor_kind)
-        return encode(graph, p, self.config), p
+    def forward(self, graph: StateGraph):
+        """``(encoding, head)`` of the batch ``graph``, with no tape.
 
-    def action_logits(self, config, tri, actions):
-        enc, p = self._encoded(config, tri, actions)
-        return actor_logits(enc, p, self.config)
-
-    def action_probabilities(self, config, tri, actions) -> np.ndarray:
-        logits = self.action_logits(config, tri, actions)
-        return policy_distribution(logits).data.reshape(-1)
-
-    def acceptance_probability(self, config, tri) -> float:
-        enc, p = self._encoded(config, tri)
-        return float(nls_accept_probability(enc, p).data.reshape(-1)[0])
+        The actor head is a flat array: per graph, the acceptance
+        probability for the "nls_accept" actor, and otherwise the
+        probability of each action of ``graph.actions`` within its graph's
+        action set.
+        """
+        params = self._const_params()
+        enc = encode(graph, params, self.config)
+        if self.config.actor_kind == "nls_accept":
+            head = nls_accept_probability(enc, params)
+        else:
+            head = policy_distribution(actor_logits(enc, params, self.config), graph.action_offsets)
+        return enc, head.data.reshape(-1)

@@ -12,29 +12,30 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
+from .errors import CheckpointError
 from .flips import CircuitTable, apply_flip, flippable_circuits
 from .geometry import PointConfig
 from .objectives import Objective, ObjectiveCache, search_value
 from .triangulation import Triangulation, require_valid
 
 
-@dataclass
+@dataclass(eq=False)
 class SearchContext:
-    """What the steps of one run share.
+    """What the steps of one run, or of one training environment, share.
 
-    Besides the objective's cache, a run keeps the canonical keys of the
+    Besides the objective's cache, a context keeps the canonical keys of the
     states that passed ``validate``; the verdict depends only on the
     simplices and the configuration, so a revisited state is not validated
     again.  The generator is seeded from ``seed`` on the first draw, so
     strategies that never draw never load numpy; a ``Generator`` passed as
     the seed is used as it is.  ``budget`` is the run's step count, for
-    strategies whose schedule spans the run.
+    strategies whose schedule spans the run.  Contexts hash by identity.
     """
 
     config: PointConfig
     table: CircuitTable
     objective: Objective
-    cache: ObjectiveCache
+    cache: ObjectiveCache = field(default_factory=ObjectiveCache)
     seed: object = 0
     budget: int | None = None
     valid: set = field(default_factory=set, init=False, repr=False)
@@ -56,13 +57,18 @@ class SearchContext:
 
         The flips of ``tri`` are scanned (cached on the state, so a caller
         that looked at them first pays no second scan), the strategy moves,
-        and the successor is validated on its first arrival in this context.
+        and a new successor is admitted.
         """
         nxt, action = strategy.step(tri, flippable_circuits(tri, self.table), self)
-        if nxt is not tri and nxt.canonical_key not in self.valid:
+        if nxt is not tri:
+            self.admit(nxt)
+        return nxt, action
+
+    def admit(self, nxt):
+        """Validate the flipped state ``nxt`` on its first arrival in this context."""
+        if nxt.canonical_key not in self.valid:
             require_valid(nxt, self.config)
             self.valid.add(nxt.canonical_key)
-        return nxt, action
 
 
 @dataclass
@@ -264,46 +270,67 @@ class RandomWalkStrategy(Strategy):
         return apply_flip(tri, action), action
 
 
-class AcceptanceStrategy(Strategy):
+class _LearnedStrategy(Strategy):
+    """A move chosen by :meth:`choose` from the model's actor head on the state.
+
+    Training applies ``choose`` to each environment's slice of one batched
+    head, so search and training pick moves by the same rule.
+    """
+
+    actor_kinds = ()  # the actor kinds of the models that can drive it
+
+    def __init__(self, model):
+        self.model = model
+
+    def step(self, tri, actions, ctx):
+        if not actions:
+            return tri, None
+        from .policy import state_graph  # numpy loads only for the learned strategies
+
+        graph = state_graph(ctx.config, tri, actions, self.model.config.actor_kind)
+        _encoded, head = self.model.forward(graph)
+        index, accepted = self.choose(head, len(actions), ctx.rng)
+        if not accepted:
+            return tri, None
+        return apply_flip(tri, actions[index]), actions[index]
+
+    def choose(self, head, count, rng):
+        """``(index, accepted)``: the move among ``count`` actions that ``head`` gives."""
+        raise NotImplementedError
+
+
+class AcceptanceStrategy(_LearnedStrategy):
     """Annealing-style proposals gated by a learned acceptance probability
     computed from the pooled embedding of the current state."""
 
     name = "nls_accept"
+    actor_kinds = ("nls_accept",)
 
-    def __init__(self, model):
-        self.model = model  # PolicyModel with actor_kind "nls_accept"
-
-    def step(self, tri, actions, ctx):
-        if not actions:
-            return tri, None
-        action = actions[ctx.rng.integers(len(actions))]
-        prob = self.model.acceptance_probability(ctx.config, tri)
-        if ctx.rng.random() < prob:
-            return apply_flip(tri, action), action
-        return tri, None
+    def choose(self, head, count, rng):
+        """A uniform proposal, accepted with the probability ``head[0]``."""
+        proposal = int(rng.integers(count))
+        return proposal, bool(rng.random() < float(head[0]))
 
 
-class PolicyStrategy(Strategy):
+class PolicyStrategy(_LearnedStrategy):
     """Learned flip ranking: scores all feasible actions and picks one."""
 
     name = "policy"
+    actor_kinds = ("snn", "egnn_only", "pool_mlp")
 
     def __init__(self, model, mode="argmax"):
         if mode not in ("argmax", "sample"):
             raise ValueError(f"unknown policy mode {mode!r}")
-        self.model = model
+        super().__init__(model)
         self.mode = mode
 
-    def step(self, tri, actions, ctx):
-        if not actions:
-            return tri, None
-        probs = self.model.action_probabilities(ctx.config, tri, actions)
+    def choose(self, head, count, rng):
+        """The most probable action of the distribution ``head``, or one drawn from it."""
         if self.mode == "argmax":
-            idx = int(probs.argmax())
-        else:
-            idx = int(ctx.rng.choice(len(actions), p=probs))
-        action = actions[idx]
-        return apply_flip(tri, action), action
+            return int(head.argmax()), True
+        cum = head.cumsum()
+        u = rng.random() * cum[-1]
+        return int(cum.searchsorted(u, side="right").clip(0, count - 1)), True
 
 
 def _param(name, value, high=math.inf, integral=False):
@@ -330,18 +357,26 @@ _STRATEGIES = {
     )
 }
 STRATEGY_NAMES = tuple(_STRATEGIES)
-_NEEDS_MODEL = (AcceptanceStrategy, PolicyStrategy)
 
 
 def make_strategy(name, *, model=None, params=None) -> Strategy:
-    """The strategy ``name`` built from ``params``; a ``ValueError`` names a bad parameter."""
+    """The strategy ``name`` built from ``params``; a ``ValueError`` names a bad parameter.
+
+    A learned strategy's ``model`` must have an actor kind it can use, or a
+    ``CheckpointError`` names the kind.
+    """
     cls = _STRATEGIES.get(name)
     if cls is None:
         raise ValueError(f"unknown strategy {name!r}")
     args = ()
-    if cls in _NEEDS_MODEL:
+    if issubclass(cls, _LearnedStrategy):
         if model is None:
             raise ValueError(f"{name} strategy needs a model")
+        kind = model.config.actor_kind
+        if kind not in cls.actor_kinds:
+            raise CheckpointError(
+                f"a checkpoint of the {kind!r} actor cannot drive the {name} strategy"
+            )
         args = (model,)
     try:
         return cls(*args, **(params or {}))

@@ -3,10 +3,13 @@
 Each iteration samples initial triangulations weighted toward under-visited
 states, collects fixed-horizon rollouts in environments stepped in lockstep,
 augments rewards with a count-based expansion bonus, and performs one
-full-batch clipped-surrogate update with Adam.  Each rollout step evaluates
-the states of all running environments as one disjoint-union graph, and the
-update replays each step's union in one taped pass.  Everything is
-deterministic for a fixed seed.
+full-batch clipped-surrogate update with Adam.  Each environment is a
+:class:`~flipforge.search.SearchContext`.  Each rollout step evaluates the
+states of all running environments as one disjoint-union graph; every
+environment then moves by the search layer's learned strategy applied to its
+slice of the actor head, and a flipped state is validated on its first
+arrival in its environment.  The update replays each step's union in one
+taped pass.  Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import TrainingError
-from .flips import CircuitTable, apply_flip, flippable_circuits
-from .geometry import PointConfig
-from .objectives import Objective, ObjectiveCache, evaluate, reward
+from .flips import apply_flip, flippable_circuits
+from .objectives import Objective, evaluate, reward
 from .policy import (
     ModelConfig,
     PolicyModel,
@@ -30,11 +32,11 @@ from .policy import (
     encode,
     nls_accept_probability,
     policy_distribution,
-    sample_action,
     state_graph,
     value_estimate,
 )
-from .triangulation import Triangulation, require_valid
+from .search import AcceptanceStrategy, PolicyStrategy, SearchContext
+from .triangulation import Triangulation
 
 
 @dataclass
@@ -63,48 +65,50 @@ class TrainerConfig:
         # zero is allowed: a frozen policy that only collects rollouts
         if not 0 <= self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and nonnegative")
+        if not math.isfinite(self.bonus_coef):
+            raise ValueError(f"bonus_coef must be finite, got {self.bonus_coef}")
 
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class VisitCounter:
-    """Per-polytope visitation counts over canonical keys, initialized to one."""
+    """Per-environment visitation counts over canonical keys, initialized to one."""
 
     def __init__(self):
         self._counts = {}
 
-    def count(self, polytope_id, key) -> int:
-        return self._counts.get((polytope_id, key), 1)
+    def count(self, env, key) -> int:
+        return self._counts.get((env, key), 1)
 
-    def observe(self, polytope_id, key) -> int:
+    def observe(self, env, key) -> int:
         """Increment and return the count BEFORE the increment."""
-        k = (polytope_id, key)
+        k = (env, key)
         before = self._counts.get(k, 1)
         self._counts[k] = before + 1
         return before
 
 
-def expansion_bonus(counter: VisitCounter, polytope_id, key, coefficient: float) -> float:
+def expansion_bonus(counter: VisitCounter, env, key, coefficient: float) -> float:
     """beta * N(state)^(-1/2) with the pre-increment count; then increments."""
-    before = counter.observe(polytope_id, key)
+    before = counter.observe(env, key)
     return coefficient / math.sqrt(before)
 
 
 def initial_state_weights(entries, counter: VisitCounter):
     """Sampling weights proportional to N(state)^(-1/2)."""
     w = np.array(
-        [1.0 / math.sqrt(counter.count(pid, tri.canonical_key)) for pid, tri in entries]
+        [1.0 / math.sqrt(counter.count(env, tri.canonical_key)) for env, tri in entries]
     )
     return w / w.sum()
 
 
 def sample_initial_states(seed_sets, counter: VisitCounter, n: int, rng: np.random.Generator):
-    """Draw n (polytope_id, triangulation) starts with replacement.
+    """Draw n (environment, triangulation) starts with replacement.
 
-    ``seed_sets`` is an ordered mapping polytope_id -> list of triangulations.
+    ``seed_sets`` is an ordered mapping environment -> list of triangulations.
     """
-    entries = [(pid, tri) for pid, tris in seed_sets.items() for tri in tris]
+    entries = [(env, tri) for env, tris in seed_sets.items() for tri in tris]
     if not entries:
         raise ValueError("empty seed set")
     probs = initial_state_weights(entries, counter)
@@ -113,16 +117,8 @@ def sample_initial_states(seed_sets, counter: VisitCounter, n: int, rng: np.rand
 
 
 @dataclass
-class EnvContext:
-    polytope_id: str
-    config: PointConfig
-    table: CircuitTable
-    cache: ObjectiveCache = field(default_factory=ObjectiveCache)
-
-
-@dataclass
 class Transition:
-    env: EnvContext
+    env: SearchContext
     state: Triangulation
     actions: list
     action_index: int
@@ -170,8 +166,7 @@ class RolloutBuffer:
 
 def collect_rollouts(
     model: PolicyModel,
-    starts,  # list of (EnvContext, Triangulation)
-    objective: Objective,
+    starts,  # list of (SearchContext, Triangulation)
     trainer: TrainerConfig,
     counter: VisitCounter,
     rng: np.random.Generator,
@@ -180,12 +175,14 @@ def collect_rollouts(
 
     The environments step in lockstep: each step evaluates every running
     environment's state in one forward pass over their disjoint union, then
-    samples their actions in environment order.  Reach episodes terminate
-    early on the first success with terminal reward +1; environments with no
-    feasible action finish early with a done flag.  A finished environment
-    leaves the batch.
+    moves them in environment order, each by the learned strategy's
+    ``choose`` on its slice of the actor head with draws from ``rng``.
+    Reach episodes terminate early on the first success with terminal
+    reward +1; environments with no feasible action finish early with a
+    done flag.  A finished environment leaves the batch.
     """
     nls = model.config.actor_kind == "nls_accept"
+    strategy = AcceptanceStrategy(model) if nls else PolicyStrategy(model, mode="sample")
     params = model._const_params()
     envs = [env for env, _start in starts]
     states = [start for _env, start in starts]
@@ -193,9 +190,9 @@ def collect_rollouts(
     returns = [0.0] * len(starts)
     running = []
     for i, (env, start) in enumerate(starts):
-        counter.observe(env.polytope_id, start.canonical_key)
-        reached = objective is Objective.FRST_REACH and evaluate(
-            objective, start, env.config, env.cache
+        counter.observe(env, start.canonical_key)
+        reached = env.objective is Objective.FRST_REACH and evaluate(
+            env.objective, start, env.config, env.cache
         )
         if not reached:
             running.append(i)
@@ -214,38 +211,28 @@ def collect_rollouts(
                 for i, actions in stepping
             ]
         )
-        enc = encode(union, params, model.config)
+        enc, heads = model.forward(union)
         values = value_estimate(enc, params, model.config).data.reshape(-1)
-        if nls:
-            heads = nls_accept_probability(enc, params).data.reshape(-1)
-        else:
-            logits = actor_logits(enc, params, model.config)
-            heads = policy_distribution(logits, union.action_offsets).data.reshape(-1)
-        bounds = union.action_offsets
+        # each graph's slice of the head: its acceptance probability, or its actions' probabilities
+        bounds = np.arange(union.size + 1) if nls else union.action_offsets
         running, transitions = [], []
         for j, (i, actions) in enumerate(stepping):
             env, tri = envs[i], states[i]
+            head = heads[bounds[j] : bounds[j + 1]]
+            index, accepted = strategy.choose(head, len(actions), rng)
+            nxt = apply_flip(tri, actions[index]) if accepted else tri
             if nls:
-                proposal = int(rng.integers(len(actions)))
-                p_accept = float(heads[j])
-                accept = bool(rng.random() < p_accept)
-                log_prob = math.log(max(p_accept if accept else 1.0 - p_accept, 1e-12))
-                nxt = apply_flip(tri, actions[proposal]) if accept else tri
-                chosen_actions = [actions[proposal]]
-                action_index = 0 if accept else -1
+                p_accept = float(head[0])
+                log_prob = math.log(max(p_accept if accepted else 1.0 - p_accept, 1e-12))
+                chosen_actions, action_index = [actions[index]], (0 if accepted else -1)
             else:
-                probs = heads[bounds[j] : bounds[j + 1]]
-                action_index = sample_action(probs, rng)
-                log_prob = math.log(max(probs[action_index], 1e-300))
-                nxt = apply_flip(tri, actions[action_index])
-                chosen_actions = actions
+                log_prob = math.log(max(head[index], 1e-300))
+                chosen_actions, action_index = actions, index
             if nxt is not tri:
-                require_valid(nxt, env.config)
-            gain = reward(objective, tri, nxt, env.config, env.cache)
-            success = objective is Objective.FRST_REACH and gain > 0
-            bonus = expansion_bonus(
-                counter, env.polytope_id, nxt.canonical_key, trainer.bonus_coef
-            )
+                env.admit(nxt)
+            gain = reward(env.objective, tri, nxt, env.config, env.cache)
+            success = env.objective is Objective.FRST_REACH and gain > 0
+            bonus = expansion_bonus(counter, env, nxt.canonical_key, trainer.bonus_coef)
             returns[i] += gain + bonus
             transition = Transition(
                 env=env,
@@ -435,8 +422,7 @@ class TrainResult:
 
 
 def train(
-    environments,  # ordered mapping polytope_id -> (EnvContext, [seed triangulations])
-    objective: Objective,
+    environments,  # ordered mapping SearchContext -> [seed triangulations]
     model_config: ModelConfig,
     trainer: TrainerConfig,
     on_iteration=None,
@@ -449,13 +435,10 @@ def train(
     model = PolicyModel.initialize(model_config, seed=init_seed)
     adam_params = [ad.Parameter(name, value) for name, value in model.params.items()]
     counter = VisitCounter()
-    seed_sets = {pid: tris for pid, (_env, tris) in environments.items()}
-    env_by_id = {pid: env for pid, (env, _tris) in environments.items()}
     curve = []
     for iteration in range(1, trainer.iterations + 1):
-        picks = sample_initial_states(seed_sets, counter, trainer.num_envs, rng)
-        starts = [(env_by_id[pid], tri) for pid, tri in picks]
-        buffer = collect_rollouts(model, starts, objective, trainer, counter, rng)
+        starts = sample_initial_states(environments, counter, trainer.num_envs, rng)
+        buffer = collect_rollouts(model, starts, trainer, counter, rng)
         compute_gae(buffer, trainer.discount, trainer.gae_lambda)
         report = ppo_update(model, buffer, trainer, adam_params)
         record = {

@@ -47,7 +47,6 @@ from flipforge.policy import (
 )
 from flipforge.search import PolicyStrategy, make_strategy, run_budgeted
 from flipforge.training import (
-    EnvContext,
     TrainerConfig,
     VisitCounter,
     collect_rollouts,

@@ -136,13 +136,14 @@ def test_softmax_masked_saturation_and_shift():
     assert np.allclose(probs, shifted)
 
 
-def test_softmax_masked_subset_and_gradients():
+def test_softmax_masked_segments_and_gradients():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((5, 1))
     weights = rng.standard_normal((5, 1))
+    bounds = [0, 2, 5]
 
     def forward(params):
-        probs = ad.softmax_masked(params["x"], mask_indices=[0, 2, 4])
+        probs = ad.softmax_masked(params["x"], segments=bounds)
         return ad.tensor_sum(ad.mul(probs, ad.constant(weights)))
 
     err, ok = ad.finite_diff_check(forward, {"x": x}, tolerance=1e-5)
@@ -150,10 +151,12 @@ def test_softmax_masked_subset_and_gradients():
 
     tape = Tape()
     leaf = ad.leaf(tape, x)
-    probs = ad.softmax_masked(leaf, mask_indices=[0, 2, 4])
-    assert probs.data[1, 0] == 0.0 and probs.data[3, 0] == 0.0
-    grads = ad.backward(tape, ad.tensor_sum(ad.mul(probs, ad.constant(weights))))
-    assert grads[leaf.node_id][1, 0] == 0.0 and grads[leaf.node_id][3, 0] == 0.0
+    probs = ad.softmax_masked(leaf, segments=bounds)
+    assert probs.data[:2].sum() == pytest.approx(1.0) and probs.data[2:].sum() == pytest.approx(1.0)
+    # each segment sums to one, so weights constant within each segment carry no gradient
+    flat = ad.constant(np.array([[3.0], [3.0], [-1.0], [-1.0], [-1.0]]))
+    grads = ad.backward(tape, ad.tensor_sum(ad.mul(probs, flat)))
+    assert np.allclose(grads[leaf.node_id], 0.0, atol=1e-15)
 
 
 def test_minimum_and_clip_gradients():

@@ -21,6 +21,7 @@ from flipforge import lp, policy, training
 from flipforge.datagen import seed_triangulations
 from flipforge.flips import enumerate_circuits, flippable_circuits
 from flipforge.objectives import Objective
+from flipforge.search import SearchContext
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -85,7 +86,7 @@ def traced(run):
 
 def test_rollout_transitions_are_envs_times_horizon(hexagon):
     # every hexagon triangulation has a flip, so no episode ends early
-    env = training.EnvContext(polytope_id="hex", config=hexagon, table=enumerate_circuits(hexagon))
+    env = SearchContext(hexagon, enumerate_circuits(hexagon), Objective.MIN_WEIGHT)
     seeds = seed_triangulations(hexagon, cap=5)
     trainer = training.TrainerConfig(horizon=5, num_envs=3, seed=1)
     model = policy.PolicyModel.initialize(policy.ModelConfig(input_dim=2, hidden=8), seed=2)
@@ -93,16 +94,17 @@ def test_rollout_transitions_are_envs_times_horizon(hexagon):
 
     def rollout():
         return training.collect_rollouts(
-            model, starts, Objective.MIN_WEIGHT, trainer, training.VisitCounter(),
-            np.random.default_rng(0),
+            model, starts, trainer, training.VisitCounter(), np.random.default_rng(0)
         )
 
     buffer, tracer = traced(rollout)
     assert len(buffer.transitions) == 3 * 5
     assert tracer.counters["training.collect_rollouts.transitions"] == 15
-    # one forward pass per lockstep step
+    # one forward pass per lockstep step, and the value head on its encoding
     names = [tracer.names[span[0]] for span in tracer.spans]
     assert names.count("policy.encode") == 5
+    assert names.count("policy.actor_logits") == 5
+    assert names.count("policy.value_estimate") == 5
 
 
 def test_batch_of_one_forward_through_the_tracer(hexagon):
@@ -118,7 +120,7 @@ def test_batch_of_one_forward_through_the_tracer(hexagon):
         return (
             policy.actor_logits(enc, params, model.config).data,
             policy.value_estimate(enc, params, model.config).data,
-            model.action_probabilities(hexagon, tri, actions),
+            model.forward(graph)[1],
         )
 
     plain = forward()

@@ -1,6 +1,8 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -443,10 +445,78 @@ def test_cli_search_and_eval_usage_errors(small_dataset, tmp_path, capsys, optio
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and message in err and err.count("\n") == 1
-    if head[0] == "search":
-        assert not (tmp_path / "out").exists()  # rejected before any work
-    else:  # the policy's parameters are checked once its checkpoint is read
-        assert not list(tmp_path.glob("out/runlog_*"))
+    assert not (tmp_path / "out").exists()  # rejected before any work
+
+
+@pytest.mark.parametrize(
+    "command, dim, kind, strategy",
+    [
+        (("search", "--strategy", "nls_accept", "--data", "{data}"), 2, "snn", "nls_accept"),
+        (("eval", "--data", "{data}"), 2, "nls_accept", "policy"),
+        (
+            ("sample-frst", "--polytope", "{octahedron}", "--locator", "policy"),
+            3,
+            "nls_accept",
+            "policy",
+        ),
+    ],
+    ids=["search_nls_accept", "eval", "sample_frst_policy"],
+)
+def test_cli_checkpoint_of_the_wrong_actor_exits_4(
+    small_dataset, tmp_path, capsys, command, dim, kind, strategy
+):
+    checkpoint = tmp_path / "model.ckpt"
+    model = PolicyModel.initialize(ModelConfig(input_dim=dim, hidden=4, actor_kind=kind), seed=0)
+    io.write_checkpoint(checkpoint, model)
+    argv = [
+        a.format(data=small_dataset, octahedron=ff.fixture_path("octahedron3d")) for a in command
+    ]
+    if argv[0] != "sample-frst":
+        argv += ["--objective", "min_weight", "--budget", "5"]
+    code = run_cli(*argv, "--checkpoint", checkpoint, "--out", tmp_path / "out")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == f"checkpoint error: a checkpoint of the {kind!r} actor cannot drive the {strategy} strategy\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        (("train", "--data", "{data}", "--objective", "min_weight", "--envs", "0"), 2),
+        (("sample-frst", "--polytope", "{triangle}", "--budget", "0"), 2),
+        (("search", "--data", "{readme}", "--objective", "min_weight", "--strategy", "greedy"), 3),
+        (("gen", "--dim", "0", "--samples", "4", "--count", "1"), 2),
+    ],
+    ids=["train_no_envs", "sample_frst_no_budget", "search_data_is_a_file", "gen_dim_zero"],
+)
+def test_cli_failure_before_writing_leaves_no_output_directory(
+    small_dataset, tmp_path, capsys, command, code
+):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    argv = [
+        a.format(data=small_dataset, triangle=ff.fixture_path("triangle2d"), readme=readme)
+        for a in command
+    ]
+    assert run_cli(*argv, "--out", tmp_path / "out") == code
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_train_infinite_bonus_is_one_usage_line(small_dataset, tmp_path):
+    # in-process, the RuntimeWarning filter would hide warnings printed before the error
+    env = dict(os.environ, PYTHONPATH=str(Path(ff.__file__).resolve().parent.parent))
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "flipforge.cli", "train", "--data", str(small_dataset),
+            "--objective", "min_weight", "--iterations", "1", "--envs", "2", "--horizon", "2",
+            "--hidden", "8", "--bonus", "inf", "--out", str(tmp_path / "out"),
+        ],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr == "usage error: bonus_coef must be finite, got inf\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["two", "0", "-3"])
@@ -540,17 +610,20 @@ def test_cli_train_rejects_nonpositive_horizon(small_dataset, tmp_path, capsys, 
         ("--hidden", "-2", "hidden must be positive"),
         ("--chebyshev-order", "0", "chebyshev_order must be positive"),
         ("--encoder-layers", "-1", "encoder_layers must be nonnegative"),
+        ("--bonus", "nan", "bonus_coef must be finite, got nan"),
+        ("--bonus", "inf", "bonus_coef must be finite, got inf"),
+        ("--bonus", "-inf", "bonus_coef must be finite, got -inf"),
     ],
 )
 def test_cli_train_rejects_invalid_options(small_dataset, tmp_path, capsys, option, value, message):
     options = {"--iterations": "1", "--envs": "2", "--horizon": "2", "--hidden": "8", option: value}
     code = run_cli(
         "train", "--data", small_dataset, "--objective", "min_weight",
-        *(x for pair in options.items() for x in pair), "--out", tmp_path / "t",
+        *(f"{k}={v}" for k, v in options.items()), "--out", tmp_path / "t",
     )
     assert code == 2
     assert capsys.readouterr().err == f"usage error: {message}\n"
-    assert not (tmp_path / "t" / "checkpoint_final.ckpt").exists()
+    assert not (tmp_path / "t").exists()
 
 
 def count_regularity_lps(monkeypatch):

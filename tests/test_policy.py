@@ -14,12 +14,12 @@ from flipforge.policy import (
     init_parameters,
     nls_accept_probability,
     policy_distribution,
-    sample_action,
     simplicial_operator,
     skeleton_structure,
     state_graph,
     value_estimate,
 )
+from flipforge.search import PolicyStrategy
 from flipforge.triangulation import Triangulation
 from policy_oracle import boundary_matrix
 
@@ -40,6 +40,18 @@ def small_model(dim, kind="snn", hidden=12, seed=0):
 def encode_state(config, tri, params, model, actions=()):
     """``encode`` on the batch of one holding ``tri``, scoring ``actions``."""
     return encode(state_graph(config, tri, actions, model.actor_kind), params, model)
+
+
+def state_logits(model, config, tri, actions):
+    """The actor's logits on the batch of one holding ``tri``, one row per action."""
+    params = model._const_params()
+    enc = encode_state(config, tri, params, model.config, actions)
+    return actor_logits(enc, params, model.config)
+
+
+def state_head(model, config, tri, actions=()):
+    """The model's actor head (``forward``) on the batch of one holding ``tri``."""
+    return model.forward(state_graph(config, tri, actions, model.config.actor_kind))[1]
 
 
 def test_unused_point_gets_zero_inverse_degree_and_finite_encoding():
@@ -200,7 +212,7 @@ def test_chebyshev_identity_configuration(square_setup):
 def test_single_action_probability_one(square_setup):
     config, _table, tri, actions = square_setup
     model = small_model(2)
-    probs = model.action_probabilities(config, tri, actions)
+    probs = state_head(model, config, tri, actions)
     assert len(probs) == 1 and probs[0] == pytest.approx(1.0)
 
 
@@ -212,7 +224,7 @@ def test_symmetric_square_equal_logits():
     fan = Triangulation([(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)])
     actions = flippable_circuits(fan, table)
     model = small_model(2, seed=9)
-    logits = model.action_logits(config, fan, actions).data.reshape(-1)
+    logits = state_logits(model, config, fan, actions).data.reshape(-1)
     by_circuit = {a.circuit.vertices: l for a, l in zip(actions, logits)}
     # the two diagonal circuits {0,2,4} and {1,3,4} map to each other under the
     # point reflection (x,y) -> (-x,-y) composed with relabeling 0<->2, 1<->3,
@@ -256,35 +268,36 @@ def test_policy_distribution_properties():
 
 
 def test_sampling_deterministic():
+    strategy = PolicyStrategy(small_model(2), mode="sample")
     probs = np.array([0.2, 0.5, 0.3])
-    a = sample_action(probs, np.random.default_rng(12))
-    b = sample_action(probs, np.random.default_rng(12))
+    a = strategy.choose(probs, 3, np.random.default_rng(12))
+    b = strategy.choose(probs, 3, np.random.default_rng(12))
     assert a == b
 
 
 def test_nls_probability_properties(square_setup):
     config, _table, tri, _actions = square_setup
     model = small_model(2, kind="nls_accept", seed=2)
-    p = model.acceptance_probability(config, tri)
+    [p] = state_head(model, config, tri)
     assert 0.0 < p < 1.0
 
     zeroed = dict(model.params)
     zeroed["accept2.w"] = np.zeros_like(zeroed["accept2.w"])
     zeroed["accept2.b"] = np.zeros_like(zeroed["accept2.b"])
     zmodel = PolicyModel(model.config, zeroed)
-    assert zmodel.acceptance_probability(config, tri) == pytest.approx(0.5)
+    assert state_head(zmodel, config, tri)[0] == pytest.approx(0.5)
 
     bumped = dict(zeroed)
     bumped["accept2.b"] = np.array([3.0])
     bmodel = PolicyModel(model.config, bumped)
-    assert bmodel.acceptance_probability(config, tri) > 0.5
+    assert state_head(bmodel, config, tri)[0] > 0.5
 
 
 def test_all_logits_finite_for_all_actor_kinds(square_setup):
     config, _table, tri, actions = square_setup
     for kind in ("snn", "egnn_only", "pool_mlp"):
         model = small_model(2, kind=kind, seed=4)
-        logits = model.action_logits(config, tri, actions).data
+        logits = state_logits(model, config, tri, actions).data
         assert np.isfinite(logits).all()
 
 

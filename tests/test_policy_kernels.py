@@ -23,6 +23,7 @@ from flipforge.autodiff import Tensor
 from flipforge.errors import DegenerateConfig
 from flipforge.flips import apply_flip, enumerate_circuits, flippable_circuits
 from flipforge.geometry import placing_triangulation
+from flipforge.objectives import Objective
 from flipforge.policy import (
     EncodedState,
     ModelConfig,
@@ -37,7 +38,8 @@ from flipforge.policy import (
     state_graph,
     value_estimate,
 )
-from flipforge.training import EnvContext, RolloutStep, TrainerConfig, Transition, _step_loss
+from flipforge.search import SearchContext
+from flipforge.training import RolloutStep, TrainerConfig, Transition, _step_loss
 from flipforge.triangulation import Triangulation
 
 import policy_oracle as oracle
@@ -156,7 +158,7 @@ def test_loss_gradients_match_oracle(states, kind):
         pick = case % len(actions)
         nls = kind == "nls_accept"
         transition = Transition(
-            env=EnvContext(polytope_id="case", config=config, table=table),
+            env=SearchContext(config, table, Objective.MIN_WEIGHT),
             state=tri,
             actions=actions[:1] if nls else actions,
             action_index=(case % 2) - 1 if nls else pick,
@@ -392,7 +394,7 @@ def test_step_loss_gradients_match_summed_transition_oracle(states, kind):
             graphs.append(state_graph(config, tri, actions, kind))
             transitions.append(
                 Transition(
-                    env=EnvContext(polytope_id="case", config=config, table=table),
+                    env=SearchContext(config, table, Objective.MIN_WEIGHT),
                     state=tri,
                     actions=actions[pick : pick + 1] if nls else actions,
                     action_index=int(rng.integers(2)) - 1 if nls else pick,

@@ -26,7 +26,14 @@ from flipforge.frst import (
 )
 from flipforge.io import read_point_config
 from flipforge.objectives import ObjectiveCache
-from flipforge.policy import ModelConfig, PolicyModel
+from flipforge.policy import (
+    ModelConfig,
+    PolicyModel,
+    actor_logits,
+    encode,
+    policy_distribution,
+    state_graph,
+)
 from flipforge.search import make_strategy
 from flipforge.triangulation import Triangulation, certify_regularity, is_fine, require_valid
 
@@ -47,13 +54,20 @@ LATTICES = {
 }
 
 
+def action_probabilities(model, config, tri, actions):
+    """The actor's distribution over ``actions`` from one forward on ``tri`` alone."""
+    params = model._const_params()
+    enc = encode(state_graph(config, tri, actions, model.config.actor_kind), params, model.config)
+    return policy_distribution(actor_logits(enc, params, model.config)).data.reshape(-1)
+
+
 def random_walk_chooser(tri, actions, rng):
     return actions[rng.integers(len(actions))]
 
 
 def policy_chooser(model, config, mode):
     def choose(tri, actions, rng):
-        probs = model.action_probabilities(config, tri, actions)
+        probs = action_probabilities(model, config, tri, actions)
         if mode == "argmax":
             return actions[int(probs.argmax())]
         return actions[int(rng.choice(len(actions), p=probs))]

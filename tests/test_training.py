@@ -7,8 +7,8 @@ import flipforge as ff
 from flipforge.flips import apply_flip, enumerate_circuits, flippable_circuits
 from flipforge.objectives import Objective
 from flipforge.policy import ModelConfig, PolicyModel
+from flipforge.search import SearchContext
 from flipforge.training import (
-    EnvContext,
     RolloutBuffer,
     TrainerConfig,
     Transition,
@@ -29,11 +29,7 @@ from flipforge import autodiff as ad
 
 @pytest.fixture(scope="module")
 def square_env(unit_square):
-    return EnvContext(
-        polytope_id="square",
-        config=unit_square,
-        table=enumerate_circuits(unit_square),
-    )
+    return SearchContext(unit_square, enumerate_circuits(unit_square), Objective.MIN_WEIGHT)
 
 
 @pytest.fixture(scope="module")
@@ -107,9 +103,7 @@ def test_collect_rollouts_horizon_zero(square_env, square_seeds):
     model = make_model()
     trainer = small_trainer(horizon=5)
     trainer = TrainerConfig(**{**trainer.to_dict(), "horizon": 5})
-    buffer = collect_rollouts(
-        model, [], Objective.MIN_WEIGHT, trainer, VisitCounter(), np.random.default_rng(0)
-    )
+    buffer = collect_rollouts(model, [], trainer, VisitCounter(), np.random.default_rng(0))
     assert buffer.transitions == []
 
 
@@ -120,7 +114,6 @@ def test_collect_rollouts_square(square_env, square_seeds):
     buffer = collect_rollouts(
         model,
         [(square_env, square_seeds[0])],
-        Objective.MIN_WEIGHT,
         trainer,
         counter,
         np.random.default_rng(3),
@@ -132,7 +125,7 @@ def test_collect_rollouts_square(square_env, square_seeds):
     for tr in transitions:
         assert tr.reward == pytest.approx(0.0)
     # initial state observed once, each next state observed per step
-    assert counter.count("square", square_seeds[0].canonical_key) >= 2
+    assert counter.count(square_env, square_seeds[0].canonical_key) >= 2
 
 
 def test_collect_rollouts_bonus_matches_formula(square_env, square_seeds):
@@ -142,7 +135,6 @@ def test_collect_rollouts_bonus_matches_formula(square_env, square_seeds):
     buffer = collect_rollouts(
         model,
         [(square_env, square_seeds[0])],
-        Objective.MIN_WEIGHT,
         trainer,
         counter,
         np.random.default_rng(3),
@@ -209,10 +201,10 @@ def test_gae_returns_are_advantage_plus_value():
         assert tr.ret == pytest.approx(tr.advantage + tr.value)
 
 
-def rollout_and_gae(model, env, seeds, trainer, objective=Objective.MIN_WEIGHT, seed=0):
+def rollout_and_gae(model, env, seeds, trainer, seed=0):
     counter = VisitCounter()
     starts = [(env, seeds[i % len(seeds)]) for i in range(trainer.num_envs)]
-    buffer = collect_rollouts(model, starts, objective, trainer, counter, np.random.default_rng(seed))
+    buffer = collect_rollouts(model, starts, trainer, counter, np.random.default_rng(seed))
     compute_gae(buffer, trainer.discount, trainer.gae_lambda)
     return buffer
 
@@ -277,16 +269,15 @@ def test_ppo_lr_zero_no_parameter_change(square_env, square_seeds):
 def hexagon_environments(hexagon):
     from flipforge.datagen import seed_triangulations
 
-    env = EnvContext(polytope_id="hex", config=hexagon, table=enumerate_circuits(hexagon))
-    seeds = seed_triangulations(hexagon, cap=14)
-    return {"hex": (env, seeds)}
+    env = SearchContext(hexagon, enumerate_circuits(hexagon), Objective.MIN_WEIGHT)
+    return {env: seed_triangulations(hexagon, cap=14)}
 
 
 def test_train_zero_iterations(hexagon):
     envs = hexagon_environments(hexagon)
     mc = ModelConfig(input_dim=2, hidden=8)
     tc = small_trainer(iterations=0)
-    result = train(envs, Objective.MIN_WEIGHT, mc, tc)
+    result = train(envs, mc, tc)
     fresh = PolicyModel.initialize(mc, seed=np.random.SeedSequence(tc.seed).spawn(2)[0])
     assert result.curve == []
     for k in fresh.params:
@@ -297,8 +288,8 @@ def test_train_bit_identical_curves(hexagon):
     envs = hexagon_environments(hexagon)
     mc = ModelConfig(input_dim=2, hidden=8)
     tc = small_trainer(iterations=3, num_envs=3, horizon=6)
-    a = train(envs, Objective.MIN_WEIGHT, mc, tc)
-    b = train(envs, Objective.MIN_WEIGHT, mc, tc)
+    a = train(envs, mc, tc)
+    b = train(envs, mc, tc)
     assert a.curve == b.curve
     for k in a.model.params:
         assert np.array_equal(a.model.params[k], b.model.params[k])
@@ -308,23 +299,21 @@ def test_train_nls_actor_smoke(hexagon):
     envs = hexagon_environments(hexagon)
     mc = ModelConfig(input_dim=2, hidden=8, actor_kind="nls_accept")
     tc = small_trainer(iterations=2, num_envs=2, horizon=5)
-    result = train(envs, Objective.MIN_WEIGHT, mc, tc)
+    result = train(envs, mc, tc)
     assert len(result.curve) == 2
     assert all(np.isfinite(r["policy_loss"]) for r in result.curve)
 
 
 def test_frst_reach_episode_terminates_on_success(lattice_square):
     config = lattice_square
-    env = EnvContext(polytope_id="sq", config=config, table=enumerate_circuits(config))
+    env = SearchContext(config, enumerate_circuits(config), Objective.FRST_REACH)
     fan = Triangulation(
         [(0, 1, 4), (0, 3, 4), (1, 2, 4), (2, 4, 5), (3, 4, 6), (4, 5, 8), (4, 6, 7), (4, 7, 8)]
     )
     model = make_model(dim=2, seed=8)
     trainer = small_trainer(horizon=6)
     counter = VisitCounter()
-    buffer = collect_rollouts(
-        model, [(env, fan)], Objective.FRST_REACH, trainer, counter, np.random.default_rng(1)
-    )
+    buffer = collect_rollouts(model, [(env, fan)], trainer, counter, np.random.default_rng(1))
     # the start is already fine+regular: episode produces no transitions
     assert buffer.episodes[0] == []
 
@@ -342,7 +331,7 @@ def _check_lockstep(buffer, lengths):
 
 def test_lockstep_reach_episodes_leave_on_success(lattice_square):
     config = lattice_square
-    env = EnvContext(polytope_id="sq", config=config, table=enumerate_circuits(config))
+    env = SearchContext(config, enumerate_circuits(config), Objective.FRST_REACH)
     fan = Triangulation(
         [(0, 1, 4), (0, 3, 4), (1, 2, 4), (2, 4, 5), (3, 4, 6), (4, 5, 8), (4, 6, 7), (4, 7, 8)]
     )
@@ -356,8 +345,7 @@ def test_lockstep_reach_episodes_leave_on_success(lattice_square):
     starts = [(env, tri) for tri in coarse[:2] + [fan] + coarse[2:]]
     trainer = small_trainer(horizon=6)
     buffer = collect_rollouts(
-        make_model(dim=2, seed=8), starts, Objective.FRST_REACH, trainer, VisitCounter(),
-        np.random.default_rng(0),
+        make_model(dim=2, seed=8), starts, trainer, VisitCounter(), np.random.default_rng(0)
     )
     lengths = [len(ep) for ep in buffer.episodes]
     assert lengths[2] == 0  # the fan is already fine and regular
@@ -373,13 +361,13 @@ def test_lockstep_reach_episodes_leave_on_success(lattice_square):
 
 def test_lockstep_environment_without_flips_leaves_at_once(square_env, square_seeds):
     triangle = ff.PointConfig(2, [(0, 0), (1, 0), (0, 1)])
-    stuck = EnvContext(polytope_id="tri", config=triangle, table=enumerate_circuits(triangle))
+    stuck = SearchContext(triangle, enumerate_circuits(triangle), Objective.MIN_WEIGHT)
     single = Triangulation([(0, 1, 2)])
     square_a, square_b = ((square_env, tri) for tri in square_seeds)
     starts = [(stuck, single), square_a, (stuck, single), square_b]
     buffer = collect_rollouts(
-        make_model(dim=2, seed=3), starts, Objective.MIN_WEIGHT, small_trainer(horizon=4),
-        VisitCounter(), np.random.default_rng(0),
+        make_model(dim=2, seed=3), starts, small_trainer(horizon=4), VisitCounter(),
+        np.random.default_rng(0),
     )
     _check_lockstep(buffer, [0, 4, 0, 4])
     assert buffer.mean_action_count == 1.0
@@ -405,7 +393,6 @@ def test_collect_rollouts_invalid_flipped_state_raises(monkeypatch, square_env, 
         collect_rollouts(
             make_model(dim=2),
             [(square_env, square_seeds[0])],
-            Objective.MIN_WEIGHT,
             small_trainer(),
             VisitCounter(),
             np.random.default_rng(0),
@@ -415,7 +402,7 @@ def test_collect_rollouts_invalid_flipped_state_raises(monkeypatch, square_env, 
 def test_curve_records_ppo_diagnostics(hexagon):
     envs = hexagon_environments(hexagon)
     mc = ModelConfig(input_dim=2, hidden=8)
-    result = train(envs, Objective.MIN_WEIGHT, mc, small_trainer(iterations=2, num_envs=3, horizon=4))
+    result = train(envs, mc, small_trainer(iterations=2, num_envs=3, horizon=4))
     for record in result.curve:
         for key in ("approx_kl", "grad_norm", "explained_variance"):
             assert np.isfinite(record[key]), key
@@ -447,7 +434,7 @@ def test_ppo_diagnostics_match_their_definitions(hexagon, square_env, square_see
     square = rollout_and_gae(make_model(seed=9), square_env, square_seeds, trainer)
     assert square.mean_action_count == 1.0  # a triangulated square has one flip
     assert square.mean_episode_length == 4.0
-    env, seeds = hexagon_environments(hexagon)["hex"]
+    [(env, seeds)] = hexagon_environments(hexagon).items()
     model = make_model(seed=9)
     buffer = rollout_and_gae(model, env, seeds, trainer)
     advantages = np.array([t.advantage for t in buffer.transitions])
