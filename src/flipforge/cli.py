@@ -19,13 +19,6 @@ from . import io
 from .datagen import Dataset, GenSpec, generate, initial_triangulation, seed_triangulations
 from .errors import CheckpointError, FlipForgeError, FormatError
 from .flips import enumerate_circuits, enumerate_component
-from .frst import (
-    LatticeConfig,
-    SamplerConfig,
-    VirtualClock,
-    WallClock,
-    sample_frsts,
-)
 from .objectives import Objective, ObjectiveCache, evaluate, relative_gap, search_value
 from .search import STRATEGY_NAMES, SearchContext, make_strategy, run_budgeted
 
@@ -43,9 +36,10 @@ def _lazy(name):
     return sys.modules[fullname]
 
 
-# The policy stack, and numpy with it, loads only for the commands that use it.
+# The policy stack, and numpy with it, loads only for the commands that use it;
+# so does the FRST sampler.
 _lazy("autodiff")
-policy, training = _lazy("policy"), _lazy("training")
+policy, training, frst = _lazy("policy"), _lazy("training"), _lazy("frst")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -204,12 +198,14 @@ def _exact_reference(table, objective, limit):
     return best, component.truncated
 
 
-def _run_search_tasks(tasks, workers):
+def _run_search_tasks(tasks, references, workers):
+    """Run results and ``(table, objective, limit)`` references; one pool runs both, references first."""
     if workers <= 1:
-        return [_search_instance(t) for t in tasks]
+        return [_search_instance(t) for t in tasks], [_exact_reference(*r) for r in references]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_search_instance, tasks))
+        refs = [pool.submit(_exact_reference, *r) for r in references]
+        return list(pool.map(_search_instance, tasks)), [f.result() for f in refs]
 
 
 def _search_common(args, strategy_name, checkpoint_path=None) -> int:
@@ -249,14 +245,11 @@ def _search_common(args, strategy_name, checkpoint_path=None) -> int:
                     args.seed + 1000 * dataset.ids.index(cid) + k,
                 )
             )
-    results = sorted(_run_search_tasks(tasks, workers), key=lambda r: (r[0], r[1]))
-
-    references = {}
-    exactness = {}
-    for cid in dataset.ids:
-        ref, truncated = _exact_reference(tables[cid], objective, args.ref_limit)
-        references[cid] = ref
-        exactness[cid] = not truncated
+    results, walks = _run_search_tasks(
+        tasks, [(tables[cid], objective, args.ref_limit) for cid in dataset.ids], workers
+    )
+    results.sort(key=lambda r: (r[0], r[1]))
+    references = {cid: ref for cid, (ref, _truncated) in zip(dataset.ids, walks)}
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -285,7 +278,7 @@ def _search_common(args, strategy_name, checkpoint_path=None) -> int:
         "mean_gap": report.mean,
         "stderr_gap": report.stderr,
         "instances": len(report.instances),
-        "references_exact": all(exactness.values()),
+        "references_exact": not any(truncated for _ref, truncated in walks),
     }
     io.write_json(out / "summary.json", summary)
     _write_provenance(out, "search" if checkpoint_path is None else "eval", _option_dict(args))
@@ -294,8 +287,11 @@ def _search_common(args, strategy_name, checkpoint_path=None) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.strategy in ("policy", "nls_accept") and not args.checkpoint:
+    learned = args.strategy in ("policy", "nls_accept")
+    if learned and not args.checkpoint:
         raise FormatError(f"strategy {args.strategy} requires --checkpoint")
+    if args.checkpoint and not learned:
+        raise ValueError(f"strategy {args.strategy} takes no model, so no --checkpoint")
     return _search_common(args, args.strategy, checkpoint_path=args.checkpoint)
 
 
@@ -383,8 +379,8 @@ def cmd_train(args) -> int:
 
 def cmd_sample_frst(args) -> int:
     config = io.read_point_config(args.polytope)
-    lattice = LatticeConfig.from_config(config, name=Path(args.polytope).stem)
-    sampler = SamplerConfig(
+    lattice = frst.LatticeConfig.from_config(config, name=Path(args.polytope).stem)
+    sampler = frst.SamplerConfig(
         height_std=args.std,
         max_seconds=args.max_seconds,
         max_iterations=args.max_iterations,
@@ -399,11 +395,11 @@ def cmd_sample_frst(args) -> int:
         strategy = make_strategy("policy", model=model, params={"mode": args.mode})
     elif args.locator == "random-walk":
         strategy = make_strategy("random_walk")
-    clock = WallClock() if args.clock == "wall" else VirtualClock()
+    clock = frst.WallClock() if args.clock == "wall" else frst.VirtualClock()
     import numpy as np
 
     rng = np.random.default_rng(args.seed)
-    ledger = sample_frsts(lattice, sampler, strategy, rng, clock=clock)
+    ledger = frst.sample_frsts(lattice, sampler, strategy, rng, clock=clock)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     io.write_jsonl(

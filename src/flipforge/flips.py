@@ -7,7 +7,9 @@ realized with a common link.  Circuits are computed once per configuration
 from the integer maximal minors of the homogenized points.  Each circuit
 table indexes its circuits by their cores, so a state tests only the circuits
 with a core inside one of its simplices, and a flipped state only those
-touching the simplices its flip removed or inserted.
+touching the simplices its flip removed or inserted.  A circuit of dim+2
+points, the only kind a generic configuration has, is tested against the
+state's simplex set alone; only smaller circuits need the state's face map.
 """
 
 from __future__ import annotations
@@ -29,15 +31,30 @@ class Circuit:
     """Minimal affinely dependent vertex set with its signed dependence."""
 
     vertices: tuple  # sorted vertex indices, size <= dim+2
-    coeffs: tuple  # Fractions, first nonzero entry +1, full support
+    dependence: tuple  # primitive integers, first entry positive, full support
     positive: tuple  # indices with positive coefficient
     negative: tuple  # indices with negative coefficient
+
+    @functools.cached_property
+    def coeffs(self):
+        """The dependence as Fractions scaled so that the first one is +1."""
+        return tuple(Fraction(v, self.dependence[0]) for v in self.dependence)
 
     @functools.cached_property
     def cores(self):
         """The cores Z - {p}: (one per positive p, one per negative p), as frozensets."""
         zset = frozenset(self.vertices)
         return tuple(tuple(zset - {p} for p in part) for part in (self.positive, self.negative))
+
+    @functools.cached_property
+    def flips(self):
+        """Both orientations' actions (+1 first) of a circuit of dim+2 points: its cores are
+        d-simplices with an empty link, so a side is realized iff all its cores are simplices."""
+        plus, minus = (
+            tuple(sorted(tuple(v for v in self.vertices if v != p) for p in part))
+            for part in (self.positive, self.negative)
+        )
+        return FlipAction(self, 1, ((),), plus, minus), FlipAction(self, -1, ((),), minus, plus)
 
 
 @dataclass(frozen=True)
@@ -89,16 +106,17 @@ class CircuitTable:
 
 
 def _circuit(subset, lam) -> Circuit:
-    """The circuit on ``subset`` with full-support dependence ``lam``.
+    """The circuit on ``subset`` with full-support integer dependence ``lam``.
 
-    The coefficients are scaled so that the first one is +1.
+    The dependence is stored as primitive integers with a positive first entry.
     """
-    coeffs = tuple(Fraction(v, lam[0]) for v in lam)
+    g = math.gcd(*lam) if lam[0] > 0 else -math.gcd(*lam)
+    dependence = tuple(v // g for v in lam)
     return Circuit(
         vertices=subset,
-        coeffs=coeffs,
-        positive=tuple(i for i, v in zip(subset, coeffs) if v > 0),
-        negative=tuple(i for i, v in zip(subset, coeffs) if v < 0),
+        dependence=dependence,
+        positive=tuple(i for i, v in zip(subset, dependence) if v > 0),
+        negative=tuple(i for i, v in zip(subset, dependence) if v < 0),
     )
 
 
@@ -135,7 +153,8 @@ def enumerate_circuits(config: PointConfig) -> CircuitTable:
                 continue
             basis = dependence_kernel([config.points[i] for i in subset])
             if len(basis) == 1 and all(basis[0]):
-                circuits.append(_circuit(subset, basis[0]))
+                scale = math.lcm(*(v.denominator for v in basis[0]))
+                circuits.append(_circuit(subset, [int(v * scale) for v in basis[0]]))
     circuits.sort(key=lambda c: c.vertices)
     return CircuitTable(config=config, circuits=tuple(circuits))
 
@@ -172,11 +191,12 @@ def flippable_circuits(tri: Triangulation, table: CircuitTable):
     a face only if a removed or inserted simplex contains it.  So a state
     flipped from a parent with known actions keeps the parent's action on
     every circuit not touching those simplices and re-tests the rest; any
-    other state tests every circuit touching one of its simplices.  The
+    other state tests every circuit touching one of its simplices.  A circuit
+    of dim+2 points is tested by simplex membership (see ``Circuit.flips``);
+    the face map is built only when a smaller circuit is re-tested.  The
     actions are cached on the state, per table, and its lineage dropped.
     """
     if tri._actions is None or tri._actions[0] is not table:
-        faces = tri.face_map()
         parent, removed, inserted = tri._lineage or (None, (), ())
         if parent is None or parent._actions is None or parent._actions[0] is not table:
             kept, changed = {}, tri.simplices
@@ -184,9 +204,14 @@ def flippable_circuits(tri: Triangulation, table: CircuitTable):
             kept, changed = parent._actions[1], removed + inserted
         retest = frozenset().union(*map(table.touching, changed))
         found = {pos: a for pos, a in kept.items() if pos not in retest}
+        simplices, faces, full = set(tri.simplices), None, table.config.dim + 2
         for pos in retest:
             circuit = table.circuits[pos]
-            plus, minus = _realize(faces, circuit, +1), _realize(faces, circuit, -1)
+            if len(circuit.vertices) == full:
+                plus, minus = [a if simplices.issuperset(a.removed) else None for a in circuit.flips]
+            else:
+                faces = faces or tri.face_map()
+                plus, minus = _realize(faces, circuit, +1), _realize(faces, circuit, -1)
             if plus is not None and minus is not None:
                 raise AssertionError(f"both sides of circuit {circuit.vertices} realized at once")
             if plus is not None or minus is not None:
@@ -200,16 +225,31 @@ def apply_flip(tri: Triangulation, action: FlipAction) -> Triangulation:
     """Replace the realized local subtriangulation by the other side.
 
     The child records the simplices that actually left and arrived, so its
-    face map and actions are patched from ``tri``'s.
+    actions and 1-skeleton are patched from ``tri``'s.
     """
     current = set(tri.simplices)
-    removed, inserted = set(action.removed), set(action.inserted)
-    if not removed <= current:
+    if not current.issuperset(action.removed):
         raise StaleAction("action's removed set is not part of the triangulation")
-    simplices = tuple(sorted((current - removed) | inserted))
-    return Triangulation._flipped(
-        tri, simplices, tuple(removed - inserted), tuple(inserted - current)
-    )
+    return _child(tri, current, action, _flip_key(current, action))
+
+
+def _flip_key(current: set, action: FlipAction) -> tuple:
+    """Canonical key of the state ``action`` makes from the simplex set ``current``."""
+    return tuple(sorted(current.difference(action.removed).union(action.inserted)))
+
+
+def _child(tri: Triangulation, current: set, action: FlipAction, key: tuple) -> Triangulation:
+    """The state ``key`` that ``action`` makes from ``tri``, whose simplex set is ``current``."""
+    return Triangulation._flipped(tri, key, action.removed, tuple(set(action.inserted) - current))
+
+
+def _successors(tri: Triangulation, table: CircuitTable):
+    """``(simplex set, {successor key: the first action reaching it})`` of ``tri``."""
+    current = set(tri.simplices)
+    first = {}
+    for action in flippable_circuits(tri, table):
+        first.setdefault(_flip_key(current, action), action)
+    return current, first
 
 
 def reverse_action(tri_after: Triangulation, table: CircuitTable, action: FlipAction):
@@ -224,12 +264,9 @@ def reverse_action(tri_after: Triangulation, table: CircuitTable, action: FlipAc
 
 
 def neighbors(tri: Triangulation, table: CircuitTable):
-    """Distinct one-flip successors of ``tri``."""
-    out = {}
-    for action in flippable_circuits(tri, table):
-        nxt = apply_flip(tri, action)
-        out.setdefault(nxt.canonical_key, nxt)
-    return [out[k] for k in sorted(out)]
+    """Distinct one-flip successors of ``tri``, in key order."""
+    current, first = _successors(tri, table)
+    return [_child(tri, current, first[key], key) for key in sorted(first)]
 
 
 @dataclass
@@ -256,7 +293,8 @@ def enumerate_component(
     (in the middle of an expansion), with the truncation flag set;
     enumeration is exact whenever the component is smaller than both.  The
     edge count covers all flips discovered between expanded states and their
-    neighbors.
+    neighbors.  A neighbor is built only on its first discovery; every other
+    flip is known by its key alone.
     """
     states = {seed.canonical_key: seed}
     index = {seed.canonical_key: 0}
@@ -271,12 +309,12 @@ def enumerate_component(
         current = queue.popleft()
         expansions += 1
         cur_idx = index[current.canonical_key]
-        for nxt in neighbors(current, table):
+        simplices, first = _successors(current, table)
+        for key in sorted(first):
             if len(states) >= cap:
                 break
-            key = nxt.canonical_key
             if key not in states:
-                states[key] = nxt
+                states[key] = nxt = _child(current, simplices, first[key], key)
                 index[key] = len(index)
                 queue.append(nxt)
             a, b = cur_idx, index[key]

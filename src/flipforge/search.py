@@ -313,7 +313,10 @@ class AcceptanceStrategy(_LearnedStrategy):
 
 
 class PolicyStrategy(_LearnedStrategy):
-    """Learned flip ranking: scores all feasible actions and picks one."""
+    """Learned flip ranking: scores all feasible actions and picks one.
+
+    An argmax move depends only on the state, so a run replays it, as greedy's.
+    """
 
     name = "policy"
     actor_kinds = ("snn", "egnn_only", "pool_mlp")
@@ -323,6 +326,17 @@ class PolicyStrategy(_LearnedStrategy):
             raise ValueError(f"unknown policy mode {mode!r}")
         super().__init__(model)
         self.mode = mode
+
+    def reset(self, tri, ctx):
+        self.moves = {}
+
+    def step(self, tri, actions, ctx):
+        if self.mode == "sample":
+            return super().step(tri, actions, ctx)
+        move = self.moves.get(tri)
+        if move is None:
+            move = self.moves[tri] = super().step(tri, actions, ctx)
+        return move
 
     def choose(self, head, count, rng):
         """The most probable action of the distribution ``head``, or one drawn from it."""

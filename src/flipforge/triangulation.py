@@ -8,11 +8,10 @@ hash and can be shared freely across workers.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,9 +27,9 @@ class Triangulation:
     """Immutable set of maximal simplices with a canonical, hashable identity.
 
     A state made by a flip records its lineage (parent, removed and inserted
-    simplices) until its actions are known, so its face map patches the
-    parent's and ``flippable_circuits`` re-tests only the circuits the flip
-    touched.  Caches and lineage are never pickled.
+    simplices) until its actions are known, so ``flippable_circuits``
+    re-tests only the circuits the flip touched, and its 1-skeleton and face
+    map patch the parent's.  Caches and lineage are never pickled.
     """
 
     __slots__ = ("simplices", "_face_map", "_skeleton", "_hash", "_lineage", "_actions", "_rows")
@@ -86,8 +85,9 @@ class Triangulation:
     def face_map(self):
         """Every nonempty face, maximal simplices included -> frozenset of containing simplices.
 
-        A flipped state copies its parent's map and rebuilds only the entries
-        of faces of the removed and inserted simplices; the others are shared.
+        Only circuits of fewer than dim+2 points need it.  A flipped state
+        whose parent built its map copies it and rebuilds only the entries of
+        faces of the removed and inserted simplices; the others are shared.
         """
         if self._face_map is None:
             parent, removed, inserted = self._lineage or (None, (), ())
@@ -108,37 +108,24 @@ class Triangulation:
         return self._face_map
 
     def skeleton_edges(self):
-        """Sorted 1-skeleton edges (i, j) with i < j.
+        """Sorted 1-skeleton edges (i, j) with i < j, kept with their multiplicities.
 
-        A flipped state whose parent knows its edges and face map patches the
-        parent's edges: an edge of a removed simplex survives iff an inserted
-        simplex holds it or the parent's face map holds it in a simplex that
-        was not removed, and an edge of an inserted simplex is new iff the
-        parent's face map lacks it.
+        A flipped state whose parent knows them patches the parent's counts
+        with the removed and inserted simplices' edges; an edge at zero leaves.
         """
         if self._skeleton is None:
             parent, removed, inserted = self._lineage or (None, (), ())
-            if parent is None or parent._skeleton is None or parent._face_map is None:
-                edges = set()
-                for s in self.simplices:
-                    edges.update(itertools.combinations(s, 2))
-                self._skeleton = tuple(sorted(edges))
+            if parent is None or parent._skeleton is None:
+                counts = Counter(_edges(self.simplices))
             else:
-                fm = parent._face_map
-                dead = {frozenset(s) for s in removed}
-                born = {e for s in inserted for e in itertools.combinations(s, 2)}
-                gone = {
-                    e
-                    for s in removed
-                    for e in itertools.combinations(s, 2)
-                    if e not in born and not fm[frozenset(e)] - dead
-                }
-                edges = [e for e in parent._skeleton if e not in gone]
-                for e in born:
-                    if frozenset(e) not in fm:
-                        bisect.insort(edges, e)
-                self._skeleton = tuple(edges)
-        return self._skeleton
+                counts = parent._skeleton[1].copy()
+                counts.subtract(_edges(removed))
+                counts.update(_edges(inserted))
+                for e in set(_edges(removed)):
+                    if not counts[e]:
+                        del counts[e]
+            self._skeleton = (tuple(sorted(counts)), counts)
+        return self._skeleton[0]
 
     def boundary_faces(self):
         """(d-1)-faces together with their occurrence counts."""
@@ -147,6 +134,11 @@ class Triangulation:
             for face in itertools.combinations(s, len(s) - 1):
                 counts[face] = counts.get(face, 0) + 1
         return counts
+
+
+def _edges(simplices):
+    """The edges (i, j), i < j, of each simplex in turn, with repeats."""
+    return itertools.chain.from_iterable(itertools.combinations(s, 2) for s in simplices)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -2,9 +2,9 @@
 
 ``import flipforge`` and the commands that need neither a generator nor a
 policy (``search`` with a strategy that draws nothing, ``enumerate``) never
-import numpy.  ``cli`` registers ``policy``, ``autodiff`` and ``training`` to
-load on first use, so ``sample-frst`` with its default locator never runs
-their code.
+import numpy.  ``cli`` registers ``policy``, ``autodiff``, ``training`` and
+``frst`` to load on first use, so ``sample-frst`` with its default locator
+never runs the policy stack's code, and no other command runs the sampler's.
 """
 
 import json
@@ -25,7 +25,7 @@ def executed(name):
     # a lazily registered module is a module subclass until its code runs
     return type(sys.modules.get(name)) is types.ModuleType
 
-stack = ("flipforge.policy", "flipforge.autodiff", "flipforge.training")
+stack = ("flipforge.policy", "flipforge.autodiff", "flipforge.training", "flipforge.frst")
 steps = json.loads(sys.argv[1])
 report = {}
 import flipforge
@@ -72,3 +72,20 @@ def test_sample_frst_does_not_run_the_policy_stack(tmp_path):
     assert result["exit"] == 0
     assert result["numpy"]  # the lifts draw random heights
     assert not any(result[m] for m in ("flipforge.policy", "flipforge.autodiff", "flipforge.training"))
+
+
+def test_gen_search_and_train_never_run_the_frst_sampler(tmp_path):
+    data = tmp_path / "data"
+    report = probe([
+        ["gen", ["gen", "--dim", "2", "--samples", "7", "--count", "2", "--seed", "4",
+                 "--out", str(data)]],
+        ["search", ["search", "--data", str(data), "--objective", "frst_reach",
+                    "--strategy", "greedy", "--budget", "10", "--out", str(tmp_path / "s")]],
+        ["train", ["train", "--data", str(data), "--objective", "min_weight",
+                   "--iterations", "1", "--envs", "2", "--horizon", "3", "--hidden", "8",
+                   "--out", str(tmp_path / "t")]],
+    ])
+    for label in ("gen", "search", "train"):
+        assert report[label]["exit"] == 0
+        assert not report[label]["flipforge.frst"], label
+    assert report["train"]["flipforge.training"]  # the probe does see a lazy module run

@@ -1,0 +1,139 @@
+"""The flip layer's fast paths, state by state, against the paths they replaced.
+
+``flippable_circuits`` tests a circuit of dim+2 points by simplex membership
+and patches a flipped state's actions; the oracle realizes every circuit of
+the table from a face map built afresh.  ``skeleton_edges`` patches edge
+multiplicities through the lineage; the oracle collects every simplex's
+edges.  Circuit tables store primitive integer dependences; the oracle is the
+Fraction circuit of the dependence kernel.  Each runs along random walks and
+breadth-first components of generic 2D-4D sets, the 3x3 square, the prism
+and the 4D cross-polytope.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flipforge.datagen import GenSpec, generate, initial_triangulation
+from flipforge.flips import (
+    _realize,
+    apply_flip,
+    enumerate_circuits,
+    enumerate_component,
+    flippable_circuits,
+    neighbors,
+)
+from flipforge.objectives import Objective, ObjectiveCache, search_value
+from flipforge.triangulation import Triangulation
+from test_circuit_index import (
+    CROSS4D,
+    PRISM,
+    SQUARE_3X3,
+    subset_kernel_circuits,
+    table_circuits,
+)
+
+
+def generic(dim, samples, seed):
+    return next(iter(generate(GenSpec(dim=dim, samples=samples, count=1, seed=seed)).configs.values()))
+
+
+CONFIGS = {
+    "gen2d": generic(2, 30, 3),
+    "gen3d": generic(3, 10, 5),
+    "gen4d": generic(4, 9, 7),
+    "square3x3": SQUARE_3X3,
+    "prism": PRISM,
+    "cross4d": CROSS4D,
+}
+GENERIC = ("gen2d", "gen3d", "gen4d")
+TABLES = {}
+
+
+def table_of(name):
+    if name not in TABLES:
+        TABLES[name] = enumerate_circuits(CONFIGS[name])
+    return TABLES[name]
+
+
+def start_of(name):
+    if name == "cross4d":
+        # the placing triangulation of the cross-polytope has no flips
+        return Triangulation(
+            [tuple(sorted({0, 1} | set(rest))) for rest in itertools.product((2, 3), (4, 5), (6, 7))]
+        )
+    return initial_triangulation(CONFIGS[name])
+
+
+def face_map_actions(tri, table):
+    """Oracle: both orientations of every circuit realized from a fresh face map."""
+    faces = Triangulation(tri.simplices).face_map()
+    actions = []
+    for circuit in table.circuits:
+        found = [a for a in (_realize(faces, circuit, s) for s in (1, -1)) if a]
+        assert len(found) <= 1, f"both sides of {circuit.vertices} realized"
+        actions.extend(found)
+    return actions
+
+
+def edge_oracle(tri):
+    """Oracle: the sorted union of every simplex's edges."""
+    return tuple(sorted({e for s in tri.simplices for e in itertools.combinations(s, 2)}))
+
+
+def check_state(name, tri, table):
+    """The state's actions and 1-skeleton against the oracles; generic states keep no face map."""
+    assert tri.skeleton_edges() == edge_oracle(tri)
+    assert flippable_circuits(tri, table) == face_map_actions(tri, table)
+    if name in GENERIC:
+        assert tri._face_map is None
+    else:
+        assert tri._face_map in (None, Triangulation(tri.simplices).face_map())
+
+
+@pytest.mark.parametrize("name", GENERIC)  # the others: test_circuit_index
+def test_circuit_tables_match_the_fraction_oracle(name):
+    assert table_circuits(table_of(name)) == subset_kernel_circuits(CONFIGS[name])
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+@settings(max_examples=15, deadline=None)
+@given(moves=st.lists(st.integers(0, 1 << 20), min_size=1, max_size=15))
+def test_walk_states_match_the_oracles(name, moves):
+    table = table_of(name)
+    tri = start_of(name)
+    check_state(name, tri, table)
+    for move in moves:
+        actions = flippable_circuits(tri, table)
+        if not actions:
+            break
+        # the child's skeleton and actions are patched from ``tri``'s
+        tri = apply_flip(tri, actions[move % len(actions)])
+        assert tri._lineage is not None
+        check_state(name, tri, table)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_component_states_and_their_neighbors_match_the_oracles(name):
+    table = table_of(name)
+    component = enumerate_component(start_of(name), table, limit=12)
+    assert len(component) > 3
+    for tri in component.states.values():
+        check_state(name, tri, table)
+        for child in neighbors(tri, table):
+            check_state(name, child, table)
+
+
+def test_reference_walk_on_a_gen_dataset_builds_no_face_map():
+    dataset = generate(GenSpec(dim=3, samples=13, count=2, seed=2))
+    for config in dataset.configs.values():
+        table = enumerate_circuits(config)
+        assert all(len(c.vertices) == config.dim + 2 for c in table.circuits)
+        component = enumerate_component(initial_triangulation(config), table, limit=200)
+        cache = ObjectiveCache()
+        for tri in component.states.values():
+            search_value(Objective.MIN_WEIGHT, tri, config, cache)
+        assert len(component) > 100
+        assert all(tri._face_map is None for tri in component.states.values())

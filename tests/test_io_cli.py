@@ -258,6 +258,28 @@ def test_cli_eval_missing_checkpoint(small_dataset, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("strategy", ("greedy", "dfs", "befs", "anneal", "random_walk"))
+@pytest.mark.parametrize("checkpoint", ("missing", "2d_model"))
+def test_cli_model_free_search_rejects_a_checkpoint(
+    small_dataset_3d, tmp_path, capsys, strategy, checkpoint
+):
+    data, ckpt = small_dataset_3d, tmp_path / "missing.ckpt"
+    if checkpoint == "2d_model":
+        ckpt = tmp_path / "model2d.ckpt"
+        io.write_checkpoint(ckpt, PolicyModel.initialize(ModelConfig(input_dim=2, hidden=4), seed=0))
+    else:
+        data = tmp_path / "no_data"  # rejected before the data is read
+    code = run_cli(
+        "search", "--data", data, "--objective", "min_weight", "--strategy", strategy,
+        "--budget", 5, "--checkpoint", ckpt, "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"usage error: strategy {strategy} takes no model, so no --checkpoint\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_sample_frst_and_determinism(tmp_path):
     outs = []
     for name in ("r1", "r2"):
@@ -346,6 +368,7 @@ def test_cli_usage_exit_code():
 
 
 def test_cli_search_worker_pool_matches_serial(small_dataset, tmp_path):
+    # the pool runs the searches and the references; every output is the same bytes
     results = {}
     for label, workers in (("serial", "1"), ("pool", "2")):
         out = tmp_path / label
@@ -353,12 +376,14 @@ def test_cli_search_worker_pool_matches_serial(small_dataset, tmp_path):
         try:
             code = run_cli(
                 "search", "--data", small_dataset, "--objective", "min_weight",
-                "--strategy", "greedy", "--budget", 20, "--seed", 4, "--out", out,
+                "--strategy", "greedy", "--budget", 20, "--starts", 2, "--seed", 4,
+                "--out", out,
             )
         finally:
             os.environ.pop("FLIPFORGE_THREADS", None)
         assert code == 0
-        results[label] = (out / "gap_table.tsv").read_bytes()
+        results[label] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert {"summary.json", "gap_table.tsv", "runlog_2d_001_1.jsonl"} <= set(results["serial"])
     assert results["serial"] == results["pool"]
 
 

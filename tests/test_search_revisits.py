@@ -1,10 +1,11 @@
 """A run's reuse of the states it revisits, against the step loop it replaced.
 
 ``run_budgeted`` validates a flipped state only on its first arrival, greedy
-replays the move it made from a state it returns to, and dfs stops looking
-once its stack is exhausted.  The reference below is the loop as it was
-before: every step flips and scores every child anew, and ``require_valid``
-runs on every flipped state.  Both must record the same steps.
+and the argmax policy replay the move they made from a state they return to,
+and dfs stops looking once its stack is exhausted.  The reference below is
+the loop as it was before: every step flips and scores every child anew, and
+``require_valid`` runs on every flipped state.  Both must record the same
+steps.
 """
 
 import gc
@@ -19,9 +20,11 @@ from flipforge.datagen import initial_triangulation
 from flipforge.errors import DegenerateConfig, FlipForgeError
 from flipforge.flips import apply_flip, enumerate_circuits, flippable_circuits
 from flipforge.objectives import Objective, ObjectiveCache
+from flipforge.policy import ModelConfig, PolicyModel
 from flipforge.search import (
     BefsStrategy,
     DfsStrategy,
+    PolicyStrategy,
     SearchContext,
     SearchTrace,
     Strategy,
@@ -155,6 +158,51 @@ def test_reused_states_record_the_reference_steps(dim, data):
         # each distinct flipped state is validated once, on its first arrival
         arrivals = flipped_arrivals(got)
         assert validated == list(dict.fromkeys(arrivals)), name
+
+
+class ReferencePolicy(PolicyStrategy):
+    """The policy as it was: every step runs the model on its state."""
+
+    def step(self, tri, actions, ctx):
+        return super(PolicyStrategy, self).step(tri, actions, ctx)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_argmax_policy_replays_its_moves_and_records_the_reference_steps(dim, data):
+    config, table, start = draw_start(dim, data)
+    model = PolicyModel.initialize(
+        ModelConfig(input_dim=dim, hidden=8), seed=data.draw(st.integers(0, 99))
+    )
+    mode = data.draw(st.sampled_from(["argmax", "sample"]))
+    seed = data.draw(st.integers(0, 1 << 16))
+    budget = data.draw(st.integers(0, 30))
+    runs = {}
+    for label, strategy in (
+        ("reference", ReferencePolicy(model, mode)),
+        ("replay", PolicyStrategy(model, mode)),
+    ):
+        forwards = []
+        real = PolicyModel.forward
+
+        def counting(self, graph):
+            forwards.append(1)
+            return real(self, graph)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PolicyModel, "forward", counting)
+            trace = run_budgeted(
+                strategy, start, Objective.MIN_WEIGHT, budget,
+                config=config, table=table, seed=seed,
+            )
+        runs[label] = (recorded(trace), len(forwards), trace)
+    assert runs["replay"][0] == runs["reference"][0]
+    trace = runs["replay"][2]
+    moved_from = [s for r, s in zip(trace.records[:-1], trace.states) if r.actions]
+    # an argmax run runs the model once per distinct state it steps from
+    expected = len(set(moved_from)) if mode == "argmax" else len(moved_from)
+    assert runs["replay"][1] == expected and runs["reference"][1] == len(moved_from)
 
 
 def test_greedy_validates_each_distinct_state_once(hexagon, hexagon_table, monkeypatch):
