@@ -124,6 +124,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.limit < 1:
+        raise ValueError(f"limit must be at least 1, got {args.limit}")
     config = io.read_point_config(args.polytope)
     table = enumerate_circuits(config)
     seed = initial_triangulation(config)

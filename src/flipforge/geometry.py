@@ -5,6 +5,11 @@ epsilons anywhere.  Points are tuples of ``fractions.Fraction``, and all
 predicates (orientation, hull membership, affine dependence) reduce to integer
 arithmetic after clearing denominators once per operation.
 
+One beneath-beyond (placing) pass per configuration, run on first use and
+kept, serves the hull: its simplices are the placing triangulation and sum to
+the hull volume, and the distinct planes of its final boundary faces are the
+hull facets.
+
 Intended scale: small configurations (a few dozen points) in dimension <= 5,
 which covers ambient dimension <= 4 plus one lifting coordinate.
 """
@@ -218,16 +223,6 @@ class HullResult:
         return all(f.value(make_point(point)) <= 0 for f in self.facets)
 
 
-def _primitive(normal, offset):
-    g = 0
-    for v in list(normal) + [offset]:
-        g = math.gcd(g, abs(v))
-    if g > 1:
-        normal = tuple(v // g for v in normal)
-        offset = offset // g
-    return normal, offset
-
-
 def _hyperplane_from_basis(rows, dim):
     """Normal of the hyperplane spanned by dim affinely independent int rows."""
     base = rows[0]
@@ -266,6 +261,7 @@ class PointConfig:
         elif is_lattice and not integral:
             raise ValueError("is_lattice=True but coordinates are not integral")
         self.is_lattice = bool(is_lattice)
+        self._placing = None
         self._hull = None
         self._hull_volume = None
         self._int_rows = None
@@ -319,18 +315,27 @@ class PointConfig:
             self._dets[simplex] = det
         return det
 
+    def placing(self):
+        """The beneath-beyond pass ``(simplices, boundary)``, run once; see ``_beneath_beyond``."""
+        if self._placing is None:
+            self._placing = _beneath_beyond(self)
+        return self._placing
+
     def hull(self) -> HullResult:
         if self._hull is None:
             self._hull = convex_hull(self)
         return self._hull
 
+    def volume(self, simplices) -> Fraction:
+        """Summed normalized volume of ``simplices``: sum |simplex_det| / (scale**dim * dim!)."""
+        _rows, scale = self.int_rows()
+        det_sum = sum(abs(self.simplex_det(s)) for s in simplices)
+        return Fraction(det_sum, scale**self.dim * math.factorial(self.dim))
+
     def hull_volume(self) -> Fraction:
-        """Normalized volume of the hull, via the placing triangulation."""
+        """Normalized volume of the hull: the volume of the placing pass's simplices."""
         if self._hull_volume is None:
-            total = Fraction(0)
-            for simplex in placing_triangulation(self):
-                total += simplex_volume([self.points[i] for i in simplex])
-            self._hull_volume = total
+            self._hull_volume = self.volume(self.placing()[0])
         return self._hull_volume
 
 
@@ -348,85 +353,24 @@ def simplex_volume(vertices) -> Fraction:
 
 
 def convex_hull(config: PointConfig) -> HullResult:
-    """Exact facets by incremental insertion; ``extreme`` follows from them on demand.
+    """Exact facets, read off the placing pass's final boundary.
 
-    Non-simplicial facets are fine: a facet is stored as the set of all point
-    indices on its hyperplane.  New facets after every insertion are generated
-    from horizon ridges (intersections of a destroyed and a kept facet that
-    span a (d-2)-flat) and verified exactly before being accepted.
+    The boundary faces triangulate the hull's boundary, so the facets are
+    their distinct planes.  Non-simplicial facets are fine: a facet is stored
+    as the set of all point indices on its hyperplane.  ``extreme`` follows
+    from the facets on demand.
     """
     rows, scale = config.int_rows()
-    dim = config.dim
-    n = len(rows)
-
-    start = rref(_homogenized(rows))[1]  # greedy: the first dim+1 independent points
-    processed = list(start)
-    facets = {}  # (normal, offset) -> set of point ids on the hyperplane
-    for subset in itertools.combinations(start, dim):
-        plane = _oriented_plane(rows, subset, [i for i in start if i not in subset][0])
-        facets[plane] = {i for i in processed if _plane_value(plane, rows[i]) == 0}
-
-    for p in range(n):
-        if p in start:
-            continue
-        values = {plane: _plane_value(plane, rows[p]) for plane in facets}
-        visible = [plane for plane, v in values.items() if v > 0]
-        if not visible:
-            for plane, v in values.items():
-                if v == 0:
-                    facets[plane].add(p)
-            processed.append(p)
-            continue
-        kept = {plane: ids for plane, ids in facets.items() if values[plane] <= 0}
-        candidates = set()
-        for vplane in visible:
-            vids = facets[vplane]
-            for kplane, kids in kept.items():
-                ridge = vids & kids
-                if len(ridge) < dim - 1:
-                    continue
-                span = [rows[i] for i in sorted(ridge)] + [rows[p]]
-                if len(ridge) > dim - 1:
-                    pivots = rref(_homogenized(span))[1]
-                    if len(pivots) != dim or pivots[-1] != len(ridge):
-                        # the ridge must span a (d-2)-flat that p genuinely extends
-                        continue
-                    span = [span[i] for i in pivots]
-                # with exactly dim - 1 ridge points, a dependent span has no normal
-                plane = _hyperplane_from_basis(span, dim)
-                if plane is None:
-                    continue
-                candidates.add(plane)
-        processed.append(p)
-        new_facets = dict(kept)
-        for plane, ids in kept.items():
-            if values[plane] == 0:
-                new_facets[plane] = ids | {p}
-        for normal, offset in candidates:
-            plane = _orient_supporting(normal, offset, rows, processed)
-            if plane is None or plane in new_facets:
-                continue
-            new_facets[plane] = {
-                i for i in processed if _plane_value(plane, rows[i]) == 0
-            }
-        facets = new_facets
-
-    # final pass: full vertex sets and an exact support check
     out = []
-    for (normal, offset), _ids in sorted(facets.items()):
-        ids = set()
-        for i in range(n):
-            v = _plane_value((normal, offset), rows[i])
-            if v > 0:
-                raise AssertionError("hull invariant violated")
-            if v == 0:
-                ids.add(i)
-        nrm, off = _primitive(normal, offset)
+    for normal, offset in set(config.placing()[1].values()):
+        values = [_plane_value((normal, offset), row) for row in rows]
+        if max(values) > 0:  # an exact support check over every point
+            raise AssertionError("hull invariant violated")
         out.append(
             HullFacet(
-                normal=tuple(Fraction(v) for v in nrm),
-                offset=Fraction(off, scale),
-                vertex_ids=frozenset(ids),
+                normal=tuple(Fraction(v) for v in normal),
+                offset=Fraction(offset, scale),
+                vertex_ids=frozenset(i for i, v in enumerate(values) if v == 0),
             )
         )
     out.sort(key=lambda f: (f.normal, f.offset))
@@ -439,64 +383,59 @@ def _plane_value(plane, row):
 
 
 def _oriented_plane(rows, subset, inside_idx):
-    plane = _hyperplane_from_basis([rows[i] for i in subset], len(rows[0]))
-    normal, offset = plane
-    v = _plane_value(plane, rows[inside_idx])
-    if v > 0:
-        normal = tuple(-x for x in normal)
-        offset = -offset
-    return _primitive(normal, offset)
+    """Primitive plane through ``subset``, oriented so ``inside_idx`` lies on the side <= 0."""
+    normal, offset = _hyperplane_from_basis([rows[i] for i in subset], len(rows[0]))
+    g = math.gcd(*normal, offset)
+    if _plane_value((normal, offset), rows[inside_idx]) > 0:
+        g = -g
+    return tuple(v // g for v in normal), offset // g
 
 
-def _orient_supporting(normal, offset, rows, ids):
-    """Orient (or reject) a candidate hyperplane so every row satisfies <= 0."""
-    pos = neg = False
-    for i in ids:
-        v = _plane_value((normal, offset), rows[i])
-        if v > 0:
-            pos = True
-        elif v < 0:
-            neg = True
-        if pos and neg:
-            return None
-    if pos:
-        normal = tuple(-x for x in normal)
-        offset = -offset
-    return _primitive(normal, offset)
+def _beneath_beyond(config: PointConfig):
+    """Placing pass over the points in index order: ``(simplices, boundary)``.
+
+    Starts from the first dim+1 affinely independent points.  A point beyond
+    some boundary faces is coned to each of them; a point beyond none (inside,
+    or on the boundary) adds nothing, so no flat simplex appears.
+    ``boundary`` maps each (d-1)-face of the final boundary (a sorted tuple of
+    dim ids) to its primitive plane ``(normal, offset)`` in ``int_rows``
+    units, oriented so the hull lies on the side <= 0.
+    """
+    rows, _scale = config.int_rows()
+    dim = config.dim
+    start = tuple(rref(_homogenized(rows))[1])  # greedy: the first dim+1 independent points
+    simplices = [start]
+    boundary = {}
+    for k in range(dim + 1):
+        face = start[:k] + start[k + 1 :]
+        boundary[face] = _oriented_plane(rows, face, start[k])
+    started = set(start)
+    for p in range(len(rows)):
+        if p in started:
+            continue
+        beyond = [face for face, plane in boundary.items() if _plane_value(plane, rows[p]) > 0]
+        # the new faces are ridge + p, one per ridge of a face p sees; a ridge
+        # of two such faces is interior, so only the rest get a plane
+        cone = {}  # new face -> the vertex of its beyond face opposite it
+        for face in beyond:
+            del boundary[face]
+            simplices.append(tuple(sorted(face + (p,))))
+            for k in range(dim):
+                new = tuple(sorted(face[:k] + face[k + 1 :] + (p,)))
+                if cone.pop(new, None) is None:
+                    cone[new] = face[k]
+        for new, opp in cone.items():
+            boundary[new] = _oriented_plane(rows, new, opp)
+    return simplices, boundary
 
 
 def placing_triangulation(config: PointConfig):
     """Beneath-beyond triangulation of the hull, processing points in index order.
 
-    Deterministic, exact, and valid for degenerate inputs: a point coplanar
-    with a boundary face adds no flat simplex; interior points add nothing.
-    Used as the reference volume decomposition and as a deterministic seed.
+    Deterministic, exact, and valid for degenerate inputs.  Used as the
+    reference volume decomposition and as a deterministic seed.
     """
-    rows, _scale = config.int_rows()
-    dim = config.dim
-    start = rref(_homogenized(rows))[1]  # greedy: the first dim+1 independent points
-    simplices = [tuple(sorted(start))]
-    boundary = {}  # face (sorted tuple of dim ids) -> (plane oriented inside<=0)
-    for face in itertools.combinations(simplices[0], dim):
-        opp = [i for i in simplices[0] if i not in face][0]
-        boundary[face] = _oriented_plane(rows, face, opp)
-
-    for p in range(len(rows)):
-        if p in start:
-            continue
-        beyond = [
-            face for face, plane in boundary.items() if _plane_value(plane, rows[p]) > 0
-        ]
-        for face in beyond:
-            simplex = tuple(sorted(face + (p,)))
-            simplices.append(simplex)
-            for sub in itertools.combinations(simplex, dim):
-                opp = [i for i in simplex if i not in sub][0]
-                if sub in boundary:
-                    del boundary[sub]
-                else:
-                    boundary[sub] = _oriented_plane(rows, sub, opp)
-    return simplices
+    return list(config.placing()[0])
 
 
 def lattice_points(config: PointConfig):

@@ -11,7 +11,7 @@ import struct
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import CheckpointError, FormatError
+from .errors import CheckpointError, DegenerateConfig, FormatError
 from .geometry import PointConfig
 from .triangulation import Triangulation
 
@@ -34,7 +34,8 @@ def parse_point_config(text: str) -> PointConfig:
     """Format: line 1 ``d n is_lattice``, then n lines of d rationals.
 
     Rationals are ``p/q`` or plain integers, whitespace separated; ``#``
-    starts a comment anywhere.
+    starts a comment anywhere.  The points must number at least d+1 and span
+    dimension d, and ``is_lattice 1`` needs integer coordinates.
     """
     lines = text.splitlines()
     header = None
@@ -69,7 +70,10 @@ def parse_point_config(text: str) -> PointConfig:
         if len(toks) != dim:
             raise FormatError(f"expected {dim} coordinates", line=lineno)
         points.append(tuple(_parse_rational(t, lineno) for t in toks))
-    return PointConfig(dim, points, is_lattice=bool(lattice_flag))
+    try:
+        return PointConfig(dim, points, is_lattice=bool(lattice_flag))
+    except (DegenerateConfig, ValueError) as exc:
+        raise FormatError(str(exc)) from None
 
 
 def format_point_config(config: PointConfig) -> str:

@@ -62,6 +62,8 @@ class TrainerConfig:
         for name in ("horizon", "num_envs", "ppo_epochs", "clip_ratio", "checkpoint_every"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be nonnegative, got {self.iterations}")
         # zero is allowed: a frozen policy that only collects rollouts
         if not 0 <= self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and nonnegative")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -180,15 +179,7 @@ def validate(tri: Triangulation, config: PointConfig) -> ValidityReport:
         failures.append(("d", "vertex ids outside the configuration"))
         return ValidityReport(False, "d", tuple(failures))
 
-    det_sum = 0
-    degenerate = []
-    for s in tri.simplices:
-        det = abs(config.simplex_det(s))
-        if det == 0:
-            degenerate.append(s)
-        det_sum += det
-    _rows, scale = config.int_rows()
-    volume_sum = Fraction(det_sum, scale**config.dim * math.factorial(config.dim))
+    volume_sum = config.volume(tri.simplices)
     hull_volume = config.hull_volume()
     if volume_sum != hull_volume:
         failures.append(("a", f"volume sum {volume_sum} != hull volume {hull_volume}"))
@@ -207,8 +198,9 @@ def validate(tri: Triangulation, config: PointConfig) -> ValidityReport:
             failures.append(("c", f"once-only face {face} not on the hull boundary"))
             break
 
-    if degenerate:
-        failures.append(("e", f"degenerate simplex {degenerate[0]}"))
+    degenerate = next((s for s in tri.simplices if config.simplex_det(s) == 0), None)
+    if degenerate is not None:
+        failures.append(("e", f"degenerate simplex {degenerate}"))
 
     if failures:
         failures.sort(key=lambda item: item[0])

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import flipforge as ff
-from flipforge.errors import DegenerateConfig
+from flipforge.errors import DegenerateConfig, DegenerateHeights
 from flipforge.geometry import (
     PointConfig,
     affine_dependence,
@@ -18,6 +18,7 @@ from flipforge.geometry import (
     simplex_volume,
     snap_to_rational,
 )
+from flipforge.triangulation import regular_from_heights
 from conftest import point_lists
 
 
@@ -184,8 +185,8 @@ def test_lattice_points_segment():
 
 
 def test_hull_segment_keeps_both_ends():
-    # points beyond the starting pair on both sides: each end point's facet
-    # is rebuilt from the empty ridge it shares with the kept facet
+    # points beyond the starting pair on both sides: each replaces the end it
+    # sees, as the empty ridge coned to the new point
     config = ff.PointConfig(1, [(0,), (1,), (3,), (-2,)])
     hull = config.hull()
     assert [(f.normal, f.offset, f.vertex_ids) for f in hull.facets] == [
@@ -263,11 +264,16 @@ def brute_force_extreme(config):
     return frozenset(extreme)
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_hull_matches_brute_force_oracle(dim, data):
-    points = data.draw(point_lists(dim))
+    if dim == 5:  # a lift of 4D data, as regular_from_heights builds
+        base = data.draw(point_lists(4))
+        heights = data.draw(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)))
+        points = [p + (w,) for p, w in zip(base, heights)]
+    else:
+        points = data.draw(point_lists(dim))
     try:
         config = ff.PointConfig(dim, points)
     except DegenerateConfig:
@@ -280,7 +286,8 @@ def test_hull_matches_brute_force_oracle(dim, data):
         values = [f.value(p) for p in config.points]
         assert all(v <= 0 for v in values)
         assert {i for i, v in enumerate(values) if v == 0} == f.vertex_ids
-    assert hull.extreme == brute_force_extreme(config)
+    if dim < 5:  # the extreme oracle's C(n, 6) simplices are most of a 5D case's time
+        assert hull.extreme == brute_force_extreme(config)
 
 
 def test_snap_basics():
@@ -310,6 +317,25 @@ def test_snap_rejects_nonfinite():
 def test_hull_volume_matches_cone_decomposition(cube, hexagon, bipyramid):
     for config in (cube, hexagon, bipyramid):
         assert config.hull_volume() == cone_decomposition_volume(config)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_hull_volume_matches_a_regular_triangulation(dim, data):
+    # validate takes its facets and its volume from the same placing pass, so the
+    # volume is checked against a triangulation that pass does not build
+    try:
+        config = ff.PointConfig(dim, data.draw(point_lists(dim)))
+    except DegenerateConfig:
+        assume(False)
+    heights = data.draw(st.lists(st.integers(0, 10**6), min_size=config.n, max_size=config.n))
+    try:
+        tri = regular_from_heights(config, heights)
+    except DegenerateHeights:
+        assume(False)
+    volumes = [simplex_volume([config.points[i] for i in s]) for s in tri.simplices]
+    assert config.hull_volume() == sum(volumes)
 
 
 def cone_decomposition_volume(config):

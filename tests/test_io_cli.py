@@ -118,6 +118,15 @@ def test_cli_enumerate_limit_truncates(tmp_path, capsys):
     assert "truncated: true" in out
 
 
+@pytest.mark.parametrize("limit", [0, -2])
+def test_cli_enumerate_rejects_a_limit_below_one(tmp_path, capsys, limit):
+    dump = tmp_path / "states.tri"
+    assert run_cli("enumerate", ff.fixture_path("square2d"), "--limit", limit, "--dump", dump) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: limit must be at least 1, got {limit}\n"
+    assert captured.out == "" and not dump.exists()
+
+
 def test_cli_enumerate_missing_file():
     assert run_cli("enumerate", "/nonexistent/file.poly") == 3
 
@@ -126,6 +135,35 @@ def test_cli_enumerate_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.poly"
     bad.write_text("2 2 0\n1 1\nnope nope\n")
     assert run_cli("enumerate", bad) == 3
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 2 0\n0 0\n1 0\n", "need at least dim+1 points"),
+        ("2 3 0\n0 0\n1 1\n2 2\n", "points do not span the full dimension"),
+        ("2 3 1\n0 0\n1/2 0\n0 1\n", "is_lattice=True but coordinates are not integral"),
+    ],
+    ids=["too_few", "flat", "lattice_not_integral"],
+)
+@pytest.mark.parametrize("command", ["enumerate", "sample-frst", "search"])
+def test_cli_invalid_point_configurations_are_data_errors(tmp_path, capsys, text, message, command):
+    poly = tmp_path / "config_bad.poly"
+    poly.write_text(text)
+    if command == "enumerate":
+        argv = ["enumerate", poly]
+    elif command == "sample-frst":
+        argv = ["sample-frst", "--polytope", poly, "--out", tmp_path / "out"]
+    else:
+        io.write_json(
+            tmp_path / "manifest.json",
+            {"spec": {"dim": 2, "samples": 3, "count": 1}, "ids": ["bad"], "vertex_counts": {"bad": 3}},
+        )
+        argv = ["search", "--data", tmp_path, "--objective", "min_weight", "--strategy", "greedy"]
+        argv += ["--out", tmp_path / "out"]
+    assert run_cli(*argv) == 3
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -626,6 +664,7 @@ def test_cli_train_rejects_nonpositive_horizon(small_dataset, tmp_path, capsys, 
 @pytest.mark.parametrize(
     "option, value, message",
     [
+        ("--iterations", "-1", "iterations must be nonnegative, got -1"),
         ("--checkpoint-every", "0", "checkpoint_every must be positive"),
         ("--lr", "nan", "lr must be positive"),
         ("--lr", "0", "lr must be positive"),
