@@ -163,7 +163,6 @@ def _search_instance(task):
         config=config,
         table=table,
         seed=rng_seed,
-        cache=ObjectiveCache(),
     )
     log = [
         {
@@ -381,7 +380,7 @@ def cmd_train(args) -> int:
 
 def cmd_sample_frst(args) -> int:
     config = io.read_point_config(args.polytope)
-    lattice = frst.LatticeConfig.from_config(config, name=Path(args.polytope).stem)
+    lattice = frst.LatticeConfig.from_config(config)
     sampler = frst.SamplerConfig(
         height_std=args.std,
         max_seconds=args.max_seconds,

@@ -293,13 +293,15 @@ def enumerate_component(
     (in the middle of an expansion), with the truncation flag set;
     enumeration is exact whenever the component is smaller than both.  The
     edge count covers all flips discovered between expanded states and their
-    neighbors.  A neighbor is built only on its first discovery; every other
-    flip is known by its key alone.
+    neighbors.  States expand in discovery order and every flip's reverse is
+    a flip, so an edge is new exactly when its neighbor has not expanded yet.
+    A neighbor is built only on its first discovery; every other flip is
+    known by its key alone.
     """
     states = {seed.canonical_key: seed}
     index = {seed.canonical_key: 0}
     queue = deque([seed])
-    edges = set()
+    edge_count = 0
     expansions = 0
     truncated = False
     while queue:
@@ -308,7 +310,6 @@ def enumerate_component(
             break
         current = queue.popleft()
         expansions += 1
-        cur_idx = index[current.canonical_key]
         simplices, first = _successors(current, table)
         for key in sorted(first):
             if len(states) >= cap:
@@ -317,8 +318,7 @@ def enumerate_component(
                 states[key] = nxt = _child(current, simplices, first[key], key)
                 index[key] = len(index)
                 queue.append(nxt)
-            a, b = cur_idx, index[key]
-            edges.add((min(a, b), max(a, b)))
+            edge_count += index[key] >= expansions
     return ComponentResult(
-        states=states, edge_count=len(edges), truncated=truncated, expansions=expansions
+        states=states, edge_count=edge_count, truncated=truncated, expansions=expansions
     )

@@ -31,16 +31,10 @@ from .triangulation import (
 
 @dataclass(frozen=True)
 class LatticeConfig:
-    """All lattice points of a polytope whose only interior lattice point is the origin.
-
-    Optional metadata (a label such as a Hodge number) is stored verbatim and
-    never computed.
-    """
+    """All lattice points of a polytope whose only interior lattice point is the origin."""
 
     config: PointConfig
     origin_index: int
-    name: str = ""
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.config.is_lattice:
@@ -59,13 +53,13 @@ class LatticeConfig:
             raise ValueError("the origin must be the only interior lattice point")
 
     @classmethod
-    def from_config(cls, config: PointConfig, name="", metadata=None):
+    def from_config(cls, config: PointConfig):
         origin = make_point([0] * config.dim)
         try:
             idx = config.points.index(origin)
         except ValueError:
             raise ValueError("origin is not a configuration point") from None
-        return cls(config=config, origin_index=idx, name=name, metadata=metadata or {})
+        return cls(config=config, origin_index=idx)
 
     @property
     def n(self):
@@ -150,7 +144,6 @@ def star_closure(
 class EpisodeResult:
     success: bool
     steps: int
-    found: Triangulation | None
     closed: Triangulation | None
     visited_keys: list
 
@@ -186,7 +179,7 @@ def nearby_frst_episode(
             cert = certify_regularity(current, config, cache.certificates)
             if cert.regular:
                 closed = star_closure(current, lattice, cert.vector, cache)
-                return EpisodeResult(True, step, current, closed, visited)
+                return EpisodeResult(True, step, closed, visited)
         if strategy is None or step == budget:
             break
         nxt, _action = ctx.step(strategy, current)
@@ -194,7 +187,7 @@ def nearby_frst_episode(
             break  # a state with no flips ends the episode
         current = nxt
         visited.append(current.canonical_key)
-    return EpisodeResult(False, len(visited) - 1, None, None, visited)
+    return EpisodeResult(False, len(visited) - 1, None, visited)
 
 
 @dataclass(frozen=True)

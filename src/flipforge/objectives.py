@@ -134,7 +134,8 @@ def relative_gap(best_values, reference_values, labels=None, sense="minimize") -
     Values are native objective values, not search values.  A minimized
     objective's gap is (best - ref) / ref, which needs ref > 0; a maximized
     one's is ref - best (``frst_reach`` scores 0 or 1, and its reference is 0
-    when the component holds no FRST).
+    when the component holds no FRST).  A best equal to its reference has gap
+    0 whatever the reference.
     """
     if len(best_values) != len(reference_values):
         raise ValueError("mismatched instance counts")
@@ -146,6 +147,8 @@ def relative_gap(best_values, reference_values, labels=None, sense="minimize") -
         ref = float(ref)
         if sense == "maximize":
             gap = ref - float(best)
+        elif float(best) == ref:  # a zero reference reached, as a lone simplex's diameter
+            gap = 0.0
         elif ref <= 0:
             raise ValueError(f"nonpositive reference value {ref} for {label}")
         else:

@@ -141,78 +141,67 @@ class GreedyStrategy(Strategy):
         return move
 
 
-class DfsStrategy(Strategy):
-    """Depth-first descent: improving unvisited neighbors go on a stack (best on
-    top); with none left the walk backtracks to the most recent pending state.
-    With the stack empty it stays put for the rest of the run: its state keeps
-    the same neighbors and the visited set only grows."""
+class _FrontierStrategy(Strategy):
+    """Search over one heap of discovered states; the harness teleports to its top.
 
-    name = "dfs"
+    A state is expanded on its first arrival: each unvisited child scoring
+    below ``_bound`` of the parent enters under ``_key(value, position)``,
+    ``position`` being its place in action-id order and ``len(self.visited)``
+    the expansion's number.  Past ``memory_cap`` entries the worst are
+    evicted.  With the frontier empty the walk stays put.
+    """
+
+    memory_cap = math.inf
 
     def reset(self, tri, ctx):
         self.visited = {tri.canonical_key}
-        self.stack = []
-        self.exhausted = False
+        self.frontier = []
+        self._expand(tri, ctx)
+
+    def _expand(self, tri, ctx):
+        bound = self._bound(tri, ctx)
+        for position, action in enumerate(flippable_circuits(tri, ctx.table)):
+            nxt = apply_flip(tri, action)
+            if nxt.canonical_key not in self.visited and (value := ctx.value(nxt)) < bound:
+                heapq.heappush(self.frontier, (self._key(value, position), nxt, action))
+        if len(self.frontier) > self.memory_cap:  # a sorted list is a heap
+            self.frontier = heapq.nsmallest(self.memory_cap, self.frontier)
 
     def step(self, tri, actions, ctx):
-        if self.exhausted:
-            return tri, None
-        current_value = ctx.value(tri)
-        children = []
-        for action in actions:
-            nxt = apply_flip(tri, action)
-            if nxt.canonical_key in self.visited:
-                continue
-            v = ctx.value(nxt)
-            if v < current_value:
-                children.append((v, action.action_id, nxt, action))
-        children.sort(key=lambda c: (c[0], c[1]), reverse=True)  # best pushed last
-        self.stack.extend(children)
-        while self.stack:
-            v, _aid, nxt, action = self.stack.pop()
+        while self.frontier:
+            _key, nxt, action = heapq.heappop(self.frontier)
             if nxt.canonical_key not in self.visited:
                 self.visited.add(nxt.canonical_key)
+                self._expand(nxt, ctx)
                 return nxt, action
-        self.exhausted = True
         return tri, None
 
 
-class BefsStrategy(Strategy):
-    """Best-first search over all discovered states; the harness teleports to
-    the frontier minimum.  Frontier memory is capped with worst-value eviction."""
+class DfsStrategy(_FrontierStrategy):
+    """Depth-first descent: improving children only, the newest expansion's best first."""
+
+    name = "dfs"
+
+    def _key(self, value, position):
+        return (-len(self.visited), value, position)
+
+    def _bound(self, tri, ctx):
+        return ctx.value(tri)
+
+
+class BefsStrategy(_FrontierStrategy):
+    """Best-first search over every discovered state, older expansions first on ties."""
 
     name = "befs"
 
     def __init__(self, memory_cap=100_000):
         self.memory_cap = _param("memory_cap", memory_cap, integral=True)
 
-    def reset(self, tri, ctx):
-        self.visited = {tri.canonical_key}
-        self.frontier = []
-        self.counter = 0
-        self._expand(tri, ctx)
+    def _key(self, value, position):
+        return (value, len(self.visited), position)
 
-    def _expand(self, tri, ctx):
-        for action in flippable_circuits(tri, ctx.table):
-            nxt = apply_flip(tri, action)
-            if nxt.canonical_key in self.visited:
-                continue
-            self.counter += 1
-            heapq.heappush(self.frontier, (ctx.value(nxt), self.counter, nxt, action))
-        if len(self.frontier) > self.memory_cap:
-            keep = heapq.nsmallest(self.memory_cap, self.frontier)
-            heapq.heapify(keep)
-            self.frontier = keep
-
-    def step(self, tri, actions, ctx):
-        while self.frontier:
-            _v, _c, nxt, action = heapq.heappop(self.frontier)
-            if nxt.canonical_key in self.visited:
-                continue
-            self.visited.add(nxt.canonical_key)
-            self._expand(nxt, ctx)
-            return nxt, action
-        return tri, None
+    def _bound(self, tri, ctx):
+        return math.inf
 
 
 class AnnealStrategy(Strategy):

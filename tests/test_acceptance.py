@@ -2,7 +2,8 @@
 
 Criteria 1-5 and 8-10 are here, each oracle-checked and fast.  Criteria 6
 and 7, a desk-scale training protocol for the learned flip ranking and its
-ablations, have no test yet (ROADMAP item 4).
+ablations, have no test yet (ROADMAP, "the learned ranking, tested
+zero-shot").
 """
 
 import itertools
@@ -296,7 +297,7 @@ def test_criterion_08_frst_desk(lattice_square):
     results = []
     for name in ("square2d", "simplex3d", "octahedron3d"):
         config = read_point_config(ff.fixture_path(name))
-        lattice = LatticeConfig.from_config(config, name=name)
+        lattice = LatticeConfig.from_config(config)
         table = enumerate_circuits(config)
         component = enumerate_component(initial_triangulation(config), table, limit=200_000)
         assert not component.truncated

@@ -51,14 +51,17 @@ def test_search_and_enumerate_never_import_numpy(tmp_path):
     data = tmp_path / "data"
     assert main(["gen", "--dim", "2", "--samples", "7", "--count", "2", "--seed", "4",
                  "--out", str(data)]) == 0
-    report = probe([
-        ["search", ["search", "--data", str(data), "--objective", "min_weight",
-                    "--strategy", "greedy", "--budget", "20", "--starts", "2",
-                    "--out", str(tmp_path / "greedy")]],
+    searches = [
+        [name, ["search", "--data", str(data), "--objective", "min_weight",
+                "--strategy", name, "--budget", "20", "--starts", "2",
+                "--out", str(tmp_path / name)]]
+        for name in ("greedy", "dfs", "befs")
+    ]
+    report = probe(searches + [
         ["enumerate", ["enumerate", str(ff.fixture_path("square2d")), "--limit", "50"]],
     ])
     assert report["import flipforge"] == {"numpy": False}
-    for label in ("search", "enumerate"):
+    for label in ("greedy", "dfs", "befs", "enumerate"):
         assert report[label]["exit"] == 0
         assert not any(v for k, v in report[label].items() if k != "exit"), label
 

@@ -5,12 +5,15 @@ and patches a flipped state's actions; the oracle realizes every circuit of
 the table from a face map built afresh.  ``skeleton_edges`` patches edge
 multiplicities through the lineage; the oracle collects every simplex's
 edges.  Circuit tables store primitive integer dependences; the oracle is the
-Fraction circuit of the dependence kernel.  Each runs along random walks and
+Fraction circuit of the dependence kernel.  ``enumerate_component`` counts
+its edges; the oracle keeps them in a set.  Each runs along random walks and
 breadth-first components of generic 2D-4D sets, the 3x3 square, the prism
 and the 4D cross-polytope.
 """
 
 import itertools
+import math
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,10 @@ from hypothesis import strategies as st
 
 from flipforge.datagen import GenSpec, generate, initial_triangulation
 from flipforge.flips import (
+    ComponentResult,
+    _child,
     _realize,
+    _successors,
     apply_flip,
     enumerate_circuits,
     enumerate_component,
@@ -137,3 +143,46 @@ def test_reference_walk_on_a_gen_dataset_builds_no_face_map():
             search_value(Objective.MIN_WEIGHT, tri, config, cache)
         assert len(component) > 100
         assert all(tri._face_map is None for tri in component.states.values())
+
+
+def set_walk_component(seed, table, limit=1_000_000, cap=math.inf):
+    """Oracle: the breadth-first walk that stores every edge as an index pair."""
+    states = {seed.canonical_key: seed}
+    index = {seed.canonical_key: 0}
+    queue = deque([seed])
+    edges = set()
+    expansions = 0
+    truncated = False
+    while queue:
+        if expansions >= limit or len(states) >= cap:
+            truncated = True
+            break
+        current = queue.popleft()
+        expansions += 1
+        cur_idx = index[current.canonical_key]
+        simplices, first = _successors(current, table)
+        for key in sorted(first):
+            if len(states) >= cap:
+                break
+            if key not in states:
+                states[key] = nxt = _child(current, simplices, first[key], key)
+                index[key] = len(index)
+                queue.append(nxt)
+            a, b = cur_idx, index[key]
+            edges.add((min(a, b), max(a, b)))
+    return ComponentResult(
+        states=states, edge_count=len(edges), truncated=truncated, expansions=expansions
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+@settings(max_examples=8, deadline=None)
+@given(limit=st.integers(1, 60), cap=st.one_of(st.just(math.inf), st.integers(1, 80)))
+def test_component_edge_count_matches_the_edge_set(name, limit, cap):
+    table = table_of(name)
+    got = enumerate_component(start_of(name), table, limit=limit, cap=cap)
+    want = set_walk_component(start_of(name), table, limit=limit, cap=cap)
+    assert list(got.states) == list(want.states)
+    assert (got.edge_count, got.truncated, got.expansions) == (
+        want.edge_count, want.truncated, want.expansions
+    )

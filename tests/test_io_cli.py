@@ -191,6 +191,19 @@ def test_cli_search_square_zero_gap(small_dataset, tmp_path, capsys):
     assert set(record) == {"step", "action", "value", "best", "actions"}
 
 
+def test_cli_search_min_diameter_of_a_lone_simplex_has_gap_zero(small_dataset, tmp_path):
+    # 2d_000 has 3 vertices: its one triangulation is a simplex of dual diameter 0
+    out = tmp_path / "diameter"
+    code = run_cli(
+        "search", "--data", small_dataset, "--objective", "min_diameter",
+        "--strategy", "befs", "--budget", 5, "--out", out,
+    )
+    assert code == 0
+    rows = [line.split("\t") for line in (out / "gap_table.tsv").read_text().splitlines()[1:]]
+    lone = [row for row in rows if row[0].startswith("2d_000/")]
+    assert lone and all(row[3:] == ["0.0", "0.0", "0.0"] for row in lone)
+
+
 @pytest.fixture(scope="module")
 def small_dataset_3d(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "ds3"
@@ -492,6 +505,7 @@ def test_cli_strategy_param_integer_and_internal_error(
         (["eval", "--ref-limit", "-1"], "ref_limit must be at least 1, got -1"),
         (["eval", "--strategy-param", "foo=1"], "strategy policy: "),
         (["eval", "--strategy-param", "mode=greedy"], "unknown policy mode 'greedy'"),
+        (["--strategy", "dfs", "--strategy-param", "memory_cap=5"], "strategy dfs: "),
     ],
 )
 def test_cli_search_and_eval_usage_errors(small_dataset, tmp_path, capsys, options, message):

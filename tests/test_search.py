@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 
@@ -7,6 +8,7 @@ import flipforge as ff
 from flipforge.flips import enumerate_circuits, enumerate_component, flippable_circuits
 from flipforge.objectives import Objective, ObjectiveCache, evaluate, search_value
 from flipforge.search import (
+    _STRATEGIES,
     AnnealStrategy,
     BefsStrategy,
     make_strategy,
@@ -127,7 +129,7 @@ def test_dfs_backtracks_and_stays_when_exhausted(hexagon, hexagon_table):
     moves = [(a, b) for a, b in zip(seen, seen[1:]) if a != b]
     distinct = set(seen)
     assert len(moves) == len(distinct) - 1  # each move lands on a fresh state
-    assert seen[-1] == seen[-2]  # stack exhausted, stays
+    assert seen[-1] == seen[-2]  # frontier empty, stays
 
 
 def test_befs_priority_queue_law(hexagon, hexagon_table):
@@ -149,7 +151,7 @@ def test_befs_priority_queue_law(hexagon, hexagon_table):
     for _ in range(13):
         live = [
             v
-            for v, _c, t, _a in strategy.frontier
+            for (v, _expansion, _position), t, _a in strategy.frontier
             if t.canonical_key not in strategy.visited
         ]
         nxt, _action = strategy.step(current, None, ctx)
@@ -157,6 +159,23 @@ def test_befs_priority_queue_law(hexagon, hexagon_table):
         # the expanded state never exceeds any state skipped in the frontier
         assert all(popped_value <= v + 1e-12 for v in live)
         current = nxt
+
+
+def test_each_registry_strategy_takes_only_its_own_parameters():
+    # the names ``--strategy-param`` accepts; the learned strategies' model comes from a checkpoint
+    accepted = {
+        name: [p for p in inspect.signature(cls).parameters if p != "model"]
+        for name, cls in _STRATEGIES.items()
+    }
+    assert accepted == {
+        "greedy": [],
+        "dfs": [],
+        "befs": ["memory_cap"],
+        "anneal": ["initial_temperature", "decay", "final_fraction"],
+        "random_walk": [],
+        "nls_accept": [],
+        "policy": ["mode"],
+    }
 
 
 def test_anneal_acceptance_limits():

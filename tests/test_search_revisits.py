@@ -1,14 +1,16 @@
-"""A run's reuse of the states it revisits, against the step loop it replaced.
+"""A run's reuse of the states it revisits, against the step loops it replaced.
 
-``run_budgeted`` validates a flipped state only on its first arrival, greedy
-and the argmax policy replay the move they made from a state they return to,
-and dfs stops looking once its stack is exhausted.  The reference below is
-the loop as it was before: every step flips and scores every child anew, and
-``require_valid`` runs on every flipped state.  Both must record the same
-steps.
+``run_budgeted`` validates a flipped state only on its first arrival, and
+greedy and the argmax policy replay the move they made from a state they
+return to.  The reference below is the loop as it was before: every step
+flips and scores every child anew, and ``require_valid`` runs on every
+flipped state.  Both must record the same steps.  Dfs and befs now share one
+heap keyed by expansion; the stack dfs and the counter befs they replaced
+are kept below as oracles, and each pair must walk the same states.
 """
 
 import gc
+import heapq
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,11 +25,11 @@ from flipforge.objectives import Objective, ObjectiveCache
 from flipforge.policy import ModelConfig, PolicyModel
 from flipforge.search import (
     BefsStrategy,
-    DfsStrategy,
     PolicyStrategy,
     SearchContext,
     SearchTrace,
     Strategy,
+    _param,
     make_strategy,
     run_budgeted,
 )
@@ -52,7 +54,81 @@ class ReferenceGreedy(Strategy):
         return best[2], best[1]
 
 
-class ReferenceDfs(DfsStrategy):
+class StackDfs(Strategy):
+    """Depth-first descent: improving unvisited neighbors go on a stack (best on
+    top); with none left the walk backtracks to the most recent pending state.
+    With the stack empty it stays put for the rest of the run: its state keeps
+    the same neighbors and the visited set only grows."""
+
+    name = "dfs"
+
+    def reset(self, tri, ctx):
+        self.visited = {tri.canonical_key}
+        self.stack = []
+        self.exhausted = False
+
+    def step(self, tri, actions, ctx):
+        if self.exhausted:
+            return tri, None
+        current_value = ctx.value(tri)
+        children = []
+        for action in actions:
+            nxt = apply_flip(tri, action)
+            if nxt.canonical_key in self.visited:
+                continue
+            v = ctx.value(nxt)
+            if v < current_value:
+                children.append((v, action.action_id, nxt, action))
+        children.sort(key=lambda c: (c[0], c[1]), reverse=True)  # best pushed last
+        self.stack.extend(children)
+        while self.stack:
+            v, _aid, nxt, action = self.stack.pop()
+            if nxt.canonical_key not in self.visited:
+                self.visited.add(nxt.canonical_key)
+                return nxt, action
+        self.exhausted = True
+        return tri, None
+
+
+class CounterBefs(Strategy):
+    """Best-first search over all discovered states; the harness teleports to
+    the frontier minimum.  Frontier memory is capped with worst-value eviction."""
+
+    name = "befs"
+
+    def __init__(self, memory_cap=100_000):
+        self.memory_cap = _param("memory_cap", memory_cap, integral=True)
+
+    def reset(self, tri, ctx):
+        self.visited = {tri.canonical_key}
+        self.frontier = []
+        self.counter = 0
+        self._expand(tri, ctx)
+
+    def _expand(self, tri, ctx):
+        for action in flippable_circuits(tri, ctx.table):
+            nxt = apply_flip(tri, action)
+            if nxt.canonical_key in self.visited:
+                continue
+            self.counter += 1
+            heapq.heappush(self.frontier, (ctx.value(nxt), self.counter, nxt, action))
+        if len(self.frontier) > self.memory_cap:
+            keep = heapq.nsmallest(self.memory_cap, self.frontier)
+            heapq.heapify(keep)
+            self.frontier = keep
+
+    def step(self, tri, actions, ctx):
+        while self.frontier:
+            _v, _c, nxt, action = heapq.heappop(self.frontier)
+            if nxt.canonical_key in self.visited:
+                continue
+            self.visited.add(nxt.canonical_key)
+            self._expand(nxt, ctx)
+            return nxt, action
+        return tri, None
+
+
+class ReferenceDfs(StackDfs):
     """Dfs as it was: an exhausted walk still expands its state on every step."""
 
     def step(self, tri, actions, ctx):
@@ -269,3 +345,26 @@ def test_befs_run_holds_no_more_than_its_frontier_and_trace(hexagon, hexagon_tab
     run_budgeted(strategy, fan, Objective.MIN_WEIGHT, 12, config=hexagon, table=hexagon_table)
     # alive: the visited states, which the trace keeps, and the capped frontier
     assert len(strategy.excess) == 12 and max(strategy.excess) <= 0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_one_heap_walks_as_the_stack_dfs_and_the_counter_befs(dim, data):
+    config, table, start = draw_start(dim, data)
+    objective = data.draw(
+        st.sampled_from([Objective.MIN_WEIGHT, Objective.MIN_SIMPLICES, Objective.MIN_DIAMETER])
+    )
+    budget = data.draw(st.integers(0, 40))
+    cap = data.draw(st.integers(1, 5))
+    pairs = (
+        (StackDfs(), make_strategy("dfs")),
+        (CounterBefs(), make_strategy("befs")),
+        (CounterBefs(memory_cap=cap), make_strategy("befs", params={"memory_cap": cap})),
+    )
+    for oracle, live in pairs:
+        want = run_budgeted(oracle, start, objective, budget, config=config, table=table)
+        got = run_budgeted(live, start, objective, budget, config=config, table=table)
+        assert recorded(got) == recorded(want), live.name
+        assert [t.canonical_key for t in got.states] == [t.canonical_key for t in want.states]
+        assert live.visited == oracle.visited, live.name

@@ -86,7 +86,7 @@ def reference_episode(start, chooser, lattice, table, rng, budget=50, cache=None
             cert = certify_regularity(current, config, cache.certificates)
             if cert.regular:
                 closed = star_closure(current, lattice, cert.vector, cache)
-                return EpisodeResult(True, step, current, closed, visited)
+                return EpisodeResult(True, step, closed, visited)
         if step == budget:
             break
         actions = flippable_circuits(current, table)
@@ -98,7 +98,7 @@ def reference_episode(start, chooser, lattice, table, rng, budget=50, cache=None
         current = apply_flip(current, action)
         require_valid(current, config)
         visited.append(current.canonical_key)
-    return EpisodeResult(False, len(visited) - 1, None, None, visited)
+    return EpisodeResult(False, len(visited) - 1, None, visited)
 
 
 def reference_seeds(config, cap):
