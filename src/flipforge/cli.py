@@ -189,14 +189,18 @@ def _read_model(path, dims):
 
 
 def _exact_reference(table, objective, limit):
-    """Best objective value over the seed's full flip-graph component."""
+    """Best search value over the seed's flip-graph component as far as ``limit``
+    expansions reach (all of it unless truncated); each state is scored as it is built."""
     config = table.config
-    component = enumerate_component(initial_triangulation(config), table, limit=limit)
     cache = ObjectiveCache()
-    best = min(
-        search_value(objective, tri, config, cache) for tri in component.states.values()
+    values = []
+    component = enumerate_component(
+        initial_triangulation(config),
+        table,
+        limit=limit,
+        visit=lambda tri: values.append(search_value(objective, tri, config, cache)),
     )
-    return best, component.truncated
+    return min(values), component.truncated
 
 
 def _run_search_tasks(tasks, references, workers):

@@ -4,7 +4,10 @@ A circuit is a minimal affinely dependent subset of the configuration; its
 dependence signs split it into two parts whose induced local triangulations
 can replace each other inside a larger triangulation whenever one of them is
 realized with a common link.  Circuits are computed once per configuration
-from the integer maximal minors of the homogenized points.  Each circuit
+from the integer minors of the homogenized points, all taken in one Laplace
+pass (circuits are read off the maximal minors, the chirotope; De Loera,
+Rambau & Santos 2010); only the small subsets the minors prove dependent are
+eliminated, fraction-free (Bareiss 1968), for their kernels.  Each circuit
 table indexes its circuits by their cores, so a state tests only the circuits
 with a core inside one of its simplices, and a flipped state only those
 touching the simplices its flip removed or inserted.  A circuit of dim+2
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import StaleAction
-from .geometry import PointConfig, _int_det, dependence_kernel
+from .geometry import PointConfig, rref
 from .triangulation import Triangulation, _faces
 
 
@@ -120,41 +123,73 @@ def _circuit(subset, lam) -> Circuit:
     )
 
 
-def enumerate_circuits(config: PointConfig) -> CircuitTable:
-    """All circuits of the configuration, from its integer maximal minors.
+def _prefix_minors(homogeneous, size):
+    """``levels[k - 1][S]``: each k-subset S's minor on the first k columns, k = 1..size.
 
-    Every (d+1)-subset's determinant on the homogenized rows (1, x) is taken
-    once.  A (d+2)-subset Z is a circuit iff none of its d+2 minors vanishes,
-    with dependence lam_j = (-1)^j det(Z - j) by Cramer's rule.  Because the
-    configuration spans, a smaller subset is dependent iff every
-    (d+1)-superset has a zero minor; only those subsets go through the exact
-    kernel, and one is a circuit iff its dependence space is one-dimensional
-    with full support (every proper subset is then independent).
+    One Laplace pass: a (c+1)-subset's minor expands along column c into
+    the signed c-subset minors of the previous level.
+    """
+    n = len(homogeneous)
+    level = {(i,): homogeneous[i][0] for i in range(n)}
+    levels = [level]
+    for c in range(1, size):
+        prev, level = level, {}
+        for subset in itertools.combinations(range(n), c + 1):
+            det, sign = 0, (-1) ** c
+            for t, v in enumerate(subset):
+                entry = homogeneous[v][c]
+                if entry:
+                    det += sign * entry * prev[subset[:t] + subset[t + 1 :]]
+                sign = -sign
+            level[subset] = det
+        levels.append(level)
+    return levels
+
+
+def enumerate_circuits(config: PointConfig) -> CircuitTable:
+    """All circuits of the configuration, from its integer minors.
+
+    One Laplace pass over the homogenized rows (1, x) gives every k-subset's
+    minor on the first k columns (``_prefix_minors``); the last level holds
+    the maximal minors.  A (d+2)-subset Z is a circuit iff none of its d+2
+    maximal minors vanishes, with dependence lam_j = (-1)^j det(Z - j) by
+    Cramer's rule.  A smaller subset with a nonzero prefix minor is
+    independent.  Because the configuration spans, one with a zero prefix
+    minor is dependent iff every (d+1)-superset has a zero maximal minor;
+    only those subsets are eliminated (``rref`` on the integer columns), and
+    one is a circuit iff its dependence space is one-dimensional with full
+    support (every proper subset is then independent).
     """
     n, size = config.n, config.dim + 1
     rows, _scale = config.int_rows()
     homogeneous = [(1,) + tuple(r) for r in rows]
-    minors = {
-        subset: _int_det([homogeneous[i] for i in subset])
-        for subset in itertools.combinations(range(n), size)
-    }
+    levels = _prefix_minors(homogeneous, size)
+    minors = levels[-1]
     circuits = []
     for subset in itertools.combinations(range(n), size + 1):
         dets = [minors[subset[:j] + subset[j + 1 :]] for j in range(size + 1)]
         if all(dets):
             circuits.append(_circuit(subset, [(-1) ** j * det for j, det in enumerate(dets)]))
     for k in range(2, size + 1):
-        for subset in itertools.combinations(range(n), k):
+        for subset, prefix in levels[k - 1].items():
+            if prefix:
+                continue
             rest = [i for i in range(n) if i not in subset]
             if any(
                 minors[tuple(sorted(subset + extra))]
                 for extra in itertools.combinations(rest, size - k)
             ):
                 continue
-            basis = dependence_kernel([config.points[i] for i in subset])
-            if len(basis) == 1 and all(basis[0]):
-                scale = math.lcm(*(v.denominator for v in basis[0]))
-                circuits.append(_circuit(subset, [int(v * scale) for v in basis[0]]))
+            m, pivots, d = rref([[homogeneous[i][c] for i in subset] for c in range(size)])
+            if len(pivots) != k - 1:
+                continue
+            # the kernel: d at the one free column, -m[r][free] at pivot column r
+            (free,) = (c for c in range(k) if c not in pivots)
+            lam = [d if c == free else 0 for c in range(k)]
+            for r, c in enumerate(pivots):
+                lam[c] = -m[r][free]
+            if all(lam):
+                circuits.append(_circuit(subset, lam))
     circuits.sort(key=lambda c: c.vertices)
     return CircuitTable(config=config, circuits=tuple(circuits))
 
@@ -285,7 +320,11 @@ class ComponentResult:
 
 
 def enumerate_component(
-    seed: Triangulation, table: CircuitTable, limit: int = 1_000_000, cap: float = math.inf
+    seed: Triangulation,
+    table: CircuitTable,
+    limit: int = 1_000_000,
+    cap: float = math.inf,
+    visit=None,
 ) -> ComponentResult:
     """Breadth-first traversal of the seed's flip-graph component.
 
@@ -296,8 +335,11 @@ def enumerate_component(
     neighbors.  States expand in discovery order and every flip's reverse is
     a flip, so an edge is new exactly when its neighbor has not expanded yet.
     A neighbor is built only on its first discovery; every other flip is
-    known by its key alone.
+    known by its key alone.  ``visit``, if given, is called with each state
+    as it is built, the seed first, while its parent's caches are alive.
     """
+    if visit is not None:
+        visit(seed)
     states = {seed.canonical_key: seed}
     index = {seed.canonical_key: 0}
     queue = deque([seed])
@@ -316,6 +358,8 @@ def enumerate_component(
                 break
             if key not in states:
                 states[key] = nxt = _child(current, simplices, first[key], key)
+                if visit is not None:
+                    visit(nxt)
                 index[key] = len(index)
                 queue.append(nxt)
             edge_count += index[key] >= expansions

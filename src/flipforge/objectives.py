@@ -30,6 +30,15 @@ class Objective(enum.Enum):
             raise ValueError(f"unknown objective {name!r}") from None
 
 
+def left_sum(values) -> float:
+    """The floats added left to right, as builtin ``sum`` adds them before Python 3.12,
+    whose compensated sum can round differently; outputs read only this one."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class ObjectiveCache:
     """Per-run caches: exact edge lengths, regularity certificates and values by state key."""
 
@@ -44,7 +53,7 @@ def _edge_length(config: PointConfig, edge, cache: ObjectiveCache | None):
         return cache.edge_lengths[edge]
     a = config.points[edge[0]]
     b = config.points[edge[1]]
-    length = math.sqrt(sum(float(x - y) ** 2 for x, y in zip(a, b)))
+    length = math.sqrt(left_sum(float(x - y) ** 2 for x, y in zip(a, b)))
     if cache is not None:
         cache.edge_lengths[edge] = length
     return length
@@ -70,7 +79,7 @@ def evaluate(
     elif objective is Objective.MIN_DIAMETER:
         value = float(dual_diameter(tri))
     elif objective is Objective.MIN_WEIGHT:
-        value = sum(_edge_length(config, e, cache) for e in tri.skeleton_edges())
+        value = left_sum(_edge_length(config, e, cache) for e in tri.skeleton_edges())
     elif objective is Objective.FRST_REACH:
         value = 1.0 if fine_and_regular(tri, config, cache) else 0.0
     else:  # pragma: no cover
@@ -155,9 +164,9 @@ def relative_gap(best_values, reference_values, labels=None, sense="minimize") -
             gap = (float(best) - ref) / ref
         rows.append((label, float(best), ref, gap))
         gaps.append(gap)
-    mean = sum(gaps) / len(gaps)
+    mean = left_sum(gaps) / len(gaps)
     if len(gaps) > 1:
-        var = sum((g - mean) ** 2 for g in gaps) / (len(gaps) - 1)
+        var = left_sum((g - mean) ** 2 for g in gaps) / (len(gaps) - 1)
         stderr = math.sqrt(var / len(gaps))
     else:
         stderr = 0.0

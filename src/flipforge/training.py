@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import TrainingError
 from .flips import apply_flip, flippable_circuits
-from .objectives import Objective, evaluate, reward
+from .objectives import Objective, evaluate, left_sum, reward
 from .policy import (
     ModelConfig,
     PolicyModel,
@@ -390,7 +390,7 @@ def ppo_update(model: PolicyModel, buffer: RolloutBuffer, trainer: TrainerConfig
                     grad_sums[name] += g
             terms.append(step_terms[1:])
         grads_mean = {k: v / len(transitions) for k, v in grad_sums.items()}
-        grad_norms.append(math.sqrt(sum(float(np.sum(g * g)) for g in grads_mean.values())))
+        grad_norms.append(math.sqrt(left_sum(float(np.sum(g * g)) for g in grads_mean.values())))
         ad.adam_step(adam_params, grads_mean, trainer.learning_rate)
         for p in adam_params:
             model.params[p.name] = p.value

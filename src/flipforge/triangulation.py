@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -107,23 +107,20 @@ class Triangulation:
         return self._face_map
 
     def skeleton_edges(self):
-        """Sorted 1-skeleton edges (i, j) with i < j, kept with their multiplicities.
+        """Sorted 1-skeleton edges (i, j) with i < j.
 
-        A flipped state whose parent knows them patches the parent's counts
-        with the removed and inserted simplices' edges; an edge at zero leaves.
+        A flip changes only edges interior to its region, so a flipped state
+        whose parent knows its edge set drops the removed simplices' edges
+        and adds the inserted ones'.
         """
         if self._skeleton is None:
             parent, removed, inserted = self._lineage or (None, (), ())
             if parent is None or parent._skeleton is None:
-                counts = Counter(_edges(self.simplices))
+                edges = set(_edges(self.simplices))
             else:
-                counts = parent._skeleton[1].copy()
-                counts.subtract(_edges(removed))
-                counts.update(_edges(inserted))
-                for e in set(_edges(removed)):
-                    if not counts[e]:
-                        del counts[e]
-            self._skeleton = (tuple(sorted(counts)), counts)
+                edges = parent._skeleton[1].difference(_edges(removed))
+                edges.update(_edges(inserted))
+            self._skeleton = (tuple(sorted(edges)), edges)
         return self._skeleton[0]
 
     def boundary_faces(self):

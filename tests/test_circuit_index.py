@@ -1,7 +1,10 @@
 """Differential tests for the circuit layer against its brute-force oracles.
 
-``enumerate_circuits`` builds tables from integer maximal minors; the oracle
-scans every vertex subset with the exact dependence kernel.
+``enumerate_circuits`` builds tables from one Laplace pass of integer prefix
+minors and eliminates only the small subsets those minors prove dependent.
+Two oracles check it: a scan of every vertex subset with the exact Fraction
+dependence kernel, and the per-minor Bareiss loop it replaced, whose tables
+must match field by field and in order.
 ``flippable_circuits`` tests the circuits with a core inside one of the
 state's simplices, or patches a flipped state's actions from its parent's;
 the oracle tests every circuit of the table through ``link_of``.
@@ -18,16 +21,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import flipforge as ff
+from flipforge import flips
 from flipforge.datagen import GenSpec, generate, initial_triangulation
 from flipforge.errors import DegenerateConfig
 from flipforge.flips import (
+    CircuitTable,
     FlipAction,
+    _circuit,
+    _prefix_minors,
     apply_flip,
     enumerate_circuits,
     flippable_circuits,
     reverse_action,
 )
-from flipforge.geometry import dependence_kernel
+from flipforge.geometry import PointConfig, _int_det, dependence_kernel, rref
 from flipforge.triangulation import Triangulation, link_of, validate
 from conftest import point_lists
 
@@ -58,12 +65,56 @@ def subset_kernel_circuits(config):
     return tuple(circuits)
 
 
+def per_minor_circuits(config: PointConfig) -> CircuitTable:
+    """All circuits of the configuration, from its integer maximal minors.
+
+    Every (d+1)-subset's determinant on the homogenized rows (1, x) is taken
+    once.  A (d+2)-subset Z is a circuit iff none of its d+2 minors vanishes,
+    with dependence lam_j = (-1)^j det(Z - j) by Cramer's rule.  Because the
+    configuration spans, a smaller subset is dependent iff every
+    (d+1)-superset has a zero minor; only those subsets go through the exact
+    kernel, and one is a circuit iff its dependence space is one-dimensional
+    with full support (every proper subset is then independent).
+    """
+    n, size = config.n, config.dim + 1
+    rows, _scale = config.int_rows()
+    homogeneous = [(1,) + tuple(r) for r in rows]
+    minors = {
+        subset: _int_det([homogeneous[i] for i in subset])
+        for subset in itertools.combinations(range(n), size)
+    }
+    circuits = []
+    for subset in itertools.combinations(range(n), size + 1):
+        dets = [minors[subset[:j] + subset[j + 1 :]] for j in range(size + 1)]
+        if all(dets):
+            circuits.append(_circuit(subset, [(-1) ** j * det for j, det in enumerate(dets)]))
+    for k in range(2, size + 1):
+        for subset in itertools.combinations(range(n), k):
+            rest = [i for i in range(n) if i not in subset]
+            if any(
+                minors[tuple(sorted(subset + extra))]
+                for extra in itertools.combinations(rest, size - k)
+            ):
+                continue
+            basis = dependence_kernel([config.points[i] for i in subset])
+            if len(basis) == 1 and all(basis[0]):
+                scale = math.lcm(*(v.denominator for v in basis[0]))
+                circuits.append(_circuit(subset, [int(v * scale) for v in basis[0]]))
+    circuits.sort(key=lambda c: c.vertices)
+    return CircuitTable(config=config, circuits=tuple(circuits))
+
+
 def table_circuits(table):
     """The table's circuits as the oracle writes them; each dependence must be primitive."""
     for c in table.circuits:
         assert all(type(v) is int for v in c.dependence)
         assert c.dependence[0] > 0 and math.gcd(*c.dependence) == 1
     return tuple((c.vertices, c.coeffs, c.positive, c.negative) for c in table.circuits)
+
+
+def table_fields(table):
+    """Every stored field of every circuit, in table order."""
+    return [(c.vertices, c.dependence, c.positive, c.negative) for c in table.circuits]
 
 
 def realize_by_links(tri, circuit, side):
@@ -110,6 +161,19 @@ CROSS4D = ff.PointConfig(
 )
 CROSS4D_WITH_ORIGIN = ff.PointConfig(4, list(CROSS4D.points) + [(0, 0, 0, 0)])
 SQUARE_3X3 = ff.PointConfig(2, [(x, y) for x in range(3) for y in range(3)])
+# the 4D cross-polytope's 9 lattice points and five more: 14 points, many dependent subsets
+CROSS4D_14 = ff.PointConfig(
+    4,
+    list(CROSS4D_WITH_ORIGIN.points)
+    + [(1, 1, 0, 0), (-1, -1, 0, 0), (1, 0, 1, 0), (0, -1, -1, 0), (0, 0, 1, 1)],
+)
+FIXTURES = {
+    "square3x3": SQUARE_3X3,
+    "prism": PRISM,
+    "cross4d": CROSS4D,
+    "cross4d_origin": CROSS4D_WITH_ORIGIN,
+    "cross4d_14": CROSS4D_14,
+}
 
 
 @pytest.fixture(scope="module")
@@ -120,13 +184,40 @@ def gen3d():
     return config
 
 
-@pytest.mark.parametrize(
-    "config",
-    [SQUARE_3X3, PRISM, CROSS4D, CROSS4D_WITH_ORIGIN],
-    ids=["square3x3", "prism", "cross4d", "cross4d_origin"],
-)
-def test_minor_circuits_match_oracle_on_degenerate_fixtures(config):
-    assert table_circuits(enumerate_circuits(config)) == subset_kernel_circuits(config)
+def check_minor_pass(config):
+    """The table equals the per-minor loop's, every prefix minor is the leading
+    determinant, and only dependent column sets reach ``rref``.  Returns the
+    table and each elimination's (columns, rank)."""
+    rows, _scale = config.int_rows()
+    homogeneous = [(1,) + tuple(r) for r in rows]
+    levels = _prefix_minors(homogeneous, config.dim + 1)
+    assert len(levels) == config.dim + 1
+    for k, level in enumerate(levels, start=1):
+        assert list(level) == list(itertools.combinations(range(config.n), k))
+        for subset, minor in level.items():
+            assert minor == _int_det([homogeneous[i][:k] for i in subset])
+    calls = []
+
+    def recording_rref(rows):
+        m, pivots, d = rref(rows)
+        calls.append((len(rows[0]), len(pivots)))
+        return m, pivots, d
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(flips, "rref", recording_rref)
+        table = enumerate_circuits(config)
+    assert table_fields(table) == table_fields(per_minor_circuits(config))
+    assert all(rank < columns for columns, rank in calls)
+    return table, calls
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_minor_circuits_match_oracle_on_degenerate_fixtures(name):
+    config = FIXTURES[name]
+    table, calls = check_minor_pass(config)
+    assert table_circuits(table) == subset_kernel_circuits(config)
+    small = [c for c in table.circuits if len(c.vertices) <= config.dim + 1]
+    assert small and len(calls) >= len(small)
 
 
 def test_minor_circuits_match_oracle_on_gen3d(gen3d):
@@ -145,6 +236,34 @@ def test_minor_circuits_match_oracle_on_random_configs(dim, data):
     except DegenerateConfig:
         assume(False)
     assert table_circuits(enumerate_circuits(config)) == subset_kernel_circuits(config)
+
+
+@st.composite
+def degenerate_point_lists(draw, dim):
+    """``point_lists`` plus repeats of drawn points and points on lines and planes through them."""
+    points = draw(point_lists(dim))
+    for _ in range(draw(st.integers(0, 3))):
+        first, *others = draw(st.lists(st.sampled_from(points), min_size=1, max_size=3))
+        weights = [draw(st.integers(-2, 2)) for _ in others]
+        points.append(
+            tuple(
+                first[c] + sum(w * (p[c] - first[c]) for w, p in zip(weights, others))
+                for c in range(dim)
+            )
+        )
+    return points
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_minor_pass_matches_the_per_minor_loop_on_random_configs(dim, data):
+    points = data.draw(degenerate_point_lists(dim))
+    try:
+        config = ff.PointConfig(dim, points)
+    except DegenerateConfig:
+        assume(False)
+    check_minor_pass(config)
 
 
 def walk_matches_full_scan(config, start, walks, steps, seed):

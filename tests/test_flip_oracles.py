@@ -2,9 +2,10 @@
 
 ``flippable_circuits`` tests a circuit of dim+2 points by simplex membership
 and patches a flipped state's actions; the oracle realizes every circuit of
-the table from a face map built afresh.  ``skeleton_edges`` patches edge
-multiplicities through the lineage; the oracle collects every simplex's
-edges.  Circuit tables store primitive integer dependences; the oracle is the
+the table from a face map built afresh.  ``skeleton_edges`` patches the edge
+set through the lineage; the oracle collects every simplex's edges.  The
+search references score each state as the walk builds it; the oracle scores
+the finished walk's states.  Circuit tables store primitive integer dependences; the oracle is the
 Fraction circuit of the dependence kernel.  ``enumerate_component`` counts
 its edges; the oracle keeps them in a set.  Each runs along random walks and
 breadth-first components of generic 2D-4D sets, the 3x3 square, the prism
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flipforge.cli import _exact_reference
 from flipforge.datagen import GenSpec, generate, initial_triangulation
 from flipforge.flips import (
     ComponentResult,
@@ -143,6 +145,42 @@ def test_reference_walk_on_a_gen_dataset_builds_no_face_map():
             search_value(Objective.MIN_WEIGHT, tri, config, cache)
         assert len(component) > 100
         assert all(tri._face_map is None for tri in component.states.values())
+
+
+def post_walk_reference(table, objective, limit):
+    """Oracle: the best search value over the finished walk's states, scored afterwards."""
+    config = table.config
+    component = enumerate_component(initial_triangulation(config), table, limit=limit)
+    cache = ObjectiveCache()
+    best = min(search_value(objective, tri, config, cache) for tri in component.states.values())
+    return best, component.truncated
+
+
+@pytest.mark.parametrize("objective", [Objective.MIN_WEIGHT, Objective.MIN_DIAMETER])
+@pytest.mark.parametrize("name", sorted(set(CONFIGS) - {"cross4d"}))
+def test_references_scored_on_discovery_match_the_post_walk_pass(name, objective):
+    table = table_of(name)
+    for limit in (1, 5, 40):
+        assert _exact_reference(table, objective, limit) == post_walk_reference(
+            table, objective, limit
+        )
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_visit_sees_each_state_once_as_it_is_built(name):
+    table = table_of(name)
+    seen, patched = [], []
+
+    def visit(tri):
+        lineage = tri._lineage
+        patched.append(lineage is not None and lineage[0]._skeleton is not None)
+        assert tri.skeleton_edges() == edge_oracle(tri)
+        seen.append(tri)
+
+    component = enumerate_component(start_of(name), table, limit=30, visit=visit)
+    assert [id(t) for t in seen] == [id(t) for t in component.states.values()]
+    # every state but the seed is built from a parent whose edge set is known
+    assert not patched[0] and all(patched[1:]) and len(patched) > 3
 
 
 def set_walk_component(seed, table, limit=1_000_000, cap=math.inf):

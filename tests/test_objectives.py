@@ -9,6 +9,7 @@ from flipforge.objectives import (
     Objective,
     ObjectiveCache,
     evaluate,
+    left_sum,
     relative_gap,
     reward,
 )
@@ -129,6 +130,15 @@ def test_relative_gap_arithmetic():
     report = relative_gap([10.0, 8.0], [8.0, 8.0])
     assert report.mean == pytest.approx(0.125)
     assert report.stderr > 0
+
+
+def test_float_sums_add_left_to_right():
+    # Python 3.12's builtin sum compensates and returns 1.0000000000000002 here
+    terms = [1.0, 1e-16, 1e-16]
+    assert left_sum(terms) == 1.0 != math.fsum(terms)
+    assert left_sum(iter(terms)) == 1.0 and left_sum([]) == 0.0
+    report = relative_gap([0.0] * 3, terms, sense="maximize")
+    assert report.mean == 1.0 / 3
 
 
 def test_relative_gap_rejects_nonpositive_reference():
