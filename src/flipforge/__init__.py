@@ -5,8 +5,6 @@ flip-ranking policy on top, plus a fine-regular-star discovery pipeline for
 lattice polytopes.
 """
 
-from importlib import resources
-
 from .errors import (
     CheckpointError,
     DegenerateConfig,
@@ -58,4 +56,6 @@ __version__ = "0.1.0"
 
 def fixture_path(name: str):
     """Path to a shipped lattice polytope fixture, e.g. ``square2d``."""
+    from importlib import resources  # here, not at the top: it loads typing, tempfile and zipfile
+
     return resources.files("flipforge") / "fixtures" / f"{name}.poly"

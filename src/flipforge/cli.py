@@ -19,7 +19,7 @@ from . import io
 from .datagen import Dataset, GenSpec, generate, initial_triangulation, seed_triangulations
 from .errors import CheckpointError, FlipForgeError, FormatError
 from .flips import enumerate_circuits, enumerate_component
-from .objectives import Objective, ObjectiveCache, evaluate, relative_gap, search_value
+from .objectives import Objective, evaluate, relative_gap, search_value
 from .search import STRATEGY_NAMES, SearchContext, make_strategy, run_budgeted
 
 
@@ -190,15 +190,15 @@ def _read_model(path, dims):
 
 def _exact_reference(table, objective, limit):
     """Best search value over the seed's flip-graph component as far as ``limit``
-    expansions reach (all of it unless truncated); each state is scored as it is built."""
+    expansions reach (all of it unless truncated); each state is scored as it is built.
+    The walk's states are distinct, so no value or certificate cache would ever hit."""
     config = table.config
-    cache = ObjectiveCache()
     values = []
     component = enumerate_component(
         initial_triangulation(config),
         table,
         limit=limit,
-        visit=lambda tri: values.append(search_value(objective, tri, config, cache)),
+        visit=lambda tri: values.append(search_value(objective, tri, config)),
     )
     return min(values), component.truncated
 
@@ -572,6 +572,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        # per-run seeds are seed + 1000 * i + k, and numpy takes no negative seed
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be at least 0, got {args.seed}")
         return args.func(args)
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)

@@ -6,11 +6,11 @@ can replace each other inside a larger triangulation whenever one of them is
 realized with a common link.  Circuits are computed once per configuration
 from the integer minors of the homogenized points, all taken in one Laplace
 pass (circuits are read off the maximal minors, the chirotope; De Loera,
-Rambau & Santos 2010); only the small subsets the minors prove dependent are
-eliminated, fraction-free (Bareiss 1968), for their kernels.  Each circuit
+Rambau & Santos 2010); only the small subsets the minors prove to be circuits
+are eliminated, fraction-free (Bareiss 1968), for their kernels.  Each circuit
 table indexes its circuits by their cores, so a state tests only the circuits
 with a core inside one of its simplices, and a flipped state only those
-touching the simplices its flip removed or inserted.  A circuit of dim+2
+touching the simplices its flip inserted.  A circuit of dim+2
 points, the only kind a generic configuration has, is tested against the
 state's simplex set alone; only smaller circuits need the state's face map.
 """
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import StaleAction
 from .geometry import PointConfig, rref
-from .triangulation import Triangulation, _faces
+from .triangulation import Triangulation
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,8 @@ class Circuit:
 
     @functools.cached_property
     def cores(self):
-        """The cores Z - {p}: (one per positive p, one per negative p), as frozensets."""
+        """The cores Z - {p}: (one per positive p, one per negative p), as frozensets
+        for ``_realize``'s face-map lookups."""
         zset = frozenset(self.vertices)
         return tuple(tuple(zset - {p} for p in part) for part in (self.positive, self.negative))
 
@@ -53,10 +54,11 @@ class Circuit:
     def flips(self):
         """Both orientations' actions (+1 first) of a circuit of dim+2 points: its cores are
         d-simplices with an empty link, so a side is realized iff all its cores are simplices."""
-        plus, minus = (
-            tuple(sorted(tuple(v for v in self.vertices if v != p) for p in part))
-            for part in (self.positive, self.negative)
-        )
+        z, dependence = self.vertices, self.dependence
+        # Z - {z[i]} as i falls is in increasing order, so each side comes out sorted
+        cores = [(z[:i] + z[i + 1 :], dependence[i] > 0) for i in reversed(range(len(z)))]
+        plus = tuple(core for core, positive in cores if positive)
+        minus = tuple(core for core, positive in cores if not positive)
         return FlipAction(self, 1, ((),), plus, minus), FlipAction(self, -1, ((),), minus, plus)
 
 
@@ -93,17 +95,28 @@ class CircuitTable:
 
     @functools.cached_property
     def _core_index(self):
+        """Core Z - {p}, as a sorted vertex tuple -> positions of the circuits Z with that core."""
         cores = {}
         for pos, circuit in enumerate(self.circuits):
-            for core in itertools.chain(*circuit.cores):
-                cores.setdefault(core, []).append(pos)
+            z = circuit.vertices
+            for i in range(len(z)):
+                cores.setdefault(z[:i] + z[i + 1 :], []).append(pos)
         return cores
 
     def touching(self, simplex) -> frozenset:
-        """Positions of the circuits with a core Z - {p}, any p in Z, inside ``simplex``."""
+        """Positions of the circuits with a core Z - {p}, any p in Z, inside ``simplex``.
+
+        Every face size is probed: repeated points make 2-point circuits, whose
+        cores are single points."""
         hit = self._touching.get(simplex)
         if hit is None:
-            hit = frozenset(pos for face in _faces(simplex) for pos in self._core_index.get(face, ()))
+            index = self._core_index
+            hit = frozenset(
+                pos
+                for size in range(1, len(simplex) + 1)
+                for face in itertools.combinations(simplex, size)
+                for pos in index.get(face, ())
+            )
             self._touching[simplex] = hit
         return hit
 
@@ -154,11 +167,12 @@ def enumerate_circuits(config: PointConfig) -> CircuitTable:
     the maximal minors.  A (d+2)-subset Z is a circuit iff none of its d+2
     maximal minors vanishes, with dependence lam_j = (-1)^j det(Z - j) by
     Cramer's rule.  A smaller subset with a nonzero prefix minor is
-    independent.  Because the configuration spans, one with a zero prefix
-    minor is dependent iff every (d+1)-superset has a zero maximal minor;
-    only those subsets are eliminated (``rref`` on the integer columns), and
-    one is a circuit iff its dependence space is one-dimensional with full
-    support (every proper subset is then independent).
+    independent, and one containing a dependent subset one point smaller is
+    dependent but no circuit.  Because the configuration spans, any other
+    with a zero prefix minor is dependent iff every (d+1)-superset has a zero
+    maximal minor; such a subset is a circuit, since its facets are
+    independent, and only it is eliminated (``rref`` on the integer columns)
+    for its one-dimensional kernel.
     """
     n, size = config.n, config.dim + 1
     rows, _scale = config.int_rows()
@@ -170,26 +184,29 @@ def enumerate_circuits(config: PointConfig) -> CircuitTable:
         dets = [minors[subset[:j] + subset[j + 1 :]] for j in range(size + 1)]
         if all(dets):
             circuits.append(_circuit(subset, [(-1) ** j * det for j, det in enumerate(dets)]))
+    dependent = set()  # the dependent subsets of the previous level
     for k in range(2, size + 1):
+        level_dependent = set()
         for subset, prefix in levels[k - 1].items():
             if prefix:
                 continue
-            rest = [i for i in range(n) if i not in subset]
-            if any(
-                minors[tuple(sorted(subset + extra))]
-                for extra in itertools.combinations(rest, size - k)
-            ):
-                continue
-            m, pivots, d = rref([[homogeneous[i][c] for i in subset] for c in range(size)])
-            if len(pivots) != k - 1:
-                continue
-            # the kernel: d at the one free column, -m[r][free] at pivot column r
-            (free,) = (c for c in range(k) if c not in pivots)
-            lam = [d if c == free else 0 for c in range(k)]
-            for r, c in enumerate(pivots):
-                lam[c] = -m[r][free]
-            if all(lam):
+            if not any(subset[:t] + subset[t + 1 :] in dependent for t in range(k)):
+                rest = [i for i in range(n) if i not in subset]
+                if any(
+                    minors[tuple(sorted(subset + extra))]
+                    for extra in itertools.combinations(rest, size - k)
+                ):
+                    continue
+                # dependent with independent facets: rank k - 1 and a kernel of full
+                # support, d at the one free column and -m[r][free] at pivot column r
+                m, pivots, d = rref([[homogeneous[i][c] for i in subset] for c in range(size)])
+                (free,) = (c for c in range(k) if c not in pivots)
+                lam = [d if c == free else 0 for c in range(k)]
+                for r, c in enumerate(pivots):
+                    lam[c] = -m[r][free]
                 circuits.append(_circuit(subset, lam))
+            level_dependent.add(subset)
+        dependent = level_dependent
     circuits.sort(key=lambda c: c.vertices)
     return CircuitTable(config=config, circuits=tuple(circuits))
 
@@ -222,28 +239,36 @@ def flippable_circuits(tri: Triangulation, table: CircuitTable):
     A circuit yields an action iff for one sign orientation every maximal core
     face is a face of the triangulation and all core faces share one identical
     link; at most one orientation can be realized (asserted).  Both depend
-    only on the stars of the circuit's cores, and a flip changes the star of
-    a face only if a removed or inserted simplex contains it.  So a state
-    flipped from a parent with known actions keeps the parent's action on
-    every circuit not touching those simplices and re-tests the rest; any
-    other state tests every circuit touching one of its simplices.  A circuit
-    of dim+2 points is tested by simplex membership (see ``Circuit.flips``);
-    the face map is built only when a smaller circuit is re-tested.  The
-    actions are cached on the state, per table, and its lineage dropped.
+    only on the stars of the circuit's cores.  A flip adds to the star of a
+    face only if an inserted simplex contains it, and a face of a removed
+    simplex that no inserted simplex contains is no face of the flipped state
+    at all: whatever the flipped region shares with the rest of the
+    triangulation is a face of the inserted simplices too.  So a state
+    flipped from a parent with known actions re-tests only the circuits
+    touching an inserted simplex; every other circuit keeps the parent's
+    action while that action's removed simplices (the stars of its side's
+    cores) all remain, and has none otherwise.  Any other state tests every
+    circuit touching one of its simplices.  A circuit of dim+2 points is
+    tested by simplex membership (see ``Circuit.flips``); the face map is
+    built only when a smaller circuit is re-tested.  The actions are cached
+    on the state, per table, and its lineage dropped.
     """
     if tri._actions is None or tri._actions[0] is not table:
-        parent, removed, inserted = tri._lineage or (None, (), ())
+        parent, _removed, inserted = tri._lineage or (None, (), ())
         if parent is None or parent._actions is None or parent._actions[0] is not table:
             kept, changed = {}, tri.simplices
         else:
-            kept, changed = parent._actions[1], removed + inserted
+            kept, changed = parent._actions[1], inserted
         retest = frozenset().union(*map(table.touching, changed))
-        found = {pos: a for pos, a in kept.items() if pos not in retest}
-        simplices, faces, full = set(tri.simplices), None, table.config.dim + 2
+        circuits, faces, full = table.circuits, None, table.config.dim + 2
+        realized = set(tri.simplices).issuperset
+        found = {pos: a for pos, a in kept.items() if pos not in retest and realized(a.removed)}
         for pos in retest:
-            circuit = table.circuits[pos]
+            circuit = circuits[pos]
             if len(circuit.vertices) == full:
-                plus, minus = [a if simplices.issuperset(a.removed) else None for a in circuit.flips]
+                plus, minus = circuit.flips
+                plus = plus if realized(plus.removed) else None
+                minus = minus if realized(minus.removed) else None
             else:
                 faces = faces or tri.face_map()
                 plus, minus = _realize(faces, circuit, +1), _realize(faces, circuit, -1)
@@ -356,13 +381,14 @@ def enumerate_component(
         for key in sorted(first):
             if len(states) >= cap:
                 break
-            if key not in states:
+            pos = index.get(key)
+            if pos is None:
+                pos = index[key] = len(index)
                 states[key] = nxt = _child(current, simplices, first[key], key)
                 if visit is not None:
                     visit(nxt)
-                index[key] = len(index)
                 queue.append(nxt)
-            edge_count += index[key] >= expansions
+            edge_count += pos >= expansions
     return ComponentResult(
         states=states, edge_count=edge_count, truncated=truncated, expansions=expansions
     )

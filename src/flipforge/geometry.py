@@ -30,6 +30,15 @@ Point = tuple  # tuple of Fraction, one entry per coordinate
 SNAP_DENOMINATOR = 1 << 20
 
 
+def left_sum(values) -> float:
+    """The floats added left to right, as builtin ``sum`` adds them before Python 3.12,
+    whose compensated sum can round differently; outputs read only this one."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def make_point(coords) -> Point:
     return tuple(Fraction(c) for c in coords)
 
@@ -266,6 +275,7 @@ class PointConfig:
         self._hull_volume = None
         self._int_rows = None
         self._float_rows = None
+        self._edge_lengths = None
         self._dets = {}  # simplex -> simplex_det, filled as walks meet simplices
 
     def __eq__(self, other):
@@ -299,6 +309,16 @@ class PointConfig:
             self._float_rows = np.array([[float(c) for c in p] for p in self.points])
             self._float_rows.flags.writeable = False
         return self._float_rows
+
+    def edge_lengths(self) -> dict:
+        """Edge (i, j), i < j -> Euclidean length, in double precision from the exact
+        coordinates; every pair, computed once."""
+        if self._edge_lengths is None:
+            self._edge_lengths = {
+                (i, j): math.sqrt(left_sum(float(x - y) ** 2 for x, y in zip(a, b)))
+                for (i, a), (j, b) in itertools.combinations(enumerate(self.points), 2)
+            }
+        return self._edge_lengths
 
     def simplex_det(self, simplex) -> int:
         """Signed determinant of a simplex's edge vectors in ``int_rows`` units.

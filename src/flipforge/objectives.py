@@ -6,7 +6,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .geometry import PointConfig
+from .geometry import PointConfig, left_sum
 from .triangulation import Triangulation, certify_regularity, dual_diameter, is_fine
 
 
@@ -30,33 +30,12 @@ class Objective(enum.Enum):
             raise ValueError(f"unknown objective {name!r}") from None
 
 
-def left_sum(values) -> float:
-    """The floats added left to right, as builtin ``sum`` adds them before Python 3.12,
-    whose compensated sum can round differently; outputs read only this one."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 class ObjectiveCache:
-    """Per-run caches: exact edge lengths, regularity certificates and values by state key."""
+    """Per-run caches: regularity certificates and values by state key."""
 
     def __init__(self):
-        self.edge_lengths = {}
         self.certificates = {}  # canonical key -> RegularityCertificate
         self.values = {}
-
-
-def _edge_length(config: PointConfig, edge, cache: ObjectiveCache | None):
-    if cache is not None and edge in cache.edge_lengths:
-        return cache.edge_lengths[edge]
-    a = config.points[edge[0]]
-    b = config.points[edge[1]]
-    length = math.sqrt(left_sum(float(x - y) ** 2 for x, y in zip(a, b)))
-    if cache is not None:
-        cache.edge_lengths[edge] = length
-    return length
 
 
 def evaluate(
@@ -67,8 +46,9 @@ def evaluate(
 ) -> float:
     """Objective value of a triangulation.
 
-    MIN_WEIGHT sums Euclidean 1-skeleton edge lengths in double precision from
-    the exact coordinates; the other metrics are exact integers.
+    MIN_WEIGHT sums the 1-skeleton's edge lengths from the configuration's
+    table (``PointConfig.edge_lengths``) in sorted-edge order; the other
+    metrics are exact integers.
     """
     if cache is not None:
         hit = cache.values.get((objective, tri.canonical_key))
@@ -79,7 +59,8 @@ def evaluate(
     elif objective is Objective.MIN_DIAMETER:
         value = float(dual_diameter(tri))
     elif objective is Objective.MIN_WEIGHT:
-        value = left_sum(_edge_length(config, e, cache) for e in tri.skeleton_edges())
+        lengths = config.edge_lengths()
+        value = left_sum(lengths[e] for e in tri.skeleton_edges())
     elif objective is Objective.FRST_REACH:
         value = 1.0 if fine_and_regular(tri, config, cache) else 0.0
     else:  # pragma: no cover

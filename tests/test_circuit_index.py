@@ -186,8 +186,9 @@ def gen3d():
 
 def check_minor_pass(config):
     """The table equals the per-minor loop's, every prefix minor is the leading
-    determinant, and only dependent column sets reach ``rref``.  Returns the
-    table and each elimination's (columns, rank)."""
+    determinant, and only circuits reach ``rref``: one call per circuit below
+    dim+2 points, each on columns of rank one less than their number.
+    Returns the table and each elimination's (columns, rank)."""
     rows, _scale = config.int_rows()
     homogeneous = [(1,) + tuple(r) for r in rows]
     levels = _prefix_minors(homogeneous, config.dim + 1)
@@ -207,7 +208,9 @@ def check_minor_pass(config):
         monkeypatch.setattr(flips, "rref", recording_rref)
         table = enumerate_circuits(config)
     assert table_fields(table) == table_fields(per_minor_circuits(config))
-    assert all(rank < columns for columns, rank in calls)
+    small = [c for c in table.circuits if len(c.vertices) <= config.dim + 1]
+    assert len(calls) == len(small)
+    assert all(rank == columns - 1 for columns, rank in calls)
     return table, calls
 
 

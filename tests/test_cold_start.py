@@ -92,3 +92,14 @@ def test_gen_search_and_train_never_run_the_frst_sampler(tmp_path):
         assert report[label]["exit"] == 0
         assert not report[label]["flipforge.frst"], label
     assert report["train"]["flipforge.training"]  # the probe does see a lazy module run
+
+
+def test_import_cli_loads_neither_importlib_resources_nor_numpy():
+    # -S: the environment's ``site`` may load importlib.resources itself (certifi does)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, flipforge.cli; print(sorted({'importlib.resources', 'numpy'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.split() == ["[]"]

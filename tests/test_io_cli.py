@@ -827,3 +827,30 @@ def test_cli_sample_frst_infinite_max_seconds_means_no_time_cap(tmp_path):
     )
     assert code == 0
     assert json.loads((out / "summary.json").read_text())["iterations"] == 5
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("gen", "--dim", "2", "--samples", "6", "--count", "1"),
+        ("search", "--data", "{data}", "--objective", "min_weight", "--strategy", "greedy"),
+        ("search", "--data", "{data}", "--objective", "min_weight", "--strategy", "random_walk"),
+        ("search", "--data", "{data}", "--objective", "min_weight", "--strategy", "anneal"),
+        ("eval", "--data", "{data}", "--objective", "min_weight", "--checkpoint", "{missing}"),
+        ("train", "--data", "{data}", "--objective", "min_weight", "--iterations", "1",
+         "--envs", "2", "--horizon", "2", "--hidden", "8"),
+        ("sample-frst", "--polytope", "{triangle}", "--max-iterations", "1"),
+    ],
+    ids=["gen", "search_greedy", "search_random_walk", "search_anneal", "eval", "train", "sample_frst"],
+)
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_cli_negative_seed_is_one_usage_line_before_any_work(
+    small_dataset, tmp_path, capsys, command, seed
+):
+    argv = [
+        a.format(data=small_dataset, triangle=ff.fixture_path("triangle2d"), missing=tmp_path / "no.ckpt")
+        for a in command
+    ]
+    assert run_cli(*argv, "--seed", seed, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"usage error: --seed must be at least 0, got {seed}\n"
+    assert not (tmp_path / "out").exists()
