@@ -21,6 +21,7 @@ from .errors import CheckpointError, FlipForgeError, FormatError
 from .flips import enumerate_circuits, enumerate_component
 from .objectives import Objective, evaluate, relative_gap, search_value
 from .search import STRATEGY_NAMES, SearchContext, make_strategy, run_budgeted
+from .triangulation import validate
 
 
 def _lazy(name):
@@ -65,9 +66,17 @@ def _write_provenance(out_dir: Path, command: str, options: dict):
 
 
 def _load_dataset_dir(path: Path) -> Dataset:
-    manifest = io.read_json(path / "manifest.json")
-    spec = GenSpec(**manifest["spec"])
+    name = path / "manifest.json"
+    manifest = io.read_json(name)
+    if not isinstance(manifest, dict) or not {"spec", "ids", "vertex_counts"} <= manifest.keys():
+        raise FormatError(f"{name} must be an object with spec, ids and vertex_counts")
     ids = manifest["ids"]
+    if not isinstance(ids, list) or not all(isinstance(cid, str) for cid in ids):
+        raise FormatError(f"ids in {name} must be a list of strings")
+    try:
+        spec = GenSpec(**manifest["spec"])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad spec in {name}: {exc}") from None
     configs = {}
     seeds = {}
     for cid in ids:
@@ -82,6 +91,19 @@ def _load_dataset_dir(path: Path) -> Dataset:
         vertex_counts=manifest["vertex_counts"],
         seeds=seeds,
     )
+
+
+def _seeds(dataset: Dataset, cid, count=None) -> list:
+    """The first ``count`` (all if None) seeds of ``cid``, each checked by ``validate``."""
+    seeds = (dataset.seeds.get(cid) or [])[:count]
+    if not seeds:
+        raise FormatError(f"no seed triangulations for {cid}")
+    for k, tri in enumerate(seeds):
+        report = validate(tri, dataset.configs[cid])
+        if not report.ok:
+            clause, message = report.details[0]
+            raise FormatError(f"seed {k} of {cid} is no valid triangulation ({clause}: {message})")
+    return seeds
 
 
 def cmd_gen(args) -> int:
@@ -231,11 +253,9 @@ def _search_common(args, strategy_name, checkpoint_path=None) -> int:
     tables = {}
     tasks = []
     for cid in dataset.ids:
-        seeds = dataset.seeds.get(cid) or []
-        if not seeds:
-            raise FormatError(f"no seed triangulations for {cid}")
+        seeds = _seeds(dataset, cid, args.starts)
         tables[cid] = enumerate_circuits(dataset.configs[cid])
-        for k, seed_tri in enumerate(seeds[: args.starts]):
+        for k, seed_tri in enumerate(seeds):
             tasks.append(
                 (
                     cid,
@@ -334,9 +354,7 @@ def cmd_train(args) -> int:
     environments = {}
     for cid in dataset.ids:
         config = dataset.configs[cid]
-        seeds = dataset.seeds.get(cid) or []
-        if not seeds:
-            raise FormatError(f"no seed triangulations for {cid}")
+        seeds = _seeds(dataset, cid)
         environments[SearchContext(config, enumerate_circuits(config), objective)] = seeds
     if objective is Objective.FRST_REACH and all(
         evaluate(objective, tri, env.config, env.cache)

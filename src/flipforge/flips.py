@@ -4,15 +4,16 @@ A circuit is a minimal affinely dependent subset of the configuration; its
 dependence signs split it into two parts whose induced local triangulations
 can replace each other inside a larger triangulation whenever one of them is
 realized with a common link.  Circuits are computed once per configuration
-from the integer minors of the homogenized points, all taken in one Laplace
-pass (circuits are read off the maximal minors, the chirotope; De Loera,
-Rambau & Santos 2010); only the small subsets the minors prove to be circuits
-are eliminated, fraction-free (Bareiss 1968), for their kernels.  Each circuit
-table indexes its circuits by their cores, so a state tests only the circuits
-with a core inside one of its simplices, and a flipped state only those
-touching the simplices its flip inserted.  A circuit of dim+2
-points, the only kind a generic configuration has, is tested against the
-state's simplex set alone; only smaller circuits need the state's face map.
+from the integer minors of the homogenized points, which the configuration
+takes in one Laplace pass and keeps (circuits are read off the maximal
+minors, the chirotope; De Loera, Rambau & Santos 2010); only the small
+subsets the minors prove to be circuits are eliminated, fraction-free
+(Bareiss 1968), for their kernels.  Each circuit table indexes its circuits
+by their cores, so a state tests only the circuits with a core inside one of
+its simplices, and a flipped state only those touching the simplices its
+flip inserted.  A circuit of dim+2 points, the only kind a generic
+configuration has, is tested against the state's simplex set alone; only
+smaller circuits need the state's face map.
 """
 
 from __future__ import annotations
@@ -136,54 +137,31 @@ def _circuit(subset, lam) -> Circuit:
     )
 
 
-def _prefix_minors(homogeneous, size):
-    """``levels[k - 1][S]``: each k-subset S's minor on the first k columns, k = 1..size.
-
-    One Laplace pass: a (c+1)-subset's minor expands along column c into
-    the signed c-subset minors of the previous level.
-    """
-    n = len(homogeneous)
-    level = {(i,): homogeneous[i][0] for i in range(n)}
-    levels = [level]
-    for c in range(1, size):
-        prev, level = level, {}
-        for subset in itertools.combinations(range(n), c + 1):
-            det, sign = 0, (-1) ** c
-            for t, v in enumerate(subset):
-                entry = homogeneous[v][c]
-                if entry:
-                    det += sign * entry * prev[subset[:t] + subset[t + 1 :]]
-                sign = -sign
-            level[subset] = det
-        levels.append(level)
-    return levels
-
-
 def enumerate_circuits(config: PointConfig) -> CircuitTable:
     """All circuits of the configuration, from its integer minors.
 
-    One Laplace pass over the homogenized rows (1, x) gives every k-subset's
-    minor on the first k columns (``_prefix_minors``); the last level holds
-    the maximal minors.  A (d+2)-subset Z is a circuit iff none of its d+2
-    maximal minors vanishes, with dependence lam_j = (-1)^j det(Z - j) by
-    Cramer's rule.  A smaller subset with a nonzero prefix minor is
-    independent, and one containing a dependent subset one point smaller is
-    dependent but no circuit.  Because the configuration spans, any other
-    with a zero prefix minor is dependent iff every (d+1)-superset has a zero
-    maximal minor; such a subset is a circuit, since its facets are
-    independent, and only it is eliminated (``rref`` on the integer columns)
-    for its one-dimensional kernel.
+    The configuration's Laplace pass (``PointConfig.prefix_minors``) gives
+    every k-subset's minor of the homogenized rows (1, x) on the first k
+    columns; the last level holds the maximal minors.  A (d+2)-subset Z is a
+    circuit iff none of its d+2 maximal minors vanishes, with dependence
+    ``PointConfig.dependence`` (Cramer's rule).  A smaller subset with a
+    nonzero prefix minor is independent, and one containing a dependent
+    subset one point smaller is dependent but no circuit.  Because the
+    configuration spans, any other with a zero prefix minor is dependent iff
+    every (d+1)-superset has a zero maximal minor; such a subset is a
+    circuit, since its facets are independent, and only it is eliminated
+    (``rref`` on the integer columns) for its one-dimensional kernel.
     """
     n, size = config.n, config.dim + 1
     rows, _scale = config.int_rows()
     homogeneous = [(1,) + tuple(r) for r in rows]
-    levels = _prefix_minors(homogeneous, size)
+    levels = config.prefix_minors()
     minors = levels[-1]
     circuits = []
     for subset in itertools.combinations(range(n), size + 1):
-        dets = [minors[subset[:j] + subset[j + 1 :]] for j in range(size + 1)]
-        if all(dets):
-            circuits.append(_circuit(subset, [(-1) ** j * det for j, det in enumerate(dets)]))
+        lam = config.dependence(subset)
+        if all(lam):
+            circuits.append(_circuit(subset, lam))
     dependent = set()  # the dependent subsets of the previous level
     for k in range(2, size + 1):
         level_dependent = set()

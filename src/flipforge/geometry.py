@@ -8,7 +8,8 @@ arithmetic after clearing denominators once per operation.
 One beneath-beyond (placing) pass per configuration, run on first use and
 kept, serves the hull: its simplices are the placing triangulation and sum to
 the hull volume, and the distinct planes of its final boundary faces are the
-hull facets.
+hull facets.  One Laplace pass of integer minors per configuration, also kept,
+serves the simplex determinants and the affine dependences of dim+2 points.
 
 Intended scale: small configurations (a few dozen points) in dimension <= 5,
 which covers ambient dimension <= 4 plus one lifting coordinate.
@@ -134,6 +135,29 @@ def rref(rows):
         d = p
         pivots.append(col)
     return m, pivots, d
+
+
+def _prefix_minors(homogeneous, size):
+    """``levels[k - 1][S]``: each k-subset S's minor on the first k columns, k = 1..size.
+
+    One Laplace pass: a (c+1)-subset's minor expands along column c into
+    the signed c-subset minors of the previous level.
+    """
+    n = len(homogeneous)
+    level = {(i,): homogeneous[i][0] for i in range(n)}
+    levels = [level]
+    for c in range(1, size):
+        prev, level = level, {}
+        for subset in itertools.combinations(range(n), c + 1):
+            det, sign = 0, (-1) ** c
+            for t, v in enumerate(subset):
+                entry = homogeneous[v][c]
+                if entry:
+                    det += sign * entry * prev[subset[:t] + subset[t + 1 :]]
+                sign = -sign
+            level[subset] = det
+        levels.append(level)
+    return levels
 
 
 def _homogenized(points):
@@ -272,11 +296,10 @@ class PointConfig:
         self.is_lattice = bool(is_lattice)
         self._placing = None
         self._hull = None
-        self._hull_volume = None
         self._int_rows = None
         self._float_rows = None
         self._edge_lengths = None
-        self._dets = {}  # simplex -> simplex_det, filled as walks meet simplices
+        self._prefix_minors = None
 
     def __eq__(self, other):
         return (
@@ -320,20 +343,30 @@ class PointConfig:
             }
         return self._edge_lengths
 
-    def simplex_det(self, simplex) -> int:
-        """Signed determinant of a simplex's edge vectors in ``int_rows`` units.
-
-        ``simplex`` is a sorted vertex tuple.  The simplex's normalized volume
-        is ``|det| / (scale**dim * dim!)``.  Values are kept: a flip walk
-        meets each simplex many times (validation, the policy's orientations).
-        """
-        det = self._dets.get(simplex)
-        if det is None:
+    def prefix_minors(self):
+        """``_prefix_minors`` of the homogenized rows (1, x) in ``int_rows`` units, up to
+        the maximal minors (the last level); computed once."""
+        if self._prefix_minors is None:
             rows, _scale = self.int_rows()
-            base = rows[simplex[0]]
-            det = _int_det([[a - b for a, b in zip(rows[v], base)] for v in simplex[1:]])
-            self._dets[simplex] = det
-        return det
+            self._prefix_minors = _prefix_minors([(1,) + r for r in rows], self.dim + 1)
+        return self._prefix_minors
+
+    def simplex_det(self, simplex) -> int:
+        """Signed det[x_i - x_s0] of a sorted simplex's edge vectors in ``int_rows`` units,
+        its maximal minor; its normalized volume is ``|det| / (scale**dim * dim!)``."""
+        return self.prefix_minors()[-1][simplex]
+
+    def dependence(self, ids) -> tuple:
+        """Affine dependence of dim+2 points in ``ids`` order, by Cramer's rule over the
+        sorted ids Z: lam_j = (-1)^j det(Z - Z_j), zero iff the points do not span."""
+        z = tuple(sorted(ids))
+        minors = self.prefix_minors()[-1]
+        lam = [minors[z[:j] + z[j + 1 :]] for j in range(len(z))]
+        lam[1::2] = [-v for v in lam[1::2]]
+        if z != ids:
+            by_id = dict(zip(z, lam))
+            lam = [by_id[v] for v in ids]
+        return tuple(lam)
 
     def placing(self):
         """The beneath-beyond pass ``(simplices, boundary)``, run once; see ``_beneath_beyond``."""
@@ -354,9 +387,7 @@ class PointConfig:
 
     def hull_volume(self) -> Fraction:
         """Normalized volume of the hull: the volume of the placing pass's simplices."""
-        if self._hull_volume is None:
-            self._hull_volume = self.volume(self.placing()[0])
-        return self._hull_volume
+        return self.volume(self.placing()[0])
 
 
 def simplex_volume(vertices) -> Fraction:

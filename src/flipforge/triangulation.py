@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import lp
 from .errors import DegenerateConfig, DegenerateHeights, FlipForgeError
-from .geometry import PointConfig, _homogenized, affine_dependence, rref
+from .geometry import PointConfig
 
 Simplex = tuple  # sorted tuple of vertex indices, length dim+1
 Heights = tuple  # one Fraction per configuration point
@@ -31,7 +31,7 @@ class Triangulation:
     map patch the parent's.  Caches and lineage are never pickled.
     """
 
-    __slots__ = ("simplices", "_face_map", "_skeleton", "_hash", "_lineage", "_actions", "_rows")
+    __slots__ = ("simplices", "_face_map", "_skeleton", "_hash", "_lineage", "_actions")
 
     def __init__(self, simplices):
         cleaned = sorted({tuple(sorted(int(v) for v in s)) for s in simplices})
@@ -45,7 +45,7 @@ class Triangulation:
 
     def _set(self, simplices, lineage=None):
         self.simplices, self._hash, self._lineage = simplices, hash(simplices), lineage
-        self._face_map = self._skeleton = self._actions = self._rows = None
+        self._face_map = self._skeleton = self._actions = None
 
     @classmethod
     def _flipped(cls, parent, simplices, removed, inserted):
@@ -287,42 +287,17 @@ def is_star(tri: Triangulation, config: PointConfig, origin_index: int) -> bool:
     return all(origin_index in s for s in tri.simplices)
 
 
-def _barycentric(point, simplex_points):
-    """Affine coordinates of ``point`` in the simplex, or None if outside."""
-    lam = _affine_coordinates(point, simplex_points)
-    if lam is None or any(c < 0 for c in lam):
-        return None
-    return lam
-
-
-def _affine_coordinates(point, simplex_points):
-    """Affine coordinates of ``point`` over the points, or None off their affine hull."""
-    k = len(simplex_points)
-    target = list(point) + [1]
-    m, pivots, d = rref([row + [t] for row, t in zip(_homogenized(simplex_points), target)])
-    if pivots and pivots[-1] == k:
-        return None  # inconsistent: point outside the affine hull
-    lam = [Fraction(0)] * k
-    for ri, col in enumerate(pivots):
-        lam[col] = Fraction(m[ri][k], d)
-    return tuple(lam)
-
-
 def regularity_constraints(tri: Triangulation, config: PointConfig):
     """Rows (indexed over config points) whose feasibility w.r.t. >= 1 is regularity.
 
-    One row per interior (d-1)-face: the unique affine dependence over the two
-    adjacent simplices' vertex union, signed so the opposite vertices get
-    positive coefficients.  One row per unused point: its lift must sit
-    strictly above the lifted simplex that contains it.  A state keeps its
-    rows until they are asked for once more, for the same configuration, so a
-    state certified and then checked again (a star closure and its re-check
-    in ``is_frst``) derives them once, and a state kept for long, such as a
-    ledger entry, does not keep them.  Callers must not modify the rows.
+    One row per interior (d-1)-face: the affine dependence of the two adjacent
+    simplices' vertices (``PointConfig.dependence``), scaled so that its first
+    nonzero entry in face-then-opposite order is +1, then signed so that the
+    opposite vertices are positive.  One row per unused point q: its lift must
+    sit strictly above the lifted simplex that contains it, the first in
+    simplex order, where its barycentric coordinates are -lam_i / lam_q for
+    the dependence lam of the simplex and q.
     """
-    kept, tri._rows = tri._rows, None
-    if kept is not None and kept[0] is config:
-        return kept[1]
     rows = []
     opposite = {}  # (d-1)-face -> vertices opposite it, in simplex order
     for s in tri.simplices:
@@ -332,35 +307,32 @@ def regularity_constraints(tri: Triangulation, config: PointConfig):
         if len(ends) != 2:
             continue
         ids = face + tuple(ends)
-        lam = affine_dependence([config.points[i] for i in ids])
+        lam = config.dependence(ids)
         if lam[-2] == 0:
             raise AssertionError("fold dependence missing the opposite vertex")
-        if lam[-2] < 0:
-            lam = tuple(-v for v in lam)
+        lead = abs(next(v for v in lam if v))
+        scale = lead if lam[-2] > 0 else -lead
         row = [Fraction(0)] * config.n
         for i, coeff in zip(ids, lam):
-            row[i] = coeff
+            row[i] = Fraction(coeff, scale)
         rows.append(row)
 
     used = tri.vertex_union
     for q in range(config.n):
         if q in used:
             continue
-        placed = False
         for s in tri.simplices:
-            coords = _barycentric(config.points[q], [config.points[i] for i in s])
-            if coords is None:
-                continue
+            *lam, lam_q = config.dependence(s + (q,))
+            if any(v * lam_q > 0 for v in lam):
+                continue  # some barycentric coordinate -v / lam_q is negative
             row = [Fraction(0)] * config.n
             row[q] = Fraction(1)
-            for i, c in zip(s, coords):
-                row[i] -= c
+            for i, v in zip(s, lam):
+                row[i] = Fraction(v, lam_q)
             rows.append(row)
-            placed = True
             break
-        if not placed:
+        else:
             raise AssertionError(f"point {q} not covered by any simplex")
-    tri._rows = (config, rows)
     return rows
 
 

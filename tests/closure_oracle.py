@@ -5,6 +5,9 @@ points' lift, and the closed state is read off the lower hull of the sunk
 lift.  Degenerate retries jitter the non-origin heights deterministically
 (bounded at 10 attempts).  The sampler cones the boundary instead, with no
 hull and no LP; this is the slow path it must agree with.
+
+The module also keeps the Fraction eliminations for affine and barycentric
+coordinates, which the regularity rows' unused-point placement must match.
 """
 
 from fractions import Fraction
@@ -12,7 +15,6 @@ from fractions import Fraction
 from flipforge.errors import DegenerateConfig, DegenerateHeights, FlipForgeError
 from flipforge.geometry import PointConfig, _homogenized, make_point, rref
 from flipforge.triangulation import (
-    _affine_coordinates,
     certify_regularity,
     height_certificate,
     is_fine,
@@ -20,6 +22,27 @@ from flipforge.triangulation import (
     regular_from_heights,
     regularity_constraints,
 )
+
+
+def _barycentric(point, simplex_points):
+    """Affine coordinates of ``point`` in the simplex, or None if outside."""
+    lam = _affine_coordinates(point, simplex_points)
+    if lam is None or any(c < 0 for c in lam):
+        return None
+    return lam
+
+
+def _affine_coordinates(point, simplex_points):
+    """Affine coordinates of ``point`` over the points, or None off their affine hull."""
+    k = len(simplex_points)
+    target = list(point) + [1]
+    m, pivots, d = rref([row + [t] for row, t in zip(_homogenized(simplex_points), target)])
+    if pivots and pivots[-1] == k:
+        return None  # inconsistent: point outside the affine hull
+    lam = [Fraction(0)] * k
+    for ri, col in enumerate(pivots):
+        lam[col] = Fraction(m[ri][k], d)
+    return tuple(lam)
 
 
 def hull_star_closure(tri, lattice, witness=None):

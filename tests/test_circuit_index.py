@@ -4,7 +4,9 @@
 minors and eliminates only the small subsets those minors prove dependent.
 Two oracles check it: a scan of every vertex subset with the exact Fraction
 dependence kernel, and the per-minor Bareiss loop it replaced, whose tables
-must match field by field and in order.
+must match field by field and in order.  The configuration's simplex
+determinants and Cramer dependences, lookups in the same minors, are checked
+against Bareiss determinants and the Fraction kernel.
 ``flippable_circuits`` tests the circuits with a core inside one of the
 state's simplices, or patches a flipped state's actions from its parent's;
 the oracle tests every circuit of the table through ``link_of``.
@@ -28,13 +30,12 @@ from flipforge.flips import (
     CircuitTable,
     FlipAction,
     _circuit,
-    _prefix_minors,
     apply_flip,
     enumerate_circuits,
     flippable_circuits,
     reverse_action,
 )
-from flipforge.geometry import PointConfig, _int_det, dependence_kernel, rref
+from flipforge.geometry import PointConfig, _int_det, _prefix_minors, dependence_kernel, rref
 from flipforge.triangulation import Triangulation, link_of, validate
 from conftest import point_lists
 
@@ -184,11 +185,35 @@ def gen3d():
     return config
 
 
+def check_minor_kernel(config):
+    """Oracle for the configuration's table of minors: every sorted (d+1)-subset's
+    ``simplex_det`` is the Bareiss determinant of its edge vectors, and every
+    (d+2)-subset's ``dependence``, in either id order, is zero exactly when the
+    points' dependences form more than one line (rank below d+1) and otherwise
+    spans ``dependence_kernel``'s line."""
+    rows, _scale = config.int_rows()
+    for s in itertools.combinations(range(config.n), config.dim + 1):
+        assert config.simplex_det(s) == _int_det(
+            [[a - b for a, b in zip(rows[v], rows[s[0]])] for v in s[1:]]
+        )
+    for z in itertools.combinations(range(config.n), config.dim + 2):
+        lam = config.dependence(z)
+        assert config.dependence(z[::-1]) == lam[::-1]
+        basis = dependence_kernel([config.points[i] for i in z])
+        if len(basis) > 1:
+            assert not any(lam)
+        else:
+            (line,) = basis
+            ratio = next(Fraction(a) / b for a, b in zip(lam, line) if b)
+            assert ratio and all(a == ratio * b for a, b in zip(lam, line))
+
+
 def check_minor_pass(config):
     """The table equals the per-minor loop's, every prefix minor is the leading
-    determinant, and only circuits reach ``rref``: one call per circuit below
-    dim+2 points, each on columns of rank one less than their number.
-    Returns the table and each elimination's (columns, rank)."""
+    determinant, the configuration keeps those minors, its lookups pass
+    ``check_minor_kernel``, and only circuits reach ``rref``: one call per
+    circuit below dim+2 points, each on columns of rank one less than their
+    number.  Returns the table and each elimination's (columns, rank)."""
     rows, _scale = config.int_rows()
     homogeneous = [(1,) + tuple(r) for r in rows]
     levels = _prefix_minors(homogeneous, config.dim + 1)
@@ -197,6 +222,8 @@ def check_minor_pass(config):
         assert list(level) == list(itertools.combinations(range(config.n), k))
         for subset, minor in level.items():
             assert minor == _int_det([homogeneous[i][:k] for i in subset])
+    assert config.prefix_minors() == levels
+    check_minor_kernel(config)
     calls = []
 
     def recording_rref(rows):

@@ -3,8 +3,8 @@
 ``frst.star_closure`` cones the boundary of a fine regular state from the
 origin; ``closure_oracle.hull_star_closure`` sinks the origin and reads the
 closed state off the lower hull of the lift.  ``regularity_constraints``
-keeps each state's rows on the state; the oracle here solves every fold
-afresh on a fresh state.
+reads every row off the configuration's table of minors; the oracle here
+solves every fold and places every unused point by Fraction elimination.
 """
 
 import itertools
@@ -31,8 +31,9 @@ from flipforge.triangulation import (
     regularity_constraints,
     validate,
 )
-from closure_oracle import hull_star_closure
+from closure_oracle import _barycentric, hull_star_closure
 from conftest import point_lists
+from test_circuit_index import CROSS4D_14, SQUARE_3X3
 
 PRISM = ff.PointConfig(
     3, sorted((x, y, z) for z in (-1, 0, 1) for (x, y) in ((1, 0), (0, 1), (-1, -1), (0, 0)))
@@ -84,7 +85,6 @@ def test_cone_closure_matches_hull_closure_on_random_walks(name, data):
                 held = cache.certificates[closed.canonical_key]
                 fresh_rows = regularity_constraints(ff.Triangulation(closed.simplices), config)
                 assert held.regular and held.holds(fresh_rows)
-                # the closure's rows stay on the state for the re-check
                 assert regularity_constraints(closed, config) == fresh_rows
                 # without a witness the oracle is asked for one: same closure
                 assert star_closure(tri, lat) == closed
@@ -110,7 +110,8 @@ def interior_folds(tri):
 
 
 def oracle_rows(tri, config):
-    """Regularity rows of a fresh copy of ``tri`` with every fold solved afresh."""
+    """Regularity rows with every fold solved by ``affine_dependence`` and every unused
+    point placed in the first simplex that holds it by ``_barycentric``."""
     rows = []
     for face, a, b in interior_folds(tri):
         ids = list(face) + [a, b]
@@ -121,7 +122,20 @@ def oracle_rows(tri, config):
         for i, coeff in zip(ids, lam):
             row[i] = coeff
         rows.append(row)
-    return rows + regularity_constraints(ff.Triangulation(tri.simplices), config)[len(rows) :]
+    used = tri.vertex_union
+    for q in range(config.n):
+        if q in used:
+            continue
+        for s in tri.simplices:
+            coords = _barycentric(config.points[q], [config.points[i] for i in s])
+            if coords is not None:
+                row = [Fraction(0)] * config.n
+                row[q] = Fraction(1)
+                for i, c in zip(s, coords):
+                    row[i] -= c
+                rows.append(row)
+                break
+    return rows
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -137,15 +151,39 @@ def test_rows_kept_on_a_state_match_fresh_dependences_on_random_walks(dim, data)
     tri = initial_triangulation(config)
     for move in data.draw(st.lists(st.integers(0, 1 << 20), max_size=10)):
         rows = regularity_constraints(tri, config)
-        assert rows == oracle_rows(tri, config)
-        # a state keeps its rows until they are asked for once more
-        assert regularity_constraints(tri, config) is rows
-        again = regularity_constraints(tri, config)
-        assert again == rows and again is not rows
+        assert repr(rows) == repr(oracle_rows(tri, config))
+        # every call derives its own rows: changing one call's leaves the next call's intact
+        rows.append([Fraction(1)] * config.n)
+        for row in rows:
+            row[0] += 1
+        assert repr(regularity_constraints(tri, config)) == repr(oracle_rows(tri, config))
         actions = flippable_circuits(tri, table)
         if not actions:
             break
         tri = apply_flip(tri, actions[move % len(actions)])
+
+
+ROW_CONFIGS = {"prism": PRISM, "square3x3": SQUARE_3X3, "cross4d_14": CROSS4D_14}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CONFIGS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_rows_match_the_fraction_oracle_on_walks_from_random_lifts(name, data):
+    config = ROW_CONFIGS[name]
+    heights = data.draw(st.lists(st.integers(-999, 999), min_size=config.n, max_size=config.n))
+    try:
+        tri = regular_from_heights(config, [Fraction(h, 64) for h in heights])
+    except DegenerateHeights:
+        assume(False)
+    table = enumerate_circuits(config)
+    rnd = random.Random(data.draw(st.integers(0, 1 << 32)))
+    for _step in range(15):
+        assert repr(regularity_constraints(tri, config)) == repr(oracle_rows(tri, config))
+        actions = flippable_circuits(tri, table)
+        if not actions:
+            break
+        tri = apply_flip(tri, rnd.choice(actions))
 
 
 def test_rows_kept_on_a_state_are_read_only_for_their_configuration():

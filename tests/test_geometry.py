@@ -94,7 +94,7 @@ def exhaustive_extreme_points(config):
 
 
 def barycentric_or_none(point, simplex_pts):
-    from flipforge.triangulation import _barycentric
+    from closure_oracle import _barycentric
 
     return _barycentric(point, simplex_pts)
 

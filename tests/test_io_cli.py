@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -853,4 +854,73 @@ def test_cli_negative_seed_is_one_usage_line_before_any_work(
     ]
     assert run_cli(*argv, "--seed", seed, "--out", tmp_path / "out") == 2
     assert capsys.readouterr().err == f"usage error: --seed must be at least 0, got {seed}\n"
+    assert not (tmp_path / "out").exists()
+
+
+TRAIN_ARGS = ("--iterations", 1, "--envs", 2, "--horizon", 2, "--hidden", 8)
+
+
+@pytest.mark.parametrize("command", ["search", "train"])
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        ("vertex_99", "d: vertex ids outside the configuration"),
+        ("missing_simplex", "a: volume sum "),
+    ],
+)
+def test_cli_seeds_that_do_not_triangulate_their_configuration_are_data_errors(
+    small_dataset, tmp_path, capsys, command, defect, message
+):
+    data = tmp_path / "data"
+    shutil.copytree(small_dataset, data)
+    seeds = io.read_triangulation_set(data / "seeds_2d_001.tri")
+    # search starts from seed 0 only; train from every seed, so the last one is broken
+    k = 0 if command == "search" else len(seeds) - 1
+    first, *rest = seeds[k].simplices
+    seeds[k] = Triangulation([first[:-1] + (99,), *rest] if defect == "vertex_99" else rest)
+    io.write_triangulation_set(data / "seeds_2d_001.tri", seeds)
+    argv = [command, "--data", data, "--objective", "min_weight", "--out", tmp_path / "out"]
+    argv += ["--strategy", "greedy"] if command == "search" else TRAIN_ARGS
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    prefix = f"data error: seed {k} of 2d_001 is no valid triangulation ({message}"
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["search", "train"])
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ({}, "{path} must be an object with spec, ids and vertex_counts"),
+        ([], "{path} must be an object with spec, ids and vertex_counts"),
+        (
+            {"spec": {"dim": 2, "samples": 6, "count": 2, "colour": 1}},
+            "bad spec in {path}: GenSpec.__init__() got an unexpected keyword argument 'colour'",
+        ),
+        (
+            {"spec": {"dim": 0, "samples": 6, "count": 2}},
+            "bad spec in {path}: dim must be at least 1, got 0",
+        ),
+        (
+            {"spec": {"dim": 2, "samples": 6, "count": 2}, "ids": 5},
+            "ids in {path} must be a list of strings",
+        ),
+    ],
+    ids=["empty", "list", "unknown_field", "dim_zero", "ids_not_a_list"],
+)
+def test_cli_malformed_manifests_are_data_errors(
+    small_dataset, tmp_path, capsys, command, manifest, message
+):
+    data = tmp_path / "data"
+    shutil.copytree(small_dataset, data)
+    if isinstance(manifest, dict) and manifest:
+        original = json.loads((data / "manifest.json").read_text())
+        manifest = {"ids": original["ids"], "vertex_counts": original["vertex_counts"], **manifest}
+    io.write_json(data / "manifest.json", manifest)
+    argv = [command, "--data", data, "--objective", "min_weight", "--out", tmp_path / "out"]
+    argv += ["--strategy", "greedy"] if command == "search" else TRAIN_ARGS
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: {message.format(path=data / 'manifest.json')}\n"
     assert not (tmp_path / "out").exists()
