@@ -73,6 +73,11 @@ def _load_dataset_dir(path: Path) -> Dataset:
     ids = manifest["ids"]
     if not isinstance(ids, list) or not all(isinstance(cid, str) for cid in ids):
         raise FormatError(f"ids in {name} must be a list of strings")
+    if not ids:
+        raise FormatError(f"ids in {name} is empty")
+    repeated = sorted({cid for cid in ids if ids.count(cid) > 1})
+    if repeated:
+        raise FormatError(f"ids in {name} repeat {', '.join(repeated)}")
     try:
         spec = GenSpec(**manifest["spec"])
     except (TypeError, ValueError) as exc:

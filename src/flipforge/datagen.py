@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DegenerateConfig, FlipForgeError
+from .errors import DegenerateConfig, DegenerateHeights, FlipForgeError
 from .flips import enumerate_circuits, enumerate_component
 from .geometry import SNAP_DENOMINATOR, PointConfig, placing_triangulation, snap_to_rational
 from .triangulation import Triangulation, regular_from_heights
-from .errors import DegenerateHeights
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,12 @@ from the integer minors of the homogenized points, which the configuration
 takes in one Laplace pass and keeps (circuits are read off the maximal
 minors, the chirotope; De Loera, Rambau & Santos 2010); only the small
 subsets the minors prove to be circuits are eliminated, fraction-free
-(Bareiss 1968), for their kernels.  Each circuit table indexes its circuits
-by their cores, so a state tests only the circuits with a core inside one of
-its simplices, and a flipped state only those touching the simplices its
-flip inserted.  A circuit of dim+2 points, the only kind a generic
-configuration has, is tested against the state's simplex set alone; only
-smaller circuits need the state's face map.
+(Bareiss 1968), and ``geometry.null_space`` reads their kernels off.  Each
+circuit table indexes its circuits by their cores, so a state tests only the
+circuits with a core inside one of its simplices, and a flipped state only
+those touching the simplices its flip inserted.  A circuit of dim+2 points,
+the only kind a generic configuration has, is tested against the state's
+simplex set alone; only smaller circuits need the state's face map.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import StaleAction
-from .geometry import PointConfig, rref
+from .geometry import PointConfig, null_space
 from .triangulation import Triangulation
 
 
@@ -150,7 +150,7 @@ def enumerate_circuits(config: PointConfig) -> CircuitTable:
     configuration spans, any other with a zero prefix minor is dependent iff
     every (d+1)-superset has a zero maximal minor; such a subset is a
     circuit, since its facets are independent, and only it is eliminated
-    (``rref`` on the integer columns) for its one-dimensional kernel.
+    (``null_space`` of the integer columns) for its one-dimensional kernel.
     """
     n, size = config.n, config.dim + 1
     rows, _scale = config.int_rows()
@@ -175,13 +175,8 @@ def enumerate_circuits(config: PointConfig) -> CircuitTable:
                     for extra in itertools.combinations(rest, size - k)
                 ):
                     continue
-                # dependent with independent facets: rank k - 1 and a kernel of full
-                # support, d at the one free column and -m[r][free] at pivot column r
-                m, pivots, d = rref([[homogeneous[i][c] for i in subset] for c in range(size)])
-                (free,) = (c for c in range(k) if c not in pivots)
-                lam = [d if c == free else 0 for c in range(k)]
-                for r, c in enumerate(pivots):
-                    lam[c] = -m[r][free]
+                # dependent with independent facets: rank k - 1, one kernel vector
+                (lam,), _d = null_space([[homogeneous[i][c] for i in subset] for c in range(size)])
                 circuits.append(_circuit(subset, lam))
             level_dependent.add(subset)
         dependent = level_dependent

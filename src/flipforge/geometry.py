@@ -10,6 +10,11 @@ kept, serves the hull: its simplices are the placing triangulation and sum to
 the hull volume, and the distinct planes of its final boundary faces are the
 hull facets.  One Laplace pass of integer minors per configuration, also kept,
 serves the simplex determinants and the affine dependences of dim+2 points.
+Every other exact computation is one fraction-free elimination, ``rref``:
+ranks, the greedy affinely independent points the placing pass starts from,
+each hull plane (the kernel vector of its face's rows (x_i, -1)), stand-alone
+simplex volumes (the last pivot) and, through ``null_space``, every integer
+kernel basis.
 
 Intended scale: small configurations (a few dozen points) in dimension <= 5,
 which covers ambient dimension <= 4 plus one lifting coordinate.
@@ -69,31 +74,6 @@ def _scaled_int_rows(points):
     return rows, scale
 
 
-def _int_det(rows):
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def rref(rows):
     """Fraction-free Gauss-Jordan elimination: ``(rows, pivots, d)``.
 
@@ -109,7 +89,10 @@ def rref(rows):
     m = []
     for row in rows:
         scale = math.lcm(*[v.denominator for v in row])
-        m.append([v.numerator * (scale // v.denominator) for v in row])
+        if scale == 1:
+            m.append([v.numerator for v in row])
+        else:
+            m.append([v.numerator * (scale // v.denominator) for v in row])
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []
@@ -118,8 +101,10 @@ def rref(rows):
         r = len(pivots)
         if r == nrows:
             break
-        found = next((i for i in range(r, nrows) if m[i][col]), None)
-        if found is None:
+        for found in range(r, nrows):
+            if m[found][col]:
+                break
+        else:
             continue
         m[r], m[found] = m[found], m[r]
         top = m[r]
@@ -135,6 +120,27 @@ def rref(rows):
         d = p
         pivots.append(col)
     return m, pivots, d
+
+
+def null_space(rows):
+    """Integer basis of {x : rows . x = 0}, read off ``rref``: ``(basis, d)``.
+
+    One vector per non-pivot column f: ``d`` at f, ``-m[r][f]`` at pivot
+    column r and 0 at the other non-pivot columns; over ``d`` these are the
+    reduced form's kernel vectors.
+    """
+    m, pivots, d = rref(rows)
+    ncols = len(rows[0])
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [0] * ncols
+        vec[free] = d
+        for r, c in enumerate(pivots):
+            vec[c] = -m[r][free]
+        basis.append(vec)
+    return basis, d
 
 
 def _prefix_minors(homogeneous, size):
@@ -179,17 +185,8 @@ def affine_rank(points) -> int:
 
 def _affine_kernel_basis(points):
     """Basis of {lam : sum lam_i p_i = 0, sum lam_i = 0}, as Fraction tuples."""
-    k = len(points)
-    m, pivots, d = rref(_homogenized(points))
-    free = [c for c in range(k) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * k
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = Fraction(-m[ri][fc], d)
-        basis.append(tuple(vec))
-    return basis
+    basis, d = null_space(_homogenized(points))
+    return [tuple(Fraction(v, d) for v in vec) for vec in basis]
 
 
 def _normalize_dependence(vec):
@@ -256,20 +253,6 @@ class HullResult:
         return all(f.value(make_point(point)) <= 0 for f in self.facets)
 
 
-def _hyperplane_from_basis(rows, dim):
-    """Normal of the hyperplane spanned by dim affinely independent int rows."""
-    base = rows[0]
-    vecs = [[r[i] - base[i] for i in range(dim)] for r in rows[1:]]
-    normal = []
-    for i in range(dim):
-        minor = [[v[j] for j in range(dim) if j != i] for v in vecs]
-        normal.append((-1) ** i * _int_det(minor))
-    if all(v == 0 for v in normal):
-        return None
-    offset = sum(n * c for n, c in zip(normal, base))
-    return tuple(normal), offset
-
-
 class PointConfig:
     """Labeled exact-rational point set affinely spanning its dimension.
 
@@ -286,7 +269,9 @@ class PointConfig:
                 raise ValueError("point dimension mismatch")
         if len(self.points) < self.dim + 1:
             raise DegenerateConfig("need at least dim+1 points")
-        if affine_rank(list(self.points)) < self.dim:
+        # the greedy affinely independent subset: the placing pass starts from it
+        self._start = tuple(rref(_homogenized(self.points))[1])
+        if len(self._start) < self.dim + 1:
             raise DegenerateConfig("points do not span the full dimension")
         integral = all(c.denominator == 1 for p in self.points for c in p)
         if is_lattice is None:
@@ -397,10 +382,9 @@ def simplex_volume(vertices) -> Fraction:
     if len(pts) != dim + 1:
         raise ValueError(f"expected {dim + 1} vertices, got {len(pts)}")
     rows, scale = _scaled_int_rows(pts)
-    base = rows[0]
-    mat = [[r[i] - base[i] for i in range(dim)] for r in rows[1:]]
-    det = _int_det(mat)
-    return Fraction(abs(det), scale**dim * math.factorial(dim))
+    _m, pivots, d = rref([[a - b for a, b in zip(r, rows[0])] for r in rows[1:]])
+    det = abs(d) if len(pivots) == dim else 0  # the last pivot of a full-rank square matrix
+    return Fraction(det, scale**dim * math.factorial(dim))
 
 
 def convex_hull(config: PointConfig) -> HullResult:
@@ -434,8 +418,11 @@ def _plane_value(plane, row):
 
 
 def _oriented_plane(rows, subset, inside_idx):
-    """Primitive plane through ``subset``, oriented so ``inside_idx`` lies on the side <= 0."""
-    normal, offset = _hyperplane_from_basis([rows[i] for i in subset], len(rows[0]))
+    """Primitive plane through ``subset``, oriented so ``inside_idx`` lies on the side <= 0.
+
+    ``(normal, offset)`` is the one kernel vector of the rows ``(x_i, -1)``.
+    """
+    ((*normal, offset),), _d = null_space([rows[i] + (-1,) for i in subset])
     g = math.gcd(*normal, offset)
     if _plane_value((normal, offset), rows[inside_idx]) > 0:
         g = -g
@@ -454,7 +441,7 @@ def _beneath_beyond(config: PointConfig):
     """
     rows, _scale = config.int_rows()
     dim = config.dim
-    start = tuple(rref(_homogenized(rows))[1])  # greedy: the first dim+1 independent points
+    start = config._start
     simplices = [start]
     boundary = {}
     for k in range(dim + 1):

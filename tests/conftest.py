@@ -149,3 +149,19 @@ def point_lists(dim):
             for coord in (rationals, lattice)
         )
     )
+
+
+@st.composite
+def degenerate_point_lists(draw, dim):
+    """``point_lists`` plus repeats of drawn points and points on lines and planes through them."""
+    points = draw(point_lists(dim))
+    for _ in range(draw(st.integers(0, 3))):
+        first, *others = draw(st.lists(st.sampled_from(points), min_size=1, max_size=3))
+        weights = [draw(st.integers(-2, 2)) for _ in others]
+        points.append(
+            tuple(
+                first[c] + sum(w * (p[c] - first[c]) for w, p in zip(weights, others))
+                for c in range(dim)
+            )
+        )
+    return points

@@ -1,0 +1,46 @@
+"""Determinant and hyperplane oracles for the elimination kernel.
+
+``geometry.rref`` is the one elimination in the package: hull planes are the
+kernel vector of a face's rows ``(x_i, -1)`` and simplex volumes its last
+pivot.  These are the Bareiss determinant and the cofactor normal that those
+routes replaced.
+"""
+
+
+def _int_det(rows):
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _hyperplane_from_basis(rows, dim):
+    """Normal of the hyperplane spanned by dim affinely independent int rows."""
+    base = rows[0]
+    vecs = [[r[i] - base[i] for i in range(dim)] for r in rows[1:]]
+    normal = []
+    for i in range(dim):
+        minor = [[v[j] for j in range(dim) if j != i] for v in vecs]
+        normal.append((-1) ** i * _int_det(minor))
+    if all(v == 0 for v in normal):
+        return None
+    offset = sum(n * c for n, c in zip(normal, base))
+    return tuple(normal), offset

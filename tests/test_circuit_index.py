@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import flipforge as ff
-from flipforge import flips
+from flipforge import geometry
 from flipforge.datagen import GenSpec, generate, initial_triangulation
 from flipforge.errors import DegenerateConfig
 from flipforge.flips import (
@@ -35,9 +35,10 @@ from flipforge.flips import (
     flippable_circuits,
     reverse_action,
 )
-from flipforge.geometry import PointConfig, _int_det, _prefix_minors, dependence_kernel, rref
+from flipforge.geometry import PointConfig, _prefix_minors, dependence_kernel, rref
 from flipforge.triangulation import Triangulation, link_of, validate
-from conftest import point_lists
+from conftest import degenerate_point_lists, point_lists
+from kernel_oracle import _int_det
 
 
 def fraction_circuit(subset, lam):
@@ -211,9 +212,10 @@ def check_minor_kernel(config):
 def check_minor_pass(config):
     """The table equals the per-minor loop's, every prefix minor is the leading
     determinant, the configuration keeps those minors, its lookups pass
-    ``check_minor_kernel``, and only circuits reach ``rref``: one call per
-    circuit below dim+2 points, each on columns of rank one less than their
-    number.  Returns the table and each elimination's (columns, rank)."""
+    ``check_minor_kernel``, and only circuits reach ``rref`` (through
+    ``null_space``): one call per circuit below dim+2 points, each on columns
+    of rank one less than their number.  Returns the table and each
+    elimination's (columns, rank)."""
     rows, _scale = config.int_rows()
     homogeneous = [(1,) + tuple(r) for r in rows]
     levels = _prefix_minors(homogeneous, config.dim + 1)
@@ -232,7 +234,7 @@ def check_minor_pass(config):
         return m, pivots, d
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(flips, "rref", recording_rref)
+        monkeypatch.setattr(geometry, "rref", recording_rref)
         table = enumerate_circuits(config)
     assert table_fields(table) == table_fields(per_minor_circuits(config))
     small = [c for c in table.circuits if len(c.vertices) <= config.dim + 1]
@@ -266,22 +268,6 @@ def test_minor_circuits_match_oracle_on_random_configs(dim, data):
     except DegenerateConfig:
         assume(False)
     assert table_circuits(enumerate_circuits(config)) == subset_kernel_circuits(config)
-
-
-@st.composite
-def degenerate_point_lists(draw, dim):
-    """``point_lists`` plus repeats of drawn points and points on lines and planes through them."""
-    points = draw(point_lists(dim))
-    for _ in range(draw(st.integers(0, 3))):
-        first, *others = draw(st.lists(st.sampled_from(points), min_size=1, max_size=3))
-        weights = [draw(st.integers(-2, 2)) for _ in others]
-        points.append(
-            tuple(
-                first[c] + sum(w * (p[c] - first[c]) for w, p in zip(weights, others))
-                for c in range(dim)
-            )
-        )
-    return points
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])

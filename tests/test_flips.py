@@ -190,8 +190,9 @@ def cube_triangulations_bruteforce(cube):
         vol[t] = simplex_volume([corners[i] for i in t])
 
     def interiors_overlap(a, b):
-        # separating axis over both簡 tetrahedra's facet planes, exact
-        from flipforge.geometry import _scaled_int_rows, _hyperplane_from_basis
+        # separating axis over both tetrahedra's facet planes, exact
+        from flipforge.geometry import _scaled_int_rows
+        from kernel_oracle import _hyperplane_from_basis
 
         pts = [corners[i] for i in a] + [corners[i] for i in b]
         rows, _ = _scaled_int_rows(pts)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ import flipforge as ff
 from flipforge.errors import DegenerateConfig, DegenerateHeights
 from flipforge.geometry import (
     PointConfig,
+    _oriented_plane,
+    _scaled_int_rows,
     affine_dependence,
     affine_rank,
     lattice_points,
@@ -19,7 +22,8 @@ from flipforge.geometry import (
     snap_to_rational,
 )
 from flipforge.triangulation import regular_from_heights
-from conftest import point_lists
+from conftest import degenerate_point_lists, point_lists
+from kernel_oracle import _hyperplane_from_basis, _int_det
 
 
 def test_dependence_collinear_triple():
@@ -385,3 +389,59 @@ def test_lattice_points_superset_and_containment(lattice_square, lattice_octahed
             assert p in pts  # config's own integral points are returned
         for p in pts:
             assert hull.contains(p)  # every returned point passes containment
+
+
+def oracle_plane(rows, face, inside):
+    """The cofactor plane through ``face``, primitive, with ``rows[inside]`` on the side <= 0."""
+    normal, offset = _hyperplane_from_basis([rows[i] for i in face], len(rows[0]))
+    g = math.gcd(*normal, offset)
+    if sum(a * b for a, b in zip(normal, rows[inside])) - offset > 0:
+        g = -g
+    return tuple(v // g for v in normal), offset // g
+
+
+def oracle_volume(points):
+    """|det| / d! of the edge vectors by the Bareiss determinant."""
+    rows, scale = _scaled_int_rows([make_point(p) for p in points])
+    dim = len(rows[0])
+    det = _int_det([[a - b for a, b in zip(r, rows[0])] for r in rows[1:]])
+    return Fraction(abs(det), scale**dim * math.factorial(dim))
+
+
+def check_planes_and_volumes(config):
+    """Every final boundary face of the placing pass has the oracle's plane, oriented
+    by every point off it; every placing simplex and every window of dim+1
+    consecutive points, flat ones included, has the oracle's volume."""
+    rows, _scale = config.int_rows()
+    simplices, boundary = config.placing()
+    for face, plane in boundary.items():
+        normal, offset = _hyperplane_from_basis([rows[i] for i in face], config.dim)
+        off = [i for i, row in enumerate(rows) if sum(map(operator.mul, normal, row)) != offset]
+        assert off  # the configuration spans, so some point is off every face's plane
+        for i in off:
+            assert _oriented_plane(rows, face, i) == oracle_plane(rows, face, i)
+            assert plane == oracle_plane(rows, face, i)  # every point is inside the hull
+    windows = [range(k, k + config.dim + 1) for k in range(config.n - config.dim)]
+    for s in simplices + windows:
+        points = [config.points[i] for i in s]
+        assert simplex_volume(points) == oracle_volume(points)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_planes_and_volumes_match_the_cofactor_and_determinant_oracles(dim, data):
+    try:
+        config = ff.PointConfig(dim, data.draw(degenerate_point_lists(dim)))
+    except DegenerateConfig:
+        assume(False)
+    check_planes_and_volumes(config)
+    if dim == 5:
+        return
+    # the lift ``regular_from_heights`` builds and takes the lower hull of
+    heights = data.draw(st.lists(st.integers(0, 20), min_size=config.n, max_size=config.n))
+    try:
+        lifted = PointConfig(dim + 1, [p + (Fraction(w),) for p, w in zip(config.points, heights)])
+    except DegenerateConfig:
+        return
+    check_planes_and_volumes(lifted)

@@ -906,8 +906,13 @@ def test_cli_seeds_that_do_not_triangulate_their_configuration_are_data_errors(
             {"spec": {"dim": 2, "samples": 6, "count": 2}, "ids": 5},
             "ids in {path} must be a list of strings",
         ),
+        ({"spec": {"dim": 2, "samples": 6, "count": 2}, "ids": []}, "ids in {path} is empty"),
+        (
+            {"spec": {"dim": 2, "samples": 6, "count": 2}, "ids": ["2d_001", "2d_000", "2d_001"]},
+            "ids in {path} repeat 2d_001",
+        ),
     ],
-    ids=["empty", "list", "unknown_field", "dim_zero", "ids_not_a_list"],
+    ids=["empty", "list", "unknown_field", "dim_zero", "ids_not_a_list", "ids_empty", "ids_repeated"],
 )
 def test_cli_malformed_manifests_are_data_errors(
     small_dataset, tmp_path, capsys, command, manifest, message

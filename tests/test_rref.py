@@ -1,10 +1,11 @@
 """The fraction-free elimination kernel against a plain Fraction Gauss-Jordan.
 
 ``geometry.rref`` does every exact elimination in the package: ranks,
-affine dependences, affine coordinates, the exact basis solves of the LP and
-the greedy affinely independent subsets.  The oracle below is the textbook
-rational Gauss-Jordan it replaced, and ``oracle_greedy`` the
-one-rank-per-candidate loop that used to pick independent subsets.
+affine dependences, hull planes, simplex volumes, the exact basis solves of
+the LP and the greedy affinely independent subsets; ``null_space`` reads its
+kernel bases off it.  The oracle below is the textbook rational Gauss-Jordan
+it replaced, and ``oracle_greedy`` the one-rank-per-candidate loop that used
+to pick independent subsets.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipforge import lp
-from flipforge.geometry import _homogenized, affine_rank, rref
+from flipforge.geometry import _homogenized, affine_rank, null_space, rref
 
 
 def oracle_rref(rows):
@@ -82,6 +83,16 @@ def test_rref_matches_fraction_gauss_jordan(rows):
         assert m[i][col] == d
     assert all(v == 0 for row in m[len(pivots) :] for v in row)
     assert [[Fraction(v, d) for v in row] for row in m] == expected
+    # null_space: one integer kernel vector per non-pivot column
+    basis, basis_d = null_space(rows)
+    ncols = len(rows[0])
+    free = [c for c in range(ncols) if c not in pivots]
+    assert basis_d == d and len(basis) == len(free)
+    for f, vec in zip(free, basis):
+        assert len(vec) == ncols and all(isinstance(v, int) for v in vec)
+        # d at its own non-pivot column and 0 at the others: independent, so a basis
+        assert [vec[c] for c in free] == [d if c == f else 0 for c in free]
+        assert all(sum(Fraction(a) * b for a, b in zip(row, vec)) == 0 for row in rows)
 
 
 @st.composite
