@@ -406,6 +406,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample_frst(args) -> int:
+    if args.checkpoint and args.locator != "policy":
+        raise ValueError(f"locator {args.locator} takes no model, so no --checkpoint")
     config = io.read_point_config(args.polytope)
     lattice = frst.LatticeConfig.from_config(config)
     sampler = frst.SamplerConfig(

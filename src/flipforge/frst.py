@@ -119,7 +119,7 @@ def star_closure(
             raise ValueError("star closure requires a regular input")
         witness = cert.vector
     closed = Triangulation(
-        face + (origin,) for face, count in tri.boundary_faces().items() if count == 1
+        face + (origin,) for face, holders in tri.ridges().items() if len(holders) == 1
     )
     if not is_fine(closed, config):
         raise ValueError("star closure requires an input that uses every boundary point")

@@ -7,7 +7,9 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +23,22 @@ CHECKPOINT_VERSION = 1
 
 def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
+
+
+def _content_lines(text: str):
+    """``(lineno, content)`` of each line left nonempty once its comment is stripped."""
+    stripped = ((lineno, _strip(raw)) for lineno, raw in enumerate(text.splitlines(), start=1))
+    return [(lineno, content) for lineno, content in stripped if content]
+
+
+def _read_text(path) -> str:
+    """The file's UTF-8 text; any other byte is a data error naming its line."""
+    blob = Path(path).read_bytes()
+    try:
+        return blob.decode()
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path} is not UTF-8 text ({exc.reason})", line=line) from None
 
 
 def _parse_rational(token: str, lineno: int) -> Fraction:
@@ -37,35 +55,26 @@ def parse_point_config(text: str) -> PointConfig:
     starts a comment anywhere.  The points must number at least d+1 and span
     dimension d, and ``is_lattice 1`` needs integer coordinates.
     """
-    lines = text.splitlines()
-    header = None
-    body = []
-    for lineno, raw in enumerate(lines, start=1):
-        content = _strip(raw)
-        if not content:
-            continue
-        if header is None:
-            header = (content, lineno)
-        else:
-            body.append((content, lineno))
-    if header is None:
+    lines = _content_lines(text)
+    if not lines:
         raise FormatError("empty point configuration file", line=1)
-    tokens = header[0].split()
+    (header_line, header), body = lines[0], lines[1:]
+    tokens = header.split()
     if len(tokens) != 3:
-        raise FormatError("header must be 'd n is_lattice'", line=header[1])
+        raise FormatError("header must be 'd n is_lattice'", line=header_line)
     try:
         dim, count, lattice_flag = int(tokens[0]), int(tokens[1]), int(tokens[2])
     except ValueError:
-        raise FormatError("non-integer header field", line=header[1]) from None
+        raise FormatError("non-integer header field", line=header_line) from None
     if lattice_flag not in (0, 1):
-        raise FormatError("is_lattice must be 0 or 1", line=header[1])
+        raise FormatError("is_lattice must be 0 or 1", line=header_line)
     if len(body) != count:
         raise FormatError(
             f"expected {count} point lines, found {len(body)}",
-            line=body[-1][1] if body else header[1],
+            line=body[-1][0] if body else header_line,
         )
     points = []
-    for content, lineno in body:
+    for lineno, content in body:
         toks = content.split()
         if len(toks) != dim:
             raise FormatError(f"expected {dim} coordinates", line=lineno)
@@ -88,27 +97,37 @@ def _format_rational(value: Fraction) -> str:
 
 
 def read_point_config(path) -> PointConfig:
-    return parse_point_config(Path(path).read_text())
+    return parse_point_config(_read_text(path))
 
 
 def write_point_config(path, config: PointConfig):
     Path(path).write_text(format_point_config(config))
 
 
-def parse_triangulation(text: str) -> Triangulation:
-    """One simplex per line: space-separated sorted vertex indices."""
+def _parse_block(lines) -> Triangulation:
+    """The triangulation of ``(lineno, content)`` lines: distinct integer vertex
+    indices on each, as many as on most lines of the block."""
     simplices = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = _strip(raw)
-        if not content:
-            continue
+    for lineno, content in lines:
         try:
             simplices.append(tuple(int(t) for t in content.split()))
         except ValueError:
             raise FormatError("non-integer vertex index", line=lineno) from None
-    if not simplices:
+    try:
+        return Triangulation(simplices)
+    except ValueError:  # some simplex repeats an index or has a size other lines lack
+        size = Counter(map(len, simplices)).most_common(1)[0][0]
+        bad = (line for line, s in zip(lines, simplices) if not len(set(s)) == len(s) == size)
+        lineno, content = next(bad)
+        raise FormatError(f"simplex {content!r} is not {size} distinct indices", line=lineno) from None
+
+
+def parse_triangulation(text: str) -> Triangulation:
+    """One simplex per line: space-separated sorted vertex indices."""
+    lines = _content_lines(text)
+    if not lines:
         raise FormatError("no simplices in triangulation block", line=1)
-    return Triangulation(simplices)
+    return _parse_block(lines)
 
 
 def format_triangulation(tri: Triangulation) -> str:
@@ -117,7 +136,7 @@ def format_triangulation(tri: Triangulation) -> str:
 
 
 def read_triangulation(path) -> Triangulation:
-    return parse_triangulation(Path(path).read_text())
+    return parse_triangulation(_read_text(path))
 
 
 def write_triangulation(path, tri: Triangulation):
@@ -126,18 +145,14 @@ def write_triangulation(path, tri: Triangulation):
 
 def parse_triangulation_set(text: str):
     """Blank-line separated blocks, each a triangulation in the line format."""
-    blocks = []
-    current = []
-    for raw in text.splitlines():
+    blocks = [[]]
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         content = _strip(raw)
         if content:
-            current.append(content)
-        elif current:
-            blocks.append("\n".join(current))
-            current = []
-    if current:
-        blocks.append("\n".join(current))
-    return [parse_triangulation(b) for b in blocks]
+            blocks[-1].append((lineno, content))
+        elif blocks[-1]:
+            blocks.append([])
+    return [_parse_block(b) for b in blocks if b]
 
 
 def format_triangulation_set(tris) -> str:
@@ -145,7 +160,7 @@ def format_triangulation_set(tris) -> str:
 
 
 def read_triangulation_set(path):
-    return parse_triangulation_set(Path(path).read_text())
+    return parse_triangulation_set(_read_text(path))
 
 
 def write_triangulation_set(path, tris):
@@ -200,10 +215,11 @@ class _Reader:
 
 
 def read_checkpoint(path):
-    """Returns (PolicyModel, extra dict); validates magic, version, and digest."""
+    """Returns (PolicyModel, extra dict); validates magic, version, digest, and that
+    the blocks have the names and shapes ``init_parameters`` gives the stored config."""
     import numpy as np
 
-    from .policy import ModelConfig, PolicyModel
+    from .policy import ModelConfig, PolicyModel, init_parameters
 
     reader = _Reader(Path(path).read_bytes())
     if reader.take(4) != CHECKPOINT_MAGIC:
@@ -221,6 +237,7 @@ def read_checkpoint(path):
     try:
         config = ModelConfig.from_dict(json.loads(config_json.decode()))
         extra = json.loads(extra_json.decode())
+        want = {k: v.shape for k, v in init_parameters(config, np.random.default_rng(0)).items()}
     except (ValueError, TypeError) as exc:
         raise CheckpointError(f"bad checkpoint header: {exc}") from None
     if config.digest().encode() != digest:
@@ -229,14 +246,23 @@ def read_checkpoint(path):
     params = {}
     for _ in range(nblocks):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode()
+        try:
+            name = reader.take(name_len).decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"parameter block name is not UTF-8: {exc}") from None
+        if name in params:
+            raise CheckpointError(f"repeated parameter block {name!r}")
         (ndim,) = reader.unpack("<B")
         shape = tuple(reader.unpack("<I")[0] for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape)
+        data = np.frombuffer(reader.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
         params[name] = np.array(data, dtype=np.float64)
     if reader.pos != len(reader.blob):
         raise CheckpointError("trailing bytes after parameter blocks")
+    got = {k: v.shape for k, v in params.items()}
+    if got != want:
+        name = min(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
+        found, needed = (shapes.get(name, "no block") for shapes in (got, want))
+        raise CheckpointError(f"parameter block {name!r}: found {found}, the config needs {needed}")
     return PolicyModel(config, params), extra
 
 
@@ -253,7 +279,7 @@ def write_jsonl(path, records):
 
 def read_jsonl(path):
     records = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         if not raw.strip():
             continue
         try:
@@ -276,6 +302,6 @@ def write_json(path, payload: dict):
 
 def read_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(_read_text(path))
     except ValueError as exc:
         raise FormatError(f"bad JSON in {path}: {exc}") from None

@@ -321,22 +321,18 @@ def simplicial_operator(tri: Triangulation, config: PointConfig) -> SparseMatrix
     faces are read off the sorted vertex tuple with alternating position
     signs, and each simplex is oriented coherently by the sign of its
     coordinate determinant, so L does not depend on vertex labels and
-    checkpoints stay portable across relabelings.  L is read off facet
-    adjacency: its diagonal is d+1, and two simplices sharing a facet meet
-    with the product of their coefficients on it.  Entries are in row-major
-    order.
+    checkpoints stay portable across relabelings.  L is read off the ridge
+    table (``Triangulation.ridges``): its diagonal is d+1, and simplices a
+    and b holding a facet as themselves without their k_a-th and k_b-th
+    vertex meet with orient_a * orient_b * (-1)^(k_a + k_b), the product of
+    their coefficients on it.  Entries are in row-major order.
     """
-    entries = {}
-    by_facet = {}
-    for col, s in enumerate(tri.simplices):
-        orient = 1.0 if config.simplex_det(s) > 0 else -1.0
-        entries[(col, col)] = float(len(s))
-        for pos in range(len(s)):
-            by_facet.setdefault(s[:pos] + s[pos + 1 :], []).append((col, orient * (-1.0) ** pos))
-    for members in by_facet.values():
-        for (a, sign_a), (b, sign_b) in itertools.permutations(members, 2):
-            entries[(a, b)] = entries.get((a, b), 0.0) + sign_a * sign_b
-    keys = sorted(k for k, v in entries.items() if v != 0.0)
+    orient = [1.0 if config.simplex_det(s) > 0 else -1.0 for s in tri.simplices]
+    entries = {(col, col): float(len(s)) for col, s in enumerate(tri.simplices)}
+    for holders in tri.ridges().values():
+        for (a, k_a), (b, k_b) in itertools.combinations(holders, 2):
+            entries[(a, b)] = entries[(b, a)] = orient[a] * orient[b] * (-1.0) ** (k_a + k_b)
+    keys = sorted(entries)
     rows, cols = np.array(keys, dtype=np.int64).T
     vals = np.array([entries[k] for k in keys])
     size = len(tri.simplices)

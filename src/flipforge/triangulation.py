@@ -123,13 +123,21 @@ class Triangulation:
             self._skeleton = (tuple(sorted(edges)), edges)
         return self._skeleton[0]
 
-    def boundary_faces(self):
-        """(d-1)-faces together with their occurrence counts."""
-        counts = {}
-        for s in self.simplices:
-            for face in itertools.combinations(s, len(s) - 1):
-                counts[face] = counts.get(face, 0) + 1
-        return counts
+    def ridges(self):
+        """Each (d-1)-face -> the ``(position, k)`` of every simplex holding it, the
+        face being ``simplices[position]`` without its k-th vertex; faces in order of
+        first occurrence (k counts down in each simplex), holders in simplex order.
+
+        Built on every call: rollout buffers keep thousands of states, so a kept
+        table would cost more memory than rebuilding it costs time.
+        """
+        table = {}
+        for pos, s in enumerate(self.simplices):
+            k = len(s)
+            for face in itertools.combinations(s, k - 1):
+                k -= 1
+                table.setdefault(face, []).append((pos, k))
+        return table
 
 
 def _edges(simplices):
@@ -181,17 +189,14 @@ def validate(tri: Triangulation, config: PointConfig) -> ValidityReport:
     if volume_sum != hull_volume:
         failures.append(("a", f"volume sum {volume_sum} != hull volume {hull_volume}"))
 
-    counts = tri.boundary_faces()
-    over = [f for f, c in counts.items() if c > 2]
-    if over:
-        failures.append(("b", f"face {over[0]} occurs more than twice"))
+    ridges = tri.ridges()
+    over = next((face for face, holders in ridges.items() if len(holders) > 2), None)
+    if over is not None:
+        failures.append(("b", f"face {over} occurs more than twice"))
 
-    facets = config.hull().facets
-    for face, c in counts.items():
-        if c != 1:
-            continue
-        fs = set(face)
-        if not any(fs <= facet.vertex_ids for facet in facets):
+    facets = [facet.vertex_ids for facet in config.hull().facets]
+    for face, holders in ridges.items():
+        if len(holders) == 1 and not any(map(set(face).issubset, facets)):
             failures.append(("c", f"once-only face {face} not on the hull boundary"))
             break
 
@@ -237,23 +242,14 @@ class DualGraph:
 
 def dual_graph(tri: Triangulation) -> DualGraph:
     """One node per maximal simplex; edges join simplices sharing a (d-1)-face."""
-    face_to = {}
-    for idx, s in enumerate(tri.simplices):
-        for face in itertools.combinations(s, len(s) - 1):
-            face_to.setdefault(face, []).append(idx)
-    edges = set()
-    for members in face_to.values():
-        for a, b in itertools.combinations(members, 2):
-            edges.add((min(a, b), max(a, b)))
+    # two simplices share at most one (d-1)-face, so no pair repeats
+    pairs = (itertools.combinations(holders, 2) for holders in tri.ridges().values())
+    edges = tuple(sorted((a, b) for (a, _), (b, _) in itertools.chain.from_iterable(pairs)))
     adjacency = {i: [] for i in range(len(tri.simplices))}
-    for a, b in sorted(edges):
+    for a, b in edges:
         adjacency[a].append(b)
         adjacency[b].append(a)
-    return DualGraph(
-        nodes=tuple(range(len(tri.simplices))),
-        edges=tuple(sorted(edges)),
-        adjacency=adjacency,
-    )
+    return DualGraph(nodes=tuple(range(len(tri.simplices))), edges=edges, adjacency=adjacency)
 
 
 def dual_diameter(tri: Triangulation) -> int:
@@ -299,14 +295,12 @@ def regularity_constraints(tri: Triangulation, config: PointConfig):
     the dependence lam of the simplex and q.
     """
     rows = []
-    opposite = {}  # (d-1)-face -> vertices opposite it, in simplex order
-    for s in tri.simplices:
-        for k in range(len(s)):
-            opposite.setdefault(s[:k] + s[k + 1 :], []).append(s[k])
-    for face, ends in sorted(opposite.items()):
-        if len(ends) != 2:
+    simplices = tri.simplices
+    for face, holders in sorted(tri.ridges().items()):
+        if len(holders) != 2:
             continue
-        ids = face + tuple(ends)
+        (a, k_a), (b, k_b) = holders
+        ids = face + (simplices[a][k_a], simplices[b][k_b])
         lam = config.dependence(ids)
         if lam[-2] == 0:
             raise AssertionError("fold dependence missing the opposite vertex")

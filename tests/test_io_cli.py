@@ -2,6 +2,7 @@ import filecmp
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -84,6 +85,50 @@ def test_checkpoint_truncation_detected(tmp_path):
     (tmp_path / "junk.ckpt").write_bytes(b"NOPE" + blob[4:])
     with pytest.raises(CheckpointError):
         io.read_checkpoint(tmp_path / "junk.ckpt")
+    for defect, message in MALFORMED_CHECKPOINTS.items():
+        malformed_checkpoint(tmp_path / f"{defect}.ckpt", model, defect)
+        with pytest.raises(CheckpointError) as err:
+            io.read_checkpoint(tmp_path / f"{defect}.ckpt")
+        assert str(err.value) == message
+
+
+MALFORMED_CHECKPOINTS = {
+    "block_dropped": "parameter block 'embed.w': found no block, the config needs (2, 4)",
+    "block_reshaped": "parameter block 'embed.w': found (2, 2), the config needs (2, 4)",
+    "name_not_utf8": (
+        "parameter block name is not UTF-8: 'utf-8' codec can't decode byte 0xff"
+        " in position 5: invalid start byte"
+    ),
+    "shape_overflow": "truncated checkpoint file",
+    "block_repeated": "repeated parameter block 'value2.w'",
+}
+
+
+def malformed_checkpoint(path, model, defect):
+    """Write ``model``'s checkpoint with block embed.w dropped, reshaped to (2, 2), with
+    a 0xff byte in its name, or with four dimensions of 2**16 (2**64 entries), or with
+    its last block, value2.w, written twice."""
+    params = dict(model.params)
+    if defect == "block_dropped":
+        del params["embed.w"]
+    elif defect == "block_reshaped":
+        params["embed.w"] = np.zeros((2, 2))
+    io.write_checkpoint(path, PolicyModel(model.config, params))
+    blob = path.read_bytes()
+    if defect == "name_not_utf8":
+        assert blob.count(b"embed.w") == 1
+        path.write_bytes(blob.replace(b"embed.w", b"embed\xffw"))
+    elif defect == "shape_overflow":
+        at = blob.index(b"embed.w") + len(b"embed.w")
+        assert blob[at : at + 9] == struct.pack("<B2I", 2, 2, 4)
+        path.write_bytes(blob[:at] + struct.pack("<B4I", 4, *[1 << 16] * 4) + blob[at + 9 :])
+    elif defect == "block_repeated":
+        at = 8  # magic and version, then three length-prefixed blobs, then the block count
+        for _ in range(3):
+            at += 4 + struct.unpack_from("<I", blob, at)[0]
+        (count,) = struct.unpack_from("<I", blob, at)
+        last = blob[blob.index(b"value2.w") - 2 :]
+        path.write_bytes(blob[:at] + struct.pack("<I", count + 1) + blob[at + 4 :] + last)
 
 
 def run_cli(*argv):
@@ -141,16 +186,17 @@ def test_cli_enumerate_bad_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("2 2 0\n0 0\n1 0\n", "need at least dim+1 points"),
-        ("2 3 0\n0 0\n1 1\n2 2\n", "points do not span the full dimension"),
-        ("2 3 1\n0 0\n1/2 0\n0 1\n", "is_lattice=True but coordinates are not integral"),
+        (b"2 2 0\n0 0\n1 0\n", "need at least dim+1 points"),
+        (b"2 3 0\n0 0\n1 1\n2 2\n", "points do not span the full dimension"),
+        (b"2 3 1\n0 0\n1/2 0\n0 1\n", "is_lattice=True but coordinates are not integral"),
+        (b"2 3 0\n0 0\n1 0\n0 \xff1\n", "line 4: {path} is not UTF-8 text (invalid start byte)"),
     ],
-    ids=["too_few", "flat", "lattice_not_integral"],
+    ids=["too_few", "flat", "lattice_not_integral", "not_utf8"],
 )
 @pytest.mark.parametrize("command", ["enumerate", "sample-frst", "search"])
 def test_cli_invalid_point_configurations_are_data_errors(tmp_path, capsys, text, message, command):
     poly = tmp_path / "config_bad.poly"
-    poly.write_text(text)
+    poly.write_bytes(text)
     if command == "enumerate":
         argv = ["enumerate", poly]
     elif command == "sample-frst":
@@ -163,7 +209,7 @@ def test_cli_invalid_point_configurations_are_data_errors(tmp_path, capsys, text
         argv = ["search", "--data", tmp_path, "--objective", "min_weight", "--strategy", "greedy"]
         argv += ["--out", tmp_path / "out"]
     assert run_cli(*argv) == 3
-    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert capsys.readouterr().err == f"data error: {message.format(path=poly)}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -329,6 +375,34 @@ def test_cli_model_free_search_rejects_a_checkpoint(
     assert capsys.readouterr().err == (
         f"usage error: strategy {strategy} takes no model, so no --checkpoint\n"
     )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("locator", ("random-walk", "lift-only"))
+def test_cli_model_free_sample_frst_rejects_a_checkpoint(tmp_path, capsys, locator):
+    # rejected before the polytope or the checkpoint is read
+    code = run_cli(
+        "sample-frst", "--polytope", tmp_path / "missing.poly", "--locator", locator,
+        "--checkpoint", tmp_path / "missing.ckpt", "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"usage error: locator {locator} takes no model, so no --checkpoint\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED_CHECKPOINTS))
+def test_cli_eval_of_a_malformed_checkpoint_exits_4(small_dataset, tmp_path, capsys, defect):
+    checkpoint = tmp_path / "model.ckpt"
+    model = PolicyModel.initialize(ModelConfig(input_dim=2, hidden=4), seed=0)
+    malformed_checkpoint(checkpoint, model, defect)
+    code = run_cli(
+        "eval", "--data", small_dataset, "--objective", "min_weight", "--budget", 5,
+        "--checkpoint", checkpoint, "--out", tmp_path / "out",
+    )
+    assert code == 4
+    assert capsys.readouterr().err == f"checkpoint error: {MALFORMED_CHECKPOINTS[defect]}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -860,12 +934,29 @@ def test_cli_negative_seed_is_one_usage_line_before_any_work(
 TRAIN_ARGS = ("--iterations", 1, "--envs", 2, "--horizon", 2, "--hidden", 8)
 
 
+# (line of the block, its new bytes); a short first line sorts before every other simplex
+SEED_LINES = {"not_utf8": (1, None), "repeated_vertex": (1, b"0 0 1"), "short_simplex": (0, b"0 1")}
+
+
 @pytest.mark.parametrize("command", ["search", "train"])
 @pytest.mark.parametrize(
     "defect, message",
     [
         ("vertex_99", "d: vertex ids outside the configuration"),
         ("missing_simplex", "a: volume sum "),
+        pytest.param(
+            "not_utf8", "line {line}: {path} is not UTF-8 text (invalid start byte)\n", id="not_utf8"
+        ),
+        pytest.param(
+            "repeated_vertex",
+            "line {line}: simplex '0 0 1' is not 3 distinct indices\n",
+            id="repeated_vertex",
+        ),
+        pytest.param(
+            "short_simplex",
+            "line {line}: simplex '0 1' is not 3 distinct indices\n",
+            id="short_simplex",
+        ),
     ],
 )
 def test_cli_seeds_that_do_not_triangulate_their_configuration_are_data_errors(
@@ -873,18 +964,32 @@ def test_cli_seeds_that_do_not_triangulate_their_configuration_are_data_errors(
 ):
     data = tmp_path / "data"
     shutil.copytree(small_dataset, data)
-    seeds = io.read_triangulation_set(data / "seeds_2d_001.tri")
+    path = data / "seeds_2d_001.tri"
+    seeds = io.read_triangulation_set(path)
     # search starts from seed 0 only; train from every seed, so the last one is broken
     k = 0 if command == "search" else len(seeds) - 1
     first, *rest = seeds[k].simplices
     seeds[k] = Triangulation([first[:-1] + (99,), *rest] if defect == "vertex_99" else rest)
-    io.write_triangulation_set(data / "seeds_2d_001.tri", seeds)
+    if defect in SEED_LINES:
+        # a line of block k goes bad: a 0xff byte, a repeated index, or one index short
+        lines = path.read_bytes().split(b"\n")
+        starts = [i for i, line in enumerate(lines) if line and (i == 0 or not lines[i - 1])]
+        offset, new = SEED_LINES[defect]
+        at = starts[k] + offset
+        assert lines[at] and lines[at + 1]
+        lines[at] = new or lines[at] + b" \xff"
+        path.write_bytes(b"\n".join(lines))
+    else:
+        io.write_triangulation_set(path, seeds)
     argv = [command, "--data", data, "--objective", "min_weight", "--out", tmp_path / "out"]
     argv += ["--strategy", "greedy"] if command == "search" else TRAIN_ARGS
     assert run_cli(*argv) == 3
     err = capsys.readouterr().err
-    prefix = f"data error: seed {k} of 2d_001 is no valid triangulation ({message}"
-    assert err.startswith(prefix) and err.count("\n") == 1
+    if defect in SEED_LINES:
+        message = message.format(line=at + 1, path=path)
+    else:
+        message = f"seed {k} of 2d_001 is no valid triangulation ({message}"
+    assert err.startswith(f"data error: {message}") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
