@@ -316,16 +316,21 @@ def _search_common(args, strategy_name, checkpoint_path=None) -> int:
     return EXIT_OK
 
 
-def cmd_search(args) -> int:
-    learned = args.strategy in ("policy", "nls_accept")
+def _check_checkpoint(args, learned, what):
+    """A missing or an extra --checkpoint is a usage error, raised before any input is read."""
     if learned and not args.checkpoint:
-        raise FormatError(f"strategy {args.strategy} requires --checkpoint")
+        raise ValueError(f"{what} requires --checkpoint")
     if args.checkpoint and not learned:
-        raise ValueError(f"strategy {args.strategy} takes no model, so no --checkpoint")
+        raise ValueError(f"{what} takes no model, so no --checkpoint")
+
+
+def cmd_search(args) -> int:
+    _check_checkpoint(args, args.strategy in ("policy", "nls_accept"), f"strategy {args.strategy}")
     return _search_common(args, args.strategy, checkpoint_path=args.checkpoint)
 
 
 def cmd_eval(args) -> int:
+    _check_checkpoint(args, True, "eval")
     args.strategy = "policy"
     return _search_common(args, "policy", checkpoint_path=args.checkpoint)
 
@@ -406,8 +411,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample_frst(args) -> int:
-    if args.checkpoint and args.locator != "policy":
-        raise ValueError(f"locator {args.locator} takes no model, so no --checkpoint")
+    _check_checkpoint(args, args.locator == "policy", f"locator {args.locator}")
     config = io.read_point_config(args.polytope)
     lattice = frst.LatticeConfig.from_config(config)
     sampler = frst.SamplerConfig(
@@ -419,8 +423,6 @@ def cmd_sample_frst(args) -> int:
     )
     strategy = None  # lift-only: the lifted start is the whole episode
     if args.locator == "policy":
-        if not args.checkpoint:
-            raise FormatError("policy locator requires --checkpoint")
         model = _read_model(args.checkpoint, [config.dim])
         strategy = make_strategy("policy", model=model, params={"mode": args.mode})
     elif args.locator == "random-walk":

@@ -13,7 +13,8 @@ circuit table indexes its circuits by their cores, so a state tests only the
 circuits with a core inside one of its simplices, and a flipped state only
 those touching the simplices its flip inserted.  A circuit of dim+2 points,
 the only kind a generic configuration has, is tested against the state's
-simplex set alone; only smaller circuits need the state's face map.
+simplex set alone; a smaller circuit reads its cores' links off the state's
+simplices.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class Circuit:
     @functools.cached_property
     def cores(self):
         """The cores Z - {p}: (one per positive p, one per negative p), as frozensets
-        for ``_realize``'s face-map lookups."""
+        for ``_realize``'s link tests."""
         zset = frozenset(self.vertices)
         return tuple(tuple(zset - {p} for p in part) for part in (self.positive, self.negative))
 
@@ -184,19 +185,16 @@ def enumerate_circuits(config: PointConfig) -> CircuitTable:
     return CircuitTable(config=config, circuits=tuple(circuits))
 
 
-def _realize(faces, circuit: Circuit, side: int):
-    """Try to realize one orientation of a circuit, given the state's face map."""
+def _realize(sets, circuit: Circuit, side: int):
+    """Try to realize one orientation of a circuit from the state's simplices as
+    frozensets ``sets``: every core of the side needs one and the same nonempty link."""
     side_cores, other_cores = circuit.cores if side > 0 else circuit.cores[::-1]
     link = None
     for core in side_cores:
-        members = faces.get(core)
-        if members is None:
-            return None
-        this_link = frozenset(s - core for s in members)
-        if link is None:
-            link = this_link
-        elif link != this_link:
-            return None
+        this_link = frozenset(s - core for s in sets if core <= s)
+        if not this_link or link not in (None, this_link):
+            return None  # the core is no face, or the links differ
+        link = this_link
     return FlipAction(
         circuit=circuit,
         realized_side=side,
@@ -222,9 +220,10 @@ def flippable_circuits(tri: Triangulation, table: CircuitTable):
     action while that action's removed simplices (the stars of its side's
     cores) all remain, and has none otherwise.  Any other state tests every
     circuit touching one of its simplices.  A circuit of dim+2 points is
-    tested by simplex membership (see ``Circuit.flips``); the face map is
-    built only when a smaller circuit is re-tested.  The actions are cached
-    on the state, per table, and its lineage dropped.
+    tested by simplex membership (see ``Circuit.flips``); a smaller one
+    compares its cores' links, read off the state's simplices, which are
+    turned into frozensets only when such a circuit is re-tested.  The
+    actions are cached on the state, per table, and its lineage dropped.
     """
     if tri._actions is None or tri._actions[0] is not table:
         parent, _removed, inserted = tri._lineage or (None, (), ())
@@ -233,7 +232,7 @@ def flippable_circuits(tri: Triangulation, table: CircuitTable):
         else:
             kept, changed = parent._actions[1], inserted
         retest = frozenset().union(*map(table.touching, changed))
-        circuits, faces, full = table.circuits, None, table.config.dim + 2
+        circuits, sets, full = table.circuits, None, table.config.dim + 2
         realized = set(tri.simplices).issuperset
         found = {pos: a for pos, a in kept.items() if pos not in retest and realized(a.removed)}
         for pos in retest:
@@ -243,8 +242,8 @@ def flippable_circuits(tri: Triangulation, table: CircuitTable):
                 plus = plus if realized(plus.removed) else None
                 minus = minus if realized(minus.removed) else None
             else:
-                faces = faces or tri.face_map()
-                plus, minus = _realize(faces, circuit, +1), _realize(faces, circuit, -1)
+                sets = sets or [frozenset(s) for s in tri.simplices]
+                plus, minus = _realize(sets, circuit, +1), _realize(sets, circuit, -1)
             if plus is not None and minus is not None:
                 raise AssertionError(f"both sides of circuit {circuit.vertices} realized at once")
             if plus is not None or minus is not None:

@@ -144,13 +144,14 @@ def write_triangulation(path, tri: Triangulation):
 
 
 def parse_triangulation_set(text: str):
-    """Blank-line separated blocks, each a triangulation in the line format."""
+    """Blank-line separated blocks, each a triangulation in the line format; a
+    comment-only line is skipped, and splits no block."""
     blocks = [[]]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         content = _strip(raw)
         if content:
             blocks[-1].append((lineno, content))
-        elif blocks[-1]:
+        elif not raw.strip() and blocks[-1]:
             blocks.append([])
     return [_parse_block(b) for b in blocks if b]
 

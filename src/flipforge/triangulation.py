@@ -8,7 +8,6 @@ hash and can be shared freely across workers.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -27,11 +26,11 @@ class Triangulation:
 
     A state made by a flip records its lineage (parent, removed and inserted
     simplices) until its actions are known, so ``flippable_circuits``
-    re-tests only the circuits the flip touched, and its 1-skeleton and face
-    map patch the parent's.  Caches and lineage are never pickled.
+    re-tests only the circuits the flip touched, and its 1-skeleton patches
+    the parent's.  Caches and lineage are never pickled.
     """
 
-    __slots__ = ("simplices", "_face_map", "_skeleton", "_hash", "_lineage", "_actions")
+    __slots__ = ("simplices", "_skeleton", "_hash", "_lineage", "_actions")
 
     def __init__(self, simplices):
         cleaned = sorted({tuple(sorted(int(v) for v in s)) for s in simplices})
@@ -45,7 +44,7 @@ class Triangulation:
 
     def _set(self, simplices, lineage=None):
         self.simplices, self._hash, self._lineage = simplices, hash(simplices), lineage
-        self._face_map = self._skeleton = self._actions = None
+        self._skeleton = self._actions = None
 
     @classmethod
     def _flipped(cls, parent, simplices, removed, inserted):
@@ -80,31 +79,6 @@ class Triangulation:
     @property
     def vertex_union(self):
         return frozenset(v for s in self.simplices for v in s)
-
-    def face_map(self):
-        """Every nonempty face, maximal simplices included -> frozenset of containing simplices.
-
-        Only circuits of fewer than dim+2 points need it.  A flipped state
-        whose parent built its map copies it and rebuilds only the entries of
-        faces of the removed and inserted simplices; the others are shared.
-        """
-        if self._face_map is None:
-            parent, removed, inserted = self._lineage or (None, (), ())
-            if parent is None or parent._face_map is None:
-                fm, removed, inserted = {}, (), self.simplices
-            else:
-                fm = dict(parent._face_map)
-            dead = {frozenset(s) for s in removed}
-            for face in {face for s in removed for face in _faces(s)}:
-                members = fm.pop(face) - dead
-                if members:
-                    fm[face] = members
-            for s in inserted:
-                added = {frozenset(s)}
-                for face in _faces(s):
-                    fm[face] = fm.get(face, frozenset()) | added
-            self._face_map = fm
-        return self._face_map
 
     def skeleton_edges(self):
         """Sorted 1-skeleton edges (i, j) with i < j.
@@ -143,16 +117,6 @@ class Triangulation:
 def _edges(simplices):
     """The edges (i, j), i < j, of each simplex in turn, with repeats."""
     return itertools.chain.from_iterable(itertools.combinations(s, 2) for s in simplices)
-
-
-@functools.lru_cache(maxsize=4096)
-def _faces(simplex):
-    """Every nonempty face of a simplex, as frozensets; memoized per vertex tuple."""
-    return tuple(
-        frozenset(face)
-        for size in range(1, len(simplex) + 1)
-        for face in itertools.combinations(simplex, size)
-    )
 
 
 @dataclass(frozen=True)

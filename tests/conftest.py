@@ -1,4 +1,3 @@
-import itertools
 import os
 from fractions import Fraction
 

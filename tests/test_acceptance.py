@@ -16,13 +16,8 @@ import pytest
 
 import flipforge as ff
 from flipforge import autodiff as ad
-from flipforge.datagen import (
-    incidence_signature,
-    initial_triangulation,
-    sample_polytope,
-    seed_triangulations,
-)
-from flipforge.errors import DegenerateConfig, DegenerateHeights
+from flipforge.datagen import initial_triangulation
+from flipforge.errors import DegenerateHeights
 from flipforge.flips import (
     apply_flip,
     enumerate_circuits,
@@ -37,7 +32,7 @@ from flipforge.frst import (
     sample_frsts,
 )
 from flipforge.io import read_point_config
-from flipforge.objectives import Objective, ObjectiveCache, evaluate, relative_gap
+from flipforge.objectives import Objective, ObjectiveCache, evaluate
 from flipforge.policy import (
     ModelConfig,
     PolicyModel,
@@ -46,14 +41,7 @@ from flipforge.policy import (
     state_graph,
     value_estimate,
 )
-from flipforge.search import PolicyStrategy, make_strategy, run_budgeted
-from flipforge.training import (
-    TrainerConfig,
-    VisitCounter,
-    collect_rollouts,
-    compute_gae,
-    train,
-)
+from flipforge.search import make_strategy, run_budgeted
 from flipforge.triangulation import Triangulation, is_regular, regular_from_heights, validate
 
 from conftest import convex_polygon

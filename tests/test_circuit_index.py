@@ -9,7 +9,8 @@ determinants and Cramer dependences, lookups in the same minors, are checked
 against Bareiss determinants and the Fraction kernel.
 ``flippable_circuits`` tests the circuits with a core inside one of the
 state's simplices, or patches a flipped state's actions from its parent's;
-the oracle tests every circuit of the table through ``link_of``.
+the oracles test every circuit of the table through ``link_of`` and through
+a face map built afresh (``face_oracle``).
 """
 
 import itertools
@@ -38,6 +39,7 @@ from flipforge.flips import (
 from flipforge.geometry import PointConfig, _prefix_minors, dependence_kernel, rref
 from flipforge.triangulation import Triangulation, link_of, validate
 from conftest import degenerate_point_lists, point_lists
+from face_oracle import face_map_actions
 from kernel_oracle import _int_det
 
 
@@ -326,14 +328,13 @@ def maintained_actions(tri, table):
     actions = flippable_circuits(tri, table)
     assert actions == full_scan(tri, table)
     assert tri._lineage is None  # dropped once the actions are known
-    # a face map built for the scan, patched or not, equals one built afresh
-    assert tri._face_map in (None, Triangulation(tri.simplices).face_map())
+    assert actions == face_map_actions(tri, table)
     actions.clear()  # every call hands out a fresh list
     actions = flippable_circuits(tri, table)
     assert actions == full_scan(tri, table)
     clone = pickle.loads(pickle.dumps(tri))
     assert clone == tri and clone.canonical_key == tri.canonical_key
-    assert (clone._face_map, clone._actions, clone._lineage) == (None, None, None)
+    assert (clone._actions, clone._lineage) == (None, None)
     return actions, patched
 
 

@@ -13,7 +13,7 @@ from flipforge.datagen import (
     sample_polytope,
     seed_triangulations,
 )
-from flipforge.triangulation import Triangulation, validate
+from flipforge.triangulation import validate
 
 
 def rotated_relabeled_cube(cube):

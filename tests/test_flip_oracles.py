@@ -1,15 +1,17 @@
 """The flip layer's fast paths, state by state, against the paths they replaced.
 
-``flippable_circuits`` tests a circuit of dim+2 points by simplex membership
-and patches a flipped state's actions; the oracle realizes every circuit of
-the table from a face map built afresh.  ``skeleton_edges`` patches the edge
-set through the lineage; the oracle collects every simplex's edges.  The
+``flippable_circuits`` tests a circuit of dim+2 points by simplex membership,
+a smaller one by its cores' links read off the state's simplices, and patches
+a flipped state's actions; the oracle realizes every circuit of the table
+from a face map built afresh (``face_oracle``).  ``skeleton_edges`` patches
+the edge set through the lineage; the oracle collects every simplex's edges.  The
 search references score each state as the walk builds it; the oracle scores
 the finished walk's states.  Circuit tables store primitive integer dependences; the oracle is the
 Fraction circuit of the dependence kernel.  ``enumerate_component`` counts
 its edges; the oracle keeps them in a set.  Each runs along random walks and
 breadth-first components of generic 2D-4D sets, the 3x3 square, the prism
-and the 4D cross-polytope.
+and the 4D cross-polytope; the actions also along random walks of point
+lists with repeated and collinear points in 2D-4D.
 """
 
 import itertools
@@ -17,15 +19,15 @@ import math
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import flipforge as ff
 from flipforge.cli import _exact_reference
 from flipforge.datagen import GenSpec, generate, initial_triangulation
 from flipforge.flips import (
     ComponentResult,
     _child,
-    _realize,
     _successors,
     apply_flip,
     enumerate_circuits,
@@ -33,8 +35,11 @@ from flipforge.flips import (
     flippable_circuits,
     neighbors,
 )
+from flipforge.errors import DegenerateConfig
 from flipforge.objectives import Objective, ObjectiveCache, search_value
 from flipforge.triangulation import Triangulation
+from conftest import degenerate_point_lists
+from face_oracle import face_map_actions
 from test_circuit_index import (
     CROSS4D,
     PRISM,
@@ -75,30 +80,28 @@ def start_of(name):
     return initial_triangulation(CONFIGS[name])
 
 
-def face_map_actions(tri, table):
-    """Oracle: both orientations of every circuit realized from a fresh face map."""
-    faces = Triangulation(tri.simplices).face_map()
-    actions = []
-    for circuit in table.circuits:
-        found = [a for a in (_realize(faces, circuit, s) for s in (1, -1)) if a]
-        assert len(found) <= 1, f"both sides of {circuit.vertices} realized"
-        actions.extend(found)
-    return actions
-
-
 def edge_oracle(tri):
     """Oracle: the sorted union of every simplex's edges."""
     return tuple(sorted({e for s in tri.simplices for e in itertools.combinations(s, 2)}))
 
 
-def check_state(name, tri, table):
-    """The state's actions and 1-skeleton against the oracles; generic states keep no face map."""
+def check_state(tri, table):
+    """The state's actions and 1-skeleton against the oracles."""
     assert tri.skeleton_edges() == edge_oracle(tri)
     assert flippable_circuits(tri, table) == face_map_actions(tri, table)
-    if name in GENERIC:
-        assert tri._face_map is None
-    else:
-        assert tri._face_map in (None, Triangulation(tri.simplices).face_map())
+
+
+def check_walk(tri, table, moves):
+    """Flip from ``tri`` along ``moves``, each state checked against the oracles."""
+    check_state(tri, table)
+    for move in moves:
+        actions = flippable_circuits(tri, table)
+        if not actions:
+            break
+        # the child's skeleton and actions are patched from ``tri``'s
+        tri = apply_flip(tri, actions[move % len(actions)])
+        assert tri._lineage is not None
+        check_state(tri, table)
 
 
 @pytest.mark.parametrize("name", GENERIC)  # the others: test_circuit_index
@@ -110,17 +113,32 @@ def test_circuit_tables_match_the_fraction_oracle(name):
 @settings(max_examples=15, deadline=None)
 @given(moves=st.lists(st.integers(0, 1 << 20), min_size=1, max_size=15))
 def test_walk_states_match_the_oracles(name, moves):
-    table = table_of(name)
-    tri = start_of(name)
-    check_state(name, tri, table)
-    for move in moves:
-        actions = flippable_circuits(tri, table)
-        if not actions:
-            break
-        # the child's skeleton and actions are patched from ``tri``'s
-        tri = apply_flip(tri, actions[move % len(actions)])
-        assert tri._lineage is not None
-        check_state(name, tri, table)
+    check_walk(start_of(name), table_of(name), moves)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_degenerate_walk_states_match_the_face_map_oracle(dim, data):
+    # repeated points make 2-point circuits, whose cores are single points
+    try:
+        config = ff.PointConfig(dim, data.draw(degenerate_point_lists(dim)))
+    except DegenerateConfig:
+        assume(False)
+    moves = data.draw(st.lists(st.integers(0, 1 << 20), min_size=1, max_size=12))
+    check_walk(initial_triangulation(config), enumerate_circuits(config), moves)
+
+
+def test_repeated_points_realize_their_two_point_circuits():
+    # the square with its corner 0 repeated as point 4: circuit (0, 4) has cores {0} and {4}
+    config = ff.PointConfig(2, [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)])
+    table = enumerate_circuits(config)
+    tri = Triangulation([(0, 1, 3), (0, 2, 3)])
+    actions = flippable_circuits(tri, table)
+    assert actions == face_map_actions(tri, table)
+    swap = next(a for a in actions if a.circuit.vertices == (0, 4))
+    assert swap.removed == tri.simplices and swap.inserted == ((1, 3, 4), (2, 3, 4))
+    check_state(apply_flip(tri, swap), table)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -129,12 +147,12 @@ def test_component_states_and_their_neighbors_match_the_oracles(name):
     component = enumerate_component(start_of(name), table, limit=12)
     assert len(component) > 3
     for tri in component.states.values():
-        check_state(name, tri, table)
+        check_state(tri, table)
         for child in neighbors(tri, table):
-            check_state(name, child, table)
+            check_state(child, table)
 
 
-def test_reference_walk_on_a_gen_dataset_builds_no_face_map():
+def test_reference_walk_on_a_gen_dataset_tests_only_full_circuits():
     dataset = generate(GenSpec(dim=3, samples=13, count=2, seed=2))
     for config in dataset.configs.values():
         table = enumerate_circuits(config)
@@ -144,7 +162,6 @@ def test_reference_walk_on_a_gen_dataset_builds_no_face_map():
         for tri in component.states.values():
             search_value(Objective.MIN_WEIGHT, tri, config, cache)
         assert len(component) > 100
-        assert all(tri._face_map is None for tri in component.states.values())
 
 
 def post_walk_reference(table, objective, limit):

@@ -5,8 +5,6 @@ import flipforge as ff
 from flipforge.datagen import initial_triangulation
 from flipforge.flips import apply_flip, enumerate_circuits, enumerate_component, flippable_circuits
 from flipforge.frst import (
-    EpisodeResult,
-    FrstLedger,
     LatticeConfig,
     SamplerConfig,
     VirtualClock,

@@ -1,4 +1,3 @@
-import filecmp
 import json
 import os
 import shutil
@@ -238,6 +237,30 @@ def test_cli_search_square_zero_gap(small_dataset, tmp_path, capsys):
     assert set(record) == {"step", "action", "value", "best", "actions"}
 
 
+def test_comment_only_lines_split_no_seed_block(small_dataset, tmp_path):
+    assert io.parse_triangulation_set("0 1 2\n# note\n1 2 3\n") == [
+        Triangulation([(0, 1, 2), (1, 2, 3)])
+    ]
+    data = tmp_path / "data"
+    shutil.copytree(small_dataset, data)
+    path = data / "seeds_2d_001.tri"
+    seeds = io.read_triangulation_set(path)
+    # a comment-only line after the first simplex of each block
+    path.write_text(path.read_text().replace("\n", "\n# note\n", 1).replace("\n\n", "\n\n# seed\n"))
+    assert "\n# note\n" in path.read_text()
+    assert io.read_triangulation_set(path) == seeds
+    outs = []
+    for name, source in (("plain", small_dataset), ("noted", data)):
+        outs.append(tmp_path / name)
+        code = run_cli(
+            "search", "--data", source, "--objective", "min_weight",
+            "--strategy", "greedy", "--budget", 10, "--starts", 2, "--out", outs[-1],
+        )
+        assert code == 0
+    for fname in ("gap_table.tsv", "summary.json"):
+        assert (outs[0] / fname).read_text() == (outs[1] / fname).read_text()
+
+
 def test_cli_search_min_diameter_of_a_lone_simplex_has_gap_zero(small_dataset, tmp_path):
     # 2d_000 has 3 vertices: its one triangulation is a simplex of dual diameter 0
     out = tmp_path / "diameter"
@@ -299,7 +322,28 @@ def test_cli_search_requires_checkpoint_for_policy(small_dataset, tmp_path):
         "search", "--data", small_dataset, "--objective", "min_weight",
         "--strategy", "policy", "--out", tmp_path / "x",
     )
-    assert code == 3
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("search", "--strategy", "policy"), "strategy policy requires --checkpoint"),
+        (("search", "--strategy", "nls_accept"), "strategy nls_accept requires --checkpoint"),
+        (("eval",), "eval requires --checkpoint"),
+        (("sample-frst", "--locator", "policy"), "locator policy requires --checkpoint"),
+    ],
+    ids=["search_policy", "search_nls_accept", "eval", "sample_frst_policy"],
+)
+def test_cli_missing_checkpoint_is_a_usage_error(tmp_path, capsys, argv, message):
+    # rejected before the data, the polytope or a model is read
+    if argv[0] == "sample-frst":
+        argv += ("--polytope", tmp_path / "missing.poly")
+    else:
+        argv += ("--data", tmp_path / "no_data", "--objective", "min_weight")
+    assert run_cli(*argv, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_train_eval_roundtrip(small_dataset, tmp_path):

@@ -12,7 +12,6 @@ from flipforge.policy import (
     egnn_layer,
     encode,
     init_parameters,
-    nls_accept_probability,
     policy_distribution,
     simplicial_operator,
     skeleton_structure,

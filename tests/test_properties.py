@@ -68,7 +68,7 @@ def test_patched_skeleton_equals_full_rebuild(dim, data):
         actions = flippable_circuits(tri, table)
         if not actions:
             break
-        # every child patches the edges of ``tri``, whose face map is now known
+        # every child patches the edges of ``tri``, whose edge set is now known
         children = [apply_flip(tri, action) for action in actions]
         for child in children:
             assert child._lineage is not None

@@ -1,6 +1,5 @@
 import inspect
 import math
-import random
 
 import pytest
 

@@ -31,7 +31,7 @@ from flipforge.flips import (
     flippable_circuits,
 )
 from flipforge.objectives import Objective, ObjectiveCache, evaluate, left_sum
-from flipforge.triangulation import _faces
+from face_oracle import _faces
 from test_circuit_index import CROSS4D_14, PRISM, SQUARE_3X3, degenerate_point_lists
 
 FIXTURES = {"square3x3": SQUARE_3X3, "prism": PRISM, "cross4d_14": CROSS4D_14}

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses or keeps a private
-function or class that no module reads.
+"""No module of the package or of its tests imports a name it never uses, and
+no module of the package keeps a private function or class that no module
+reads.
 
 ``__init__.py`` is left out of the import check: its imports are the
 package's public names.
@@ -14,6 +15,8 @@ import flipforge
 
 PACKAGE = Path(flipforge.__file__).parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).parent
+TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
 
 
 def unused_imports(source):
@@ -73,6 +76,11 @@ def test_the_check_sees_unread_and_read_private_definitions():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_test_module_uses_every_name_it_imports(module):
+    assert unused_imports((TESTS / module).read_text()) == []
 
 
 def test_every_private_definition_is_read_by_the_package():
