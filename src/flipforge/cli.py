@@ -157,7 +157,7 @@ def cmd_enumerate(args) -> int:
     table = enumerate_circuits(config)
     seed = initial_triangulation(config)
     result = enumerate_component(seed, table, limit=args.limit)
-    print(f"states: {len(result.states)}")
+    print(f"states: {len(result)}")
     print(f"edges: {result.edge_count}")
     print(f"truncated: {'true' if result.truncated else 'false'}")
     if args.dump:
@@ -446,10 +446,8 @@ def cmd_sample_frst(args) -> int:
             for e in ledger.entries
         ],
     )
-    keys = sorted(ledger.triangulations)
-    io.write_triangulation_set(
-        out / "frsts.tri", [ledger.triangulations[k] for k in keys]
-    )
+    frsts = sorted(ledger.triangulations.values(), key=lambda tri: tri.canonical_key)
+    io.write_triangulation_set(out / "frsts.tri", frsts)
     io.write_json(
         out / "summary.json",
         {

@@ -8,13 +8,18 @@ from the integer minors of the homogenized points, which the configuration
 takes in one Laplace pass and keeps (circuits are read off the maximal
 minors, the chirotope; De Loera, Rambau & Santos 2010); only the small
 subsets the minors prove to be circuits are eliminated, fraction-free
-(Bareiss 1968), and ``geometry.null_space`` reads their kernels off.  Each
-circuit table indexes its circuits by their cores, so a state tests only the
-circuits with a core inside one of its simplices, and a flipped state only
-those touching the simplices its flip inserted.  A circuit of dim+2 points,
-the only kind a generic configuration has, is tested against the state's
-simplex set alone; a smaller circuit reads its cores' links off the state's
-simplices.
+(Bareiss 1968), and ``geometry.null_space`` reads their kernels off.
+
+States and flips are integer-coded, as in TOPCOM (Rambau 2002) and mptopcom
+(Jordan, Joswig & Kastner 2018): the table's simplex index gives each
+(d+1)-subset a bit, a state is the mask of its simplices, and a flip of a
+circuit of dim+2 points, the only kind a generic configuration has, is a
+removed mask R and an XOR mask.  A state's realized flips are an int over
+flip ids; a flipped state re-tests only the flips whose removed simplices
+meet its flip's, and the walk over a component keeps one int per state.  A
+smaller circuit, in a degenerate configuration, reads its cores' links off
+the state's simplices; the table indexes those circuits by their cores, so a
+flipped state re-tests only the ones touching a simplex its flip inserted.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from fractions import Fraction
 
 from .errors import StaleAction
 from .geometry import PointConfig, null_space
-from .triangulation import Triangulation
+from .triangulation import SimplexIndex, Triangulation, _edges, simplex_index
 
 
 @dataclass(frozen=True)
@@ -52,61 +57,176 @@ class Circuit:
         zset = frozenset(self.vertices)
         return tuple(tuple(zset - {p} for p in part) for part in (self.positive, self.negative))
 
-    @functools.cached_property
-    def flips(self):
-        """Both orientations' actions (+1 first) of a circuit of dim+2 points: its cores are
-        d-simplices with an empty link, so a side is realized iff all its cores are simplices."""
-        z, dependence = self.vertices, self.dependence
-        # Z - {z[i]} as i falls is in increasing order, so each side comes out sorted
-        cores = [(z[:i] + z[i + 1 :], dependence[i] > 0) for i in reversed(range(len(z)))]
-        plus = tuple(core for core, positive in cores if positive)
-        minus = tuple(core for core, positive in cores if not positive)
-        return FlipAction(self, 1, ((),), plus, minus), FlipAction(self, -1, ((),), minus, plus)
-
 
 @dataclass(frozen=True)
 class FlipAction:
-    """A feasible bistellar flip: circuit, realized side, link, and both joins."""
+    """A feasible bistellar flip: circuit, realized side, link, and both joins.
+
+    On the table's simplex ``index`` the flip is ``masks``: its removed mask
+    R (realized at a state s iff ``s & R == R``) and the XOR mask R ^ I that
+    makes the child; ``edge_xor`` is the XOR mask of the 1-skeleton.  Both
+    are built on first use.  ``flip_id`` is 2 * the circuit's position + (1
+    if the negative side is realized).
+    """
 
     circuit: Circuit
     realized_side: int  # +1 if the positive-part core is in the triangulation
     link: tuple  # sorted tuple of sorted link faces (vertex tuples)
     removed: tuple  # simplices currently in the triangulation
     inserted: tuple  # their replacement
+    index: SimplexIndex | None = field(default=None, compare=False, repr=False)
+    flip_id: int = field(default=-1, compare=False, repr=False)
 
     @property
     def action_id(self):
         return (self.circuit.vertices, self.realized_side)
 
+    @functools.cached_property
+    def masks(self) -> tuple:
+        removed = self.index.mask(self.removed)
+        return removed, removed ^ self.index.mask(self.inserted)
+
+    @functools.cached_property
+    def edge_xor(self) -> int:
+        """The edges of exactly one side, as a mask on the index's ``edges``: a flip
+        changes only edges inside its region."""
+        edges = set(_edges(self.removed)).symmetric_difference(_edges(self.inserted))
+        return self.index.edges.mask(edges)
+
 
 @dataclass(frozen=True)
 class CircuitTable:
-    """All circuits of one configuration, in vertex-tuple order.
+    """All circuits of one configuration, in vertex-tuple order, and its simplex index.
 
-    ``touching(simplex)`` gives the positions of the circuits with a core
-    inside the simplex.  Circuits are indexed by core lazily, on first use,
-    so building a table costs nothing beyond the circuits themselves.
+    The flips of a circuit of dim+2 points are fixed: both orientations are
+    built on first use and kept, and so are, per simplex, the flips that
+    remove it and, per flip, the flips it re-tests.  ``touching(simplex)``
+    gives the positions of the smaller circuits with a core inside the
+    simplex.  Everything is indexed lazily, on first use, so building a table
+    costs nothing beyond the circuits themselves.
     """
 
     config: PointConfig
     circuits: tuple
     _touching: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _removing: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _retests: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __len__(self):
         return len(self.circuits)
 
     @functools.cached_property
+    def index(self) -> SimplexIndex:
+        return simplex_index(self.config.n, self.config.dim + 1)
+
+    @functools.cached_property
+    def _flips(self):
+        """Flip id -> the full circuit's ``FlipAction``, or None until built."""
+        return [None] * (2 * len(self.circuits))
+
+    @functools.cached_property
+    def _removed(self):
+        """Flip id -> the full circuit's removed mask R, or 0 until computed."""
+        return [0] * (2 * len(self.circuits))
+
+    def removed(self, flip_id) -> int:
+        """The removed mask of the flip ``flip_id`` of a circuit of dim+2 points: the
+        cores Z - {p} for p on its side, all of them its removed simplices."""
+        r = self._removed[flip_id]
+        if not r:
+            circuit, bit = self.circuits[flip_id >> 1], self.index.bit
+            z, negative = circuit.vertices, flip_id & 1
+            for i, v in enumerate(circuit.dependence):
+                if (v < 0) == negative:
+                    r |= 1 << bit(z[:i] + z[i + 1 :])
+            self._removed[flip_id] = r
+        return r
+
+    @functools.cached_property
+    def _positions(self):
+        """Vertex tuple of a circuit of dim+2 points -> its position."""
+        full = self.config.dim + 2
+        return {c.vertices: pos for pos, c in enumerate(self.circuits) if len(c.vertices) == full}
+
+    @functools.cached_property
+    def _small(self):
+        """Whether the table has circuits of fewer than dim+2 points."""
+        return len(self._positions) < len(self.circuits)
+
+    @functools.cached_property
+    def _pairs(self):
+        """The even flip ids' bits: ``a & (a >> 1) & _pairs`` finds a circuit with both sides."""
+        return int("01" * len(self.circuits) or "0", 2)
+
+    def flip(self, flip_id) -> FlipAction:
+        """The flip ``flip_id`` of a circuit of dim+2 points: its cores are d-simplices
+        with an empty link, so a side is realized iff all its cores are simplices."""
+        action = self._flips[flip_id]
+        if action is None:
+            pos = flip_id >> 1
+            circuit = self.circuits[pos]
+            z, dependence = circuit.vertices, circuit.dependence
+            # Z - {z[i]} as i falls is in increasing order, so each side comes out sorted
+            cores = [(z[:i] + z[i + 1 :], dependence[i] > 0) for i in reversed(range(len(z)))]
+            plus = tuple(core for core, positive in cores if positive)
+            minus = tuple(core for core, positive in cores if not positive)
+            index, first = self.index, 2 * pos
+            self._flips[first] = FlipAction(circuit, 1, ((),), plus, minus, index, first)
+            self._flips[first + 1] = FlipAction(circuit, -1, ((),), minus, plus, index, first + 1)
+            action = self._flips[flip_id]
+        return action
+
+    def removing(self, bit) -> tuple:
+        """``(ids, flips)``: the flips of full circuits that remove the simplex on
+        ``bit`` (one per circuit Z = simplex + p, the side of p), as bits over
+        flip ids and as ``(1 << id, removed mask)`` pairs."""
+        hit = self._removing.get(bit)
+        if hit is None:
+            simplex, circuits, ids, flips = self.index.subset(bit), self._positions, 0, []
+            k, size = 0, len(simplex)
+            for p in range(self.config.n):
+                if k < size and simplex[k] == p:
+                    k += 1  # p's place in Z = simplex + p
+                    continue
+                pos = circuits.get(simplex[:k] + (p,) + simplex[k:])
+                if pos is not None:
+                    g = 2 * pos + (self.circuits[pos].dependence[k] < 0)
+                    ids |= 1 << g
+                    flips.append((1 << g, self.removed(g)))
+            hit = self._removing[bit] = (ids, tuple(flips))
+        return hit
+
+    def retest(self, action) -> tuple:
+        """``(cleared, tests)`` of a flip: bits over the ids of the flips that remove a
+        simplex it removes, which it unrealizes, and the ``(1 << id, removed mask)``
+        of those that remove a simplex it inserts, the only ones it can realize.
+        Kept per flip, keyed by its masks."""
+        hit = self._retests.get(action.masks)
+        if hit is None:
+            removed, xor = action.masks
+            cleared = 0
+            for b in _bits(removed):
+                cleared |= self.removing(b)[0]
+            tests = tuple(t for b in _bits(removed ^ xor) for t in self.removing(b)[1])
+            hit = self._retests[action.masks] = (cleared, tests)
+        return hit
+
+    @functools.cached_property
     def _core_index(self):
-        """Core Z - {p}, as a sorted vertex tuple -> positions of the circuits Z with that core."""
-        cores = {}
+        """Core Z - {p} of a circuit of fewer than dim+2 points, as a sorted vertex tuple
+        -> positions of the circuits Z with that core."""
+        cores, full = {}, self.config.dim + 2
         for pos, circuit in enumerate(self.circuits):
             z = circuit.vertices
+            if len(z) == full:
+                continue
             for i in range(len(z)):
                 cores.setdefault(z[:i] + z[i + 1 :], []).append(pos)
         return cores
 
     def touching(self, simplex) -> frozenset:
-        """Positions of the circuits with a core Z - {p}, any p in Z, inside ``simplex``.
+        """Positions of the circuits of fewer than dim+2 points with a core Z - {p},
+        any p in Z, inside ``simplex``.
 
         Every face size is probed: repeated points make 2-point circuits, whose
         cores are single points."""
@@ -121,6 +241,18 @@ class CircuitTable:
             )
             self._touching[simplex] = hit
         return hit
+
+
+def _bits(mask) -> list:
+    """The set bits of ``mask``, lowest first (read off its binary string, which
+    costs less than peeling bits off a long int)."""
+    digits, bits = bin(mask), []
+    top = len(digits) - 1
+    i = digits.rfind("1")
+    while i > 1:
+        bits.append(top - i)
+        i = digits.rfind("1", 0, i)
+    return bits
 
 
 def _circuit(subset, lam) -> Circuit:
@@ -144,8 +276,8 @@ def enumerate_circuits(config: PointConfig) -> CircuitTable:
     The configuration's Laplace pass (``PointConfig.prefix_minors``) gives
     every k-subset's minor of the homogenized rows (1, x) on the first k
     columns; the last level holds the maximal minors.  A (d+2)-subset Z is a
-    circuit iff none of its d+2 maximal minors vanishes, with dependence
-    ``PointConfig.dependence`` (Cramer's rule).  A smaller subset with a
+    circuit iff none of its d+2 maximal minors vanishes; only then is its
+    dependence signed (``PointConfig.dependence``, Cramer's rule).  A smaller subset with a
     nonzero prefix minor is independent, and one containing a dependent
     subset one point smaller is dependent but no circuit.  Because the
     configuration spans, any other with a zero prefix minor is dependent iff
@@ -160,9 +292,8 @@ def enumerate_circuits(config: PointConfig) -> CircuitTable:
     minors = levels[-1]
     circuits = []
     for subset in itertools.combinations(range(n), size + 1):
-        lam = config.dependence(subset)
-        if all(lam):
-            circuits.append(_circuit(subset, lam))
+        if all(minors[subset[:j] + subset[j + 1 :]] for j in range(size + 1)):
+            circuits.append(_circuit(subset, config.dependence(subset)))
     dependent = set()  # the dependent subsets of the previous level
     for k in range(2, size + 1):
         level_dependent = set()
@@ -185,9 +316,11 @@ def enumerate_circuits(config: PointConfig) -> CircuitTable:
     return CircuitTable(config=config, circuits=tuple(circuits))
 
 
-def _realize(sets, circuit: Circuit, side: int):
-    """Try to realize one orientation of a circuit from the state's simplices as
-    frozensets ``sets``: every core of the side needs one and the same nonempty link."""
+def _realize(table, pos, sets, side):
+    """Try to realize one orientation of the small circuit at ``pos`` from the state's
+    simplices as frozensets ``sets``: every core of the side needs one and the same
+    nonempty link."""
+    circuit = table.circuits[pos]
     side_cores, other_cores = circuit.cores if side > 0 else circuit.cores[::-1]
     link = None
     for core in side_cores:
@@ -201,7 +334,65 @@ def _realize(sets, circuit: Circuit, side: int):
         link=tuple(sorted(tuple(sorted(g)) for g in link)),
         removed=tuple(sorted({tuple(sorted(core | g)) for core in side_cores for g in link})),
         inserted=tuple(sorted({tuple(sorted(core | g)) for core in other_cores for g in link})),
+        index=table.index,
+        flip_id=2 * pos + (side < 0),
     )
+
+
+def _realized(tri: Triangulation, table: CircuitTable):
+    """``(flips, small)``: the state's realized full-circuit flips as bits over flip
+    ids, and its small circuits' actions by position; kept on the state, per table.
+
+    A flip that removes a simplex the state's flip removed is not realized,
+    and a flip's status can change otherwise only if it removes a simplex the
+    flip inserted; so a state whose parent knows its flips drops the first
+    kind and tests only the second (the table's ``retest`` lists).  Any other
+    state tests the flips removing one of its simplices.  A small
+    circuit's realization depends only on the stars of its cores, which a flip
+    changes only through its inserted simplices: a state flipped from a parent
+    with known actions re-tests only the small circuits touching an inserted
+    simplex, and every other keeps the parent's action while its removed
+    simplices remain.  Only then are the simplices turned into frozensets.
+    """
+    actions = tri._actions
+    if actions is not None and actions[0] is table:
+        return actions[1], actions[2]
+    index = table.index
+    mask = tri.code(index)
+    parent, flip = tri._lineage or (None, None)
+    if parent is not None and parent._actions is not None and parent._actions[0] is table:
+        flips, small = parent._actions[1:3]
+        cleared, tests = table.retest(flip)
+        flips &= ~cleared
+        changed = flip.inserted
+    else:
+        tests = [t for b in map(index.bit, tri.simplices) for t in table.removing(b)[1]]
+        flips, small, changed = 0, {}, tri.simplices
+    for g, removed in tests:
+        if mask & removed == removed:
+            flips |= g
+    both = flips & (flips >> 1) & table._pairs
+    if both:
+        vertices = table.circuits[(both & -both).bit_length() // 2].vertices
+        raise AssertionError(f"both sides of circuit {vertices} realized at once")
+    if table._small:
+        retest = frozenset().union(*map(table.touching, changed))
+        small = {
+            pos: a
+            for pos, a in small.items()
+            if pos not in retest and mask & a.masks[0] == a.masks[0]
+        }
+        sets = [frozenset(s) for s in tri.simplices] if retest else None
+        for pos in retest:
+            plus, minus = _realize(table, pos, sets, +1), _realize(table, pos, sets, -1)
+            if plus is not None and minus is not None:
+                vertices = table.circuits[pos].vertices
+                raise AssertionError(f"both sides of circuit {vertices} realized at once")
+            if plus is not None or minus is not None:
+                small[pos] = plus or minus
+    tri._actions = (table, flips, small)
+    tri._lineage = None
+    return flips, small
 
 
 def flippable_circuits(tri: Triangulation, table: CircuitTable):
@@ -209,79 +400,50 @@ def flippable_circuits(tri: Triangulation, table: CircuitTable):
 
     A circuit yields an action iff for one sign orientation every maximal core
     face is a face of the triangulation and all core faces share one identical
-    link; at most one orientation can be realized (asserted).  Both depend
-    only on the stars of the circuit's cores.  A flip adds to the star of a
-    face only if an inserted simplex contains it, and a face of a removed
-    simplex that no inserted simplex contains is no face of the flipped state
-    at all: whatever the flipped region shares with the rest of the
-    triangulation is a face of the inserted simplices too.  So a state
-    flipped from a parent with known actions re-tests only the circuits
-    touching an inserted simplex; every other circuit keeps the parent's
-    action while that action's removed simplices (the stars of its side's
-    cores) all remain, and has none otherwise.  Any other state tests every
-    circuit touching one of its simplices.  A circuit of dim+2 points is
-    tested by simplex membership (see ``Circuit.flips``); a smaller one
-    compares its cores' links, read off the state's simplices, which are
-    turned into frozensets only when such a circuit is re-tested.  The
-    actions are cached on the state, per table, and its lineage dropped.
+    link; at most one orientation can be realized (asserted).  A circuit of
+    dim+2 points has empty links, so its flips are fixed (``CircuitTable.flip``)
+    and one is realized iff its removed mask is inside the state's mask; a
+    smaller one compares its cores' links, read off the state's simplices.
+    The realized flips are kept on the state as bits over flip ids, patched
+    from its parent's through the flip that made it (see ``_realized``).
     """
-    if tri._actions is None or tri._actions[0] is not table:
-        parent, _removed, inserted = tri._lineage or (None, (), ())
-        if parent is None or parent._actions is None or parent._actions[0] is not table:
-            kept, changed = {}, tri.simplices
-        else:
-            kept, changed = parent._actions[1], inserted
-        retest = frozenset().union(*map(table.touching, changed))
-        circuits, sets, full = table.circuits, None, table.config.dim + 2
-        realized = set(tri.simplices).issuperset
-        found = {pos: a for pos, a in kept.items() if pos not in retest and realized(a.removed)}
-        for pos in retest:
-            circuit = circuits[pos]
-            if len(circuit.vertices) == full:
-                plus, minus = circuit.flips
-                plus = plus if realized(plus.removed) else None
-                minus = minus if realized(minus.removed) else None
-            else:
-                sets = sets or [frozenset(s) for s in tri.simplices]
-                plus, minus = _realize(sets, circuit, +1), _realize(sets, circuit, -1)
-            if plus is not None and minus is not None:
-                raise AssertionError(f"both sides of circuit {circuit.vertices} realized at once")
-            if plus is not None or minus is not None:
-                found[pos] = plus or minus
-        tri._actions = (table, dict(sorted(found.items())))
-        tri._lineage = None
-    return list(tri._actions[1].values())
+    flips, small = _realized(tri, table)
+    if len(tri._actions) == 3:
+        actions = tuple(map(table.flip, _bits(flips)))
+        if small:
+            actions = tuple(sorted([*actions, *small.values()], key=lambda a: a.flip_id))
+        tri._actions += (actions,)
+    return list(tri._actions[3])
 
 
 def apply_flip(tri: Triangulation, action: FlipAction) -> Triangulation:
     """Replace the realized local subtriangulation by the other side.
 
-    The child records the simplices that actually left and arrived, so its
-    actions and 1-skeleton are patched from ``tri``'s.
+    The child is the state's mask XOR the flip's; it records its lineage, so
+    its actions and 1-skeleton are patched from ``tri``'s.
     """
-    current = set(tri.simplices)
-    if not current.issuperset(action.removed):
+    removed, xor = action.masks
+    mask = tri.code(action.index)
+    if mask & removed != removed:
         raise StaleAction("action's removed set is not part of the triangulation")
-    return _child(tri, current, action, _flip_key(current, action))
+    return Triangulation._coded(action.index, mask ^ xor, (tri, action))
 
 
-def _flip_key(current: set, action: FlipAction) -> tuple:
-    """Canonical key of the state ``action`` makes from the simplex set ``current``."""
-    return tuple(sorted(current.difference(action.removed).union(action.inserted)))
-
-
-def _child(tri: Triangulation, current: set, action: FlipAction, key: tuple) -> Triangulation:
-    """The state ``key`` that ``action`` makes from ``tri``, whose simplex set is ``current``."""
-    return Triangulation._flipped(tri, key, action.removed, tuple(set(action.inserted) - current))
-
-
-def _successors(tri: Triangulation, table: CircuitTable):
-    """``(simplex set, {successor key: the first action reaching it})`` of ``tri``."""
-    current = set(tri.simplices)
-    first = {}
-    for action in flippable_circuits(tri, table):
-        first.setdefault(_flip_key(current, action), action)
-    return current, first
+def _children(tri: Triangulation, table: CircuitTable) -> dict:
+    """``{child mask: the first action reaching it}`` of ``tri``."""
+    mask, first = tri.code(table.index), {}
+    flips, small = _realized(tri, table)
+    if small:
+        for action in flippable_circuits(tri, table):
+            first.setdefault(mask ^ action.masks[1], action)
+        return first
+    # the simplices of R ^ I span the circuit, of which one side is realized, so
+    # distinct flips of full circuits make distinct children
+    built = table._flips
+    for g in _bits(flips):
+        action = built[g] or table.flip(g)
+        first[mask ^ action.masks[1]] = action
+    return first
 
 
 def reverse_action(tri_after: Triangulation, table: CircuitTable, action: FlipAction):
@@ -296,24 +458,34 @@ def reverse_action(tri_after: Triangulation, table: CircuitTable, action: FlipAc
 
 
 def neighbors(tri: Triangulation, table: CircuitTable):
-    """Distinct one-flip successors of ``tri``, in key order."""
-    current, first = _successors(tri, table)
-    return [_child(tri, current, first[key], key) for key in sorted(first)]
+    """Distinct one-flip successors of ``tri``, in key order (descending masks)."""
+    first = _children(tri, table)
+    return [
+        Triangulation._coded(table.index, key, (tri, first[key]))
+        for key in sorted(first, reverse=True)
+    ]
 
 
 @dataclass
 class ComponentResult:
-    states: dict  # canonical key -> Triangulation, in discovery order
+    index: SimplexIndex
+    masks: dict  # state mask -> discovery position, in discovery order
     edge_count: int
     truncated: bool
     expansions: int
+
+    @functools.cached_property
+    def states(self):
+        """Canonical key -> state, in discovery order; decoded on first use."""
+        tris = (Triangulation._coded(self.index, mask) for mask in self.masks)
+        return {tri.canonical_key: tri for tri in tris}
 
     @property
     def keys(self):
         return set(self.states)
 
     def __len__(self):
-        return len(self.states)
+        return len(self.masks)
 
 
 def enumerate_component(
@@ -323,7 +495,7 @@ def enumerate_component(
     cap: float = math.inf,
     visit=None,
 ) -> ComponentResult:
-    """Breadth-first traversal of the seed's flip-graph component.
+    """Breadth-first traversal of the seed's flip-graph component, on masks.
 
     Stops after ``limit`` expansions, or as soon as it holds ``cap`` states
     (in the middle of an expansion), with the truncation flag set;
@@ -331,36 +503,37 @@ def enumerate_component(
     edge count covers all flips discovered between expanded states and their
     neighbors.  States expand in discovery order and every flip's reverse is
     a flip, so an edge is new exactly when its neighbor has not expanded yet.
-    A neighbor is built only on its first discovery; every other flip is
-    known by its key alone.  ``visit``, if given, is called with each state
+    A state's children come in descending mask order, which is ascending
+    canonical-key order (``SimplexIndex``).  A neighbor is built only on its
+    first discovery; every other flip is known by its mask alone, and a built
+    state lives only until it is expanded and its children are, so the walk
+    keeps one int per state.  ``visit``, if given, is called with each state
     as it is built, the seed first, while its parent's caches are alive.
     """
+    index = table.index
+    masks = {seed.code(index): 0}
     if visit is not None:
         visit(seed)
-    states = {seed.canonical_key: seed}
-    index = {seed.canonical_key: 0}
     queue = deque([seed])
     edge_count = 0
     expansions = 0
     truncated = False
     while queue:
-        if expansions >= limit or len(states) >= cap:
+        if expansions >= limit or len(masks) >= cap:
             truncated = True
             break
         current = queue.popleft()
         expansions += 1
-        simplices, first = _successors(current, table)
-        for key in sorted(first):
-            if len(states) >= cap:
+        first = _children(current, table)
+        for key in sorted(first, reverse=True):
+            if len(masks) >= cap:
                 break
-            pos = index.get(key)
+            pos = masks.get(key)
             if pos is None:
-                pos = index[key] = len(index)
-                states[key] = nxt = _child(current, simplices, first[key], key)
+                pos = masks[key] = len(masks)
+                nxt = Triangulation._coded(index, key, (current, first[key]))
                 if visit is not None:
                     visit(nxt)
                 queue.append(nxt)
             edge_count += pos >= expansions
-    return ComponentResult(
-        states=states, edge_count=edge_count, truncated=truncated, expansions=expansions
-    )
+    return ComponentResult(index, masks, edge_count, truncated, expansions)

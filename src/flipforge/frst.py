@@ -225,7 +225,7 @@ class LedgerEntry:
     elapsed_ms: int
     new_key: bool
     cumulative: int
-    key: tuple | None = None
+    key: int | None = None  # the new find's mask
 
 
 @dataclass
@@ -233,12 +233,13 @@ class FrstLedger:
     """Distinct star-closed finds with a timestamped discovery log."""
 
     entries: list = field(default_factory=list)
-    triangulations: dict = field(default_factory=dict)  # key -> Triangulation
+    triangulations: dict = field(default_factory=dict)  # state mask -> Triangulation
     stop_reason: str | None = None  # "iterations", "time" or "retries"
 
     @property
     def keys(self):
-        return set(self.triangulations)
+        """The finds' canonical keys."""
+        return {tri.canonical_key for tri in self.triangulations.values()}
 
     def __len__(self):
         return len(self.triangulations)
@@ -312,7 +313,7 @@ def sample_frsts(
             report = is_frst(closed, lattice, cache)
             if not report.ok:
                 raise AssertionError("star closure produced a non-FRST state")
-            key = closed.canonical_key
+            key = closed.code(table.index)
             if key not in ledger.triangulations:
                 ledger.triangulations[key] = closed
                 new = True

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,10 +40,7 @@ SNAP_DENOMINATOR = 1 << 20
 def left_sum(values) -> float:
     """The floats added left to right, as builtin ``sum`` adds them before Python 3.12,
     whose compensated sum can round differently; outputs read only this one."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def make_point(coords) -> Point:
@@ -122,15 +120,16 @@ def rref(rows):
     return m, pivots, d
 
 
-def null_space(rows):
+def null_space(rows, ncols=None):
     """Integer basis of {x : rows . x = 0}, read off ``rref``: ``(basis, d)``.
 
     One vector per non-pivot column f: ``d`` at f, ``-m[r][f]`` at pivot
     column r and 0 at the other non-pivot columns; over ``d`` these are the
-    reduced form's kernel vectors.
+    reduced form's kernel vectors.  ``ncols`` sizes a matrix without rows,
+    whose kernel is everything.
     """
     m, pivots, d = rref(rows)
-    ncols = len(rows[0])
+    ncols = len(rows[0]) if rows else ncols
     basis = []
     for free in range(ncols):
         if free in pivots:
@@ -420,9 +419,13 @@ def _plane_value(plane, row):
 def _oriented_plane(rows, subset, inside_idx):
     """Primitive plane through ``subset``, oriented so ``inside_idx`` lies on the side <= 0.
 
-    ``(normal, offset)`` is the one kernel vector of the rows ``(x_i, -1)``.
+    The normal is the one kernel vector of the dim-1 edge vectors x_i - x_0,
+    and ``offset = normal . x_0``.
     """
-    ((*normal, offset),), _d = null_space([rows[i] + (-1,) for i in subset])
+    base = rows[subset[0]]
+    edges = [[a - b for a, b in zip(rows[i], base)] for i in subset[1:]]
+    (normal,), _d = null_space(edges, len(base))
+    offset = sum(a * b for a, b in zip(normal, base))
     g = math.gcd(*normal, offset)
     if _plane_value((normal, offset), rows[inside_idx]) > 0:
         g = -g

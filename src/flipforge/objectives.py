@@ -7,7 +7,13 @@ import math
 from dataclasses import dataclass
 
 from .geometry import PointConfig, left_sum
-from .triangulation import Triangulation, certify_regularity, dual_diameter, is_fine
+from .triangulation import (
+    Triangulation,
+    certify_regularity,
+    dual_diameter,
+    is_fine,
+    simplex_index,
+)
 
 
 class Objective(enum.Enum):
@@ -31,7 +37,8 @@ class Objective(enum.Enum):
 
 
 class ObjectiveCache:
-    """Per-run caches: regularity certificates and values by state key."""
+    """Per-run caches: regularity certificates by canonical key, values by
+    (objective, state mask on the configuration's simplex index)."""
 
     def __init__(self):
         self.certificates = {}  # canonical key -> RegularityCertificate
@@ -47,26 +54,28 @@ def evaluate(
     """Objective value of a triangulation.
 
     MIN_WEIGHT sums the 1-skeleton's edge lengths from the configuration's
-    table (``PointConfig.edge_lengths``) in sorted-edge order; the other
-    metrics are exact integers.
+    table (``PointConfig.edge_lengths``) in sorted-edge order, the edge mask's
+    bits from the highest down; the other metrics are exact integers.
     """
+    index = simplex_index(config.n, config.dim + 1)
+    key = (objective, tri.code(index))
     if cache is not None:
-        hit = cache.values.get((objective, tri.canonical_key))
+        hit = cache.values.get(key)
         if hit is not None:
             return hit
     if objective is Objective.MIN_SIMPLICES:
-        value = float(len(tri.simplices))
+        value = float(len(tri))
     elif objective is Objective.MIN_DIAMETER:
         value = float(dual_diameter(tri))
     elif objective is Objective.MIN_WEIGHT:
-        lengths = config.edge_lengths()
-        value = left_sum(lengths[e] for e in tri.skeleton_edges())
+        # the lengths come in lex edge order, the order of the bits from the highest down
+        value = left_sum(index.edges.select(config.edge_lengths().values(), tri.edge_code()))
     elif objective is Objective.FRST_REACH:
         value = 1.0 if fine_and_regular(tri, config, cache) else 0.0
     else:  # pragma: no cover
         raise ValueError(objective)
     if cache is not None:
-        cache.values[(objective, tri.canonical_key)] = value
+        cache.values[key] = value
     return value
 
 

@@ -23,12 +23,12 @@ from .triangulation import Triangulation, require_valid
 class SearchContext:
     """What the steps of one run, or of one training environment, share.
 
-    Besides the objective's cache, a context keeps the canonical keys of the
-    states that passed ``validate``; the verdict depends only on the
-    simplices and the configuration, so a revisited state is not validated
-    again.  The generator is seeded from ``seed`` on the first draw, so
-    strategies that never draw never load numpy; a ``Generator`` passed as
-    the seed is used as it is.  ``budget`` is the run's step count, for
+    Besides the objective's cache, a context keeps the masks (on the table's
+    simplex index) of the states that passed ``validate``; the verdict
+    depends only on the simplices and the configuration, so a revisited
+    state is not validated again.  The generator is seeded from ``seed`` on
+    the first draw, so strategies that never draw never load numpy; a
+    ``Generator`` passed as the seed is used as it is.  ``budget`` is the run's step count, for
     strategies whose schedule spans the run.  Contexts hash by identity.
     """
 
@@ -66,9 +66,10 @@ class SearchContext:
 
     def admit(self, nxt):
         """Validate the flipped state ``nxt`` on its first arrival in this context."""
-        if nxt.canonical_key not in self.valid:
+        key = nxt.code(self.table.index)
+        if key not in self.valid:
             require_valid(nxt, self.config)
-            self.valid.add(nxt.canonical_key)
+            self.valid.add(key)
 
 
 @dataclass
@@ -117,8 +118,8 @@ class GreedyStrategy(Strategy):
     """Always applies the best flip, falling back to the least-bad one.
 
     The move depends only on the state, so a run remembers the move it made
-    from each state and replays it when the walk returns there; greedy walks
-    settle into short cycles, so most steps are such returns.
+    from each state, by mask, and replays it when the walk returns there;
+    greedy walks settle into short cycles, so most steps are such returns.
     """
 
     name = "greedy"
@@ -129,7 +130,8 @@ class GreedyStrategy(Strategy):
     def step(self, tri, actions, ctx):
         if not actions:
             return tri, None
-        move = self.moves.get(tri)
+        key = tri.code(ctx.table.index)
+        move = self.moves.get(key)
         if move is None:
             best = None
             for action in actions:
@@ -137,7 +139,7 @@ class GreedyStrategy(Strategy):
                 v = ctx.value(nxt)
                 if best is None or v < best[0]:
                     best = (v, nxt, action)
-            move = self.moves[tri] = best[1:]
+            move = self.moves[key] = best[1:]
         return move
 
 
@@ -147,14 +149,15 @@ class _FrontierStrategy(Strategy):
     A state is expanded on its first arrival: each unvisited child scoring
     below ``_bound`` of the parent enters under ``_key(value, position)``,
     ``position`` being its place in action-id order and ``len(self.visited)``
-    the expansion's number.  Past ``memory_cap`` entries the worst are
-    evicted.  With the frontier empty the walk stays put.
+    the expansion's number; states are known by their masks.  Past
+    ``memory_cap`` entries the worst are evicted.  With the frontier empty the
+    walk stays put.
     """
 
     memory_cap = math.inf
 
     def reset(self, tri, ctx):
-        self.visited = {tri.canonical_key}
+        self.visited = {tri.code(ctx.table.index)}
         self.frontier = []
         self._expand(tri, ctx)
 
@@ -162,7 +165,7 @@ class _FrontierStrategy(Strategy):
         bound = self._bound(tri, ctx)
         for position, action in enumerate(flippable_circuits(tri, ctx.table)):
             nxt = apply_flip(tri, action)
-            if nxt.canonical_key not in self.visited and (value := ctx.value(nxt)) < bound:
+            if nxt.code(ctx.table.index) not in self.visited and (value := ctx.value(nxt)) < bound:
                 heapq.heappush(self.frontier, (self._key(value, position), nxt, action))
         if len(self.frontier) > self.memory_cap:  # a sorted list is a heap
             self.frontier = heapq.nsmallest(self.memory_cap, self.frontier)
@@ -170,8 +173,9 @@ class _FrontierStrategy(Strategy):
     def step(self, tri, actions, ctx):
         while self.frontier:
             _key, nxt, action = heapq.heappop(self.frontier)
-            if nxt.canonical_key not in self.visited:
-                self.visited.add(nxt.canonical_key)
+            key = nxt.code(ctx.table.index)
+            if key not in self.visited:
+                self.visited.add(key)
                 self._expand(nxt, ctx)
                 return nxt, action
         return tri, None
@@ -322,9 +326,10 @@ class PolicyStrategy(_LearnedStrategy):
     def step(self, tri, actions, ctx):
         if self.mode == "sample":
             return super().step(tri, actions, ctx)
-        move = self.moves.get(tri)
+        key = tri.code(ctx.table.index)
+        move = self.moves.get(key)
         if move is None:
-            move = self.moves[tri] = super().step(tri, actions, ctx)
+            move = self.moves[key] = super().step(tri, actions, ctx)
         return move
 
     def choose(self, head, count, rng):

@@ -1,14 +1,17 @@
 """Triangulations as values: validity, identity, links, duals, and regularity.
 
 A triangulation is a sorted tuple of maximal simplices (sorted vertex-index
-tuples) over some :class:`~flipforge.geometry.PointConfig`.  Operations take
-the configuration explicitly, so triangulation values stay cheap to copy and
-hash and can be shared freely across workers.
+tuples) over some :class:`~flipforge.geometry.PointConfig`, or equally the
+int of its simplices' bits on the configuration's :class:`SimplexIndex`.
+Operations take the configuration explicitly, so triangulation values stay
+cheap to copy and hash and can be shared freely across workers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,16 +24,94 @@ Simplex = tuple  # sorted tuple of vertex indices, length dim+1
 Heights = tuple  # one Fraction per configuration point
 
 
+_ONES = bytes.maketrans(b"01", b"\0\1")  # binary digits as 0/1 selector bytes
+
+
+@functools.cache
+def simplex_index(n, k):
+    """The :class:`SimplexIndex` of the k-subsets of ``range(n)``.
+
+    One per (n, k) in a process, and unpickled as that one, so states coded
+    by a circuit table and by an objective on the same configuration share
+    it.  Its memo grows to at most C(n, k) entries.
+    """
+    return SimplexIndex(n, k)
+
+
+class SimplexIndex:
+    """One bit per k-subset of ``range(n)``, the lex-first subset on the highest bit.
+
+    The sorted subset s sits on bit sum_j C(n-1-s_j, k-j).  So a set of
+    simplices is one int, its mask, and its sorted tuple lists the mask's bits
+    from the highest down.  Descending mask order is ascending sorted-tuple
+    order for triangulations of one configuration: the highest differing bit
+    is the lex-first simplex of the symmetric difference, and no
+    triangulation's simplex set is a proper subset of another's (their volumes
+    sum to the same total).  ``edges`` indexes the 2-subsets the same way.
+    """
+
+    def __init__(self, n, k):
+        self.n, self.k = n, k
+        self._digits = f"0{math.comb(n, k)}b"  # the mask's bits, highest first
+        self._bits = {}  # subset -> bit
+        self._subsets = {}  # bit -> subset, for every bit handed out
+
+    def __reduce__(self):
+        return (simplex_index, (self.n, self.k))
+
+    @functools.cached_property
+    def edges(self):
+        return simplex_index(self.n, 2)
+
+    def bit(self, subset) -> int:
+        b = self._bits.get(subset)
+        if b is None:
+            n, k = self.n, len(subset)
+            b = self._bits[subset] = sum(math.comb(n - 1 - v, k - j) for j, v in enumerate(subset))
+            self._subsets[b] = subset
+        return b
+
+    def subset(self, bit) -> tuple:
+        return self._subsets[bit]
+
+    def mask(self, subsets) -> int:
+        m = 0
+        for s in subsets:
+            m |= 1 << self.bit(s)
+        return m
+
+    def select(self, values, mask):
+        """``values[j]`` for each j-th k-subset in lex order whose bit is on in ``mask``,
+        in that order (the mask's bits from the highest down), as an iterator."""
+        return itertools.compress(values, format(mask, self._digits).encode().translate(_ONES))
+
+    def decode(self, mask) -> tuple:
+        """The sorted tuple of the subsets on ``mask``'s bits."""
+        subsets = self._subsets
+        out = []
+        while mask:
+            b = mask.bit_length() - 1
+            out.append(subsets[b])
+            mask ^= 1 << b
+        return tuple(out)
+
+
 class Triangulation:
     """Immutable set of maximal simplices with a canonical, hashable identity.
 
-    A state made by a flip records its lineage (parent, removed and inserted
-    simplices) until its actions are known, so ``flippable_circuits``
-    re-tests only the circuits the flip touched, and its 1-skeleton patches
-    the parent's.  Caches and lineage are never pickled.
+    A state is coded on a :class:`SimplexIndex` once a walk or a flip asks for
+    its mask (``code``); a state made by a flip is born coded, its mask the
+    parent's XOR the flip's, and decodes its sorted simplex tuple only when
+    something reads ``simplices``.  Such a state records its lineage (parent
+    and flip) until its actions are known, so ``flippable_circuits`` re-tests
+    only the flips the flip touched, and its 1-skeleton, an edge mask, is the
+    parent's XOR the flip's edge mask.  Equal states compare, hash and pickle
+    alike however they were made; caches and lineage are never pickled.
     """
 
-    __slots__ = ("simplices", "_skeleton", "_hash", "_lineage", "_actions")
+    __slots__ = (
+        "_simplices", "_index", "_mask", "_skeleton", "_hash", "_lineage", "_actions"
+    )
 
     def __init__(self, simplices):
         cleaned = sorted({tuple(sorted(int(v) for v in s)) for s in simplices})
@@ -40,21 +121,36 @@ class Triangulation:
         for s in cleaned:
             if len(s) != size or len(set(s)) != size:
                 raise ValueError(f"malformed simplex {s}")
-        self._set(tuple(cleaned))
+        self._set(tuple(cleaned), None, None)
 
-    def _set(self, simplices, lineage=None):
-        self.simplices, self._hash, self._lineage = simplices, hash(simplices), lineage
-        self._skeleton = self._actions = None
+    def _set(self, simplices, index, mask, lineage=None):
+        self._simplices, self._index, self._mask, self._lineage = simplices, index, mask, lineage
+        self._skeleton = self._hash = self._actions = None
 
     @classmethod
-    def _flipped(cls, parent, simplices, removed, inserted):
-        """The state ``simplices`` (already canonical) one flip away from ``parent``."""
+    def _coded(cls, index, mask, lineage=None):
+        """The state ``mask`` over ``index``; ``lineage`` is ``(parent, flip)`` if a flip
+        made it."""
         tri = cls.__new__(cls)
-        tri._set(simplices, (parent, removed, inserted))
+        tri._set(None, index, mask, lineage)
         return tri
 
     def __reduce__(self):
         return (Triangulation, (self.simplices,))
+
+    @property
+    def simplices(self):
+        """The sorted tuple of sorted vertex tuples."""
+        if self._simplices is None:
+            self._simplices = self._index.decode(self._mask)
+        return self._simplices
+
+    def code(self, index) -> int:
+        """The state's mask over ``index`` (its configuration's); computed once."""
+        if self._index is not index:
+            simplices = self.simplices
+            self._set(simplices, index, index.mask(simplices))
+        return self._mask
 
     @property
     def canonical_key(self):
@@ -62,16 +158,22 @@ class Triangulation:
         return self.simplices
 
     def __eq__(self, other):
-        return isinstance(other, Triangulation) and self.simplices == other.simplices
+        if not isinstance(other, Triangulation):
+            return False
+        if self._index is not None and self._index is other._index:
+            return self._mask == other._mask
+        return self.simplices == other.simplices
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self.simplices)
         return self._hash
 
     def __len__(self):
-        return len(self.simplices)
+        return len(self._simplices) if self._index is None else self._mask.bit_count()
 
     def __repr__(self):
-        return f"Triangulation({len(self.simplices)} simplices)"
+        return f"Triangulation({len(self)} simplices)"
 
     def __contains__(self, simplex):
         return tuple(simplex) in self.simplices
@@ -81,21 +183,24 @@ class Triangulation:
         return frozenset(v for s in self.simplices for v in s)
 
     def skeleton_edges(self):
-        """Sorted 1-skeleton edges (i, j) with i < j.
+        """Sorted 1-skeleton edges (i, j) with i < j."""
+        if self._index is None:
+            return tuple(sorted(set(_edges(self.simplices))))
+        return self._index.edges.decode(self.edge_code())
+
+    def edge_code(self) -> int:
+        """The 1-skeleton of a coded state as a mask over its index's ``edges``.
 
         A flip changes only edges interior to its region, so a flipped state
-        whose parent knows its edge set drops the removed simplices' edges
-        and adds the inserted ones'.
+        whose parent knows its edge mask XORs the flip's edge mask into it.
         """
         if self._skeleton is None:
-            parent, removed, inserted = self._lineage or (None, (), ())
-            if parent is None or parent._skeleton is None:
-                edges = set(_edges(self.simplices))
+            parent, flip = self._lineage or (None, None)
+            if parent is not None and parent._skeleton is not None and parent._index is self._index:
+                self._skeleton = parent._skeleton ^ flip.edge_xor
             else:
-                edges = parent._skeleton[1].difference(_edges(removed))
-                edges.update(_edges(inserted))
-            self._skeleton = (tuple(sorted(edges)), edges)
-        return self._skeleton[0]
+                self._skeleton = self._index.edges.mask(_edges(self.simplices))
+        return self._skeleton
 
     def ridges(self):
         """Each (d-1)-face -> the ``(position, k)`` of every simplex holding it, the

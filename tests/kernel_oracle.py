@@ -1,10 +1,14 @@
 """Determinant and hyperplane oracles for the elimination kernel.
 
 ``geometry.rref`` is the one elimination in the package: hull planes are the
-kernel vector of a face's rows ``(x_i, -1)`` and simplex volumes its last
-pivot.  These are the Bareiss determinant and the cofactor normal that those
-routes replaced.
+kernel vector of a face's edge vectors ``x_i - x_0`` and simplex volumes its
+last pivot.  These are the Bareiss determinant, the cofactor normal and the
+kernel of the rows ``(x_i, -1)`` that those routes replaced.
 """
+
+import math
+
+from flipforge.geometry import null_space
 
 
 def _int_det(rows):
@@ -44,3 +48,13 @@ def _hyperplane_from_basis(rows, dim):
         return None
     offset = sum(n * c for n, c in zip(normal, base))
     return tuple(normal), offset
+
+
+def _kernel_plane(rows, subset, inside_idx):
+    """The primitive plane through ``subset`` as the one kernel vector of the rows
+    ``(x_i, -1)``, oriented so ``rows[inside_idx]`` lies on the side <= 0."""
+    ((*normal, offset),), _d = null_space([rows[i] + (-1,) for i in subset])
+    g = math.gcd(*normal, offset)
+    if sum(a * b for a, b in zip(normal, rows[inside_idx])) - offset > 0:
+        g = -g
+    return tuple(v // g for v in normal), offset // g

@@ -26,9 +26,6 @@ import flipforge as ff
 from flipforge.cli import _exact_reference
 from flipforge.datagen import GenSpec, generate, initial_triangulation
 from flipforge.flips import (
-    ComponentResult,
-    _child,
-    _successors,
     apply_flip,
     enumerate_circuits,
     enumerate_component,
@@ -40,6 +37,7 @@ from flipforge.objectives import Objective, ObjectiveCache, search_value
 from flipforge.triangulation import Triangulation
 from conftest import degenerate_point_lists
 from face_oracle import face_map_actions
+from walk_oracle import TupleComponent, successors
 from test_circuit_index import (
     CROSS4D,
     PRISM,
@@ -195,7 +193,7 @@ def test_visit_sees_each_state_once_as_it_is_built(name):
         seen.append(tri)
 
     component = enumerate_component(start_of(name), table, limit=30, visit=visit)
-    assert [id(t) for t in seen] == [id(t) for t in component.states.values()]
+    assert [t.canonical_key for t in seen] == list(component.states)
     # every state but the seed is built from a parent whose edge set is known
     assert not patched[0] and all(patched[1:]) and len(patched) > 3
 
@@ -215,19 +213,16 @@ def set_walk_component(seed, table, limit=1_000_000, cap=math.inf):
         current = queue.popleft()
         expansions += 1
         cur_idx = index[current.canonical_key]
-        simplices, first = _successors(current, table)
-        for key in sorted(first):
+        for key in sorted(successors(current, table)):
             if len(states) >= cap:
                 break
             if key not in states:
-                states[key] = nxt = _child(current, simplices, first[key], key)
+                states[key] = nxt = Triangulation(key)
                 index[key] = len(index)
                 queue.append(nxt)
             a, b = cur_idx, index[key]
             edges.add((min(a, b), max(a, b)))
-    return ComponentResult(
-        states=states, edge_count=len(edges), truncated=truncated, expansions=expansions
-    )
+    return TupleComponent(states, len(edges), truncated, expansions)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

@@ -23,7 +23,7 @@ from flipforge.geometry import (
 )
 from flipforge.triangulation import regular_from_heights
 from conftest import degenerate_point_lists, point_lists
-from kernel_oracle import _hyperplane_from_basis, _int_det
+from kernel_oracle import _hyperplane_from_basis, _int_det, _kernel_plane
 
 
 def test_dependence_collinear_triple():
@@ -445,3 +445,16 @@ def test_planes_and_volumes_match_the_cofactor_and_determinant_oracles(dim, data
     except DegenerateConfig:
         return
     check_planes_and_volumes(lifted)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_edge_vector_planes_match_the_homogeneous_kernel_route(dim, data):
+    # a random face of dim points and a point off its plane, 21-bit coordinates
+    coords = st.integers(-(1 << 20), 1 << 20)
+    rows = [tuple(data.draw(st.lists(coords, min_size=dim, max_size=dim))) for _ in range(dim + 1)]
+    face, inside = tuple(range(dim)), dim
+    edges = [[a - b for a, b in zip(rows[i], rows[0])] for i in range(1, dim + 1)]
+    assume(_int_det(edges) != 0)  # the face spans a hyperplane and the point is off it
+    assert _oriented_plane(rows, face, inside) == _kernel_plane(rows, face, inside)

@@ -308,4 +308,6 @@ def test_training_validates_each_flipped_state_once_per_environment(hexagon, mon
     assert len(validated) == len(set(validated)) and set(validated) == set(flipped)
     assert len(validated) < len(flipped)  # revisits were not validated again
     for env in environments:
-        assert env.valid == {key for n, key in validated if n == env.config.n}
+        # the context knows states by their masks on the table's simplex index
+        valid = {env.table.index.decode(mask) for mask in env.valid}
+        assert valid == {key for n, key in validated if n == env.config.n}

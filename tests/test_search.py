@@ -151,7 +151,7 @@ def test_befs_priority_queue_law(hexagon, hexagon_table):
         live = [
             v
             for (v, _expansion, _position), t, _a in strategy.frontier
-            if t.canonical_key not in strategy.visited
+            if t.code(hexagon_table.index) not in strategy.visited
         ]
         nxt, _action = strategy.step(current, None, ctx)
         popped_value = ctx.value(nxt)

@@ -1,8 +1,8 @@
 """Reference walks' table lookups, state by state, against the paths they replaced.
 
-``CircuitTable.touching`` probes a core index keyed by sorted vertex tuples;
-the oracle indexes every circuit's cores as frozensets and probes every face
-of the simplex.  Min-weight values read the configuration's edge-length
+``CircuitTable.touching`` probes a core index of the circuits of fewer than
+dim+2 points keyed by sorted vertex tuples; the oracle indexes those
+circuits' cores as frozensets and probes every face of the simplex.  Min-weight values read the configuration's edge-length
 table; the oracle computes each edge's length as it first meets it.
 ``enumerate_component`` probes each successor key once; the oracle is the
 loop that tested membership and read the index for every key.  Each runs on
@@ -22,9 +22,6 @@ import flipforge as ff
 from flipforge.datagen import initial_triangulation
 from flipforge.errors import DegenerateConfig
 from flipforge.flips import (
-    ComponentResult,
-    _child,
-    _successors,
     apply_flip,
     enumerate_circuits,
     enumerate_component,
@@ -32,6 +29,8 @@ from flipforge.flips import (
 )
 from flipforge.objectives import Objective, ObjectiveCache, evaluate, left_sum
 from face_oracle import _faces
+from flipforge.triangulation import Triangulation
+from walk_oracle import TupleComponent, successors
 from test_circuit_index import CROSS4D_14, PRISM, SQUARE_3X3, degenerate_point_lists
 
 FIXTURES = {"square3x3": SQUARE_3X3, "prism": PRISM, "cross4d_14": CROSS4D_14}
@@ -53,9 +52,12 @@ def drawn_table(data, dim):
 
 
 def frozenset_touching(table):
-    """Oracle: every circuit's cores indexed as frozensets, probed by every face of the simplex."""
+    """Oracle: the cores of every circuit of fewer than dim+2 points indexed as
+    frozensets, probed by every face of the simplex."""
     cores = {}
     for pos, circuit in enumerate(table.circuits):
+        if len(circuit.vertices) == table.config.dim + 2:
+            continue
         for core in itertools.chain(*circuit.cores):
             cores.setdefault(core, []).append(pos)
     return lambda simplex: frozenset(pos for face in _faces(simplex) for pos in cores.get(face, ()))
@@ -92,20 +94,17 @@ def membership_component(seed, table, limit=1_000_000, cap=math.inf, visit=None)
             break
         current = queue.popleft()
         expansions += 1
-        simplices, first = _successors(current, table)
-        for key in sorted(first):
+        for key in sorted(successors(current, table)):
             if len(states) >= cap:
                 break
             if key not in states:
-                states[key] = nxt = _child(current, simplices, first[key], key)
+                states[key] = nxt = Triangulation(key)
                 if visit is not None:
                     visit(nxt)
                 index[key] = len(index)
                 queue.append(nxt)
             edge_count += index[key] >= expansions
-    return ComponentResult(
-        states=states, edge_count=edge_count, truncated=truncated, expansions=expansions
-    )
+    return TupleComponent(states, edge_count, truncated, expansions)
 
 
 def check_touching_on_walk(table, moves):
