@@ -24,9 +24,11 @@ flipped state re-tests only the ones touching a simplex its flip inserted.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -100,10 +102,11 @@ class CircuitTable:
 
     The flips of a circuit of dim+2 points are fixed: both orientations are
     built on first use and kept, and so are, per simplex, the flips that
-    remove it and, per flip, the flips it re-tests.  ``touching(simplex)``
-    gives the positions of the smaller circuits with a core inside the
-    simplex.  Everything is indexed lazily, on first use, so building a table
-    costs nothing beyond the circuits themselves.
+    remove it and, per flip, the flips it re-tests.  A smaller circuit's
+    actions are kept per flip id and link once realized, and
+    ``touching(simplex)`` gives the positions of the smaller circuits with a
+    core inside the simplex.  Everything is indexed lazily, on first use, so
+    building a table costs nothing beyond the circuits themselves.
     """
 
     config: PointConfig
@@ -111,6 +114,7 @@ class CircuitTable:
     _touching: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _removing: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _retests: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _small_flips: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __len__(self):
         return len(self.circuits)
@@ -243,6 +247,9 @@ class CircuitTable:
         return hit
 
 
+_flip_id = operator.attrgetter("flip_id")
+
+
 def _bits(mask) -> list:
     """The set bits of ``mask``, lowest first (read off its binary string, which
     costs less than peeling bits off a long int)."""
@@ -319,7 +326,8 @@ def enumerate_circuits(config: PointConfig) -> CircuitTable:
 def _realize(table, pos, sets, side):
     """Try to realize one orientation of the small circuit at ``pos`` from the state's
     simplices as frozensets ``sets``: every core of the side needs one and the same
-    nonempty link."""
+    nonempty link.  The action is kept on the table per flip id and link, so its
+    masks are built once."""
     circuit = table.circuits[pos]
     side_cores, other_cores = circuit.cores if side > 0 else circuit.cores[::-1]
     link = None
@@ -328,15 +336,19 @@ def _realize(table, pos, sets, side):
         if not this_link or link not in (None, this_link):
             return None  # the core is no face, or the links differ
         link = this_link
-    return FlipAction(
-        circuit=circuit,
-        realized_side=side,
-        link=tuple(sorted(tuple(sorted(g)) for g in link)),
-        removed=tuple(sorted({tuple(sorted(core | g)) for core in side_cores for g in link})),
-        inserted=tuple(sorted({tuple(sorted(core | g)) for core in other_cores for g in link})),
-        index=table.index,
-        flip_id=2 * pos + (side < 0),
-    )
+    key = (2 * pos + (side < 0), tuple(sorted(tuple(sorted(g)) for g in link)))
+    action = table._small_flips.get(key)
+    if action is None:
+        action = table._small_flips[key] = FlipAction(
+            circuit=circuit,
+            realized_side=side,
+            link=key[1],
+            removed=tuple(sorted({tuple(sorted(core | g)) for core in side_cores for g in link})),
+            inserted=tuple(sorted({tuple(sorted(core | g)) for core in other_cores for g in link})),
+            index=table.index,
+            flip_id=key[0],
+        )
+    return action
 
 
 def _realized(tri: Triangulation, table: CircuitTable):
@@ -405,15 +417,16 @@ def flippable_circuits(tri: Triangulation, table: CircuitTable):
     and one is realized iff its removed mask is inside the state's mask; a
     smaller one compares its cores' links, read off the state's simplices.
     The realized flips are kept on the state as bits over flip ids, patched
-    from its parent's through the flip that made it (see ``_realized``).
+    from its parent's through the flip that made it (see ``_realized``); the
+    list is built from them on each call, the small circuits' actions merged
+    in by flip id.
     """
     flips, small = _realized(tri, table)
-    if len(tri._actions) == 3:
-        actions = tuple(map(table.flip, _bits(flips)))
-        if small:
-            actions = tuple(sorted([*actions, *small.values()], key=lambda a: a.flip_id))
-        tri._actions += (actions,)
-    return list(tri._actions[3])
+    built = table._flips
+    actions = [built[g] or table.flip(g) for g in _bits(flips)]
+    for action in small.values():
+        bisect.insort(actions, action, key=_flip_id)
+    return actions
 
 
 def apply_flip(tri: Triangulation, action: FlipAction) -> Triangulation:
@@ -432,17 +445,8 @@ def apply_flip(tri: Triangulation, action: FlipAction) -> Triangulation:
 def _children(tri: Triangulation, table: CircuitTable) -> dict:
     """``{child mask: the first action reaching it}`` of ``tri``."""
     mask, first = tri.code(table.index), {}
-    flips, small = _realized(tri, table)
-    if small:
-        for action in flippable_circuits(tri, table):
-            first.setdefault(mask ^ action.masks[1], action)
-        return first
-    # the simplices of R ^ I span the circuit, of which one side is realized, so
-    # distinct flips of full circuits make distinct children
-    built = table._flips
-    for g in _bits(flips):
-        action = built[g] or table.flip(g)
-        first[mask ^ action.masks[1]] = action
+    for action in flippable_circuits(tri, table):
+        first.setdefault(mask ^ action.masks[1], action)
     return first
 
 

@@ -54,7 +54,7 @@ class SimplexIndex:
         self.n, self.k = n, k
         self._digits = f"0{math.comb(n, k)}b"  # the mask's bits, highest first
         self._bits = {}  # subset -> bit
-        self._subsets = {}  # bit -> subset, for every bit handed out
+        self._subsets = {}  # bit -> subset, for every bit handed out or decoded
 
     def __reduce__(self):
         return (simplex_index, (self.n, self.k))
@@ -72,7 +72,19 @@ class SimplexIndex:
         return b
 
     def subset(self, bit) -> tuple:
-        return self._subsets[bit]
+        """The k-subset on ``bit``: greedily, the largest c_j with C(c_j, k-j) left in
+        the bit gives s_j = n-1-c_j (the combinatorial number system)."""
+        s = self._subsets.get(bit)
+        if s is None:
+            n, rest, c, s = self.n, bit, self.n, []
+            for i in range(self.k, 0, -1):
+                c -= 1
+                while math.comb(c, i) > rest:
+                    c -= 1
+                rest -= math.comb(c, i)
+                s.append(n - 1 - c)
+            s = self._subsets[bit] = tuple(s)
+        return s
 
     def mask(self, subsets) -> int:
         m = 0
@@ -87,11 +99,11 @@ class SimplexIndex:
 
     def decode(self, mask) -> tuple:
         """The sorted tuple of the subsets on ``mask``'s bits."""
-        subsets = self._subsets
+        subsets, subset = self._subsets, self.subset
         out = []
         while mask:
             b = mask.bit_length() - 1
-            out.append(subsets[b])
+            out.append(subsets.get(b) or subset(b))
             mask ^= 1 << b
         return tuple(out)
 

@@ -8,12 +8,17 @@ degenerate point lists in 2D-4D compare the two: states in discovery order,
 each state's actions, each state's children in order, ``edge_count``,
 ``truncated`` and the reference values.  Two more tests pin the order
 argument (descending masks are ascending canonical keys) and the identity
-of a state however it was made: flipped, decoded, or read from a file.
+of a state however it was made: flipped, decoded, or read from a file; two
+more that a subset is a function of its bit alone, so a table used in one
+process walks the same in another.
 """
 
 import itertools
 import math
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,7 +32,7 @@ from flipforge.errors import DegenerateConfig
 from flipforge.flips import apply_flip, enumerate_circuits, enumerate_component, flippable_circuits
 from flipforge.flips import neighbors
 from flipforge.objectives import Objective, search_value
-from flipforge.triangulation import Triangulation
+from flipforge.triangulation import SimplexIndex, Triangulation
 from conftest import degenerate_point_lists, point_lists
 from face_oracle import face_map_actions
 from walk_oracle import successors, tuple_component
@@ -137,3 +142,43 @@ def test_a_pickled_table_codes_states_on_the_same_index():
     copy = pickle.loads(pickle.dumps(table))
     assert copy.index is table.index
     assert flippable_circuits(Triangulation(tri.simplices), copy) == flippable_circuits(tri, table)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (5, 2), (7, 3), (9, 4), (8, 8)])
+def test_a_fresh_index_unranks_every_bit(n, k):
+    coder, reader = SimplexIndex(n, k), SimplexIndex(n, k)
+    subsets = list(itertools.combinations(range(n), k))
+    assert [coder.bit(s) for s in subsets] == list(range(len(subsets)))[::-1]
+    assert [reader.subset(coder.bit(s)) for s in subsets] == subsets
+    assert SimplexIndex(n, k).decode(coder.mask(subsets[:3])) == tuple(subsets[:3])
+
+
+WORKER = """
+import pickle, sys
+from flipforge.flips import enumerate_component, flippable_circuits
+from flipforge.triangulation import Triangulation
+table, seed, want = pickle.load(sys.stdin.buffer)
+got = enumerate_component(Triangulation(seed), table, limit=40)
+actions = [[a.action_id for a in flippable_circuits(t, table)] for t in got.states.values()]
+sys.exit(0 if (list(got.states), actions) == want else 1)
+"""
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (3, 0), (0, 3), (3, 3), (1, 2), (2, 1)],
+    [(0, 0), (2, 0), (4, 0), (0, 2), (2, 2), (4, 2), (2, 1)],  # collinear triples
+], ids=["generic", "degenerate"])
+def test_a_used_table_walks_alike_in_a_fresh_interpreter(points):
+    # the table's caches are keyed by bits that this process handed out; a worker
+    # that never coded a state must read them as the same subsets
+    table = enumerate_circuits(ff.PointConfig(2, points))
+    seed = initial_triangulation(table.config)
+    walk = enumerate_component(seed, table, limit=40)
+    actions = [[a.action_id for a in flippable_circuits(t, table)] for t in walk.states.values()]
+    assert table._removing and table._retests
+    payload = pickle.dumps((table, seed.simplices, (list(walk.states), actions)))
+    src = str(Path(ff.__file__).resolve().parent.parent)
+    res = subprocess.run(
+        [sys.executable, "-c", WORKER], input=payload, capture_output=True, env={"PYTHONPATH": src}
+    )
+    assert res.returncode == 0, res.stderr.decode()

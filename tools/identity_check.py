@@ -21,7 +21,9 @@ each tree at ``FLIPFORGE_THREADS`` 1 and 2:
 Every command runs in a fresh directory under relative paths, so the written
 provenance is the same on both sides.  The output trees, stdout, stderr and
 exit codes must match byte for byte; the script prints each difference and
-exits 1 if there is one, 0 otherwise.
+exits 1 if there is one, 0 otherwise.  It has no list of expected
+differences: a change meant to alter an output fails it, and the printed
+paths are what a reviewer checks against the change's stated intent.
 """
 
 from __future__ import annotations
