@@ -5,10 +5,10 @@ dependence signs split it into two parts whose induced local triangulations
 can replace each other inside a larger triangulation whenever one of them is
 realized with a common link.  Circuits are computed once per configuration
 from the integer minors of the homogenized points, which the configuration
-takes in one Laplace pass and keeps (circuits are read off the maximal
-minors, the chirotope; De Loera, Rambau & Santos 2010); only the small
-subsets the minors prove to be circuits are eliminated, fraction-free
-(Bareiss 1968), and ``geometry.null_space`` reads their kernels off.
+takes in one Laplace pass and keeps (circuits and their dependences are read
+off the maximal minors, the chirotope; De Loera, Rambau & Santos 2010),
+with no elimination: a smaller circuit's dependence is the Cramer
+dependence of the circuit and a few points completing it to a basis.
 
 States and flips are integer-coded, as in TOPCOM (Rambau 2002) and mptopcom
 (Jordan, Joswig & Kastner 2018): the table's simplex index gives each
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import StaleAction
-from .geometry import PointConfig, null_space
+from .geometry import PointConfig
 from .triangulation import SimplexIndex, Triangulation, _edges, simplex_index
 
 
@@ -288,13 +288,14 @@ def enumerate_circuits(config: PointConfig) -> CircuitTable:
     nonzero prefix minor is independent, and one containing a dependent
     subset one point smaller is dependent but no circuit.  Because the
     configuration spans, any other with a zero prefix minor is dependent iff
-    every (d+1)-superset has a zero maximal minor; such a subset is a
-    circuit, since its facets are independent, and only it is eliminated
-    (``null_space`` of the integer columns) for its one-dimensional kernel.
+    every (d+1)-superset has a zero maximal minor; such a subset S is a
+    circuit, since its facets are independent.  Its dependence is read off
+    the maximal minors too: S minus its last point s is independent, and s
+    lies in its affine span, so the other points complete it to a basis by
+    some E with a nonzero minor; the one dependence of S + E is then S's,
+    padded with zeros on E.
     """
     n, size = config.n, config.dim + 1
-    rows, _scale = config.int_rows()
-    homogeneous = [(1,) + tuple(r) for r in rows]
     levels = config.prefix_minors()
     minors = levels[-1]
     circuits = []
@@ -314,9 +315,13 @@ def enumerate_circuits(config: PointConfig) -> CircuitTable:
                     for extra in itertools.combinations(rest, size - k)
                 ):
                     continue
-                # dependent with independent facets: rank k - 1, one kernel vector
-                (lam,), _d = null_space([[homogeneous[i][c] for i in subset] for c in range(size)])
-                circuits.append(_circuit(subset, lam))
+                face = subset[:-1]
+                completion = next(
+                    extra
+                    for extra in itertools.combinations(rest, size + 1 - k)
+                    if minors[tuple(sorted(face + extra))]
+                )
+                circuits.append(_circuit(subset, config.dependence(subset + completion)[:k]))
             level_dependent.add(subset)
         dependent = level_dependent
     circuits.sort(key=lambda c: c.vertices)

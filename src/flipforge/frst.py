@@ -39,8 +39,12 @@ class LatticeConfig:
     def __post_init__(self):
         if not self.config.is_lattice:
             raise ValueError("lattice configuration required")
-        full = lattice_points(self.config)
-        if sorted(full) != sorted(self.config.points):
+        points = self.config.points
+        if len(set(points)) < len(points):
+            twice = next(p for k, p in enumerate(points) if p in points[:k])
+            coords = ", ".join(str(c) for c in twice)
+            raise ValueError(f"the configuration lists the lattice point ({coords}) twice")
+        if lattice_points(self.config) != sorted(points):
             raise ValueError("configuration must contain every lattice point of its hull")
         if self.config.points[self.origin_index] != make_point([0] * self.config.dim):
             raise ValueError("origin index does not point at the origin")

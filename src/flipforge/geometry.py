@@ -8,13 +8,14 @@ arithmetic after clearing denominators once per operation.
 One beneath-beyond (placing) pass per configuration, run on first use and
 kept, serves the hull: its simplices are the placing triangulation and sum to
 the hull volume, and the distinct planes of its final boundary faces are the
-hull facets.  One Laplace pass of integer minors per configuration, also kept,
-serves the simplex determinants and the affine dependences of dim+2 points.
-Every other exact computation is one fraction-free elimination, ``rref``:
-ranks, the greedy affinely independent points the placing pass starts from,
-each hull plane (the kernel vector of its face's rows (x_i, -1)), stand-alone
-simplex volumes (the last pivot) and, through ``null_space``, every integer
-kernel basis.
+hull facets; a lattice configuration's lattice points are the integer points
+of its bounding box on the inner side of those facets' integer planes.  One
+Laplace pass of integer minors per configuration, also kept, serves the
+simplex determinants and the affine dependences of dim+2 points.  Every
+other exact computation is one fraction-free elimination, ``rref``: ranks,
+the greedy affinely independent points the placing pass starts from, each
+hull plane (through ``null_space``, the kernel vector of its face's edge
+vectors x_i - x_0) and stand-alone simplex volumes (the last pivot).
 
 Intended scale: small configurations (a few dozen points) in dimension <= 5,
 which covers ambient dimension <= 4 plus one lifting coordinate.
@@ -480,16 +481,20 @@ def placing_triangulation(config: PointConfig):
 
 
 def lattice_points(config: PointConfig):
-    """All integer points inside or on the hull, in lexicographic order."""
+    """All integer points inside or on the hull, in lexicographic order.
+
+    The bounding box is scanned in integers against the hull's facets in the
+    units ``convex_hull`` computed them in (a lattice configuration's
+    ``int_rows`` are its points, so each facet is a primitive integer normal
+    and offset); only the accepted points become ``Fraction`` points.
+    """
     if not config.is_lattice:
         raise ValueError("lattice_points requires a lattice configuration")
-    hull = config.hull()
-    lo = [min(p[i] for p in config.points) for i in range(config.dim)]
-    hi = [max(p[i] for p in config.points) for i in range(config.dim)]
-    ranges = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
-    out = []
-    for cand in itertools.product(*ranges):
-        point = make_point(cand)
-        if hull.contains(point):
-            out.append(point)
-    return out
+    planes = [(tuple(map(int, f.normal)), int(f.offset)) for f in config.hull().facets]
+    rows, _scale = config.int_rows()
+    ranges = [range(min(col), max(col) + 1) for col in zip(*rows)]
+    return [
+        make_point(cand)
+        for cand in itertools.product(*ranges)
+        if all(_plane_value(plane, cand) <= 0 for plane in planes)
+    ]

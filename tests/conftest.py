@@ -1,4 +1,6 @@
+import itertools
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -164,3 +166,12 @@ def degenerate_point_lists(draw, dim):
             )
         )
     return points
+
+
+def cross4d_box_points(seed, extra):
+    """The 4D cross-polytope conv{+-e_i}, the origin and ``extra`` more points of
+    {-1, 0, 1}^4 drawn with ``seed``: the random lattice sets of 4D FRST sampling."""
+    points = [tuple(s * int(i == a) for i in range(4)) for a in range(4) for s in (1, -1)]
+    points.append((0, 0, 0, 0))
+    rest = [p for p in itertools.product((-1, 0, 1), repeat=4) if p not in points]
+    return points + random.Random(seed).sample(rest, extra)

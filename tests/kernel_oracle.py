@@ -3,12 +3,14 @@
 ``geometry.rref`` is the one elimination in the package: hull planes are the
 kernel vector of a face's edge vectors ``x_i - x_0`` and simplex volumes its
 last pivot.  These are the Bareiss determinant, the cofactor normal and the
-kernel of the rows ``(x_i, -1)`` that those routes replaced.
+kernel of the rows ``(x_i, -1)`` that those routes replaced, and the
+``Fraction`` box scan that ``lattice_points``' integer scan replaced.
 """
 
+import itertools
 import math
 
-from flipforge.geometry import null_space
+from flipforge.geometry import make_point, null_space
 
 
 def _int_det(rows):
@@ -58,3 +60,18 @@ def _kernel_plane(rows, subset, inside_idx):
     if sum(a * b for a, b in zip(normal, rows[inside_idx])) - offset > 0:
         g = -g
     return tuple(v // g for v in normal), offset // g
+
+
+def box_scan_lattice_points(config):
+    """Every integer point of the bounding box that the hull contains, tested on
+    ``Fraction`` points against the ``Fraction`` facets, in lexicographic order."""
+    hull = config.hull()
+    lo = [min(p[i] for p in config.points) for i in range(config.dim)]
+    hi = [max(p[i] for p in config.points) for i in range(config.dim)]
+    ranges = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
+    out = []
+    for cand in itertools.product(*ranges):
+        point = make_point(cand)
+        if hull.contains(point):
+            out.append(point)
+    return out

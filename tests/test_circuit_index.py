@@ -1,8 +1,9 @@
 """Differential tests for the circuit layer against its brute-force oracles.
 
 ``enumerate_circuits`` builds tables from one Laplace pass of integer prefix
-minors and eliminates only the small subsets those minors prove dependent.
-Two oracles check it: a scan of every vertex subset with the exact Fraction
+minors, with no elimination: a small circuit's dependence is the Cramer
+dependence of the circuit and a few points completing it to a basis.  Two
+oracles check it: a scan of every vertex subset with the exact Fraction
 dependence kernel, and the per-minor Bareiss loop it replaced, whose tables
 must match field by field and in order.  The configuration's simplex
 determinants and Cramer dependences, lookups in the same minors, are checked
@@ -36,9 +37,11 @@ from flipforge.flips import (
     flippable_circuits,
     reverse_action,
 )
+from flipforge.frst import LatticeConfig
 from flipforge.geometry import PointConfig, _prefix_minors, dependence_kernel, rref
+from flipforge.io import read_point_config
 from flipforge.triangulation import Triangulation, link_of, validate
-from conftest import degenerate_point_lists, point_lists
+from conftest import cross4d_box_points, degenerate_point_lists, point_lists
 from face_oracle import face_map_actions
 from kernel_oracle import _int_det
 
@@ -177,6 +180,7 @@ FIXTURES = {
     "cross4d": CROSS4D,
     "cross4d_origin": CROSS4D_WITH_ORIGIN,
     "cross4d_14": CROSS4D_14,
+    "lattice4d": read_point_config(ff.fixture_path("lattice4d")),
 }
 
 
@@ -214,10 +218,8 @@ def check_minor_kernel(config):
 def check_minor_pass(config):
     """The table equals the per-minor loop's, every prefix minor is the leading
     determinant, the configuration keeps those minors, its lookups pass
-    ``check_minor_kernel``, and only circuits reach ``rref`` (through
-    ``null_space``): one call per circuit below dim+2 points, each on columns
-    of rank one less than their number.  Returns the table and each
-    elimination's (columns, rank)."""
+    ``check_minor_kernel``, and the table is built without a call to
+    ``rref``.  Returns the table."""
     rows, _scale = config.int_rows()
     homogeneous = [(1,) + tuple(r) for r in rows]
     levels = _prefix_minors(homogeneous, config.dim + 1)
@@ -231,27 +233,39 @@ def check_minor_pass(config):
     calls = []
 
     def recording_rref(rows):
-        m, pivots, d = rref(rows)
-        calls.append((len(rows[0]), len(pivots)))
-        return m, pivots, d
+        calls.append(rows)
+        return rref(rows)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(geometry, "rref", recording_rref)
         table = enumerate_circuits(config)
     assert table_fields(table) == table_fields(per_minor_circuits(config))
-    small = [c for c in table.circuits if len(c.vertices) <= config.dim + 1]
-    assert len(calls) == len(small)
-    assert all(rank == columns - 1 for columns, rank in calls)
-    return table, calls
+    assert calls == []
+    return table
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_minor_circuits_match_oracle_on_degenerate_fixtures(name):
     config = FIXTURES[name]
-    table, calls = check_minor_pass(config)
+    table = check_minor_pass(config)
     assert table_circuits(table) == subset_kernel_circuits(config)
-    small = [c for c in table.circuits if len(c.vertices) <= config.dim + 1]
-    assert small and len(calls) >= len(small)
+    assert any(len(c.vertices) <= config.dim + 1 for c in table.circuits)
+
+
+def test_lattice4d_fixture_has_the_stated_circuits():
+    config = FIXTURES["lattice4d"]
+    assert LatticeConfig.from_config(config).n == 12  # the origin is the one interior point
+    table = enumerate_circuits(config)
+    assert len(table) == 210
+    assert sum(len(c.vertices) <= config.dim + 1 for c in table.circuits) == 58
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_minor_pass_matches_the_elimination_oracles_on_cross4d_draws(seed):
+    config = ff.PointConfig(4, cross4d_box_points(seed, 2 + seed % 3))
+    table = check_minor_pass(config)
+    assert table_circuits(table) == subset_kernel_circuits(config)
+    assert any(len(c.vertices) <= config.dim + 1 for c in table.circuits)
 
 
 def test_minor_circuits_match_oracle_on_gen3d(gen3d):

@@ -22,8 +22,8 @@ from flipforge.geometry import (
     snap_to_rational,
 )
 from flipforge.triangulation import regular_from_heights
-from conftest import degenerate_point_lists, point_lists
-from kernel_oracle import _hyperplane_from_basis, _int_det, _kernel_plane
+from conftest import cross4d_box_points, degenerate_point_lists, point_lists
+from kernel_oracle import _hyperplane_from_basis, _int_det, _kernel_plane, box_scan_lattice_points
 
 
 def test_dependence_collinear_triple():
@@ -175,6 +175,27 @@ def test_lattice_points_cross_polytope_matches_box_scan_oracle():
             expected.append(p)
     assert sorted(pts) == sorted(expected)
     assert len(pts) == 7
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_lattice_points_match_the_fraction_box_scan_on_random_lattice_polytopes(dim, data):
+    coord = st.integers(-2, 2)
+    points = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=dim + 4))
+    try:
+        config = ff.PointConfig(dim, points)
+    except DegenerateConfig:
+        assume(False)
+    assert lattice_points(config) == box_scan_lattice_points(config)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_lattice_points_match_the_fraction_box_scan_on_cross4d_draws(seed):
+    config = ff.PointConfig(4, cross4d_box_points(seed, 2 + seed % 9))
+    points = lattice_points(config)
+    assert points == box_scan_lattice_points(config)
+    assert set(config.points) <= set(points)
 
 
 def test_lattice_points_requires_lattice():

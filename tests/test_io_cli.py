@@ -493,6 +493,17 @@ def test_cli_sample_frst_rejects_lattices_without_fine_star_triangulations(
     assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
+def test_cli_sample_frst_names_a_repeated_lattice_point(tmp_path, capsys):
+    poly = tmp_path / "diamond.poly"
+    poly.write_text("2 6 1\n1 0\n0 1\n0 0\n-1 0\n0 -1\n0 0\n")
+    code = run_cli("sample-frst", "--polytope", poly, "--out", tmp_path / "out")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "usage error: the configuration lists the lattice point (0, 0) twice\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_sample_frst_policy_locator_on_octahedron(tmp_path):
     # lifted starts on the octahedron can leave the origin unused
     data, train = tmp_path / "ds3", tmp_path / "train3"

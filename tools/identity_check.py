@@ -12,11 +12,12 @@ side carries a ``__pycache__`` or build left-over.  The command set runs in
 each tree at ``FLIPFORGE_THREADS`` 1 and 2:
 
 - ``gen`` in 2D, 3D and 4D;
-- ``enumerate --dump`` on square2d, octahedron3d and the 12-point lattice prism;
+- ``enumerate --dump`` on square2d, octahedron3d, the 12-point lattice prism and
+  the 12-point 4D lattice set;
 - ``search`` with every baseline strategy on every objective;
 - ``train`` (3D and 4D) and ``eval``;
 - ``sample-frst`` with the random-walk, lift-only and policy locators on the
-  prism, octahedron3d and the 4D cross-polytope.
+  prism, octahedron3d, the 4D cross-polytope and the 4D lattice set.
 
 Every command runs in a fresh directory under relative paths, so the written
 provenance is the same on both sides.  The output trees, stdout, stderr and
@@ -45,6 +46,9 @@ PRISM = sorted((x, y, z) for z in (-1, 0, 1) for (x, y) in ((1, 0), (0, 1), (-1,
 CROSS4D = sorted(
     [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)] + [(0, 0, 0, 0)]
 )
+# CROSS4D plus three points of {-1,0,1}^4 (the lattice4d fixture): 58 of its 210
+# circuits have fewer than six points.
+LATTICE4D = sorted(CROSS4D + [(-1, 0, 0, -1), (0, -1, -1, -1), (1, -1, -1, 1)])
 STRATEGIES = ("greedy", "dfs", "befs", "anneal", "random_walk")
 OBJECTIVES = ("min_simplices", "min_diameter", "min_weight", "frst_reach")
 
@@ -62,7 +66,7 @@ def commands():
             "gen", "--dim", str(dim), "--samples", str(samples), "--count", "2",
             "--seed", str(seed), "--seed-cap", "20", "--out", f"out/gen{dim}d",
         ]))
-    for name in ("square2d", "octahedron3d", "prism"):
+    for name in ("square2d", "octahedron3d", "prism", "lattice4d"):
         out.append((f"enumerate_{name}", [
             "enumerate", f"poly/{name}.poly", "--limit", "2000",
             "--dump", f"out/enumerate_{name}.tri",
@@ -85,7 +89,7 @@ def commands():
         "out/train3d/checkpoint_final.ckpt", "--budget", "10", "--starts", "2",
         "--ref-limit", "100", "--out", "out/eval3d",
     ]))
-    for name, dim in (("prism", 3), ("octahedron3d", 3), ("cross4d", 4)):
+    for name, dim in (("prism", 3), ("octahedron3d", 3), ("cross4d", 4), ("lattice4d", 4)):
         for locator in ("random-walk", "lift-only", "policy"):
             checkpoint = f"out/train{dim}d/checkpoint_final.ckpt"
             model = ["--checkpoint", checkpoint] if locator == "policy" else []
@@ -127,6 +131,7 @@ def run_all(tree: Path, run_dir: Path, threads: int):
         shutil.copyfile(fixture, run_dir / "poly" / f"{name}.poly")
     write_poly(run_dir / "poly" / "prism.poly", PRISM)
     write_poly(run_dir / "poly" / "cross4d.poly", CROSS4D)
+    write_poly(run_dir / "poly" / "lattice4d.poly", LATTICE4D)
     env = dict(
         os.environ,
         PYTHONPATH=str(tree / "src"),
