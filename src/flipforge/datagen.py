@@ -33,6 +33,12 @@ class GenSpec:
             raise ValueError("need at least dim+1 samples per draw")
         if self.count < 1:
             raise ValueError("target dataset size must be >= 1")
+        if self.count > 1 and (self.dim == 1 or self.samples == self.dim + 1):
+            shape = "segment" if self.dim == 1 else "simplex"
+            raise ValueError(
+                f"every draw of {self.samples} points in {self.dim}D is a {shape}, "
+                f"so no dataset holds {self.count} non-isomorphic ones"
+            )
         if self.snap_denominator < 1:
             raise ValueError(f"snap_denominator must be at least 1, got {self.snap_denominator}")
 
@@ -47,9 +53,12 @@ class Dataset:
 
 
 def sample_polytope(dim, samples, rng, snap_denominator=SNAP_DENOMINATOR):
-    """One draw: snap Gaussian samples, keep the hull's extreme points (sorted)."""
+    """One draw: snap Gaussian samples, keep the hull's extreme points (sorted).
+
+    A coarse grid can snap two samples onto one point; each is kept once.
+    """
     raw = rng.standard_normal((samples, dim))
-    pts = [snap_to_rational(row, snap_denominator) for row in raw]
+    pts = list(dict.fromkeys(snap_to_rational(row, snap_denominator) for row in raw))
     probe = PointConfig(dim, pts, is_lattice=False)
     extreme = sorted(probe.hull().extreme)
     chosen = sorted((probe.points[i] for i in extreme))

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .errors import StaleAction
 from .geometry import PointConfig
-from .triangulation import SimplexIndex, Triangulation, _edges, simplex_index
+from .triangulation import SimplexIndex, Triangulation, _edges, set_bits, simplex_index
 
 
 @dataclass(frozen=True)
@@ -209,9 +209,9 @@ class CircuitTable:
         if hit is None:
             removed, xor = action.masks
             cleared = 0
-            for b in _bits(removed):
+            for b in set_bits(removed):
                 cleared |= self.removing(b)[0]
-            tests = tuple(t for b in _bits(removed ^ xor) for t in self.removing(b)[1])
+            tests = tuple(t for b in set_bits(removed ^ xor) for t in self.removing(b)[1])
             hit = self._retests[action.masks] = (cleared, tests)
         return hit
 
@@ -248,18 +248,6 @@ class CircuitTable:
 
 
 _flip_id = operator.attrgetter("flip_id")
-
-
-def _bits(mask) -> list:
-    """The set bits of ``mask``, lowest first (read off its binary string, which
-    costs less than peeling bits off a long int)."""
-    digits, bits = bin(mask), []
-    top = len(digits) - 1
-    i = digits.rfind("1")
-    while i > 1:
-        bits.append(top - i)
-        i = digits.rfind("1", 0, i)
-    return bits
 
 
 def _circuit(subset, lam) -> Circuit:
@@ -428,7 +416,7 @@ def flippable_circuits(tri: Triangulation, table: CircuitTable):
     """
     flips, small = _realized(tri, table)
     built = table._flips
-    actions = [built[g] or table.flip(g) for g in _bits(flips)]
+    actions = [built[g] or table.flip(g) for g in reversed(set_bits(flips))]
     for action in small.values():
         bisect.insort(actions, action, key=_flip_id)
     return actions

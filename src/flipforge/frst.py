@@ -229,7 +229,6 @@ class LedgerEntry:
     elapsed_ms: int
     new_key: bool
     cumulative: int
-    key: int | None = None  # the new find's mask
 
 
 @dataclass
@@ -329,7 +328,6 @@ def sample_frsts(
                 elapsed_ms=int(round(clock.elapsed() * 1000)),
                 new_key=new,
                 cumulative=len(ledger.triangulations),
-                key=key if new else None,
             )
         )
     ledger.stop_reason = reason

@@ -420,7 +420,6 @@ def ppo_update(model: PolicyModel, buffer: RolloutBuffer, trainer: TrainerConfig
 class TrainResult:
     model: PolicyModel
     curve: list  # per-iteration records
-    counter: VisitCounter
 
 
 def train(
@@ -461,4 +460,4 @@ def train(
             on_iteration(record)
         if on_checkpoint is not None and iteration % trainer.checkpoint_every == 0:
             on_checkpoint(iteration, model)
-    return TrainResult(model=model, curve=curve, counter=counter)
+    return TrainResult(model=model, curve=curve)

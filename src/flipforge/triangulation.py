@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,13 +26,23 @@ Heights = tuple  # one Fraction per configuration point
 _ONES = bytes.maketrans(b"01", b"\0\1")  # binary digits as 0/1 selector bytes
 
 
+def set_bits(mask) -> list:
+    """The set bits of ``mask``, highest first: each step peels the top bit."""
+    bits = []
+    while mask:
+        b = mask.bit_length() - 1
+        bits.append(b)
+        mask ^= 1 << b
+    return bits
+
+
 @functools.cache
 def simplex_index(n, k):
     """The :class:`SimplexIndex` of the k-subsets of ``range(n)``.
 
-    One per (n, k) in a process, and unpickled as that one, so states coded
-    by a circuit table and by an objective on the same configuration share
-    it.  Its memo grows to at most C(n, k) entries.
+    Built once per (n, k) in a process, and unpickled as that one, so states
+    coded by a circuit table and by an objective on the same configuration
+    share it.
     """
     return SimplexIndex(n, k)
 
@@ -41,20 +50,21 @@ def simplex_index(n, k):
 class SimplexIndex:
     """One bit per k-subset of ``range(n)``, the lex-first subset on the highest bit.
 
-    The sorted subset s sits on bit sum_j C(n-1-s_j, k-j).  So a set of
-    simplices is one int, its mask, and its sorted tuple lists the mask's bits
-    from the highest down.  Descending mask order is ascending sorted-tuple
-    order for triangulations of one configuration: the highest differing bit
-    is the lex-first simplex of the symmetric difference, and no
+    The index is its lex table: ``subsets[b]`` is the sorted subset on bit b
+    and ``bits`` maps it back, C(n, k) entries (330 for 11 points in 3D).  So
+    a set of simplices is one int, its mask, and its sorted tuple lists the
+    mask's bits from the highest down.  Descending mask order is ascending
+    sorted-tuple order for triangulations of one configuration: the highest
+    differing bit is the lex-first simplex of the symmetric difference, and no
     triangulation's simplex set is a proper subset of another's (their volumes
     sum to the same total).  ``edges`` indexes the 2-subsets the same way.
     """
 
     def __init__(self, n, k):
         self.n, self.k = n, k
-        self._digits = f"0{math.comb(n, k)}b"  # the mask's bits, highest first
-        self._bits = {}  # subset -> bit
-        self._subsets = {}  # bit -> subset, for every bit handed out or decoded
+        self.subsets = tuple(itertools.combinations(range(n), k))[::-1]  # bit -> subset
+        self.bits = {s: b for b, s in enumerate(self.subsets)}  # subset -> bit
+        self._digits = f"0{len(self.subsets)}b"  # the mask's bits, highest first
 
     def __reduce__(self):
         return (simplex_index, (self.n, self.k))
@@ -64,46 +74,33 @@ class SimplexIndex:
         return simplex_index(self.n, 2)
 
     def bit(self, subset) -> int:
-        b = self._bits.get(subset)
-        if b is None:
-            n, k = self.n, len(subset)
-            b = self._bits[subset] = sum(math.comb(n - 1 - v, k - j) for j, v in enumerate(subset))
-            self._subsets[b] = subset
-        return b
+        return self.bits[subset]
 
     def subset(self, bit) -> tuple:
-        """The k-subset on ``bit``: greedily, the largest c_j with C(c_j, k-j) left in
-        the bit gives s_j = n-1-c_j (the combinatorial number system)."""
-        s = self._subsets.get(bit)
-        if s is None:
-            n, rest, c, s = self.n, bit, self.n, []
-            for i in range(self.k, 0, -1):
-                c -= 1
-                while math.comb(c, i) > rest:
-                    c -= 1
-                rest -= math.comb(c, i)
-                s.append(n - 1 - c)
-            s = self._subsets[bit] = tuple(s)
-        return s
+        return self.subsets[bit]
 
     def mask(self, subsets) -> int:
-        m = 0
+        bits, m = self.bits, 0
         for s in subsets:
-            m |= 1 << self.bit(s)
+            m |= 1 << bits[s]
         return m
 
     def select(self, values, mask):
         """``values[j]`` for each j-th k-subset in lex order whose bit is on in ``mask``,
-        in that order (the mask's bits from the highest down), as an iterator."""
+        in that order (the mask's bits from the highest down), as an iterator.
+
+        For dense masks, such as a 1-skeleton's edges: compressing by the
+        mask's binary digits costs less there than peeling its bits off
+        (``set_bits``)."""
         return itertools.compress(values, format(mask, self._digits).encode().translate(_ONES))
 
     def decode(self, mask) -> tuple:
-        """The sorted tuple of the subsets on ``mask``'s bits."""
-        subsets, subset = self._subsets, self.subset
-        out = []
+        """The sorted tuple of the subsets on ``mask``'s bits: ``set_bits``' peel,
+        inlined, which costs less than reading its list."""
+        subsets, out = self.subsets, []
         while mask:
             b = mask.bit_length() - 1
-            out.append(subsets.get(b) or subset(b))
+            out.append(subsets[b])
             mask ^= 1 << b
         return tuple(out)
 

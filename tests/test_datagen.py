@@ -142,6 +142,11 @@ def test_generate_spec_validation():
     for denominator in (0, -5):
         with pytest.raises(ValueError, match="snap_denominator must be at least 1"):
             GenSpec(dim=2, samples=4, count=1, snap_denominator=denominator)
+    # a simplex or a segment is every draw's type, so a second one never comes
+    for dim, samples in ((2, 3), (3, 4), (1, 2), (1, 6)):
+        GenSpec(dim=dim, samples=samples, count=1)
+        with pytest.raises(ValueError, match="non-isomorphic"):
+            GenSpec(dim=dim, samples=samples, count=2)
 
 
 def test_seed_triangulations_square(unit_square):

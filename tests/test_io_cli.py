@@ -932,6 +932,33 @@ def test_cli_gen_rejects_bad_caps_and_denominators(tmp_path, capsys, option, val
 
 
 @pytest.mark.parametrize(
+    "dim, samples, shape",
+    [(2, 3, "simplex"), (3, 4, "simplex"), (1, 5, "segment")],
+)
+def test_cli_gen_rejects_counts_that_no_draw_can_reach(tmp_path, capsys, dim, samples, shape):
+    # every draw is one combinatorial type, so a second configuration never comes
+    out = tmp_path / "gen"
+    assert run_cli("gen", "--dim", dim, "--samples", samples, "--count", 2, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: every draw of {samples} points in {dim}D is a {shape}, "
+        "so no dataset holds 2 non-isomorphic ones\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("denominator, seed", [(1, 1), (2, 4)])
+def test_cli_gen_writes_each_coarsely_snapped_point_once(tmp_path, denominator, seed):
+    # both draws snap two samples onto one extreme point
+    out = tmp_path / "gen"
+    argv = ["--samples", 20, "--count", 2, "--snap-denominator", denominator, "--seed", seed]
+    assert run_cli("gen", "--dim", 3, *argv, "--seed-cap", 30, "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    for cid in manifest["ids"]:
+        lines = (out / f"config_{cid}.poly").read_text().splitlines()[1:]
+        assert len(set(lines)) == len(lines) == manifest["vertex_counts"][cid]
+
+
+@pytest.mark.parametrize(
     "option, value, message",
     [
         ("--max-seconds", "nan", "max_seconds must be positive, got nan"),

@@ -10,12 +10,16 @@ each state's actions, each state's children in order, ``edge_count``,
 argument (descending masks are ascending canonical keys) and the identity
 of a state however it was made: flipped, decoded, or read from a file; two
 more that a subset is a function of its bit alone, so a table used in one
-process walks the same in another.
+process walks the same in another.  The bit arithmetic that preceded the
+index's lex table (the combinatorial number system's rank) and the
+binary-string bit reader that preceded ``set_bits`` are the oracles of the
+index and of the walker.
 """
 
 import itertools
 import math
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +36,7 @@ from flipforge.errors import DegenerateConfig
 from flipforge.flips import apply_flip, enumerate_circuits, enumerate_component, flippable_circuits
 from flipforge.flips import neighbors
 from flipforge.objectives import Objective, search_value
-from flipforge.triangulation import SimplexIndex, Triangulation
+from flipforge.triangulation import SimplexIndex, Triangulation, set_bits
 from conftest import degenerate_point_lists, point_lists
 from face_oracle import face_map_actions
 from walk_oracle import successors, tuple_component
@@ -144,6 +148,24 @@ def test_a_pickled_table_codes_states_on_the_same_index():
     assert flippable_circuits(Triangulation(tri.simplices), copy) == flippable_circuits(tri, table)
 
 
+def ranked_bit(subset, n) -> int:
+    """The combinatorial number system's rank, sum_j C(n-1-s_j, k-j): the bit that the
+    index's lex table puts the sorted subset on."""
+    k = len(subset)
+    return sum(math.comb(n - 1 - v, k - j) for j, v in enumerate(subset))
+
+
+def string_bits(mask) -> list:
+    """The set bits of ``mask``, lowest first, read off its binary string."""
+    digits, bits = bin(mask), []
+    top = len(digits) - 1
+    i = digits.rfind("1")
+    while i > 1:
+        bits.append(top - i)
+        i = digits.rfind("1", 0, i)
+    return bits
+
+
 @pytest.mark.parametrize("n,k", [(1, 1), (5, 2), (7, 3), (9, 4), (8, 8)])
 def test_a_fresh_index_unranks_every_bit(n, k):
     coder, reader = SimplexIndex(n, k), SimplexIndex(n, k)
@@ -151,6 +173,26 @@ def test_a_fresh_index_unranks_every_bit(n, k):
     assert [coder.bit(s) for s in subsets] == list(range(len(subsets)))[::-1]
     assert [reader.subset(coder.bit(s)) for s in subsets] == subsets
     assert SimplexIndex(n, k).decode(coder.mask(subsets[:3])) == tuple(subsets[:3])
+
+
+def test_the_lex_table_puts_every_subset_on_its_ranked_bit():
+    for n, k in itertools.product(range(1, 15), range(2, 6)):
+        index = SimplexIndex(n, k)
+        assert len(index.subsets) == math.comb(n, k)
+        for b, subset in enumerate(index.subsets):
+            assert index.bit(subset) == ranked_bit(subset, n) == b
+        picked = index.subsets[::3]
+        assert index.decode(index.mask(picked)) == tuple(sorted(picked))
+
+
+def test_set_bits_reads_the_binary_string():
+    rng = random.Random(25)
+    masks = [0, 1, 1 << 1999, (1 << 2000) - 1]
+    masks += [1 << rng.randrange(2000) for _ in range(20)]
+    masks += [rng.getrandbits(rng.choice([8, 64, 330, 924, 2000])) for _ in range(200)]
+    masks += [sum(1 << b for b in rng.sample(range(2000), 30)) for _ in range(50)]
+    for mask in masks:
+        assert set_bits(mask) == string_bits(mask)[::-1]
 
 
 WORKER = """
