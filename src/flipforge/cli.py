@@ -153,6 +153,8 @@ def cmd_gen(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.limit < 1:
         raise ValueError(f"limit must be at least 1, got {args.limit}")
+    if args.dump and not Path(args.dump).parent.is_dir():  # checked before the walk
+        raise FileNotFoundError(f"no directory {Path(args.dump).parent} for --dump {args.dump}")
     config = io.read_point_config(args.polytope)
     table = enumerate_circuits(config)
     seed = initial_triangulation(config)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import DegenerateHeights, FlipForgeError
 from .flips import CircuitTable, enumerate_circuits, flippable_circuits
 from .geometry import PointConfig, lattice_points, make_point, snap_to_rational
-from .objectives import Objective, ObjectiveCache
+from .objectives import Objective, ObjectiveCache, fine_and_regular
 from .search import SearchContext, Strategy
 from .triangulation import (
     Triangulation,
@@ -156,41 +156,29 @@ def nearby_frst_episode(
     start: Triangulation,
     strategy: Strategy | None,
     lattice: LatticeConfig,
-    table: CircuitTable,
-    rng,
-    budget: int = 50,
-    cache: ObjectiveCache | None = None,
+    ctx: SearchContext,
 ) -> EpisodeResult:
     """Sparse-reward search episode: succeed on the first fine regular state.
 
-    ``strategy`` moves by :meth:`SearchContext.step`, drawing from the
-    generator ``rng`` and, if it reads values, scoring states by
-    ``frst_reach``; the episode ends early at a state with no flips.
-    Without a strategy (lift-only) only the start is checked.  The found
-    state is closed into a star triangulation, reusing the witness of its
-    regularity certificate.  Only fine states reach the regularity oracle,
-    so each distinct fine state costs at most one LP.
+    ``strategy`` moves along :meth:`SearchContext.walk` of ``ctx``, the
+    run's ``frst_reach`` context, for ``ctx.budget`` steps; the episode ends
+    early at a step that stays at a state with no flips.  Without a strategy
+    (lift-only) only the start is checked.  The found state is closed into a
+    star triangulation, reusing the witness of its regularity certificate.
+    Only fine states reach the regularity oracle, so each distinct fine
+    state costs at most one LP.
     """
-    cache = cache if cache is not None else ObjectiveCache()
-    config = lattice.config
-    ctx = SearchContext(config, table, Objective.FRST_REACH, cache, seed=rng, budget=budget)
-    current = start
-    visited = [current.canonical_key]
-    if strategy is not None:
-        strategy.reset(current, ctx)
-    for step in range(budget + 1):
-        if is_fine(current, config):
-            cert = certify_regularity(current, config, cache.certificates)
-            if cert.regular:
-                closed = star_closure(current, lattice, cert.vector, cache)
-                return EpisodeResult(True, step, closed, visited)
-        if strategy is None or step == budget:
-            break
-        nxt, _action = ctx.step(strategy, current)
-        if nxt is current and not flippable_circuits(current, table):
+    walk = ctx.walk(strategy, start) if strategy is not None else [(start, None)]
+    visited, previous = [], None
+    for step, (current, _action) in enumerate(walk):
+        if current is previous and not flippable_circuits(current, ctx.table):
             break  # a state with no flips ends the episode
-        current = nxt
         visited.append(current.canonical_key)
+        cert = fine_and_regular(current, lattice.config, ctx.cache)
+        if cert is not None:
+            closed = star_closure(current, lattice, cert.vector, ctx.cache)
+            return EpisodeResult(True, step, closed, visited)
+        previous = current
     return EpisodeResult(False, len(visited) - 1, None, visited)
 
 
@@ -209,8 +197,9 @@ class SamplerConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if not math.isfinite(self.height_std):
             raise ValueError(f"height_std must be finite, got {self.height_std!r}")
-        if self.max_iterations < 0 or self.retry_limit < 1:
-            raise ValueError("bad iteration or retry bound")
+        for name, least in (("max_iterations", 0), ("retry_limit", 1)):
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
 
     def stop_reason(self, iterations, elapsed, consecutive_retries):
         """The first stopping rule that holds, or None to keep sampling."""
@@ -283,7 +272,9 @@ def sample_frsts(
 ) -> FrstLedger:
     """Budgeted sampling loop with the consecutive-retry stopping rule.
 
-    Every ledger insertion is re-verified fine+regular+star; regularity by an
+    The episodes share one ``frst_reach`` search context, so one generator
+    (``rng``, which also draws the lifts), one cache and one set of
+    validated states.  Every ledger insertion is re-verified fine+regular+star; regularity by an
     exact check of the certificate its star closure cached, so no LP is
     solved again.  Stops on the iteration cap, the time cap, or
     ``retry_limit`` consecutive iterations that discover nothing new, and
@@ -293,6 +284,9 @@ def sample_frsts(
     table = table if table is not None else enumerate_circuits(config)
     clock = clock if clock is not None else VirtualClock()
     cache = cache if cache is not None else ObjectiveCache()
+    ctx = SearchContext(
+        config, table, Objective.FRST_REACH, cache, seed=rng, budget=sampler.flip_budget
+    )
     ledger = FrstLedger()
     consecutive_retries = 0
     iteration = 0
@@ -300,15 +294,7 @@ def sample_frsts(
         reason := sampler.stop_reason(iteration, clock.elapsed(), consecutive_retries)
     ) is None:
         start = _lifted_start(config, sampler, rng)
-        result = nearby_frst_episode(
-            start,
-            strategy,
-            lattice,
-            table,
-            rng,
-            budget=sampler.flip_budget,
-            cache=cache,
-        )
+        result = nearby_frst_episode(start, strategy, lattice, ctx)
         clock.tick()
         new = False
         if result.success:

@@ -71,7 +71,7 @@ def evaluate(
         # the lengths come in lex edge order, the order of the bits from the highest down
         value = left_sum(index.edges.select(config.edge_lengths().values(), tri.edge_code()))
     elif objective is Objective.FRST_REACH:
-        value = 1.0 if fine_and_regular(tri, config, cache) else 0.0
+        value = 0.0 if fine_and_regular(tri, config, cache) is None else 1.0
     else:  # pragma: no cover
         raise ValueError(objective)
     if cache is not None:
@@ -79,14 +79,16 @@ def evaluate(
     return value
 
 
-def fine_and_regular(
-    tri: Triangulation, config: PointConfig, cache: ObjectiveCache | None = None
-) -> bool:
-    """Fine and certified regular by the cached regularity oracle."""
+def fine_and_regular(tri: Triangulation, config: PointConfig, cache: ObjectiveCache | None = None):
+    """The state's regularity certificate if it is fine and regular, else ``None``.
+
+    Only a fine state asks the cached regularity oracle.
+    """
     if not is_fine(tri, config):
-        return False
+        return None
     certificates = cache.certificates if cache is not None else None
-    return certify_regularity(tri, config, certificates).regular
+    cert = certify_regularity(tri, config, certificates)
+    return cert if cert.regular else None
 
 
 def search_value(

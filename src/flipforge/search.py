@@ -21,15 +21,16 @@ from .triangulation import Triangulation, require_valid
 
 @dataclass(eq=False)
 class SearchContext:
-    """What the steps of one run, or of one training environment, share.
+    """What a run's walks, or a training environment's steps, share.
 
     Besides the objective's cache, a context keeps the masks (on the table's
     simplex index) of the states that passed ``validate``; the verdict
     depends only on the simplices and the configuration, so a revisited
     state is not validated again.  The generator is seeded from ``seed`` on
     the first draw, so strategies that never draw never load numpy; a
-    ``Generator`` passed as the seed is used as it is.  ``budget`` is the run's step count, for
-    strategies whose schedule spans the run.  Contexts hash by identity.
+    ``Generator`` passed as the seed is used as it is.  ``budget`` is the
+    step count of each walk, which strategies whose schedule spans the walk
+    read.  Contexts hash by identity.
     """
 
     config: PointConfig
@@ -52,17 +53,31 @@ class SearchContext:
     def value(self, tri):
         return search_value(self.objective, tri, self.config, self.cache)
 
-    def step(self, strategy, tri):
-        """One move of ``strategy`` from ``tri``: ``(successor, action or None)``.
+    def walk(self, strategy, start):
+        """Yield ``(state, action or None)``: ``start``, then each of ``budget`` steps.
 
-        The flips of ``tri`` are scanned (cached on the state, so a caller
-        that looked at them first pays no second scan), the strategy moves,
-        and a new successor is admitted.
+        The strategy is reset to ``start``.  A step scans the state's flips
+        (cached on the state, so a caller that looks at them again pays no
+        second scan), lets the strategy move, and admits a new successor.  A
+        strategy whose move depends only on the state (``replays``) moves
+        once from each state of the walk, by mask; a return to that state
+        replays the move without a scan.
         """
-        nxt, action = strategy.step(tri, flippable_circuits(tri, self.table), self)
-        if nxt is not tri:
-            self.admit(nxt)
-        return nxt, action
+        strategy.reset(start, self)
+        moves = {}  # state mask -> move, for a strategy that replays
+        move = (start, None)
+        yield move
+        for _ in range(self.budget):
+            tri = move[0]
+            key = tri.code(self.table.index) if strategy.replays else None
+            move = moves.get(key)
+            if move is None:
+                move = strategy.step(tri, flippable_circuits(tri, self.table), self)
+                if move[0] is not tri:
+                    self.admit(move[0])
+                if key is not None:
+                    moves[key] = move
+            yield move
 
     def admit(self, nxt):
         """Validate the flipped state ``nxt`` on its first arrival in this context."""
@@ -105,6 +120,7 @@ class Strategy:
     """One instance per worker; ``reset`` binds it to a start state."""
 
     name = "base"
+    replays = False  # the move depends only on the state (see SearchContext.walk)
 
     def reset(self, tri, ctx: SearchContext):
         pass
@@ -117,30 +133,19 @@ class Strategy:
 class GreedyStrategy(Strategy):
     """Always applies the best flip, falling back to the least-bad one.
 
-    The move depends only on the state, so a run remembers the move it made
-    from each state, by mask, and replays it when the walk returns there;
-    greedy walks settle into short cycles, so most steps are such returns.
+    The move depends only on the state, so a walk replays it when it returns
+    there; greedy walks settle into short cycles, so most steps are such
+    returns.
     """
 
     name = "greedy"
-
-    def reset(self, tri, ctx):
-        self.moves = {}
+    replays = True
 
     def step(self, tri, actions, ctx):
         if not actions:
             return tri, None
-        key = tri.code(ctx.table.index)
-        move = self.moves.get(key)
-        if move is None:
-            best = None
-            for action in actions:
-                nxt = apply_flip(tri, action)
-                v = ctx.value(nxt)
-                if best is None or v < best[0]:
-                    best = (v, nxt, action)
-            move = self.moves[key] = best[1:]
-        return move
+        moves = ((apply_flip(tri, action), action) for action in actions)
+        return min(moves, key=lambda move: ctx.value(move[0]))  # the first best
 
 
 class _FrontierStrategy(Strategy):
@@ -308,7 +313,7 @@ class AcceptanceStrategy(_LearnedStrategy):
 class PolicyStrategy(_LearnedStrategy):
     """Learned flip ranking: scores all feasible actions and picks one.
 
-    An argmax move depends only on the state, so a run replays it, as greedy's.
+    An argmax move depends only on the state, so a walk replays it, as greedy's.
     """
 
     name = "policy"
@@ -320,17 +325,9 @@ class PolicyStrategy(_LearnedStrategy):
         super().__init__(model)
         self.mode = mode
 
-    def reset(self, tri, ctx):
-        self.moves = {}
-
-    def step(self, tri, actions, ctx):
-        if self.mode == "sample":
-            return super().step(tri, actions, ctx)
-        key = tri.code(ctx.table.index)
-        move = self.moves.get(key)
-        if move is None:
-            move = self.moves[key] = super().step(tri, actions, ctx)
-        return move
+    @property
+    def replays(self):
+        return self.mode == "argmax"
 
     def choose(self, head, count, rng):
         """The most probable action of the distribution ``head``, or one drawn from it."""
@@ -406,7 +403,7 @@ def run_budgeted(
     """Run exactly ``budget`` strategy steps from the seed, tracking the best.
 
     Deterministic given ``seed``, which seeds the generator of the strategies
-    that draw.  Each step is :meth:`SearchContext.step`, so every flipped
+    that draw.  The run is :meth:`SearchContext.walk`, so every flipped
     state is validated on its first arrival.  Each record counts the
     feasible flips of its state.
     """
@@ -419,11 +416,7 @@ def run_budgeted(
         budget=budget,
     )
     trace = SearchTrace()
-    current, action = seed_tri, None
-    strategy.reset(current, ctx)
-    for step in range(budget + 1):
-        if step:
-            current, action = ctx.step(strategy, current)
+    for step, (current, action) in enumerate(ctx.walk(strategy, seed_tri)):
         action_id = action.action_id if action else None
         actions = len(flippable_circuits(current, table))
         trace.visit(step, action_id, current, ctx.value(current), actions)

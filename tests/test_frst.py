@@ -15,7 +15,8 @@ from flipforge.frst import (
 )
 from flipforge.errors import FlipForgeError
 from flipforge.io import read_point_config
-from flipforge.search import RandomWalkStrategy, make_strategy
+from flipforge.objectives import Objective
+from flipforge.search import RandomWalkStrategy, SearchContext, make_strategy
 from flipforge.triangulation import Triangulation, is_fine, is_regular, is_star, validate
 
 
@@ -30,6 +31,11 @@ def square_lattice_table(square_lattice):
 
 
 RANDOM_WALK = RandomWalkStrategy()
+
+
+def reach(table, seed, budget):
+    """An episode's ``frst_reach`` context on the table's configuration."""
+    return SearchContext(table.config, table, Objective.FRST_REACH, seed=seed, budget=budget)
 
 SQUARE_FAN = Triangulation(
     [(0, 1, 4), (0, 3, 4), (1, 2, 4), (2, 4, 5), (3, 4, 6), (4, 5, 8), (4, 6, 7), (4, 7, 8)]
@@ -123,12 +129,7 @@ def test_star_closure_witness_recheck(square_lattice):
 
 def test_episode_success_at_step_zero(square_lattice, square_lattice_table):
     result = nearby_frst_episode(
-        SQUARE_FAN,
-        RANDOM_WALK,
-        square_lattice,
-        square_lattice_table,
-        np.random.default_rng(0),
-        budget=50,
+        SQUARE_FAN, RANDOM_WALK, square_lattice, reach(square_lattice_table, 0, 50)
     )
     assert result.success and result.steps == 0
     assert result.closed.canonical_key == SQUARE_FAN.canonical_key
@@ -137,12 +138,7 @@ def test_episode_success_at_step_zero(square_lattice, square_lattice_table):
 def test_episode_budget_zero_nonfine_start(square_lattice, square_lattice_table):
     corners = Triangulation([(0, 2, 6), (2, 6, 8)])
     result = nearby_frst_episode(
-        corners,
-        RANDOM_WALK,
-        square_lattice,
-        square_lattice_table,
-        np.random.default_rng(0),
-        budget=0,
+        corners, RANDOM_WALK, square_lattice, reach(square_lattice_table, 0, 0)
     )
     assert not result.success
 
@@ -159,12 +155,7 @@ def test_episode_reachability_matches_bfs(square_lattice, square_lattice_table):
     successes = 0
     for seed in range(12):
         result = nearby_frst_episode(
-            corners,
-            RANDOM_WALK,
-            square_lattice,
-            square_lattice_table,
-            np.random.default_rng(seed),
-            budget=50,
+            corners, RANDOM_WALK, square_lattice, reach(square_lattice_table, seed, 50)
         )
         successes += result.success
     assert successes > 0
@@ -174,12 +165,7 @@ def test_episode_reachability_matches_bfs(square_lattice, square_lattice_table):
 def test_episode_takes_any_model_free_strategy(name, square_lattice, square_lattice_table):
     corners = Triangulation([(0, 2, 6), (2, 6, 8)])
     result = nearby_frst_episode(
-        corners,
-        make_strategy(name),
-        square_lattice,
-        square_lattice_table,
-        np.random.default_rng(0),
-        budget=30,
+        corners, make_strategy(name), square_lattice, reach(square_lattice_table, 0, 30)
     )
     # a strategy that stays at a state with flips left spends its step
     assert result.steps == len(result.visited_keys) - 1 <= 30
@@ -292,16 +278,50 @@ def test_episode_states_all_valid(square_lattice, square_lattice_table):
             return super().step(tri, actions, ctx)
 
     nearby_frst_episode(
-        start,
-        TrackingWalk(),
-        square_lattice,
-        square_lattice_table,
-        np.random.default_rng(2),
-        budget=20,
+        start, TrackingWalk(), square_lattice, reach(square_lattice_table, 2, 20)
     )
     assert visited
     for tri in visited:
         assert validate(tri, square_lattice.config).ok
+
+
+def test_a_sampling_run_validates_each_flipped_state_once(
+    square_lattice, square_lattice_table, monkeypatch
+):
+    import flipforge.search as search
+
+    validated, episodes = [], []
+    real = search.require_valid
+
+    def require_valid(tri, config):
+        validated.append(tri.canonical_key)
+        real(tri, config)
+
+    monkeypatch.setattr(search, "require_valid", require_valid)
+
+    class RecordingWalk(RandomWalkStrategy):
+        """A random walk that notes, per episode, the states its flips reach."""
+
+        def reset(self, tri, ctx):
+            episodes.append([])
+
+        def step(self, tri, actions, ctx):
+            nxt, action = super().step(tri, actions, ctx)
+            if action is not None:
+                episodes[-1].append(nxt.canonical_key)
+            return nxt, action
+
+    sample_frsts(
+        square_lattice,
+        SamplerConfig(max_iterations=30, retry_limit=30),
+        RecordingWalk(),
+        np.random.default_rng(4),
+        table=square_lattice_table,
+    )
+    flipped = [key for episode in episodes for key in episode]
+    # episodes reach states that earlier episodes reached
+    assert sum(len(set(episode)) for episode in episodes) > len(set(flipped))
+    assert validated == list(dict.fromkeys(flipped))
 
 
 def test_episode_invalid_flipped_state_raises(monkeypatch, square_lattice, square_lattice_table):
@@ -312,10 +332,5 @@ def test_episode_invalid_flipped_state_raises(monkeypatch, square_lattice, squar
     corners = Triangulation([(0, 2, 6), (2, 6, 8)])
     with pytest.raises(FlipForgeError, match="invalid triangulation"):
         nearby_frst_episode(
-            corners,
-            RANDOM_WALK,
-            square_lattice,
-            square_lattice_table,
-            np.random.default_rng(0),
-            budget=5,
+            corners, RANDOM_WALK, square_lattice, reach(square_lattice_table, 0, 5)
         )

@@ -172,6 +172,20 @@ def test_cli_enumerate_rejects_a_limit_below_one(tmp_path, capsys, limit):
     assert captured.out == "" and not dump.exists()
 
 
+def test_cli_enumerate_checks_the_dump_directory_before_the_walk(tmp_path, capsys, monkeypatch):
+    import flipforge.cli as cli
+
+    def walk(*args, **kwargs):
+        raise AssertionError("the component was walked")
+
+    monkeypatch.setattr(cli, "enumerate_component", walk)
+    dump = tmp_path / "nodir" / "states.tri"
+    assert run_cli("enumerate", ff.fixture_path("square2d"), "--dump", dump) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: no directory {dump.parent} for --dump {dump}\n"
+    assert captured.out == ""
+
+
 def test_cli_enumerate_missing_file():
     assert run_cli("enumerate", "/nonexistent/file.poly") == 3
 
@@ -970,6 +984,24 @@ def test_cli_gen_writes_each_coarsely_snapped_point_once(tmp_path, denominator, 
 def test_cli_sample_frst_rejects_nan_and_infinite_options(tmp_path, capsys, option, value, message):
     code = run_cli(
         "sample-frst", "--polytope", ff.fixture_path("triangle2d"), option, value,
+        "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--max-iterations", "-1", "max_iterations must be at least 0, got -1"),
+        ("--retry-limit", "0", "retry_limit must be at least 1, got 0"),
+    ],
+)
+def test_cli_sample_frst_names_a_bad_iteration_or_retry_bound(
+    tmp_path, capsys, option, value, message
+):
+    code = run_cli(
+        "sample-frst", "--polytope", ff.fixture_path("square2d"), option, value,
         "--out", tmp_path / "out",
     )
     assert code == 2

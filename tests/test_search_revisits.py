@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import flipforge as ff
+import flipforge.search as search
 import flipforge.triangulation as triangulation
 from flipforge.datagen import initial_triangulation
 from flipforge.errors import DegenerateConfig, FlipForgeError
@@ -239,8 +240,7 @@ def test_reused_states_record_the_reference_steps(dim, data):
 class ReferencePolicy(PolicyStrategy):
     """The policy as it was: every step runs the model on its state."""
 
-    def step(self, tri, actions, ctx):
-        return super(PolicyStrategy, self).step(tri, actions, ctx)
+    replays = False
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -292,6 +292,40 @@ def test_greedy_validates_each_distinct_state_once(hexagon, hexagon_table, monke
     # greedy settles into a cycle, so most of its 40 arrivals are revisits
     assert len(arrivals) == 40 and len(set(arrivals)) < 10
     assert sorted(validated) == sorted(set(arrivals))
+
+
+@pytest.mark.parametrize("mode", ["greedy", "argmax"])
+def test_a_replaying_walk_steps_and_scans_once_per_state(
+    mode, hexagon, hexagon_table, monkeypatch
+):
+    fan = Triangulation([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)])
+    if mode == "greedy":
+        strategy = make_strategy("greedy")
+    else:
+        model = PolicyModel.initialize(ModelConfig(input_dim=2, hidden=8), seed=1)
+        strategy = make_strategy("policy", model=model, params={"mode": mode})
+    moved_from, scans = [], []
+    real_step, real_scan = strategy.step, search.flippable_circuits
+
+    def step(tri, actions, ctx):
+        moved_from.append(tri.canonical_key)
+        return real_step(tri, actions, ctx)
+
+    def scan(tri, table):
+        scans.append(tri.canonical_key)
+        return real_scan(tri, table)
+
+    strategy.step = step
+    monkeypatch.setattr(search, "flippable_circuits", scan)
+    trace = run_budgeted(
+        strategy, fan, Objective.MIN_WEIGHT, 40, config=hexagon, table=hexagon_table
+    )
+    # 40 steps on the hexagon's 14 triangulations return to states; a return
+    # replays the move made there
+    walked = [state.canonical_key for state in trace.states[:-1]]
+    assert moved_from == list(dict.fromkeys(walked)) and len(moved_from) < len(walked)
+    # the records count every state's flips; the walk scans only for the strategy
+    assert len(scans) == len(trace.records) + len(moved_from)
 
 
 @pytest.mark.parametrize("name", ["greedy", "random_walk"])

@@ -1,11 +1,12 @@
 """FRST episodes and seed sets against the loops they replaced.
 
-An FRST episode is stepped by a search strategy through
-``SearchContext.step``, the rule ``run_budgeted`` uses.  The reference below
-is the episode loop as it was before: a chooser function picks each flip and
-``require_valid`` runs on every flipped state.  ``seed_triangulations`` is one
-capped ``enumerate_component`` call; its reference is the breadth-first loop
-it replaced.  Both pairs must agree exactly.
+An FRST episode is a search strategy's walk, ``SearchContext.walk``, the
+loop ``run_budgeted`` iterates; a sampling run's episodes share one context.
+The reference below is the episode loop as it was before: a chooser function
+picks each flip and ``require_valid`` runs on every flipped state.
+``seed_triangulations`` is one capped ``enumerate_component`` call; its
+reference is the breadth-first loop it replaced.  Both pairs must agree
+exactly.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ from flipforge.frst import (
     star_closure,
 )
 from flipforge.io import read_point_config
-from flipforge.objectives import ObjectiveCache
+from flipforge.objectives import Objective, ObjectiveCache
 from flipforge.policy import (
     ModelConfig,
     PolicyModel,
@@ -34,7 +35,7 @@ from flipforge.policy import (
     policy_distribution,
     state_graph,
 )
-from flipforge.search import make_strategy
+from flipforge.search import SearchContext, make_strategy
 from flipforge.triangulation import Triangulation, certify_regularity, is_fine, require_valid
 
 PRISM = ff.PointConfig(
@@ -101,6 +102,12 @@ def reference_episode(start, chooser, lattice, table, rng, budget=50, cache=None
     return EpisodeResult(False, len(visited) - 1, None, visited)
 
 
+def strategy_episode(start, strategy, lattice, table, rng, budget=50):
+    """``nearby_frst_episode`` in a context of its own, under the reference's arguments."""
+    ctx = SearchContext(lattice.config, table, Objective.FRST_REACH, seed=rng, budget=budget)
+    return nearby_frst_episode(start, strategy, lattice, ctx)
+
+
 def reference_seeds(config, cap):
     """The breadth-first seed loop before it became a capped component traversal."""
     table = enumerate_circuits(config)
@@ -155,7 +162,7 @@ def test_strategy_episodes_match_the_chooser_loop(name):
                 )
                 for episode, locator in (
                     (reference_episode, chooser),
-                    (nearby_frst_episode, strategy),
+                    (strategy_episode, strategy),
                 )
             ]
             assert summary(results[1]) == summary(results[0]), (strategy.name, seed)
@@ -174,8 +181,8 @@ def test_sampler_ledgers_match_the_chooser_loop(name, monkeypatch):
     monkeypatch.setattr(
         frst,
         "nearby_frst_episode",
-        lambda start, _strategy, *args, **kwargs: reference_episode(
-            start, random_walk_chooser, *args, **kwargs
+        lambda start, _strategy, lattice, ctx: reference_episode(
+            start, random_walk_chooser, lattice, ctx.table, ctx.rng, ctx.budget, ctx.cache
         ),
     )
     got = sample_frsts(lat, sampler, None, np.random.default_rng(8), table=table)

@@ -15,9 +15,11 @@ each tree at ``FLIPFORGE_THREADS`` 1 and 2:
 - ``enumerate --dump`` on square2d, octahedron3d, the 12-point lattice prism and
   the 12-point 4D lattice set;
 - ``search`` with every baseline strategy on every objective;
-- ``train`` (3D and 4D) and ``eval``;
+- ``train`` (3D and 4D, and the 3D ``nls_accept`` actor), ``search`` with the
+  ``nls_accept`` strategy, and ``eval`` in argmax and sample mode;
 - ``sample-frst`` with the random-walk, lift-only and policy locators on the
-  prism, octahedron3d, the 4D cross-polytope and the 4D lattice set.
+  prism, octahedron3d, the 4D cross-polytope and the 4D lattice set, and the
+  sample-mode policy locator on the prism.
 
 Every command runs in a fresh directory under relative paths, so the written
 provenance is the same on both sides.  The output trees, stdout, stderr and
@@ -78,17 +80,25 @@ def commands():
                 "--budget", "20", "--starts", "2", "--ref-limit", "300", "--seed", "1",
                 "--out", f"out/search_{strategy}_{objective}",
             ]))
-    for dim in (3, 4):
-        out.append((f"train{dim}d", [
+    for name, dim, actor in (
+        ("train3d", 3, []), ("train4d", 4, []), ("train3d_nls", 3, ["--actor", "nls_accept"]),
+    ):
+        out.append((name, [
             "train", "--data", f"out/gen{dim}d", "--objective", "min_weight", "--iterations", "2",
-            "--envs", "3", "--horizon", "5", "--hidden", "8", "--checkpoint-every", "2",
-            "--seed", "1", "--out", f"out/train{dim}d",
+            "--envs", "3", "--horizon", "5", "--hidden", "8", "--checkpoint-every", "2", *actor,
+            "--seed", "1", "--out", f"out/{name}",
         ]))
-    out.append(("eval3d", [
-        "eval", "--data", "out/gen3d", "--objective", "min_weight", "--checkpoint",
-        "out/train3d/checkpoint_final.ckpt", "--budget", "10", "--starts", "2",
-        "--ref-limit", "100", "--out", "out/eval3d",
+    out.append(("search_nls_accept_min_weight", [
+        "search", "--data", "out/gen3d", "--objective", "min_weight", "--strategy", "nls_accept",
+        "--checkpoint", "out/train3d_nls/checkpoint_final.ckpt", "--budget", "20", "--starts",
+        "2", "--ref-limit", "300", "--seed", "1", "--out", "out/search_nls_accept_min_weight",
     ]))
+    for name, mode in (("eval3d", []), ("eval3d_sample", ["--mode", "sample"])):
+        out.append((name, [
+            "eval", "--data", "out/gen3d", "--objective", "min_weight", "--checkpoint",
+            "out/train3d/checkpoint_final.ckpt", "--budget", "10", "--starts", "2",
+            "--ref-limit", "100", *mode, "--out", f"out/{name}",
+        ]))
     for name, dim in (("prism", 3), ("octahedron3d", 3), ("cross4d", 4), ("lattice4d", 4)):
         for locator in ("random-walk", "lift-only", "policy"):
             checkpoint = f"out/train{dim}d/checkpoint_final.ckpt"
@@ -98,6 +108,11 @@ def commands():
                 "--max-iterations", "12", "--budget", "15", "--seed", "2",
                 "--out", f"out/frst_{name}_{locator}",
             ]))
+    out.append(("frst_prism_policy_sample", [
+        "sample-frst", "--polytope", "poly/prism.poly", "--locator", "policy", "--mode", "sample",
+        "--checkpoint", "out/train3d/checkpoint_final.ckpt", "--max-iterations", "12",
+        "--budget", "15", "--seed", "2", "--out", "out/frst_prism_policy_sample",
+    ]))
     return out
 
 
