@@ -422,6 +422,12 @@ def flippable_circuits(tri: Triangulation, table: CircuitTable):
     return actions
 
 
+def flip_count(tri: Triangulation, table: CircuitTable) -> int:
+    """``len(flippable_circuits(tri, table))``, read off the realized flips; builds no list."""
+    flips, small = _realized(tri, table)
+    return flips.bit_count() + len(small)
+
+
 def apply_flip(tri: Triangulation, action: FlipAction) -> Triangulation:
     """Replace the realized local subtriangulation by the other side.
 

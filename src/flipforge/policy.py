@@ -8,13 +8,13 @@ each feasible flip by pooling over the simplices it would remove.  Ablation
 actors drop the simplicial propagation ("egnn_only") or the realized local
 structure altogether ("pool_mlp").
 
-Everything a forward pass reads from a state (edge indices, inverse degrees,
-coordinates, simplex rows, the sparse Laplacian and each action's pooling
-rows) is one :class:`StateGraph`, built once per visited state; several
-states are evaluated together as the disjoint union of their graphs, and a
-single state is a batch of one.  Each layer is then a handful of whole-array
-ops over the whole batch (gathers, segment sums, one ``group_max`` per
-pooling, fused dense layers).
+Everything a forward pass reads from its states (edge indices, inverse
+degrees, coordinates, simplex rows, the sparse Laplacian and each action's
+pooling rows) is one :class:`StateGraph`, the disjoint union of the states'
+graphs built in one pass by :func:`state_graph`; a single state is a batch
+of one.  Each layer is then a handful of whole-array ops over the whole
+batch (gathers, segment sums, one ``group_max`` per pooling, fused dense
+layers).
 """
 
 from __future__ import annotations
@@ -117,44 +117,24 @@ def init_parameters(config: ModelConfig, rng: np.random.Generator):
 
 
 @dataclass(frozen=True)
-class Skeleton:
-    """The 1-skeleton as directed edges (both directions), sorted by source."""
-
-    own: np.ndarray  # (E,) edge sources, ascending
-    nbr: np.ndarray  # (E,) edge targets
-    inv_degree: np.ndarray  # (n, 1)
-
-
-def skeleton_structure(tri: Triangulation, n: int) -> Skeleton:
-    edges = np.array(tri.skeleton_edges(), dtype=np.int64).reshape(-1, 2)
-    directed = np.concatenate([edges, edges[:, ::-1]])
-    directed = directed[np.lexsort((directed[:, 1], directed[:, 0]))]
-    degree = np.bincount(directed[:, 0], minlength=n).astype(np.float64)
-    # a point the triangulation leaves unused has no edges; it gets no
-    # messages, and its zero inverse degree keeps its coordinates fixed
-    inv_degree = np.divide(1.0, degree, out=np.zeros(n), where=degree > 0)
-    return Skeleton(
-        own=directed[:, 0].copy(), nbr=directed[:, 1].copy(), inv_degree=inv_degree.reshape(-1, 1)
-    )
-
-
-@dataclass(frozen=True)
 class StateGraph:
-    """Everything the policy reads from a batch of states, built once per state.
+    """Everything the policy reads from a batch of states, built in one pass.
 
     A batch is the disjoint union of its states' graphs: graph ``j`` owns the
     nodes ``node_offsets[j]:node_offsets[j + 1]`` and the actions
     ``action_offsets[j]:action_offsets[j + 1]``, and its edges, simplex rows,
-    Laplacian entries and pooling groups index its own rows only.
-    :func:`state_graph` builds a batch of one and :func:`batch_graphs` joins
-    such batches.  ``laplacian`` is set for the "snn" actor only;
-    ``action_groups`` holds the rows each action of ``actions`` pools over
-    (see :func:`action_groups`) for the actors that score actions.
+    Laplacian entries and pooling groups index its own rows only.  The
+    1-skeletons are directed edges ``own -> nbr`` (both directions).
+    ``laplacian`` is set for the "snn" actor only; ``action_groups`` holds
+    the rows each action of ``actions`` pools over for the actors that score
+    actions (see :func:`state_graph`).
     """
 
     kind: str  # the actor kind the graph was built for
     coords: np.ndarray  # (n, dim) float coordinates
-    skeleton: Skeleton
+    own: np.ndarray  # (E,) edge sources, ascending
+    nbr: np.ndarray  # (E,) edge targets
+    inv_degree: np.ndarray  # (n, 1)
     simplices: np.ndarray  # (S, d+1) vertex rows of the maximal simplices
     laplacian: SparseMatrix | None
     actions: list
@@ -173,14 +153,8 @@ class StateGraph:
         return np.repeat(np.arange(self.size), np.diff(self.action_offsets))
 
 
-def _padded(groups) -> np.ndarray:
-    """Equal-length index rows: each group padded by repeating its first member."""
-    width = max(len(g) for g in groups)
-    return np.array([list(g) + [g[0]] * (width - len(g)) for g in groups], dtype=np.int64)
-
-
-def action_groups(tri: Triangulation, actions, kind: str) -> np.ndarray:
-    """Per action, the rows its logit pools over, padded to a (A, m) array.
+def _pooled_rows(tri: Triangulation, actions, kind: str):
+    """Per action, the rows of ``tri``'s graph that its logit pools over.
 
     "snn": the removed simplices' rows of the propagated simplex features;
     "egnn_only": the removed simplices' vertices; "pool_mlp": the circuit's
@@ -188,134 +162,14 @@ def action_groups(tri: Triangulation, actions, kind: str) -> np.ndarray:
     """
     if kind == "snn":
         sim_index = {s: i for i, s in enumerate(tri.simplices)}
-        return _padded([[sim_index[s] for s in a.removed] for a in actions])
+        return [[sim_index[s] for s in a.removed] for a in actions]
     if kind == "egnn_only":
-        return _padded([sorted({v for s in a.removed for v in s}) for a in actions])
-    if kind == "pool_mlp":
-        return _padded([list(a.circuit.vertices) for a in actions])
-    raise ValueError(f"actor kind {kind!r} does not score actions")
+        return [sorted({v for s in a.removed for v in s}) for a in actions]
+    return [list(a.circuit.vertices) for a in actions]
 
 
-def state_graph(config: PointConfig, tri: Triangulation, actions, kind: str) -> StateGraph:
-    """The batch of one: ``tri`` for an actor of ``kind``, scoring ``actions`` (may be empty)."""
-    scores = kind != "nls_accept" and len(actions) > 0
-    return StateGraph(
-        kind=kind,
-        coords=config.float_rows(),
-        skeleton=skeleton_structure(tri, config.n),
-        simplices=np.array(tri.simplices, dtype=np.int64),
-        laplacian=simplicial_operator(tri, config) if kind == "snn" else None,
-        actions=actions,
-        action_groups=action_groups(tri, actions, kind) if scores else None,
-        node_offsets=np.array([0, config.n], dtype=np.int64),
-        action_offsets=np.array([0, len(actions)], dtype=np.int64),
-    )
-
-
-def batch_graphs(graphs) -> StateGraph:
-    """The disjoint union of ``graphs`` (batches of one, of one kind), in order.
-
-    Node, simplex and action indices are shifted past the graphs before;
-    pooling groups are re-padded to the widest by repeating their first member.
-    """
-    if len(graphs) == 1:
-        return graphs[0]
-    kind = graphs[0].kind
-    node_base = np.cumsum([0] + [g.coords.shape[0] for g in graphs])
-    sim_base = np.cumsum([0] + [g.simplices.shape[0] for g in graphs])
-    skeleton = Skeleton(
-        own=np.concatenate([g.skeleton.own + b for g, b in zip(graphs, node_base)]),
-        nbr=np.concatenate([g.skeleton.nbr + b for g, b in zip(graphs, node_base)]),
-        inv_degree=np.concatenate([g.skeleton.inv_degree for g in graphs]),
-    )
-    laplacian = None
-    if kind == "snn":
-        laplacian = SparseMatrix.from_coo(
-            np.concatenate([g.laplacian.rows + b for g, b in zip(graphs, sim_base)]),
-            np.concatenate([g.laplacian.cols + b for g, b in zip(graphs, sim_base)]),
-            np.concatenate([g.laplacian.vals for g in graphs]),
-            (sim_base[-1], sim_base[-1]),
-        )
-    # pooling groups index simplex rows for "snn" and node rows otherwise
-    bases = sim_base if kind == "snn" else node_base
-    scored = [(g.action_groups, b) for g, b in zip(graphs, bases) if g.action_groups is not None]
-    groups = None
-    if scored:
-        width = max(rows.shape[1] for rows, _b in scored)
-        groups = np.concatenate(
-            [np.hstack([rows, rows[:, [0] * (width - rows.shape[1])]]) + b for rows, b in scored]
-        )
-    return StateGraph(
-        kind=kind,
-        coords=np.concatenate([g.coords for g in graphs]),
-        skeleton=skeleton,
-        simplices=np.concatenate([g.simplices + b for g, b in zip(graphs, node_base)]),
-        laplacian=laplacian,
-        actions=[a for g in graphs for a in g.actions],
-        action_groups=groups,
-        node_offsets=node_base,
-        action_offsets=np.cumsum([0] + [len(g.actions) for g in graphs]),
-    )
-
-
-@dataclass
-class EncodedState:
-    """Vertex embeddings and updated coordinates over the batch's 1-skeletons."""
-
-    hidden: Tensor  # (n, hidden)
-    coords: Tensor  # (n, dim)
-    graph: StateGraph
-
-
-def _dense(x, params, name, silu=False):
-    return ad.linear(x, params[f"{name}.w"], params[f"{name}.b"], silu)
-
-
-def egnn_layer(hidden, coords, skeleton: Skeleton, params, layer: int):
-    """One equivariant message-passing layer with residual hidden update.
-
-    Messages use (h_i, h_j, squared distance); coordinates move along averaged
-    relative vectors, hidden states by a residual MLP of the message sum.
-    """
-    own, nbr = skeleton.own, skeleton.nbr
-    n = hidden.shape[0]
-    own_x = ad.gather_rows(coords, own)
-    nbr_x = ad.gather_rows(coords, nbr)
-    diff = ad.sub(own_x, nbr_x)
-    sqdist = ad.tensor_sum(ad.square(diff), axis=1, keepdims=True)
-
-    # the first edge layer on (h_own, h_nbr, sqdist), multiplied on node rows
-    edge0 = f"enc{layer}.edge0"
-    msg = ad.pair_linear(hidden, own, nbr, sqdist, params[f"{edge0}.w"], params[f"{edge0}.b"])
-    msg = _dense(msg, params, f"enc{layer}.edge1", silu=True)
-
-    coef = _dense(msg, params, f"enc{layer}.coord0", silu=True)
-    coef = _dense(coef, params, f"enc{layer}.coord1")
-    moved = ad.scatter_rows(ad.mul(diff, coef), own, n)
-    coords_out = ad.add(coords, ad.mul(moved, Tensor(skeleton.inv_degree)))
-
-    agg = ad.scatter_rows(msg, own, n)
-    upd = ad.concat([hidden, agg], axis=1)
-    upd = _dense(upd, params, f"enc{layer}.hidden0", silu=True)
-    upd = _dense(upd, params, f"enc{layer}.hidden1")
-    hidden_out = ad.add(hidden, upd)
-    return hidden_out, coords_out
-
-
-def encode(graph: StateGraph, params, model: ModelConfig) -> EncodedState:
-    """Initial features h = W p, x = p, then ``encoder_layers`` EGNN layers.
-
-    Every graph of the batch is encoded at once; no message crosses graphs.
-    """
-    coords = Tensor(graph.coords)
-    hidden = ad.matmul(coords, params["embed.w"])
-    for layer in range(model.encoder_layers):
-        hidden, coords = egnn_layer(hidden, coords, graph.skeleton, params, layer)
-    return EncodedState(hidden=hidden, coords=coords, graph=graph)
-
-
-def simplicial_operator(tri: Triangulation, config: PointConfig) -> SparseMatrix:
-    """Normalized top-degree down Laplacian L = B^T B over a global row-sum scale.
+def _down_laplacian(tri: Triangulation, config: PointConfig):
+    """The top-degree down Laplacian L = B^T B of ``tri`` as (rows, cols, vals).
 
     B is the oriented boundary from maximal simplices to their (d-1)-faces:
     faces are read off the sorted vertex tuple with alternating position
@@ -334,10 +188,122 @@ def simplicial_operator(tri: Triangulation, config: PointConfig) -> SparseMatrix
             entries[(a, b)] = entries[(b, a)] = orient[a] * orient[b] * (-1.0) ** (k_a + k_b)
     keys = sorted(entries)
     rows, cols = np.array(keys, dtype=np.int64).T
-    vals = np.array([entries[k] for k in keys])
-    size = len(tri.simplices)
-    scale = np.bincount(rows, weights=np.abs(vals), minlength=size).max()
-    return SparseMatrix.from_coo(rows, cols, vals / scale, (size, size))
+    return rows, cols, np.array([entries[k] for k in keys])
+
+
+def state_graph(states, kind: str) -> StateGraph:
+    """The batch of ``states``, ``(config, tri, actions)`` triples, for an actor of ``kind``.
+
+    Each state's node, simplex and action indices are shifted past the
+    states before it; its actions may be empty.  Then, over the whole union:
+    the directed edges are sorted by source; a point no edge touches (one
+    the triangulation leaves unused) gets a zero inverse degree, so it gets
+    no messages and its coordinates stay fixed; each state's Laplacian
+    ("snn") is scaled by its own largest absolute row sum; and the pooling
+    groups (see :func:`_pooled_rows`; simplex rows for "snn", node rows
+    otherwise) are padded to the widest by repeating each group's first
+    member.  A batch of one shares its configuration's read-only
+    ``float_rows``.
+    """
+    coords, edges, simplices, entries, groups, actions = [], [], [], [], [], []
+    nodes, sims, acts = [0], [0], [0]
+    for config, tri, state_actions in states:
+        node, sim = nodes[-1], sims[-1]
+        coords.append(config.float_rows())
+        edges.append(np.array(tri.skeleton_edges(), dtype=np.int64).reshape(-1, 2) + node)
+        simplices.append(np.array(tri.simplices, dtype=np.int64) + node)
+        if kind == "snn":
+            rows, cols, vals = _down_laplacian(tri, config)
+            entries.append((rows + sim, cols + sim, vals))
+        if kind != "nls_accept":
+            base = sim if kind == "snn" else node
+            groups += [[i + base for i in g] for g in _pooled_rows(tri, state_actions, kind)]
+        actions += state_actions
+        nodes.append(node + config.n)
+        sims.append(sim + len(tri.simplices))
+        acts.append(len(actions))
+    edges = np.concatenate(edges)
+    own, nbr = np.concatenate([edges, edges[:, ::-1]]).T
+    order = np.lexsort((nbr, own))
+    degree = np.bincount(own, minlength=nodes[-1]).astype(np.float64)
+    laplacian = pooled = None
+    if entries:
+        rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+        sums = np.bincount(rows, weights=np.abs(vals), minlength=sims[-1])
+        row_scale = np.repeat(np.maximum.reduceat(sums, sims[:-1]), np.diff(sims))
+        laplacian = SparseMatrix.from_coo(rows, cols, vals / row_scale[rows], (sims[-1], sims[-1]))
+    if groups:
+        width = max(map(len, groups))
+        pooled = np.array([g + g[:1] * (width - len(g)) for g in groups], dtype=np.int64)
+    return StateGraph(
+        kind=kind,
+        coords=coords[0] if len(coords) == 1 else np.concatenate(coords),
+        own=own[order],
+        nbr=nbr[order],
+        inv_degree=np.divide(1.0, degree, out=np.zeros(nodes[-1]), where=degree > 0)[:, None],
+        simplices=np.concatenate(simplices),
+        laplacian=laplacian,
+        actions=actions,
+        action_groups=pooled,
+        node_offsets=np.array(nodes, dtype=np.int64),
+        action_offsets=np.array(acts, dtype=np.int64),
+    )
+
+
+@dataclass
+class EncodedState:
+    """Vertex embeddings and updated coordinates over the batch's 1-skeletons."""
+
+    hidden: Tensor  # (n, hidden)
+    coords: Tensor  # (n, dim)
+    graph: StateGraph
+
+
+def _dense(x, params, name, silu=False):
+    return ad.linear(x, params[f"{name}.w"], params[f"{name}.b"], silu)
+
+
+def egnn_layer(hidden, coords, graph: StateGraph, params, layer: int):
+    """One equivariant message-passing layer with residual hidden update.
+
+    Messages use (h_i, h_j, squared distance); coordinates move along averaged
+    relative vectors, hidden states by a residual MLP of the message sum.
+    """
+    own, nbr = graph.own, graph.nbr
+    n = hidden.shape[0]
+    own_x = ad.gather_rows(coords, own)
+    nbr_x = ad.gather_rows(coords, nbr)
+    diff = ad.sub(own_x, nbr_x)
+    sqdist = ad.tensor_sum(ad.square(diff), axis=1, keepdims=True)
+
+    # the first edge layer on (h_own, h_nbr, sqdist), multiplied on node rows
+    edge0 = f"enc{layer}.edge0"
+    msg = ad.pair_linear(hidden, own, nbr, sqdist, params[f"{edge0}.w"], params[f"{edge0}.b"])
+    msg = _dense(msg, params, f"enc{layer}.edge1", silu=True)
+
+    coef = _dense(msg, params, f"enc{layer}.coord0", silu=True)
+    coef = _dense(coef, params, f"enc{layer}.coord1")
+    moved = ad.scatter_rows(ad.mul(diff, coef), own, n)
+    coords_out = ad.add(coords, ad.mul(moved, Tensor(graph.inv_degree)))
+
+    agg = ad.scatter_rows(msg, own, n)
+    upd = ad.concat([hidden, agg], axis=1)
+    upd = _dense(upd, params, f"enc{layer}.hidden0", silu=True)
+    upd = _dense(upd, params, f"enc{layer}.hidden1")
+    hidden_out = ad.add(hidden, upd)
+    return hidden_out, coords_out
+
+
+def encode(graph: StateGraph, params, model: ModelConfig) -> EncodedState:
+    """Initial features h = W p, x = p, then ``encoder_layers`` EGNN layers.
+
+    Every graph of the batch is encoded at once; no message crosses graphs.
+    """
+    coords = Tensor(graph.coords)
+    hidden = ad.matmul(coords, params["embed.w"])
+    for layer in range(model.encoder_layers):
+        hidden, coords = egnn_layer(hidden, coords, graph, params, layer)
+    return EncodedState(hidden=hidden, coords=coords, graph=graph)
 
 
 def _chebyshev_apply(operator: SparseMatrix, g, params, layer: int, order: int, final: bool):

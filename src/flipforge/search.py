@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CheckpointError
-from .flips import CircuitTable, apply_flip, flippable_circuits
+from .flips import CircuitTable, apply_flip, flip_count, flippable_circuits
 from .geometry import PointConfig
 from .objectives import Objective, ObjectiveCache, search_value
 from .triangulation import Triangulation, require_valid
@@ -56,12 +56,14 @@ class SearchContext:
     def walk(self, strategy, start):
         """Yield ``(state, action or None)``: ``start``, then each of ``budget`` steps.
 
-        The strategy is reset to ``start``.  A step scans the state's flips
-        (cached on the state, so a caller that looks at them again pays no
-        second scan), lets the strategy move, and admits a new successor.  A
-        strategy whose move depends only on the state (``replays``) moves
-        once from each state of the walk, by mask; a return to that state
-        replays the move without a scan.
+        The strategy is reset to ``start``.  A step lists the state's flips
+        (``flippable_circuits``), lets the strategy move, and admits a new
+        successor.  The realized flips are kept on the state, so listing
+        them again scans no circuit, but each call rebuilds the list;
+        ``flip_count`` gives their number without one.  A strategy whose move
+        depends only on the state (``replays``) moves once from each state
+        of the walk, by mask; a return to that state replays the move
+        without a scan.
         """
         strategy.reset(start, self)
         moves = {}  # state mask -> move, for a strategy that replays
@@ -285,7 +287,7 @@ class _LearnedStrategy(Strategy):
             return tri, None
         from .policy import state_graph  # numpy loads only for the learned strategies
 
-        graph = state_graph(ctx.config, tri, actions, self.model.config.actor_kind)
+        graph = state_graph([(ctx.config, tri, actions)], self.model.config.actor_kind)
         _encoded, head = self.model.forward(graph)
         index, accepted = self.choose(head, len(actions), ctx.rng)
         if not accepted:
@@ -418,7 +420,6 @@ def run_budgeted(
     trace = SearchTrace()
     for step, (current, action) in enumerate(ctx.walk(strategy, seed_tri)):
         action_id = action.action_id if action else None
-        actions = len(flippable_circuits(current, table))
-        trace.visit(step, action_id, current, ctx.value(current), actions)
+        trace.visit(step, action_id, current, ctx.value(current), flip_count(current, table))
         trace.budget_used = step
     return trace

@@ -28,7 +28,6 @@ from .policy import (
     PolicyModel,
     StateGraph,
     actor_logits,
-    batch_graphs,
     encode,
     nls_accept_probability,
     policy_distribution,
@@ -207,11 +206,9 @@ def collect_rollouts(
                 stepping.append((i, actions))
         if not stepping:
             break
-        union = batch_graphs(
-            [
-                state_graph(envs[i].config, states[i], actions, model.config.actor_kind)
-                for i, actions in stepping
-            ]
+        union = state_graph(
+            [(envs[i].config, states[i], actions) for i, actions in stepping],
+            model.config.actor_kind,
         )
         enc, heads = model.forward(union)
         values = value_estimate(enc, params, model.config).data.reshape(-1)

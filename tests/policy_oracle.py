@@ -8,7 +8,9 @@ its gradients come from the same ``backward``.
 
 ``ppo_transition_loss`` is the per-transition PPO loss the batched update
 replaced: one forward over a batch of one per transition, on the library's
-own kernels.
+own kernels.  ``batch_graphs`` is the join of batches of one that
+``policy.state_graph`` replaced when it learned to build a whole batch in
+one pass.
 """
 
 from __future__ import annotations
@@ -295,7 +297,7 @@ def ppo_transition_loss(model, params, tr, trainer, adv):
     (r - 1) - log r).
     """
     kind = model.config.actor_kind
-    graph = policy.state_graph(tr.env.config, tr.state, tr.actions, kind)
+    graph = policy.state_graph([(tr.env.config, tr.state, tr.actions)], kind)
     enc = policy.encode(graph, params, model.config)
     if kind == "nls_accept":
         p_accept = policy.nls_accept_probability(enc, params)
@@ -351,3 +353,44 @@ def ppo_transition_loss(model, params, tr, trainer, adv):
         math.expm1(log_ratio_val) - log_ratio_val,
     )
     return total, stats
+
+
+def batch_graphs(graphs):
+    """The disjoint union of ``graphs`` (batches of one, of one kind), in order.
+
+    Node, simplex and action indices are shifted past the graphs before;
+    pooling groups are re-padded to the widest by repeating their first member.
+    """
+    kind = graphs[0].kind
+    node_base = np.cumsum([0] + [g.coords.shape[0] for g in graphs])
+    sim_base = np.cumsum([0] + [g.simplices.shape[0] for g in graphs])
+    laplacian = None
+    if kind == "snn":
+        laplacian = ad.SparseMatrix.from_coo(
+            np.concatenate([g.laplacian.rows + b for g, b in zip(graphs, sim_base)]),
+            np.concatenate([g.laplacian.cols + b for g, b in zip(graphs, sim_base)]),
+            np.concatenate([g.laplacian.vals for g in graphs]),
+            (sim_base[-1], sim_base[-1]),
+        )
+    # pooling groups index simplex rows for "snn" and node rows otherwise
+    bases = sim_base if kind == "snn" else node_base
+    scored = [(g.action_groups, b) for g, b in zip(graphs, bases) if g.action_groups is not None]
+    groups = None
+    if scored:
+        width = max(rows.shape[1] for rows, _b in scored)
+        groups = np.concatenate(
+            [np.hstack([rows, rows[:, [0] * (width - rows.shape[1])]]) + b for rows, b in scored]
+        )
+    return policy.StateGraph(
+        kind=kind,
+        coords=np.concatenate([g.coords for g in graphs]),
+        own=np.concatenate([g.own + b for g, b in zip(graphs, node_base)]),
+        nbr=np.concatenate([g.nbr + b for g, b in zip(graphs, node_base)]),
+        inv_degree=np.concatenate([g.inv_degree for g in graphs]),
+        simplices=np.concatenate([g.simplices + b for g, b in zip(graphs, node_base)]),
+        laplacian=laplacian,
+        actions=[a for g in graphs for a in g.actions],
+        action_groups=groups,
+        node_offsets=node_base,
+        action_offsets=np.cumsum([0] + [len(g.actions) for g in graphs]),
+    )

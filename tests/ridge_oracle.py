@@ -135,7 +135,7 @@ def regularity_constraints(tri, config):
 
 
 def simplicial_operator(tri, config):
-    """``simplicial_operator`` with each facet's signed holders in their own map."""
+    """The policy's scaled Laplacian of ``tri``, each facet's signed holders in their own map."""
     entries = {}
     by_facet = {}
     for col, s in enumerate(tri.simplices):

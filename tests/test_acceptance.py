@@ -213,23 +213,23 @@ def test_criterion_05_gradient_checks(unit_square):
 
     def enc_loss(params):
         p = full_params(params)
-        graph = state_graph(unit_square, tri, actions, model.config.actor_kind)
+        graph = state_graph([(unit_square, tri, actions)], model.config.actor_kind)
         return ad.tensor_sum(ad.square(encode(graph, p, model.config).hidden))
 
     def logit_loss(params):
         p = full_params(params)
-        enc = encode(state_graph(unit_square, tri, actions, "snn"), p, model.config)
+        enc = encode(state_graph([(unit_square, tri, actions)], "snn"), p, model.config)
         return ad.tensor_sum(ad.square(actor_logits(enc, p, model.config)))
 
     def value_loss(params):
         p = full_params(params)
-        enc = encode(state_graph(unit_square, tri, actions, "snn"), p, model.config)
+        enc = encode(state_graph([(unit_square, tri, actions)], "snn"), p, model.config)
         return ad.square(value_estimate(enc, p, model.config))
 
     def losses_loss(params):
         # end-to-end surrogate: policy + value + entropy terms on one transition
         p = full_params(params)
-        enc = encode(state_graph(unit_square, tri, actions, "snn"), p, model.config)
+        enc = encode(state_graph([(unit_square, tri, actions)], "snn"), p, model.config)
         logits = actor_logits(enc, p, model.config)
         probs = ad.softmax_masked(logits)
         safe = ad.clip(probs, 1e-12, 1.0)
@@ -264,7 +264,7 @@ def test_criterion_05_gradient_checks(unit_square):
 
     def accept_loss(params):
         p = {k: (params[k] if k in params else ad.Tensor(v)) for k, v in nls.params.items()}
-        enc = encode(state_graph(unit_square, tri, actions, "nls_accept"), p, nls.config)
+        enc = encode(state_graph([(unit_square, tri, actions)], "nls_accept"), p, nls.config)
         from flipforge.policy import nls_accept_probability
 
         return ad.square(nls_accept_probability(enc, p))

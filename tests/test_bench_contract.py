@@ -115,7 +115,7 @@ def test_batch_of_one_forward_through_the_tracer(hexagon):
     params = model._const_params()
 
     def forward():
-        graph = policy.state_graph(hexagon, tri, actions, "snn")
+        graph = policy.state_graph([(hexagon, tri, actions)], "snn")
         enc = policy.encode(graph, params, model.config)
         return (
             policy.actor_logits(enc, params, model.config).data,

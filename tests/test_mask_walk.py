@@ -34,7 +34,7 @@ from flipforge.cli import _exact_reference
 from flipforge.datagen import initial_triangulation
 from flipforge.errors import DegenerateConfig
 from flipforge.flips import apply_flip, enumerate_circuits, enumerate_component, flippable_circuits
-from flipforge.flips import neighbors
+from flipforge.flips import flip_count, neighbors
 from flipforge.objectives import Objective, search_value
 from flipforge.triangulation import SimplexIndex, Triangulation, set_bits
 from conftest import degenerate_point_lists, point_lists
@@ -79,6 +79,8 @@ def check_walks(table, limit, cap):
     for tri, fresh in zip(built, want.states.values()):
         actions = flippable_circuits(tri, table)
         assert actions == flippable_circuits(fresh, table) == face_map_actions(fresh, table)
+        unscanned = Triangulation(fresh.simplices)
+        assert flip_count(tri, table) == flip_count(unscanned, table) == len(actions)
     # the children of every expanded state, in walk order
     for tri, fresh in itertools.islice(zip(built, want.states.values()), got.expansions):
         children = [child.canonical_key for child in neighbors(tri, table)]

@@ -13,8 +13,6 @@ from flipforge.policy import (
     encode,
     init_parameters,
     policy_distribution,
-    simplicial_operator,
-    skeleton_structure,
     state_graph,
     value_estimate,
 )
@@ -38,7 +36,7 @@ def small_model(dim, kind="snn", hidden=12, seed=0):
 
 def encode_state(config, tri, params, model, actions=()):
     """``encode`` on the batch of one holding ``tri``, scoring ``actions``."""
-    return encode(state_graph(config, tri, actions, model.actor_kind), params, model)
+    return encode(state_graph([(config, tri, actions)], model.actor_kind), params, model)
 
 
 def state_logits(model, config, tri, actions):
@@ -50,7 +48,7 @@ def state_logits(model, config, tri, actions):
 
 def state_head(model, config, tri, actions=()):
     """The model's actor head (``forward``) on the batch of one holding ``tri``."""
-    return model.forward(state_graph(config, tri, actions, model.config.actor_kind))[1]
+    return model.forward(state_graph([(config, tri, actions)], model.config.actor_kind))[1]
 
 
 def test_unused_point_gets_zero_inverse_degree_and_finite_encoding():
@@ -58,8 +56,8 @@ def test_unused_point_gets_zero_inverse_degree_and_finite_encoding():
     # start may leave a point unused
     config = ff.PointConfig(2, [(-1, -1), (1, -1), (1, 1), (-1, 1), (0, 0)])
     tri = Triangulation([(0, 1, 2), (0, 2, 3)])
-    structure = skeleton_structure(tri, config.n)
-    assert structure.inv_degree[:, 0].tolist() == [1 / 3, 1 / 2, 1 / 3, 1 / 2, 0.0]
+    graph = state_graph([(config, tri, [])], "snn")
+    assert graph.inv_degree[:, 0].tolist() == [1 / 3, 1 / 2, 1 / 3, 1 / 2, 0.0]
     model = small_model(2)
     params = {k: Tensor(v) for k, v in model.params.items()}
     enc = encode_state(config, tri, params, model.config)
@@ -84,7 +82,7 @@ def test_egnn_layer_rigid_motion_equivariance():
     hidden = rng.standard_normal((n, model.config.hidden))
     coords = rng.standard_normal((n, 3))
     tri = Triangulation([(0, 1, 2, 3), (1, 2, 3, 4)])
-    structure = skeleton_structure(tri, n)
+    graph = state_graph([(ff.PointConfig(3, coords.tolist()), tri, [])], model.config.actor_kind)
 
     theta = 0.7
     rot = np.array(
@@ -96,8 +94,8 @@ def test_egnn_layer_rigid_motion_equivariance():
     )
     shift = np.array([0.3, -1.2, 2.0])
 
-    h1, x1 = egnn_layer(Tensor(hidden), Tensor(coords), structure, params, 0)
-    h2, x2 = egnn_layer(Tensor(hidden), Tensor(coords @ rot.T + shift), structure, params, 0)
+    h1, x1 = egnn_layer(Tensor(hidden), Tensor(coords), graph, params, 0)
+    h2, x2 = egnn_layer(Tensor(hidden), Tensor(coords @ rot.T + shift), graph, params, 0)
     assert np.allclose(h1.data, h2.data, atol=1e-9)
     assert np.allclose(x2.data, x1.data @ rot.T + shift, atol=1e-9)
 
@@ -185,7 +183,7 @@ def test_boundary_matrix_and_operator(square_setup):
     dense = b.dense()
     # each triangle has alternating signs on its three faces
     assert sorted(np.abs(dense).sum(axis=0).tolist()) == [3.0, 3.0]
-    lap = simplicial_operator(tri, config).dense()
+    lap = state_graph([(config, tri, [])], "snn").laplacian.dense()
     assert np.allclose(lap, lap.T, atol=1e-15)
     assert np.abs(lap).sum(axis=1).max() == pytest.approx(1.0)
 
@@ -203,8 +201,7 @@ def test_chebyshev_identity_configuration(square_setup):
     from flipforge.policy import simplex_features, _chebyshev_apply
 
     g0 = simplex_features(enc)
-    operator = simplicial_operator(tri, config)
-    g1 = _chebyshev_apply(operator, g0, params, 0, 1, final=True)
+    g1 = _chebyshev_apply(enc.graph.laplacian, g0, params, 0, 1, final=True)
     assert np.allclose(g0.data, g1.data, atol=1e-15)
 
 
@@ -242,7 +239,7 @@ def test_logits_depend_on_removed_simplices(square_setup):
     from flipforge.policy import simplex_features, _chebyshev_apply
 
     g = simplex_features(enc)
-    operator = simplicial_operator(tri, config)
+    operator = enc.graph.laplacian
     for layer in range(model.config.actor_layers):
         final = layer == model.config.actor_layers - 1
         g = _chebyshev_apply(operator, g, params, layer, model.config.chebyshev_order, final)

@@ -7,9 +7,10 @@ The encoder's first edge layer multiplies node rows before the gather
 the value head and their gradients must agree to 1e-12 relative; the
 batched action readouts sum in yet another order, so logits and gradients
 must agree to 1e-9 relative.  A disjoint union of
-states must give each of them what its batch of one gives, to 1e-12
-relative, and one rollout step's loss must have the gradients of its
-transitions' losses summed.
+states must hold exactly the arrays of the oracle join of their batches of
+one (``policy_oracle.batch_graphs``), give each of them what its batch of
+one gives, to 1e-12 relative, and one rollout step's loss must have the
+gradients of its transitions' losses summed.
 """
 
 import math
@@ -29,12 +30,10 @@ from flipforge.policy import (
     ModelConfig,
     PolicyModel,
     actor_logits,
-    batch_graphs,
     encode,
     init_parameters,
     nls_accept_probability,
     policy_distribution,
-    simplicial_operator,
     state_graph,
     value_estimate,
 )
@@ -112,7 +111,7 @@ def test_forward_matches_oracle(states, kind):
         model, values = _params(config.dim, kind, case)
         params = {k: Tensor(v) for k, v in values.items()}
         actions = flippable_circuits(tri, table)
-        enc = encode(state_graph(config, tri, actions, kind), params, model)
+        enc = encode(state_graph([(config, tri, actions)], kind), params, model)
         hidden, coords = oracle.encode(config, tri, params, model)
         assert _within(enc.hidden.data, hidden.data)
         assert _within(enc.coords.data, coords.data)
@@ -128,7 +127,7 @@ def test_forward_matches_oracle(states, kind):
 
 def test_laplacian_matches_dense_boundary_product(states):
     for config, tri, _table in states:
-        fast = simplicial_operator(tri, config)
+        fast = state_graph([(config, tri, [])], "snn").laplacian
         slow = oracle.simplicial_operator(tri, config)
         assert np.array_equal(fast.rows, slow.rows) and np.array_equal(fast.cols, slow.cols)
         assert np.array_equal(fast.vals, slow.vals)
@@ -137,7 +136,7 @@ def test_laplacian_matches_dense_boundary_product(states):
 
 def test_state_graphs_share_one_float_conversion(states):
     for config, tri, _table in states:
-        coords = state_graph(config, tri, [], "snn").coords
+        coords = state_graph([(config, tri, [])], "snn").coords
         assert coords is config.float_rows() and not coords.flags.writeable
         assert np.array_equal(coords, [[float(c) for c in p] for p in config.points])
 
@@ -187,7 +186,7 @@ def test_loss_gradients_match_oracle(states, kind):
             assert _close(new[name], old[name], scale), (case, name)
 
         def encoder_loss(p):
-            graph = state_graph(config, tri, actions, kind)
+            graph = state_graph([(config, tri, actions)], kind)
             return ad.tensor_sum(ad.square(encode(graph, p, model).hidden))
 
         def oracle_encoder_loss(p):
@@ -206,7 +205,7 @@ def test_pooling_gradients_on_tied_embeddings(states, kind):
         model, values = _params(config.dim, kind, 200 + case)
         params = {k: Tensor(v) for k, v in values.items()}
         actions = flippable_circuits(tri, table)
-        graph = state_graph(config, tri, actions, kind)
+        graph = state_graph([(config, tri, actions)], kind)
         hidden = rng.integers(-2, 3, (config.n, model.hidden)).astype(float)
 
         def new_loss(p):
@@ -267,14 +266,14 @@ def _pair_linear_cases(states):
     )
     same_dim = [case for case in states if case[0].dim == 3][:3]
     assert len(same_dim) == 3
-    graphs = [state_graph(c, t, flippable_circuits(t, tb), "snn") for c, t, tb in same_dim]
-    lone = state_graph(unused[0], unused[1], flippable_circuits(unused[1], unused[2]), "snn")
-    return [lone, batch_graphs(graphs)]
+    lone = state_graph([(unused[0], unused[1], flippable_circuits(unused[1], unused[2]))], "snn")
+    union = state_graph([(c, t, flippable_circuits(t, tb)) for c, t, tb in same_dim], "snn")
+    return [lone, union]
 
 
 def _pair_linear_values(graph, extra_width, seed):
     rng = np.random.default_rng(seed)
-    n, e, k, m = graph.coords.shape[0], graph.skeleton.own.size, 5, 4
+    n, e, k, m = graph.coords.shape[0], graph.own.size, 5, 4
     return {
         "h": rng.standard_normal((n, k)),
         "extra": rng.standard_normal((e, extra_width)),
@@ -286,7 +285,7 @@ def _pair_linear_values(graph, extra_width, seed):
 @pytest.mark.parametrize("extra_width", (1, 2))
 def test_pair_linear_matches_concat_then_linear(states, extra_width):
     for case, graph in enumerate(_pair_linear_cases(states)):
-        own, nbr = graph.skeleton.own, graph.skeleton.nbr
+        own, nbr = graph.own, graph.nbr
         values = _pair_linear_values(graph, extra_width, case)
         weights = Tensor(np.random.default_rng(50 + case).standard_normal((own.size, 4)))
 
@@ -339,17 +338,57 @@ def _within(new, old):
     return np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
 
 
+def _same(new, old):
+    """Equal arrays of one dtype, or both None."""
+    if old is None:
+        return new is None
+    return new.dtype == old.dtype and np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_union_arrays_match_the_oracle_join(states, kind):
+    # per dimension: states of one configuration and of another (in 2D, of
+    # another point count), and a state with no actions between scored ones
+    point_counts = []
+    for dim in (2, 3, 4):
+        cases = [
+            (config, tri, flippable_circuits(tri, table))
+            for config, tri, table in states
+            if config.dim == dim
+        ]
+        first, second = cases[0], cases[1]
+        other = [case for case in cases if case[0] is not first[0]][:1]  # none in 4D
+        triples = [first, (second[0], second[1], []), *other, cases[-1]]
+        point_counts.append({config.n for config, _t, _a in triples})
+        union = state_graph(triples, kind)
+        joined = oracle.batch_graphs([state_graph([triple], kind) for triple in triples])
+        for name in ("coords", "own", "nbr", "inv_degree", "simplices", "action_groups"):
+            assert _same(getattr(union, name), getattr(joined, name)), (dim, name)
+        for name in ("node_offsets", "action_offsets"):
+            assert _same(getattr(union, name), getattr(joined, name)), (dim, name)
+        assert union.actions == joined.actions == [a for _c, _t, acts in triples for a in acts]
+        assert (union.laplacian is None) == (joined.laplacian is None) == (kind != "snn")
+        if kind == "snn":
+            for name in ("rows", "cols", "vals"):
+                got, want = getattr(union.laplacian, name), getattr(joined.laplacian, name)
+                assert _same(got, want), (dim, name)
+            assert union.laplacian.shape == joined.laplacian.shape
+        assert (union.action_groups is None) == (kind == "nls_accept")
+    assert max(map(len, point_counts)) > 1
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_union_matches_each_batch_of_one(states, kind):
     for case, members in enumerate(_unions(states)):
         dim = states[members[0]][0].dim
         model, values = _params(dim, kind, 300 + case)
         params = {k: Tensor(v) for k, v in values.items()}
-        graphs = [
-            state_graph(config, tri, flippable_circuits(tri, table), kind)
+        triples = [
+            (config, tri, flippable_circuits(tri, table))
             for config, tri, table in (states[i] for i in members)
         ]
-        union = batch_graphs(graphs)
+        graphs = [state_graph([triple], kind) for triple in triples]
+        union = state_graph(triples, kind)
         assert union.size == len(graphs)
         enc = encode(union, params, model)
         nodes, acts = union.node_offsets, union.action_offsets
@@ -386,12 +425,12 @@ def test_step_loss_gradients_match_summed_transition_oracle(states, kind):
         model, values = _params(dim, kind, 400 + case)
         policy = PolicyModel(model, values)
         rng = np.random.default_rng(case)
-        graphs, transitions = [], []
+        triples, transitions = [], []
         for i in members:
             config, tri, table = states[i]
             actions = flippable_circuits(tri, table)
             pick = int(rng.integers(len(actions)))
-            graphs.append(state_graph(config, tri, actions, kind))
+            triples.append((config, tri, actions))
             transitions.append(
                 Transition(
                     env=SearchContext(config, table, Objective.MIN_WEIGHT),
@@ -405,7 +444,7 @@ def test_step_loss_gradients_match_summed_transition_oracle(states, kind):
                     ret=float(rng.normal()),
                 )
             )
-        step = RolloutStep(graph=batch_graphs(graphs), transitions=transitions)
+        step = RolloutStep(graph=state_graph(triples, kind), transitions=transitions)
         adv = rng.normal(size=len(transitions))
         new = _grads(lambda p: _step_loss(policy, p, step, trainer, adv)[0], values)
         old = {name: np.zeros_like(v) for name, v in values.items()}

@@ -1,8 +1,8 @@
 """The ridge table's readers, state by state, against the facet maps they replaced.
 
 ``Triangulation.ridges`` maps each (d-1)-face to the simplices holding it.
-``validate``, ``regularity_constraints``, ``dual_graph``,
-``simplicial_operator`` and ``star_closure`` read it; ``ridge_oracle`` keeps
+``validate``, ``regularity_constraints``, ``dual_graph``, the policy's
+Laplacian (``state_graph``) and ``star_closure`` read it; ``ridge_oracle`` keeps
 each reader as it was when it grouped the faces itself.  The walks run on
 generic and degenerate point lists in dims 2-4, the prism and the 14-point 4D
 set.  Every reader but the fold rows also runs on copies with a simplex
@@ -25,7 +25,7 @@ from flipforge.errors import DegenerateConfig, DegenerateHeights
 from flipforge.flips import apply_flip, enumerate_circuits, flippable_circuits
 from flipforge.frst import LatticeConfig, star_closure
 from flipforge.io import read_point_config
-from flipforge.policy import simplicial_operator
+from flipforge.policy import state_graph
 from flipforge.triangulation import (
     Triangulation,
     certify_regularity,
@@ -67,7 +67,8 @@ def check_readers(tri, config):
     assert validate(tri, config) == oracle.validate(tri, config)
     graph, expected = dual_graph(tri), oracle.dual_graph(tri)
     assert graph == expected and graph.adjacency == expected.adjacency
-    got, want = simplicial_operator(tri, config), oracle.simplicial_operator(tri, config)
+    got = state_graph([(config, tri, [])], "snn").laplacian
+    want = oracle.simplicial_operator(tri, config)
     for field in ("rows", "cols", "vals"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field

@@ -25,7 +25,6 @@ from flipforge.policy import (
     ModelConfig,
     PolicyModel,
     actor_logits,
-    batch_graphs,
     encode,
     nls_accept_probability,
     policy_distribution,
@@ -85,11 +84,9 @@ def reference_rollouts(model, starts, trainer, counter, rng):
                 stepping.append((i, actions))
         if not stepping:
             break
-        union = batch_graphs(
-            [
-                state_graph(envs[i].config, states[i], actions, model.config.actor_kind)
-                for i, actions in stepping
-            ]
+        union = state_graph(
+            [(envs[i].config, states[i], actions) for i, actions in stepping],
+            model.config.actor_kind,
         )
         enc = encode(union, params, model.config)
         values = value_estimate(enc, params, model.config).data.reshape(-1)
@@ -186,9 +183,9 @@ def graph_arrays(graph):
     return (
         graph.kind,
         graph.coords,
-        graph.skeleton.own,
-        graph.skeleton.nbr,
-        graph.skeleton.inv_degree,
+        graph.own,
+        graph.nbr,
+        graph.inv_degree,
         graph.simplices,
         None if lap is None else (lap.rows, lap.cols, lap.vals, lap.shape),
         [a.action_id for a in graph.actions],

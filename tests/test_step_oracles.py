@@ -58,7 +58,7 @@ LATTICES = {
 def action_probabilities(model, config, tri, actions):
     """The actor's distribution over ``actions`` from one forward on ``tri`` alone."""
     params = model._const_params()
-    enc = encode(state_graph(config, tri, actions, model.config.actor_kind), params, model.config)
+    enc = encode(state_graph([(config, tri, actions)], model.config.actor_kind), params, model.config)
     return policy_distribution(actor_logits(enc, params, model.config)).data.reshape(-1)
 
 

@@ -15,18 +15,22 @@ each tree at ``FLIPFORGE_THREADS`` 1 and 2:
 - ``enumerate --dump`` on square2d, octahedron3d, the 12-point lattice prism and
   the 12-point 4D lattice set;
 - ``search`` with every baseline strategy on every objective;
-- ``train`` (3D and 4D, and the 3D ``nls_accept`` actor), ``search`` with the
-  ``nls_accept`` strategy, and ``eval`` in argmax and sample mode;
+- ``train`` (3D and 4D, and the 3D ``nls_accept``, ``egnn_only`` and
+  ``pool_mlp`` actors), ``search`` with the ``nls_accept`` strategy, ``eval``
+  in argmax and sample mode, and ``eval`` in sample mode on the
+  ``egnn_only`` and ``pool_mlp`` checkpoints;
 - ``sample-frst`` with the random-walk, lift-only and policy locators on the
   prism, octahedron3d, the 4D cross-polytope and the 4D lattice set, and the
   sample-mode policy locator on the prism.
 
 Every command runs in a fresh directory under relative paths, so the written
 provenance is the same on both sides.  The output trees, stdout, stderr and
-exit codes must match byte for byte; the script prints each difference and
-exits 1 if there is one, 0 otherwise.  It has no list of expected
-differences: a change meant to alter an output fails it, and the printed
-paths are what a reviewer checks against the change's stated intent.
+exit codes must match byte for byte, and no command of the set is meant to
+fail, so every command must exit 0 on both sides.  The script prints each
+difference and each nonzero exit, and exits 1 if there is one, 0 otherwise.
+It has no list of expected differences: a change meant to alter an output
+fails it, and the printed paths are what a reviewer checks against the
+change's stated intent.
 """
 
 from __future__ import annotations
@@ -82,6 +86,7 @@ def commands():
             ]))
     for name, dim, actor in (
         ("train3d", 3, []), ("train4d", 4, []), ("train3d_nls", 3, ["--actor", "nls_accept"]),
+        ("train3d_egnn", 3, ["--actor", "egnn_only"]), ("train3d_pool", 3, ["--actor", "pool_mlp"]),
     ):
         out.append((name, [
             "train", "--data", f"out/gen{dim}d", "--objective", "min_weight", "--iterations", "2",
@@ -93,10 +98,15 @@ def commands():
         "--checkpoint", "out/train3d_nls/checkpoint_final.ckpt", "--budget", "20", "--starts",
         "2", "--ref-limit", "300", "--seed", "1", "--out", "out/search_nls_accept_min_weight",
     ]))
-    for name, mode in (("eval3d", []), ("eval3d_sample", ["--mode", "sample"])):
+    sample = ["--mode", "sample"]
+    for name, trained, mode in (
+        ("eval3d", "train3d", []), ("eval3d_sample", "train3d", sample),
+        ("eval3d_egnn_sample", "train3d_egnn", sample),
+        ("eval3d_pool_sample", "train3d_pool", sample),
+    ):
         out.append((name, [
             "eval", "--data", "out/gen3d", "--objective", "min_weight", "--checkpoint",
-            "out/train3d/checkpoint_final.ckpt", "--budget", "10", "--starts", "2",
+            f"out/{trained}/checkpoint_final.ckpt", "--budget", "10", "--starts", "2",
             "--ref-limit", "100", *mode, "--out", f"out/{name}",
         ]))
     for name, dim in (("prism", 3), ("octahedron3d", 3), ("cross4d", 4), ("lattice4d", 4)):
@@ -196,13 +206,17 @@ def main(argv=None) -> int:
             for tree, run_dir in zip((base, head), runs):
                 run_all(tree, run_dir, threads)
             diff = differences(*runs)
-            rcs = sorted((runs[1] / "logs").glob("*.rc"))
-            bad = [p.stem for p in rcs if p.read_text().strip() != "0"]
+            bad = [
+                f"{p.stem} ({side})"
+                for side, run_dir in zip(("base", "head"), runs)
+                for p in sorted((run_dir / "logs").glob("*.rc"))
+                if p.read_text().strip() != "0"
+            ]
             print(f"FLIPFORGE_THREADS={threads}: {len(commands())} commands, "
                   f"{len(diff)} differences, nonzero exits: {', '.join(bad) or 'none'}")
             for path in diff:
                 print(f"  differs: {path}")
-            failed |= bool(diff)
+            failed |= bool(diff or bad)
         return 1 if failed else 0
     finally:
         if not args.keep and not args.work:
