@@ -30,7 +30,6 @@ from .geometry import (
     Point,
     PointConfig,
     Rational,
-    affine_dependence,
     convex_hull,
     lattice_points,
     simplex_volume,
@@ -42,11 +41,9 @@ from .triangulation import (
     Simplex,
     Triangulation,
     dual_diameter,
-    dual_graph,
     is_fine,
     is_regular,
     is_star,
-    link_of,
     regular_from_heights,
     validate,
 )

@@ -300,11 +300,6 @@ def tensor_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return _emit(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
-def mean(a: Tensor) -> Tensor:
-    n = a.data.size
-    return scale(tensor_sum(a), 1.0 / n)
-
-
 def concat(tensors, axis=0) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=axis)
     bounds = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
@@ -507,39 +502,3 @@ def adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         mhat = p.m / (1.0 - beta1**p.step)
         vhat = p.v / (1.0 - beta2**p.step)
         p.value = p.value - lr * mhat / (np.sqrt(vhat) + eps)
-
-
-def finite_diff_check(forward, values, tolerance=1e-4, step=1e-5, max_coords=40, rng=None):
-    """Compare tape gradients against central differences on sampled coordinates.
-
-    ``forward`` maps a dict name -> Tensor to a scalar Tensor; ``values`` is a
-    dict name -> ndarray of base points.  Returns (max relative error, ok flag).
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-
-    def loss_at(vals):
-        out = forward({k: Tensor(v) for k, v in vals.items()})
-        return float(out.data.reshape(-1)[0])
-
-    tape = Tape()
-    taped = {k: leaf(tape, v) for k, v in values.items()}
-    loss_tensor = forward(taped)
-    grads_by_id = backward(tape, loss_tensor)
-    grads = {k: grads_by_id.get(t.node_id, np.zeros_like(t.data)) for k, t in taped.items()}
-
-    worst = 0.0
-    for name, base in values.items():
-        flat = np.asarray(base, dtype=np.float64).reshape(-1)
-        count = min(max_coords, flat.size)
-        coords = rng.choice(flat.size, size=count, replace=False)
-        for idx in coords:
-            bumped = {k: np.array(v, dtype=np.float64, copy=True) for k, v in values.items()}
-            bumped[name].reshape(-1)[idx] += step
-            up = loss_at(bumped)
-            bumped[name].reshape(-1)[idx] -= 2 * step
-            down = loss_at(bumped)
-            fd = (up - down) / (2 * step)
-            an = float(np.asarray(grads[name]).reshape(-1)[idx])
-            denom = max(abs(fd), abs(an), 1.0)
-            worst = max(worst, abs(fd - an) / denom)
-    return worst, worst < tolerance

@@ -10,6 +10,7 @@ worker count for per-instance search fan-out.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.util
 import os
 import sys
@@ -131,14 +132,7 @@ def cmd_gen(args) -> int:
         dataset.seeds[cid] = seeds
         io.write_triangulation_set(out / f"seeds_{cid}.tri", seeds)
     manifest = {
-        "spec": {
-            "dim": spec.dim,
-            "samples": spec.samples,
-            "count": spec.count,
-            "seed": spec.seed,
-            "snap_denominator": spec.snap_denominator,
-            "draw_cap": spec.draw_cap,
-        },
+        "spec": dataclasses.asdict(spec),
         "ids": dataset.ids,
         "vertex_counts": dataset.vertex_counts,
         "seed_counts": {cid: len(dataset.seeds[cid]) for cid in dataset.ids},
@@ -168,28 +162,18 @@ def cmd_enumerate(args) -> int:
 
 
 def _search_instance(task):
-    """One (polytope, seed triangulation, strategy) run; used by worker pools."""
-    (
-        cid,
-        table,
-        seed_tri,
-        seed_index,
-        strategy_name,
-        strategy_params,
-        model,
-        objective_name,
-        budget,
-        rng_seed,
-    ) = task
-    objective = Objective.from_name(objective_name)
-    config = table.config
-    strategy = make_strategy(strategy_name, model=model, params=strategy_params)
+    """One (polytope, seed triangulation, strategy) run; used by worker pools.
+
+    Tasks share one strategy instance, which each run resets; a pool worker
+    runs a pickled copy.
+    """
+    cid, table, seed_tri, seed_index, strategy, objective, budget, rng_seed = task
     trace = run_budgeted(
         strategy,
         seed_tri,
         objective,
         budget,
-        config=config,
+        config=table.config,
         table=table,
         seed=rng_seed,
     )
@@ -256,7 +240,7 @@ def _search_common(args, strategy_name, checkpoint_path=None) -> int:
     params = dict(args.strategy_param or {})
     if strategy_name == "policy":
         params.setdefault("mode", args.mode)
-    make_strategy(strategy_name, model=model, params=params)  # checked before any work
+    strategy = make_strategy(strategy_name, model=model, params=params)  # checked before any work
     tables = {}
     tasks = []
     for cid in dataset.ids:
@@ -269,10 +253,8 @@ def _search_common(args, strategy_name, checkpoint_path=None) -> int:
                     tables[cid],
                     seed_tri,
                     k,
-                    strategy_name,
-                    params,
-                    model,
-                    args.objective,
+                    strategy,
+                    objective,
                     args.budget,
                     args.seed + 1000 * dataset.ids.index(cid) + k,
                 )

@@ -161,11 +161,6 @@ def incidence_signature(config: PointConfig):
     return (nv, len(facet_sets), _canonical_encoding(colors, adjacency, total))
 
 
-def are_isomorphic(a: PointConfig, b: PointConfig) -> bool:
-    """True iff the vertex-facet incidence structures agree under a bijection."""
-    return incidence_signature(a) == incidence_signature(b)
-
-
 def delaunay_like_heights(config: PointConfig):
     return [sum(c * c for c in p) for p in config.points]
 

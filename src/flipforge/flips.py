@@ -449,17 +449,6 @@ def _children(tri: Triangulation, table: CircuitTable) -> dict:
     return first
 
 
-def reverse_action(tri_after: Triangulation, table: CircuitTable, action: FlipAction):
-    """The action that undoes ``action`` from the flipped state."""
-    for cand in flippable_circuits(tri_after, table):
-        if (
-            cand.circuit.vertices == action.circuit.vertices
-            and cand.realized_side == -action.realized_side
-        ):
-            return cand
-    raise AssertionError("reverse flip not found")
-
-
 def neighbors(tri: Triangulation, table: CircuitTable):
     """Distinct one-flip successors of ``tri``, in key order (descending masks)."""
     first = _children(tri, table)

@@ -70,28 +70,17 @@ class LatticeConfig:
         return self.config.n
 
 
-@dataclass(frozen=True)
-class FrstReport:
-    fine: bool
-    regular: bool
-    star: bool
-
-    @property
-    def ok(self):
-        return self.fine and self.regular and self.star
-
-
 def is_frst(tri: Triangulation, lattice: LatticeConfig, cache: ObjectiveCache | None = None):
-    """Check fine, regular, and star separately; returns an FrstReport.
+    """True iff ``tri`` is a star, fine and regular triangulation of ``lattice``.
 
-    Regularity comes from the certificate oracle: a certificate cached in
-    ``cache`` is re-verified exactly against ``tri``'s rows, with no LP.
+    The combinatorial tests run first, so only a fine star asks the
+    regularity oracle; a certificate cached in ``cache`` is re-verified
+    exactly against ``tri``'s rows, with no LP.
     """
-    fine = is_fine(tri, lattice.config)
-    certificates = cache.certificates if cache is not None else None
-    regular = certify_regularity(tri, lattice.config, certificates).regular
-    star = is_star(tri, lattice.config, lattice.origin_index)
-    return FrstReport(fine=fine, regular=regular, star=star)
+    return (
+        is_star(tri, lattice.config, lattice.origin_index)
+        and fine_and_regular(tri, lattice.config, cache) is not None
+    )
 
 
 def star_closure(
@@ -299,8 +288,7 @@ def sample_frsts(
         new = False
         if result.success:
             closed = result.closed
-            report = is_frst(closed, lattice, cache)
-            if not report.ok:
+            if not is_frst(closed, lattice, cache):
                 raise AssertionError("star closure produced a non-FRST state")
             key = closed.code(table.index)
             if key not in ledger.triangulations:

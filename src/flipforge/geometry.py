@@ -176,41 +176,10 @@ def _homogenized(points):
     return [[p[i] for p in points] for i in range(len(points[0]))] + [[1] * len(points)]
 
 
-def affine_rank(points) -> int:
-    """Number of affinely independent points minus one equals the span dimension."""
-    if len(points) <= 1:
-        return 0
-    return len(rref(_homogenized([make_point(p) for p in points]))[1]) - 1
-
-
 def _affine_kernel_basis(points):
     """Basis of {lam : sum lam_i p_i = 0, sum lam_i = 0}, as Fraction tuples."""
     basis, d = null_space(_homogenized(points))
     return [tuple(Fraction(v, d) for v in vec) for vec in basis]
-
-
-def _normalize_dependence(vec):
-    """Scale so the first nonzero entry is +1."""
-    for v in vec:
-        if v != 0:
-            return tuple(x / v for x in vec)
-    raise ValueError("zero dependence vector")
-
-
-def affine_dependence(points):
-    """Return a nonzero affine dependence of the points, or None if independent.
-
-    The result lam satisfies sum(lam_i * p_i) == 0 and sum(lam_i) == 0 exactly,
-    normalized so its first nonzero entry is +1.  When the input is a circuit
-    the dependence is unique up to scaling and has full support.
-    """
-    dims = {len(p) for p in points}
-    if len(dims) != 1:
-        raise ValueError("dimension mismatch among points")
-    basis = _affine_kernel_basis([make_point(p) for p in points])
-    if not basis:
-        return None
-    return _normalize_dependence(basis[0])
 
 
 def dependence_kernel(points):
@@ -230,9 +199,6 @@ class HullFacet:
     offset: Fraction
     vertex_ids: frozenset
 
-    def value(self, point) -> Fraction:
-        return sum(n * c for n, c in zip(self.normal, point)) - self.offset
-
 
 @dataclass(frozen=True)
 class HullResult:
@@ -248,9 +214,6 @@ class HullResult:
             for i in on_boundary
             if len(rref([f.normal for f in self.facets if i in f.vertex_ids])[1]) == dim
         )
-
-    def contains(self, point) -> bool:
-        return all(f.value(make_point(point)) <= 0 for f in self.facets)
 
 
 class PointConfig:

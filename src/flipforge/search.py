@@ -100,11 +100,10 @@ class StepRecord:
 
 @dataclass
 class SearchTrace:
-    """Visited states with per-step values and the best state found."""
+    """Visited states with per-step values and the best value found."""
 
     records: list = field(default_factory=list)
     states: list = field(default_factory=list)
-    best_state: Triangulation | None = None
     best_value: float = math.inf
     budget_used: int = 0
 
@@ -115,7 +114,6 @@ class SearchTrace:
         self.states.append(tri)
         if value < self.best_value:
             self.best_value = value
-            self.best_state = tri
 
 
 class Strategy:

@@ -1,4 +1,4 @@
-"""Triangulations as values: validity, identity, links, duals, and regularity.
+"""Triangulations as values: validity, identity, the dual diameter, and regularity.
 
 A triangulation is a sorted tuple of maximal simplices (sorted vertex-index
 tuples) over some :class:`~flipforge.geometry.PointConfig`, or equally the
@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
@@ -300,50 +300,28 @@ def require_valid(tri: Triangulation, config: PointConfig) -> None:
         raise FlipForgeError(f"flip produced an invalid triangulation ({clause}: {message})")
 
 
-def link_of(tri: Triangulation, face):
-    """Maximal elements of the link of ``face``: {max(sigma) - face : face <= sigma}."""
-    fs = frozenset(int(v) for v in face)
-    if not fs:
-        return frozenset(frozenset(s) for s in tri.simplices)
-    containing = [frozenset(s) for s in tri.simplices if fs <= set(s)]
-    if not containing:
-        raise ValueError(f"face {sorted(fs)} is not a face of the triangulation")
-    return frozenset(s - fs for s in containing)
-
-
-@dataclass(frozen=True)
-class DualGraph:
-    nodes: tuple
-    edges: tuple
-    adjacency: dict = field(compare=False, repr=False)
-
-
-def dual_graph(tri: Triangulation) -> DualGraph:
-    """One node per maximal simplex; edges join simplices sharing a (d-1)-face."""
-    # two simplices share at most one (d-1)-face, so no pair repeats
-    pairs = (itertools.combinations(holders, 2) for holders in tri.ridges().values())
-    edges = tuple(sorted((a, b) for (a, _), (b, _) in itertools.chain.from_iterable(pairs)))
-    adjacency = {i: [] for i in range(len(tri.simplices))}
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    return DualGraph(nodes=tuple(range(len(tri.simplices))), edges=edges, adjacency=adjacency)
-
-
 def dual_diameter(tri: Triangulation) -> int:
-    """Graph diameter of the dual graph via all-pairs breadth-first search."""
-    graph = dual_graph(tri)
+    """Graph diameter of the dual graph via all-pairs breadth-first search.
+
+    The dual graph has one node per maximal simplex and joins the simplices
+    holding a common (d-1)-face.
+    """
+    adjacency = [[] for _ in tri.simplices]
+    for holders in tri.ridges().values():
+        for (a, _), (b, _) in itertools.combinations(holders, 2):
+            adjacency[a].append(b)
+            adjacency[b].append(a)
     best = 0
-    for source in graph.nodes:
+    for source in range(len(adjacency)):
         dist = {source: 0}
         queue = deque([source])
         while queue:
             u = queue.popleft()
-            for v in graph.adjacency[u]:
+            for v in adjacency[u]:
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     queue.append(v)
-        if len(dist) != len(graph.nodes):
+        if len(dist) != len(adjacency):
             raise ValueError("dual graph is disconnected")
         best = max(best, max(dist.values()))
     return best

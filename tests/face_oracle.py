@@ -6,6 +6,8 @@ of fewer than dim+2 points was realized by looking each core up in it and
 comparing the cores' links.  ``flippable_circuits`` now reads each core's
 link off the state's simplices directly, so this module keeps the face map,
 built afresh, and that lookup whole, to check the actions state by state.
+``link_of`` reads one face's link off the simplices, for the tests that
+compare the links of a circuit's cores.
 """
 
 import functools
@@ -66,3 +68,14 @@ def face_map_actions(tri, table):
         assert len(found) <= 1, f"both sides of {circuit.vertices} realized"
         actions.extend(found)
     return actions
+
+
+def link_of(tri, face):
+    """Maximal elements of the link of ``face``: {max(sigma) - face : face <= sigma}."""
+    fs = frozenset(int(v) for v in face)
+    if not fs:
+        return frozenset(frozenset(s) for s in tri.simplices)
+    containing = [frozenset(s) for s in tri.simplices if fs <= set(s)]
+    if not containing:
+        raise ValueError(f"face {sorted(fs)} is not a face of the triangulation")
+    return frozenset(s - fs for s in containing)

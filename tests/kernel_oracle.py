@@ -4,13 +4,58 @@
 kernel vector of a face's edge vectors ``x_i - x_0`` and simplex volumes its
 last pivot.  These are the Bareiss determinant, the cofactor normal and the
 kernel of the rows ``(x_i, -1)`` that those routes replaced, and the
-``Fraction`` box scan that ``lattice_points``' integer scan replaced.
+``Fraction`` box scan that ``lattice_points``' integer scan replaced, with the
+``Fraction`` plane values and containment test it reads.  ``affine_rank`` and
+``affine_dependence`` are stand-alone rank and dependence routines; in the
+package the constructor's rank check and the minor table's Cramer dependences
+serve those needs.
 """
 
 import itertools
 import math
 
-from flipforge.geometry import make_point, null_space
+from flipforge.geometry import _affine_kernel_basis, _homogenized, make_point, null_space, rref
+
+
+def affine_rank(points) -> int:
+    """Number of affinely independent points minus one equals the span dimension."""
+    if len(points) <= 1:
+        return 0
+    return len(rref(_homogenized([make_point(p) for p in points]))[1]) - 1
+
+
+def _normalize_dependence(vec):
+    """Scale so the first nonzero entry is +1."""
+    for v in vec:
+        if v != 0:
+            return tuple(x / v for x in vec)
+    raise ValueError("zero dependence vector")
+
+
+def affine_dependence(points):
+    """Return a nonzero affine dependence of the points, or None if independent.
+
+    The result lam satisfies sum(lam_i * p_i) == 0 and sum(lam_i) == 0 exactly,
+    normalized so its first nonzero entry is +1.  When the input is a circuit
+    the dependence is unique up to scaling and has full support.
+    """
+    dims = {len(p) for p in points}
+    if len(dims) != 1:
+        raise ValueError("dimension mismatch among points")
+    basis = _affine_kernel_basis([make_point(p) for p in points])
+    if not basis:
+        return None
+    return _normalize_dependence(basis[0])
+
+
+def facet_value(facet, point):
+    """``normal . point - offset``: at most 0 on the hull's side of ``facet``."""
+    return sum(n * c for n, c in zip(facet.normal, point)) - facet.offset
+
+
+def hull_contains(hull, point) -> bool:
+    """True iff ``point`` lies on the inner side of every facet of ``hull``."""
+    return all(facet_value(f, make_point(point)) <= 0 for f in hull.facets)
 
 
 def _int_det(rows):
@@ -72,6 +117,6 @@ def box_scan_lattice_points(config):
     out = []
     for cand in itertools.product(*ranges):
         point = make_point(cand)
-        if hull.contains(point):
+        if hull_contains(hull, point):
             out.append(point)
     return out

@@ -2,7 +2,8 @@
 
 Each reader once grouped a triangulation's simplices by (d-1)-face on its own:
 ``boundary_faces`` counted each face's occurrences for ``validate`` and the
-star closure, ``dual_graph`` listed the simplex indices holding each face,
+star closure, ``dual_graph`` listed the simplex indices holding each face
+(its edges now check ``dual_diameter``, which reads the ridge table),
 ``regularity_constraints`` listed the vertices opposite each face, and
 ``simplicial_operator`` listed each face's (simplex, sign) pairs and summed
 sign products over ordered pairs.  This module keeps those readers whole, so
@@ -15,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from flipforge.autodiff import SparseMatrix
-from flipforge.triangulation import DualGraph, Triangulation, ValidityReport
+from flipforge.triangulation import Triangulation, ValidityReport
 
 
 def boundary_faces(tri):
@@ -74,7 +75,8 @@ def cone_over_boundary(tri, origin):
 
 
 def dual_graph(tri):
-    """One node per maximal simplex; edges join simplices sharing a (d-1)-face."""
+    """The sorted edges (a, b), a < b, of the dual graph: one node per maximal
+    simplex, and an edge between simplices sharing a (d-1)-face."""
     face_to = {}
     for idx, s in enumerate(tri.simplices):
         for face in itertools.combinations(s, len(s) - 1):
@@ -83,15 +85,7 @@ def dual_graph(tri):
     for members in face_to.values():
         for a, b in itertools.combinations(members, 2):
             edges.add((min(a, b), max(a, b)))
-    adjacency = {i: [] for i in range(len(tri.simplices))}
-    for a, b in sorted(edges):
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    return DualGraph(
-        nodes=tuple(range(len(tri.simplices))),
-        edges=tuple(sorted(edges)),
-        adjacency=adjacency,
-    )
+    return tuple(sorted(edges))
 
 
 def regularity_constraints(tri, config):

@@ -23,7 +23,6 @@ from flipforge.flips import (
     enumerate_circuits,
     enumerate_component,
     flippable_circuits,
-    reverse_action,
 )
 from flipforge.frst import (
     LatticeConfig,
@@ -45,6 +44,8 @@ from flipforge.search import make_strategy, run_budgeted
 from flipforge.triangulation import Triangulation, is_regular, regular_from_heights, validate
 
 from conftest import convex_polygon
+from grad_check import finite_diff_check
+from walk_oracle import reverse_action
 
 
 def report(criterion, ok, detail=""):
@@ -200,7 +201,7 @@ def test_criterion_05_gradient_checks(unit_square):
             ad.square(ad.add(ad.matmul(ad.constant(x), params["w"]), params["b"]))
         )
 
-    err, ok = ad.finite_diff_check(linear, {"w": w, "b": b}, tolerance=1e-7, step=1e-6)
+    err, ok = finite_diff_check(linear, {"w": w, "b": b}, tolerance=1e-7, step=1e-6)
     assert ok, f"linear layer gradcheck {err}"
 
     model = PolicyModel.initialize(ModelConfig(input_dim=2, hidden=10), seed=6)
@@ -254,7 +255,7 @@ def test_criterion_05_gradient_checks(unit_square):
         ("end-to-end losses", losses_loss, group(["embed", "enc", "actor", "value"])),
     ]
     for name, fn, params in checks:
-        err, ok = ad.finite_diff_check(fn, params, tolerance=1e-4, max_coords=6, rng=rng)
+        err, ok = finite_diff_check(fn, params, tolerance=1e-4, max_coords=6, rng=rng)
         worst = max(worst, err)
         assert ok, f"{name} gradcheck {err}"
 
@@ -269,7 +270,7 @@ def test_criterion_05_gradient_checks(unit_square):
 
         return ad.square(nls_accept_probability(enc, p))
 
-    err, ok = ad.finite_diff_check(
+    err, ok = finite_diff_check(
         accept_loss,
         {k: nls.params[k] for k in nls.params if k.startswith("accept")},
         tolerance=1e-4,
@@ -290,7 +291,7 @@ def test_criterion_08_frst_desk(lattice_square):
         component = enumerate_component(initial_triangulation(config), table, limit=200_000)
         assert not component.truncated
         oracle = {
-            t.canonical_key for t in component.states.values() if is_frst(t, lattice).ok
+            t.canonical_key for t in component.states.values() if is_frst(t, lattice)
         }
         sampler = SamplerConfig(max_iterations=1024, retry_limit=50)
         ledger = sample_frsts(

@@ -35,15 +35,15 @@ from flipforge.flips import (
     apply_flip,
     enumerate_circuits,
     flippable_circuits,
-    reverse_action,
 )
 from flipforge.frst import LatticeConfig
 from flipforge.geometry import PointConfig, _prefix_minors, dependence_kernel, rref
 from flipforge.io import read_point_config
-from flipforge.triangulation import Triangulation, link_of, validate
+from flipforge.triangulation import Triangulation, validate
 from conftest import cross4d_box_points, degenerate_point_lists, point_lists
-from face_oracle import face_map_actions
+from face_oracle import face_map_actions, link_of
 from kernel_oracle import _int_det
+from walk_oracle import reverse_action
 
 
 def fraction_circuit(subset, lam):

@@ -20,7 +20,7 @@ from flipforge.datagen import initial_triangulation
 from flipforge.errors import DegenerateConfig, DegenerateHeights
 from flipforge.flips import apply_flip, enumerate_circuits, flippable_circuits
 from flipforge.frst import LatticeConfig, star_closure
-from flipforge.geometry import affine_dependence, lattice_points
+from flipforge.geometry import lattice_points
 from flipforge.io import read_point_config
 from flipforge.objectives import ObjectiveCache
 from flipforge.triangulation import (
@@ -33,6 +33,7 @@ from flipforge.triangulation import (
 )
 from closure_oracle import _barycentric, hull_star_closure
 from conftest import point_lists
+from kernel_oracle import affine_dependence
 from test_circuit_index import CROSS4D_14, SQUARE_3X3
 
 PRISM = ff.PointConfig(

@@ -6,7 +6,6 @@ import pytest
 import flipforge as ff
 from flipforge.datagen import (
     GenSpec,
-    are_isomorphic,
     generate,
     incidence_signature,
     initial_triangulation,
@@ -14,6 +13,11 @@ from flipforge.datagen import (
     seed_triangulations,
 )
 from flipforge.triangulation import validate
+
+
+def are_isomorphic(a, b):
+    """True iff the vertex-facet incidence structures agree under a bijection."""
+    return incidence_signature(a) == incidence_signature(b)
 
 
 def rotated_relabeled_cube(cube):

@@ -12,11 +12,12 @@ from flipforge.flips import (
     enumerate_component,
     flippable_circuits,
     neighbors,
-    reverse_action,
 )
 from flipforge.geometry import simplex_volume
-from flipforge.triangulation import Triangulation, link_of, validate
+from flipforge.triangulation import Triangulation, validate
 from conftest import convex_polygon, polygon_triangulations
+from face_oracle import link_of
+from walk_oracle import reverse_action
 
 
 def test_circuits_unit_square(unit_square, unit_square_table):

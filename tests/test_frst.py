@@ -15,9 +15,16 @@ from flipforge.frst import (
 )
 from flipforge.errors import FlipForgeError
 from flipforge.io import read_point_config
-from flipforge.objectives import Objective
+from flipforge.objectives import Objective, fine_and_regular
 from flipforge.search import RandomWalkStrategy, SearchContext, make_strategy
-from flipforge.triangulation import Triangulation, is_fine, is_regular, is_star, validate
+from flipforge.triangulation import (
+    Triangulation,
+    certify_regularity,
+    is_fine,
+    is_regular,
+    is_star,
+    validate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +54,7 @@ def exhaustive_frsts(lattice, table):
     component = enumerate_component(seed, table, limit=200_000)
     assert not component.truncated
     return {
-        t.canonical_key: t for t in component.states.values() if is_frst(t, lattice).ok
+        t.canonical_key: t for t in component.states.values() if is_frst(t, lattice)
     }
 
 
@@ -72,15 +79,17 @@ def test_lattice_config_invariants(square_lattice):
 
 
 def test_is_frst_fan(square_lattice):
-    report = is_frst(SQUARE_FAN, square_lattice)
-    assert report.fine and report.regular and report.star and report.ok
+    config = square_lattice.config
+    assert is_fine(SQUARE_FAN, config)
+    assert certify_regularity(SQUARE_FAN, config).regular
+    assert is_star(SQUARE_FAN, config, square_lattice.origin_index)
+    assert is_frst(SQUARE_FAN, square_lattice)
 
 
 def test_is_frst_corner_triangulation(square_lattice):
     corners = Triangulation([(0, 2, 6), (2, 6, 8)])
-    report = is_frst(corners, square_lattice)
-    assert not report.fine
-    assert not report.ok
+    assert not is_fine(corners, square_lattice.config)
+    assert not is_frst(corners, square_lattice)
 
 
 def test_is_frst_fine_regular_nonstar(square_lattice, square_lattice_table):
@@ -95,26 +104,28 @@ def test_is_frst_fine_regular_nonstar(square_lattice, square_lattice_table):
                 found = candidate
                 break
     assert found is not None
-    report = is_frst(found, square_lattice)
-    assert report.fine and report.regular and not report.star
+    config = square_lattice.config
+    assert is_fine(found, config)
+    assert certify_regularity(found, config).regular
+    assert not is_star(found, config, square_lattice.origin_index)
+    assert not is_frst(found, square_lattice)
 
 
 def test_star_closure_fixes_nonstar(square_lattice, square_lattice_table):
-    state = None
+    state, config = None, square_lattice.config
     for action in flippable_circuits(SQUARE_FAN, square_lattice_table):
         candidate = apply_flip(SQUARE_FAN, action)
-        report = is_frst(candidate, square_lattice)
-        if report.fine and report.regular and not report.star:
+        if fine_and_regular(candidate, config) is not None and not is_star(candidate, config, 4):
             state = candidate
             break
     closed = star_closure(state, square_lattice)
-    assert is_frst(closed, square_lattice).ok
+    assert is_frst(closed, square_lattice)
     assert closed.canonical_key == SQUARE_FAN.canonical_key  # unique FRST
 
 
 def test_star_closure_idempotent_on_star_input(square_lattice):
     closed = star_closure(SQUARE_FAN, square_lattice)
-    assert is_frst(closed, square_lattice).ok
+    assert is_frst(closed, square_lattice)
     assert closed.canonical_key == SQUARE_FAN.canonical_key
 
 
@@ -148,8 +159,7 @@ def test_episode_reachability_matches_bfs(square_lattice, square_lattice_table):
     corners = Triangulation([(0, 2, 6), (2, 6, 8)])
     component = enumerate_component(corners, square_lattice_table, limit=100_000)
     target_reachable = any(
-        is_frst(t, square_lattice).fine and is_frst(t, square_lattice).regular
-        for t in component.states.values()
+        fine_and_regular(t, square_lattice.config) is not None for t in component.states.values()
     )
     assert target_reachable
     successes = 0
@@ -243,7 +253,7 @@ def test_sample_frsts_lift_only(square_lattice, square_lattice_table):
         table=square_lattice_table,
     )
     for tri in ledger.triangulations.values():
-        assert is_frst(tri, square_lattice).ok
+        assert is_frst(tri, square_lattice)
 
 
 @pytest.mark.parametrize("name,expected", [("simplex3d", 1), ("octahedron3d", 1)])

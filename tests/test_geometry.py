@@ -13,8 +13,6 @@ from flipforge.geometry import (
     PointConfig,
     _oriented_plane,
     _scaled_int_rows,
-    affine_dependence,
-    affine_rank,
     lattice_points,
     make_point,
     placing_triangulation,
@@ -23,7 +21,16 @@ from flipforge.geometry import (
 )
 from flipforge.triangulation import regular_from_heights
 from conftest import cross4d_box_points, degenerate_point_lists, point_lists
-from kernel_oracle import _hyperplane_from_basis, _int_det, _kernel_plane, box_scan_lattice_points
+from kernel_oracle import (
+    _hyperplane_from_basis,
+    _int_det,
+    _kernel_plane,
+    affine_dependence,
+    affine_rank,
+    box_scan_lattice_points,
+    facet_value,
+    hull_contains,
+)
 
 
 def test_dependence_collinear_triple():
@@ -308,7 +315,7 @@ def test_hull_matches_brute_force_oracle(dim, data):
     assert len(hull.facets) == len(expected)
     assert {f.vertex_ids for f in hull.facets} == expected
     for f in hull.facets:
-        values = [f.value(p) for p in config.points]
+        values = [facet_value(f, p) for p in config.points]
         assert all(v <= 0 for v in values)
         assert {i for i, v in enumerate(values) if v == 0} == f.vertex_ids
     if dim < 5:  # the extreme oracle's C(n, 6) simplices are most of a 5D case's time
@@ -409,7 +416,7 @@ def test_lattice_points_superset_and_containment(lattice_square, lattice_octahed
         for p in config.points:
             assert p in pts  # config's own integral points are returned
         for p in pts:
-            assert hull.contains(p)  # every returned point passes containment
+            assert hull_contains(hull, p)  # every returned point passes containment
 
 
 def oracle_plane(rows, face, inside):

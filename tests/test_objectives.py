@@ -15,6 +15,7 @@ from flipforge.objectives import (
 )
 from flipforge.triangulation import Triangulation
 from conftest import polygon_triangulations
+from walk_oracle import reverse_action
 
 
 def test_min_weight_square(unit_square):
@@ -64,8 +65,6 @@ def test_reward_antisymmetry(unit_square, unit_square_table):
     action = flippable_circuits(tri, unit_square_table)[0]
     fwd = reward(Objective.MIN_WEIGHT, tri, apply_flip(tri, action), unit_square)
     flipped = apply_flip(tri, action)
-    from flipforge.flips import reverse_action
-
     rev = reverse_action(flipped, unit_square_table, action)
     bwd = reward(Objective.MIN_WEIGHT, flipped, apply_flip(flipped, rev), unit_square)
     assert fwd == pytest.approx(-bwd, abs=1e-12)

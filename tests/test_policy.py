@@ -18,6 +18,7 @@ from flipforge.policy import (
 )
 from flipforge.search import PolicyStrategy
 from flipforge.triangulation import Triangulation
+from grad_check import finite_diff_check
 from policy_oracle import boundary_matrix
 
 
@@ -308,7 +309,7 @@ def test_layerwise_gradient_checks(square_setup):
     def linear(params):
         return ad.tensor_sum(ad.square(ad.add(ad.matmul(ad.constant(x), params["w"]), params["b"])))
 
-    err, ok = ad.finite_diff_check(linear, {"w": w, "b": b}, tolerance=1e-7, step=1e-6)
+    err, ok = finite_diff_check(linear, {"w": w, "b": b}, tolerance=1e-7, step=1e-6)
     assert ok, err
 
     config, _table, tri, actions = square_setup
@@ -321,7 +322,7 @@ def test_layerwise_gradient_checks(square_setup):
         return ad.tensor_sum(ad.square(enc.hidden))
 
     values = {k: model.params[k] for k in layer_names}
-    err, ok = ad.finite_diff_check(egnn_forward, values, tolerance=1e-4, max_coords=6)
+    err, ok = finite_diff_check(egnn_forward, values, tolerance=1e-4, max_coords=6)
     assert ok, err
 
     def logit_forward(params):
@@ -331,7 +332,7 @@ def test_layerwise_gradient_checks(square_setup):
         return ad.tensor_sum(ad.square(logits))
 
     actor_names = [k for k in model.params if k.startswith("actor")]
-    err, ok = ad.finite_diff_check(
+    err, ok = finite_diff_check(
         logit_forward, {k: model.params[k] for k in actor_names}, tolerance=1e-4, max_coords=6
     )
     assert ok, err

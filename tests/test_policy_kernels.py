@@ -42,6 +42,7 @@ from flipforge.training import RolloutStep, TrainerConfig, Transition, _step_los
 from flipforge.triangulation import Triangulation
 
 import policy_oracle as oracle
+from grad_check import finite_diff_check
 
 KINDS = ("snn", "egnn_only", "pool_mlp", "nls_accept")
 RTOL = 1e-9
@@ -232,7 +233,7 @@ def test_group_max_finite_differences():
     def forward(p):
         return ad.tensor_sum(ad.mul(ad.group_max(p["x"], groups), ad.constant(weights)))
 
-    err, ok = ad.finite_diff_check(forward, {"x": x}, tolerance=1e-7, step=1e-6)
+    err, ok = finite_diff_check(forward, {"x": x}, tolerance=1e-7, step=1e-6)
     assert ok, err
 
 
@@ -249,7 +250,7 @@ def test_linear_finite_differences(silu):
     def forward(p):
         return ad.tensor_sum(ad.mul(ad.linear(p["x"], p["w"], p["b"], silu), ad.constant(weights)))
 
-    err, ok = ad.finite_diff_check(forward, values, tolerance=1e-7, step=1e-6)
+    err, ok = finite_diff_check(forward, values, tolerance=1e-7, step=1e-6)
     assert ok, err
     # the fused op equals matmul, bias and SiLU applied one after another
     x, w, b = (Tensor(values[k]) for k in ("x", "w", "b"))
@@ -307,7 +308,7 @@ def test_pair_linear_matches_concat_then_linear(states, extra_width):
         untouched = np.setdiff1d(np.arange(values["h"].shape[0]), own)
         assert case > 0 or untouched.size > 0
         assert not new["h"][untouched].any()
-        err, ok = ad.finite_diff_check(
+        err, ok = finite_diff_check(
             lambda p: ad.tensor_sum(ad.mul(fused(p), weights)), values, tolerance=1e-7, step=1e-6
         )
         assert ok, (case, err)

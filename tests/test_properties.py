@@ -14,9 +14,10 @@ import flipforge as ff
 from flipforge import io
 from flipforge.datagen import initial_triangulation
 from flipforge.errors import DegenerateConfig
-from flipforge.flips import apply_flip, enumerate_circuits, flippable_circuits, reverse_action
+from flipforge.flips import apply_flip, enumerate_circuits, flippable_circuits
 from flipforge.triangulation import Triangulation
 from conftest import point_lists
+from walk_oracle import reverse_action
 
 
 def draw_config(dim, data):

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import flipforge as ff
-from flipforge import frst, lp
+from flipforge import frst, lp, objectives
 from flipforge.datagen import initial_triangulation
 from flipforge.errors import DegenerateConfig, DegenerateHeights
 from flipforge.flips import apply_flip, enumerate_circuits, flippable_circuits
@@ -29,11 +29,13 @@ from flipforge.triangulation import (
     certify_regularity,
     is_fine,
     is_regular,
+    is_star,
     regular_from_heights,
     regularity_constraints,
 )
 
 from conftest import polygon_triangulations
+from test_frst import SQUARE_FAN
 
 PRISM = ff.PointConfig(
     3, sorted((x, y, z) for z in (-1, 0, 1) for (x, y) in ((1, 0), (0, 1), (-1, -1), (0, 0)))
@@ -358,6 +360,30 @@ def test_lp_count_equals_distinct_fine_states_on_prism(monkeypatch):
     assert 0 < solved == predicted <= fine
 
 
+def test_is_frst_asks_no_regularity_oracle_off_a_fine_star(monkeypatch):
+    """A state that is not a star, or not fine, is turned down by the combinatorial
+    tests alone: neither the certificate oracle nor the LP runs for it."""
+    lattice = LatticeConfig.from_config(read_point_config(ff.fixture_path("square2d")))
+    config, origin, fan = lattice.config, lattice.origin_index, SQUARE_FAN
+    children = (apply_flip(fan, a) for a in flippable_circuits(fan, enumerate_circuits(config)))
+    nonstar = next(c for c in children if is_fine(c, config) and not is_star(c, config, origin))
+    corners = Triangulation([(0, 2, 6), (2, 6, 8)])
+    assert not is_fine(corners, config)
+    lp_calls = count_lp_calls(monkeypatch)
+    oracle_calls = []
+
+    def counting(*args, **kwargs):
+        oracle_calls.append(args[0])
+        return certify_regularity(*args, **kwargs)
+
+    for module in (frst, objectives):
+        monkeypatch.setattr(module, "certify_regularity", counting)
+    assert not frst.is_frst(nonstar, lattice) and not frst.is_frst(corners, lattice)
+    assert oracle_calls == [] and lp_calls == []
+    assert frst.is_frst(fan, lattice)  # a fine star asks the oracle, which solves its LP
+    assert oracle_calls == [fan] and len(lp_calls) == 1
+
+
 def test_is_frst_rechecks_corrupted_cached_witness(monkeypatch):
     lattice = LatticeConfig.from_config(read_point_config(ff.fixture_path("square2d")))
     cache = ObjectiveCache()
@@ -371,10 +397,10 @@ def test_is_frst_rechecks_corrupted_cached_witness(monkeypatch):
     closed = next(iter(ledger.triangulations.values()))
     key = closed.canonical_key
     calls = count_lp_calls(monkeypatch)
-    assert frst.is_frst(closed, lattice, cache).ok and calls == []
+    assert frst.is_frst(closed, lattice, cache) and calls == []
     good = cache.certificates[key]
     cache.certificates[key] = RegularityCertificate(True, tuple(-h for h in good.vector))
-    assert frst.is_frst(closed, lattice, cache).ok
+    assert frst.is_frst(closed, lattice, cache)
     assert len(calls) == 1 and cache.certificates[key].holds(
         regularity_constraints(closed, lattice.config)
     )

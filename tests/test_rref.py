@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipforge import lp
-from flipforge.geometry import _homogenized, affine_rank, null_space, rref
+from flipforge.geometry import _homogenized, null_space, rref
+from kernel_oracle import affine_rank
 
 
 def oracle_rref(rows):

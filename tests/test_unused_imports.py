@@ -1,9 +1,11 @@
 """No module of the package or of its tests imports a name it never uses, and
-no module of the package keeps a private function or class that no module
-reads.
+no module of the package keeps a function or class that no module reads.
 
-``__init__.py`` is left out of the import check: its imports are the
-package's public names.
+``__init__.py`` is left out of the import check and of the public-definition
+check: its imports are the package's public names, not reads.  A public
+function or class no other module reads is allowed only as a traced entry
+point of the benchmark (``TARGETS`` in ``perfbench/tracer.py``) or on the
+short list ``API``.
 """
 
 import ast
@@ -12,11 +14,14 @@ from pathlib import Path
 import pytest
 
 import flipforge
+from test_bench_contract import load_tracer
 
 PACKAGE = Path(flipforge.__file__).parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = Path(__file__).parent
 TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
+# file and flip-graph API that no command reads
+API = {"flips.neighbors", "io.read_triangulation", "io.write_triangulation", "io.read_jsonl"}
 
 
 def unused_imports(source):
@@ -32,8 +37,9 @@ def unused_imports(source):
     return sorted(set(imported) - used)
 
 
-def unread_private_definitions(sources):
-    """``module.name`` for each private module-level function or class no source reads.
+def unread_definitions(sources, private=True):
+    """``module.name`` for each private (or public) module-level function or class
+    no source reads.
 
     A name is read where it is loaded, taken as an attribute or imported.
     """
@@ -52,10 +58,14 @@ def unread_private_definitions(sources):
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
+        and node.name.startswith("_") == private
         and not node.name.endswith("__")
         and node.name not in read
     )
+
+
+def package_sources():
+    return {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
 
 
 def test_the_check_sees_unused_and_used_names():
@@ -70,7 +80,15 @@ def test_the_check_sees_unread_and_read_private_definitions():
         "b": "from .a import _imported\nimport a\na._attribute\n",
         "c": "def _imported(): pass\ndef _attribute(): pass\ndef _unread(): pass\n",
     }
-    assert unread_private_definitions(sources) == ["a._Unused", "c._unread"]
+    assert unread_definitions(sources) == ["a._Unused", "c._unread"]
+
+
+def test_the_check_sees_unread_and_read_public_definitions():
+    sources = {
+        "a": "def called(): pass\nclass Unread: pass\ndef _private(): pass\n",
+        "b": "from .a import called\n",
+    }
+    assert unread_definitions(sources, private=False) == ["a.Unread"]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -84,5 +102,14 @@ def test_test_module_uses_every_name_it_imports(module):
 
 
 def test_every_private_definition_is_read_by_the_package():
-    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
-    assert unread_private_definitions(sources) == []
+    assert unread_definitions(package_sources()) == []
+
+
+def test_every_public_definition_is_read_by_the_package_or_the_benchmark():
+    targets = load_tracer().TARGETS
+    traced = {f"{module}.{name}" for module, names in targets.items() for name in names}
+    sources = package_sources()
+    del sources["__init__"]  # its imports are exports, and its definitions package API
+    unread = set(unread_definitions(sources, private=False))
+    assert API <= unread  # an entry read by the package leaves the list
+    assert sorted(unread - traced - API) == []

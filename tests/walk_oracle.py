@@ -7,7 +7,8 @@ was kept (``successors``), and the breadth-first walk indexed its states by
 these keys (``tuple_component``).  ``enumerate_component`` now walks masks on
 the table's simplex index and orders children by descending mask; the tests
 compare the two walks state by state.  The oracle builds every state afresh
-from its key, so each scans its flips without a parent's.
+from its key, so each scans its flips without a parent's.  ``reverse_action``
+finds the action that undoes a flip, for the tests that walk a flip back.
 """
 
 import math
@@ -71,3 +72,14 @@ def tuple_component(seed, table, limit=1_000_000, cap=math.inf, visit=None):
                 queue.append(nxt)
             edge_count += pos >= expansions
     return TupleComponent(states, edge_count, truncated, expansions)
+
+
+def reverse_action(tri_after, table, action):
+    """The action that undoes ``action`` from the flipped state."""
+    for cand in flippable_circuits(tri_after, table):
+        if (
+            cand.circuit.vertices == action.circuit.vertices
+            and cand.realized_side == -action.realized_side
+        ):
+            return cand
+    raise AssertionError("reverse flip not found")

@@ -14,7 +14,8 @@ each tree at ``FLIPFORGE_THREADS`` 1 and 2:
 - ``gen`` in 2D, 3D and 4D;
 - ``enumerate --dump`` on square2d, octahedron3d, the 12-point lattice prism and
   the 12-point 4D lattice set;
-- ``search`` with every baseline strategy on every objective;
+- ``search`` with every baseline strategy on every objective, and greedy
+  ``min_diameter`` on the 2D and 4D sets;
 - ``train`` (3D and 4D, and the 3D ``nls_accept``, ``egnn_only`` and
   ``pool_mlp`` actors), ``search`` with the ``nls_accept`` strategy, ``eval``
   in argmax and sample mode, and ``eval`` in sample mode on the
@@ -84,6 +85,12 @@ def commands():
                 "--budget", "20", "--starts", "2", "--ref-limit", "300", "--seed", "1",
                 "--out", f"out/search_{strategy}_{objective}",
             ]))
+    for dim in (2, 4):
+        out.append((f"search_greedy_min_diameter_{dim}d", [
+            "search", "--data", f"out/gen{dim}d", "--objective", "min_diameter", "--strategy",
+            "greedy", "--budget", "20", "--starts", "2", "--ref-limit", "300", "--seed", "1",
+            "--out", f"out/search_greedy_min_diameter_{dim}d",
+        ]))
     for name, dim, actor in (
         ("train3d", 3, []), ("train4d", 4, []), ("train3d_nls", 3, ["--actor", "nls_accept"]),
         ("train3d_egnn", 3, ["--actor", "egnn_only"]), ("train3d_pool", 3, ["--actor", "pool_mlp"]),
