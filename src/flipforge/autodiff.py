@@ -337,9 +337,6 @@ class SparseMatrix:
             shape=tuple(shape),
         )
 
-    def dense(self):
-        return self.apply(np.eye(self.shape[1]))
-
     def apply(self, dense):
         return segment_sum(self.vals[:, None] * dense[self.cols], self.rows, self.shape[0])
 

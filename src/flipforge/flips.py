@@ -472,10 +472,6 @@ class ComponentResult:
         tris = (Triangulation._coded(self.index, mask) for mask in self.masks)
         return {tri.canonical_key: tri for tri in tris}
 
-    @property
-    def keys(self):
-        return set(self.states)
-
     def __len__(self):
         return len(self.masks)
 

@@ -217,11 +217,6 @@ class FrstLedger:
     triangulations: dict = field(default_factory=dict)  # state mask -> Triangulation
     stop_reason: str | None = None  # "iterations", "time" or "retries"
 
-    @property
-    def keys(self):
-        """The finds' canonical keys."""
-        return {tri.canonical_key for tri in self.triangulations.values()}
-
     def __len__(self):
         return len(self.triangulations)
 

@@ -1,20 +1,19 @@
 """Exact feasibility check for systems A w >= b with free variables.
 
-Floating point only guides: phase 1 of the simplex method with Bland's rule
-runs on a float64 numpy tableau and picks a final basis.  From that basis the
-basic solution, or for an infeasible system the phase-1 dual vector, is
-recovered exactly in Fractions and checked exactly: ``A w >= b`` for a point;
-``z >= 0``, ``z^T A = 0``, ``z^T b > 0`` for a Farkas certificate.  Whenever
-a check fails, the exact rational phase-1 simplex with Bland's rule decides.
-The float path mirrors its pivot rule, with tolerances deciding ties, so
-both end in the same basis and return the same point unless rounding changes
-a pivot choice; either way the answer is exact.  The systems that show up
-here are tiny (a few hundred constraints at most), which is the regime where
-a dense tableau wins on simplicity.
+One phase 1 of the simplex method with Bland's rule picks a final basis.
+From that basis the basic solution, or for an infeasible system the phase-1
+dual vector, is recovered exactly in Fractions and checked exactly:
+``A w >= b`` for a point; ``z >= 0``, ``z^T A = 0``, ``z^T b > 0`` for a
+Farkas certificate.  Phase 1 runs on float64 first, where floating point
+only guides; only when that answer fails its exact check does the same
+phase 1 run again in Fractions, and its answer is the exact one.  The
+systems that show up here are tiny (a few hundred constraints at most),
+which is the regime where a dense tableau wins on simplicity.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .geometry import rref
@@ -34,11 +33,12 @@ def feasible_point(rows, rhs, farkas=None):
         return ()
     rows = [[Fraction(v) for v in row] for row in rows]
     rhs = [Fraction(b) for b in rhs]
-    point, z = _certified(rows, rhs, *_float_guess(rows, rhs))
-    if point is None and z is None:
-        point, z = _certified(rows, rhs, *_exact_phase1(rows, rhs))
-        if point is None and z is None:
-            raise AssertionError("exact phase 1 returned an answer that fails its check")
+    for exact in (False, True):
+        point, z = _certified(rows, rhs, *_phase1(rows, rhs, exact))
+        if point is not None or z is not None:
+            break
+    else:
+        raise AssertionError("exact phase 1 returned an answer that fails its check")
     if z is not None and farkas is not None:
         farkas.extend(z)
     return point
@@ -75,30 +75,35 @@ def _certified(rows, rhs, point, z):
     return None, None
 
 
-def _signs(rhs):
-    """Rows with a negative right-hand side are negated so phase 1 starts feasible."""
-    return [-1 if b < 0 else 1 for b in rhs]
+# Tableau columns: u (n) | v (n) | surplus (m) | rhs, with w = u - v.  Row i
+# reads sign_i (rows[i] . (u - v) - s_i) + a_i = sign_i rhs[i], where sign_i
+# negates a row with a negative right-hand side so the artificial basis
+# starts feasible; the artificial columns a are left out: with Bland's rule
+# they never re-enter.
 
 
-# Tableau columns, shared by both paths: u (n) | v (n) | surplus (m) |
-# artificial (m) | rhs, with w = u - v.  Row i reads
-# sign_i (rows[i] . (u - v) - s_i) + a_i = sign_i rhs[i].
+def _phase1(rows, rhs, exact):
+    """Candidate (point, None) or (None, z) from phase 1; (None, None) if the float pass fails.
 
-
-def _float_guess(rows, rhs):
-    """Candidate (point, None) or (None, z) from a float64 phase 1; (None, None) if it fails."""
+    The float pass runs on float64 with ``_TOL`` deciding zeros and ties and a
+    pivot cap; the exact pass runs the same pivots on Fractions, compares
+    with zero itself, and needs no cap, since exact Bland's rule terminates.
+    """
     import numpy as np
 
     m, n = len(rows), len(rows[0])
     nstruct = 2 * n + m
-    sign = np.array(_signs(rhs), dtype=float)
+    if exact:  # every entry a Fraction: an int/int division would make a float
+        dtype, one, tol, pivots = object, Fraction(1), 0, itertools.count()
+    else:
+        dtype, one, tol, pivots = float, 1.0, _TOL, range(20 * (m + nstruct))
+    sign = np.array([-one if b < 0 else one for b in rhs], dtype=dtype)
     try:
-        a = np.array(rows, dtype=float) * sign[:, None]
-        b = np.abs(np.array(rhs, dtype=float))
+        a = np.array(rows, dtype=dtype) * sign[:, None]
+        b = np.abs(np.array(rhs, dtype=dtype))
     except OverflowError:
-        return None, None  # entries beyond float range: the exact path decides
-    # artificial columns are left out: with Bland's rule they never re-enter
-    tab = np.zeros((m, nstruct + 1))
+        return None, None  # entries beyond float range: the exact pass decides
+    tab = np.full((m, nstruct + 1), one - one, dtype=dtype)
     tab[:, :n] = a
     tab[:, n : 2 * n] = -a
     tab[np.arange(m), 2 * n + np.arange(m)] = -sign
@@ -106,18 +111,19 @@ def _float_guess(rows, rhs):
     cost = tab.sum(axis=0)
     start = cost[-1]
     basis = np.arange(nstruct, nstruct + m)
-    for _pivot_count in range(20 * (m + nstruct)):
-        eligible = np.flatnonzero(cost[:nstruct] > _TOL)
+    for _pivot_count in pivots:
+        eligible = np.flatnonzero(cost[:nstruct] > tol)
         if eligible.size == 0:
             break
         entering = eligible[0]  # Bland: smallest eligible index
         column = tab[:, entering].copy()
-        candidates = np.flatnonzero(column > _TOL)
+        candidates = np.flatnonzero(column > tol)
         if candidates.size == 0:
             return None, None  # phase 1 is bounded; float noise
         ratios = tab[candidates, -1] / column[candidates]
         best = ratios.min()
-        ties = candidates[ratios <= best + _TOL * max(1.0, abs(best))]
+        # with tol the int 0, the bound is best itself, still a Fraction
+        ties = candidates[ratios <= best + tol * max(1, abs(best))]
         leaving = ties[np.argmin(basis[ties])]  # Bland: smallest basic index
         pivot_row = tab[leaving] / column[leaving]
         tab -= np.outer(column, pivot_row)
@@ -125,9 +131,9 @@ def _float_guess(rows, rhs):
         cost -= cost[entering] * pivot_row
         basis[leaving] = entering
     else:
-        return None, None  # a float run that cycles: the exact path decides
+        return None, None  # a float run that cycles: the exact pass decides
     basis = basis.tolist()
-    if cost[-1] <= _TOL * max(1.0, start):
+    if cost[-1] <= tol * max(1, start):
         return _recover_point(rows, rhs, basis), None
     return None, _recover_farkas(rows, rhs, basis)
 
@@ -197,80 +203,3 @@ def _recover_farkas(rows, rhs, basis):
     for i, row in zip(free, reduced):
         z[i] = Fraction(row[-1], d)
     return tuple(z)
-
-
-def _exact_phase1(rows, rhs):
-    """Rational phase-1 simplex with Bland's rule: (point, None) or (None, z).
-
-    Free variables are split as w = u - v; a surplus column per constraint and
-    an all-artificial starting basis make phase 1 well posed, and the phase-1
-    optimum is zero exactly when the system is feasible.
-    """
-    m, n = len(rows), len(rows[0])
-    sign = _signs(rhs)
-    nstruct = 2 * n + m
-    ncols = nstruct + m
-    tableau = []
-    for i in range(m):
-        row = [sign[i] * v for v in rows[i]]
-        row = row + [-v for v in row] + [Fraction(0)] * (2 * m) + [sign[i] * rhs[i]]
-        row[2 * n + i] = Fraction(-sign[i])
-        row[nstruct + i] = Fraction(1)
-        tableau.append(row)
-    basis = [nstruct + i for i in range(m)]
-
-    # reduced-cost row for minimizing the artificial sum: artificials are
-    # basic, so their reduced costs start at zero and stay maintained by pivots
-    cost = [Fraction(0)] * (ncols + 1)
-    for i in range(m):
-        for j in list(range(nstruct)) + [ncols]:
-            cost[j] += tableau[i][j]
-
-    while True:
-        entering = None
-        for j in range(nstruct):  # artificials never re-enter
-            if cost[j] > 0:
-                entering = j  # Bland: smallest eligible index
-                break
-        if entering is None:
-            break
-        leaving = None
-        best = None
-        for i in range(m):
-            a = tableau[i][entering]
-            if a > 0:
-                ratio = tableau[i][ncols] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leaving])
-                ):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
-            raise AssertionError("phase-1 simplex unbounded")
-        _pivot(tableau, cost, basis, leaving, entering, ncols)
-
-    if cost[ncols] != 0:
-        # the artificial column of row i keeps reduced cost y_i - 1
-        return None, tuple(sign[i] * (cost[nstruct + i] + 1) for i in range(m))
-
-    solution = [Fraction(0)] * ncols
-    for i, b in enumerate(basis):
-        solution[b] = tableau[i][ncols]
-    return tuple(solution[j] - solution[n + j] for j in range(n)), None
-
-
-def _pivot(tableau, cost, basis, row, col, ncols):
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    pivot_row = tableau[row]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col] != 0:
-            f = tableau[i][col]
-            tableau[i] = [a - f * b for a, b in zip(tableau[i], pivot_row)]
-    if cost[col] != 0:
-        f = cost[col]
-        for j in range(ncols + 1):
-            cost[j] -= f * pivot_row[j]
-    basis[row] = col

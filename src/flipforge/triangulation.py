@@ -236,8 +236,7 @@ def _edges(simplices):
 @dataclass(frozen=True)
 class ValidityReport:
     ok: bool
-    first_violation: str | None = None
-    details: tuple = ()
+    details: tuple = ()  # (clause letter, message) per failed clause, by letter
 
     def __bool__(self):
         return self.ok
@@ -260,7 +259,7 @@ def validate(tri: Triangulation, config: PointConfig) -> ValidityReport:
     sizes_ok = all(len(s) == config.dim + 1 for s in tri.simplices)
     if not ids_ok or not sizes_ok:
         failures.append(("d", "vertex ids outside the configuration"))
-        return ValidityReport(False, "d", tuple(failures))
+        return ValidityReport(False, tuple(failures))
 
     volume_sum = config.volume(tri.simplices)
     hull_volume = config.hull_volume()
@@ -284,7 +283,7 @@ def validate(tri: Triangulation, config: PointConfig) -> ValidityReport:
 
     if failures:
         failures.sort(key=lambda item: item[0])
-        return ValidityReport(False, failures[0][0], tuple(failures))
+        return ValidityReport(False, tuple(failures))
     return ValidityReport(True)
 
 

@@ -10,7 +10,8 @@ its gradients come from the same ``backward``.
 replaced: one forward over a batch of one per transition, on the library's
 own kernels.  ``batch_graphs`` is the join of batches of one that
 ``policy.state_graph`` replaced when it learned to build a whole batch in
-one pass.
+one pass.  ``to_dense`` reads a library ``SparseMatrix`` as a dense array by
+applying it to the identity.
 """
 
 from __future__ import annotations
@@ -101,6 +102,11 @@ def max_pool_rows(a, row_indices):
         return grad
 
     return _emit(block.max(axis=0, keepdims=True), (a,), [pull])
+
+
+def to_dense(matrix):
+    """The dense array of a ``SparseMatrix``: the matrix applied to the identity."""
+    return matrix.apply(np.eye(matrix.shape[1]))
 
 
 def dense_layer(x, params, name, activation=None):

@@ -36,7 +36,7 @@ def validate(tri, config):
     sizes_ok = all(len(s) == config.dim + 1 for s in tri.simplices)
     if not ids_ok or not sizes_ok:
         failures.append(("d", "vertex ids outside the configuration"))
-        return ValidityReport(False, "d", tuple(failures))
+        return ValidityReport(False, tuple(failures))
 
     volume_sum = config.volume(tri.simplices)
     hull_volume = config.hull_volume()
@@ -63,7 +63,7 @@ def validate(tri, config):
 
     if failures:
         failures.sort(key=lambda item: item[0])
-        return ValidityReport(False, failures[0][0], tuple(failures))
+        return ValidityReport(False, tuple(failures))
     return ValidityReport(True)
 
 

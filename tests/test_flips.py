@@ -166,7 +166,7 @@ def test_component_seed_independent(hexagon, hexagon_table, unit_square_table):
     any_other = next(iter(first.states.values()))
     for other in first.states.values():
         result = enumerate_component(other, hexagon_table)
-        assert result.keys == first.keys
+        assert set(result.states) == set(first.states)
         assert result.edge_count == first.edge_count
 
 
@@ -341,4 +341,4 @@ def test_component_seed_independent_square(unit_square_table):
     b = Triangulation([(0, 1, 3), (1, 2, 3)])
     ra = enumerate_component(a, unit_square_table)
     rb = enumerate_component(b, unit_square_table)
-    assert ra.keys == rb.keys and ra.edge_count == rb.edge_count
+    assert set(ra.states) == set(rb.states) and ra.edge_count == rb.edge_count

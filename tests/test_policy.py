@@ -19,7 +19,7 @@ from flipforge.policy import (
 from flipforge.search import PolicyStrategy
 from flipforge.triangulation import Triangulation
 from grad_check import finite_diff_check
-from policy_oracle import boundary_matrix
+from policy_oracle import boundary_matrix, to_dense
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +184,7 @@ def test_boundary_matrix_and_operator(square_setup):
     dense = b.dense()
     # each triangle has alternating signs on its three faces
     assert sorted(np.abs(dense).sum(axis=0).tolist()) == [3.0, 3.0]
-    lap = state_graph([(config, tri, [])], "snn").laplacian.dense()
+    lap = to_dense(state_graph([(config, tri, [])], "snn").laplacian)
     assert np.allclose(lap, lap.T, atol=1e-15)
     assert np.abs(lap).sum(axis=1).max() == pytest.approx(1.0)
 

@@ -1,11 +1,15 @@
 """The certificate-carrying regularity oracle against the exact Bland's simplex.
 
-``lp.feasible_point`` picks a basis with float64 phase 1 and recovers the
-point or Farkas vector exactly; ``lp._exact_phase1`` is the rational simplex
-it falls back to and the oracle here.  ``certify_regularity`` caches
-certificates and re-checks each one exactly before trusting it.
+``lp.feasible_point`` has one phase 1 (``lp._phase1``): it picks a basis on
+float64 first and recovers the point or Farkas vector exactly, and runs the
+same phase 1 in Fractions only when that answer fails its exact check.  The
+rational simplex it once fell back to, ``lp_oracle.exact_phase1``, is the
+oracle here, for the verdicts of both and the answers of the exact pass.
+``certify_regularity`` caches certificates and re-checks each one exactly
+before trusting it.
 """
 
+import operator
 import random
 from fractions import Fraction
 
@@ -34,6 +38,7 @@ from flipforge.triangulation import (
     regularity_constraints,
 )
 
+import lp_oracle
 from conftest import polygon_triangulations
 from test_frst import SQUARE_FAN
 
@@ -43,9 +48,18 @@ PRISM = ff.PointConfig(
 
 
 def exact_answer(rows, rhs):
-    return lp._exact_phase1(
+    return lp_oracle.exact_phase1(
         [[Fraction(v) for v in row] for row in rows], [Fraction(b) for b in rhs]
     )
+
+
+def assert_exact_pass_matches_oracle(rows, rhs):
+    """``lp``'s exact pass gives the oracle's point, or its Farkas vector."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rhs = [Fraction(b) for b in rhs]
+    answer = lp._certified(rows, rhs, *lp._phase1(rows, rhs, exact=True))
+    assert answer == lp_oracle.exact_phase1(rows, rhs)
+    return answer
 
 
 def assert_matches_exact(rows, rhs):
@@ -86,6 +100,46 @@ def test_random_systems_match_exact_simplex(data):
     rows = data.draw(st.lists(row, min_size=m, max_size=m))
     rhs = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
     assert_matches_exact(rows, rhs)
+
+
+# near-integers whose ratio-test candidates fall within the float pass's tolerance
+near_integers = st.builds(
+    lambda a, k: a * Fraction(10**12 + k, 10**12), st.integers(-3, 3), st.integers(-2, 2)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_exact_pass_gives_the_oracles_answer(data):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-3, 3), near_integers)
+    row = st.lists(entry, min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=m, max_size=m))
+    rhs = data.draw(st.lists(entry, min_size=m, max_size=m))
+    point, z = assert_exact_pass_matches_oracle(rows, rhs)
+    assert (point is None) != (z is None)
+    assert_matches_exact(rows, rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_pass_stays_exact_when_a_surplus_column_enters_first(data):
+    """The last row makes every column sum of the sign-adjusted rows zero, so no
+    u or v column is eligible and the first pivot is on a surplus column, whose
+    entries are the signs.  A float let into the exact tableau would start
+    there, and entries past float precision make it change the answer."""
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(2, 6))
+    big = st.sampled_from([10**17 - 1, 10**17, 10**17 + 1, 3, 1, 0])
+    entry = st.builds(operator.mul, big, st.sampled_from([1, -1]))
+    row = st.lists(entry, min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=m - 1, max_size=m - 1))
+    rhs = data.draw(st.lists(st.integers(-3, 3), min_size=m - 1, max_size=m - 1))
+    rhs.append(data.draw(st.integers(-3, -1)))
+    signs = [-1 if b < 0 else 1 for b in rhs]
+    rows.append([sum(s * r[j] for s, r in zip(signs, rows)) for j in range(n)])
+    assert_exact_pass_matches_oracle(rows, rhs)
 
 
 def point_sets(dim):
@@ -146,7 +200,8 @@ def test_mother_configuration_gets_a_farkas_certificate(mother_config, mother_no
 
 
 def test_random_lifts_and_prism_walk_witnesses_equal_exact(unit_square, hexagon, bipyramid):
-    """The float-guided path ends in the exact simplex's basis, so witnesses are equal."""
+    """The float pass ends in the exact simplex's basis, so witnesses are equal; on
+    the prism walk the exact pass gives the exact simplex's point or Farkas vector."""
     rnd = random.Random(2718)
     for config in (unit_square, hexagon, bipyramid):
         done = 0
@@ -168,6 +223,7 @@ def test_random_lifts_and_prism_walk_witnesses_equal_exact(unit_square, hexagon,
         rows = regularity_constraints(tri, PRISM)
         point, exact_point = assert_matches_exact(rows, [1] * len(rows))
         assert point == exact_point
+        assert_exact_pass_matches_oracle(rows, [1] * len(rows))
         verdicts.add(point is not None)
         actions = flippable_circuits(tri, table)
         tri = apply_flip(tri, actions[rnd.randrange(len(actions))])
@@ -178,15 +234,29 @@ def test_random_lifts_and_prism_walk_witnesses_equal_exact(unit_square, hexagon,
 
 
 def count_exact_calls(monkeypatch):
+    """The row counts of the systems ``lp`` runs its exact pass on."""
     calls = []
-    exact = lp._exact_phase1
+    phase1 = lp._phase1
 
-    def counting(rows, rhs):
-        calls.append(len(rows))
-        return exact(rows, rhs)
+    def counting(rows, rhs, exact):
+        if exact:
+            calls.append(len(rows))
+        return phase1(rows, rhs, exact)
 
-    monkeypatch.setattr(lp, "_exact_phase1", counting)
+    monkeypatch.setattr(lp, "_phase1", counting)
     return calls
+
+
+def perturb_float_pass(monkeypatch, perturb):
+    """Pass the float pass's answer (point, z) through ``perturb``; the exact pass's
+    answer, recovered from its basis by the same code, stays as it is."""
+    phase1 = lp._phase1
+
+    def perturbed(rows, rhs, exact):
+        answer = phase1(rows, rhs, exact)
+        return answer if exact else perturb(*answer)
+
+    monkeypatch.setattr(lp, "_phase1", perturbed)
 
 
 def test_clean_recovery_never_falls_back(monkeypatch, hexagon, mother_config, mother_nonregular):
@@ -214,33 +284,28 @@ def test_entries_beyond_float_range_go_to_the_exact_path(monkeypatch):
 
 
 def test_perturbed_witness_is_rejected_and_exact_path_decides(monkeypatch, hexagon):
-    recover = lp._recover_point
-
-    def shrunk(rows, rhs, basis):
+    def shrunk(w, z):
         # a basic solution has a tight row, which the shrink pushes below 1
-        w = recover(rows, rhs, basis)
-        return tuple(x * Fraction(999, 1000) for x in w)
+        return tuple(x * Fraction(999, 1000) for x in w), z
 
-    monkeypatch.setattr(lp, "_recover_point", shrunk)
+    perturb_float_pass(monkeypatch, shrunk)
     calls = count_exact_calls(monkeypatch)
     tri = Triangulation(sorted(next(iter(polygon_triangulations(6)))))
     rows = regularity_constraints(tri, hexagon)
     point, exact_point = assert_matches_exact(rows, [1] * len(rows))
     assert point == exact_point
-    assert len(calls) == 2  # the fallback inside feasible_point, then exact_answer here
+    assert len(calls) == 1  # the exact pass inside feasible_point; the oracle is not lp's
 
 
 def test_perturbed_farkas_vector_is_rejected_and_exact_path_decides(
     monkeypatch, mother_config, mother_nonregular
 ):
-    recover = lp._recover_farkas
-
-    def nudged(rows, rhs, basis):
-        z = list(recover(rows, rhs, basis))
+    def nudged(w, z):
+        z = list(z)
         z[0] += Fraction(1, 1000)  # rows[0] is nonzero, so z^T A leaves zero
-        return tuple(z)
+        return w, tuple(z)
 
-    monkeypatch.setattr(lp, "_recover_farkas", nudged)
+    perturb_float_pass(monkeypatch, nudged)
     calls = count_exact_calls(monkeypatch)
     cert = certify_regularity(mother_nonregular, mother_config)
     rows = regularity_constraints(mother_nonregular, mother_config)
@@ -355,9 +420,12 @@ def test_lp_count_equals_distinct_fine_states_on_square(monkeypatch):
 
 
 def test_lp_count_equals_distinct_fine_states_on_prism(monkeypatch):
+    """On the benchmark's prism every float answer passes its check: no exact pass runs."""
     lattice = LatticeConfig.from_config(PRISM)
+    exact_calls = count_exact_calls(monkeypatch)
     solved, predicted, fine = lp_count_against_walks(monkeypatch, lattice, seed=901, iterations=3)
     assert 0 < solved == predicted <= fine
+    assert exact_calls == []
 
 
 def test_is_frst_asks_no_regularity_oracle_off_a_fine_star(monkeypatch):

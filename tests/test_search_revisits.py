@@ -188,7 +188,7 @@ def count_validations(monkeypatch, fail_key=None):
     def counting(tri, config):
         seen.append(tri.canonical_key)
         if tri.canonical_key == fail_key:
-            return ValidityReport(False, "a", (("a", "forced failure"),))
+            return ValidityReport(False, (("a", "forced failure"),))
         return real(tri, config)
 
     monkeypatch.setattr(triangulation, "validate", counting)

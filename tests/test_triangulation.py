@@ -35,7 +35,7 @@ def test_validate_square_diagonal(unit_square):
 def test_validate_overlapping_square(unit_square):
     report = validate(Triangulation([(0, 1, 2), (0, 1, 3)]), unit_square)
     assert not report.ok
-    assert report.first_violation == "c"
+    assert report.details[0][0] == "c"
 
 
 def test_validate_single_simplex():
@@ -45,14 +45,14 @@ def test_validate_single_simplex():
 
 def test_validate_bad_ids(unit_square):
     report = validate(Triangulation([(0, 1, 9)]), unit_square)
-    assert not report.ok and report.first_violation == "d"
+    assert not report.ok and report.details[0][0] == "d"
 
 
 def test_validate_gap(hexagon):
     # missing simplices: volume falls short
     report = validate(Triangulation([(0, 1, 2), (0, 2, 3)]), hexagon)
     assert not report.ok
-    assert report.first_violation == "a"
+    assert report.details[0][0] == "a"
 
 
 def test_canonical_key_order_independent():
@@ -247,7 +247,7 @@ def test_validate_volumes_match_simplex_volume(dim, rational, data):
         # a missing simplex shows as the exact volume deficit
         partial = Triangulation(tri.simplices[1:])
         report = validate(partial, config)
-        assert report.first_violation == "a"
+        assert report.details[0][0] == "a"
         total = sum(ff.simplex_volume([config.points[i] for i in s]) for s in partial.simplices)
         assert report.details[0][1] == f"volume sum {total} != hull volume {config.hull_volume()}"
 

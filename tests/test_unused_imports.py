@@ -41,18 +41,41 @@ def unread_definitions(sources, private=True):
     """``module.name`` for each private (or public) module-level function or class
     no source reads.
 
-    A name is read where it is loaded, taken as an attribute or imported.
+    ``module.name`` is read where ``name`` is loaded in ``module`` itself,
+    imported by ``from .module import name``, or taken as an attribute of a
+    name bound to ``module``: by ``from . import module`` or by cli's
+    ``_lazy("module")``.  So ``np.mean`` reads no ``mean`` of the package.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
-    for tree in trees.values():
+    for module, tree in trees.items():
+        bound = {}  # local name -> package module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module is None:
+                    bound.update((alias.asname or alias.name, alias.name) for alias in node.names)
+                else:
+                    read.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Assign):
+                targets, values = node.targets[0], node.value
+                if isinstance(targets, ast.Tuple) and isinstance(values, ast.Tuple):
+                    pairs = zip(targets.elts, values.elts)
+                else:
+                    pairs = [(targets, values)]
+                bound.update(
+                    (target.id, value.args[0].value)
+                    for target, value in pairs
+                    if isinstance(target, ast.Name)
+                    and isinstance(value, ast.Call)
+                    and isinstance(value.func, ast.Name)
+                    and value.func.id == "_lazy"
+                )
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+                read.add((module, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in bound:
+                    read.add((bound[node.value.id], node.attr))
     return sorted(
         f"{module}.{node.name}"
         for module, tree in trees.items()
@@ -60,7 +83,7 @@ def unread_definitions(sources, private=True):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and node.name.startswith("_") == private
         and not node.name.endswith("__")
-        and node.name not in read
+        and (module, node.name) not in read
     )
 
 
@@ -77,7 +100,7 @@ def test_the_check_sees_unread_and_read_private_definitions():
     sources = {
         "a": "def _called(): pass\nclass _Unused: pass\ndef __getattr__(name): pass\n"
         "def public(): _called()\n",
-        "b": "from .a import _imported\nimport a\na._attribute\n",
+        "b": "from .c import _imported\nfrom . import c\nc._attribute\n",
         "c": "def _imported(): pass\ndef _attribute(): pass\ndef _unread(): pass\n",
     }
     assert unread_definitions(sources) == ["a._Unused", "c._unread"]
@@ -87,8 +110,14 @@ def test_the_check_sees_unread_and_read_public_definitions():
     sources = {
         "a": "def called(): pass\nclass Unread: pass\ndef _private(): pass\n",
         "b": "from .a import called\n",
+        # an attribute of the same name on another module reads nothing here
+        "stats": "def mean(): pass\ndef median(): pass\ndef mode(): pass\n"
+        "def spread(): pass\ndef own(): pass\nown()\n",
+        "report": "import numpy as np\nfrom . import stats as s\nnp.mean([1])\ns.median()\n",
+        "cli": "summary, stats = _lazy('summary'), _lazy('stats')\nstats.mode()\n"
+        "x = _lazy('stats')\nx.spread()\n",
     }
-    assert unread_definitions(sources, private=False) == ["a.Unread"]
+    assert unread_definitions(sources, private=False) == ["a.Unread", "stats.mean"]
 
 
 @pytest.mark.parametrize("module", MODULES)
