@@ -80,7 +80,7 @@ def _load_dataset_dir(path: Path) -> Dataset:
     if repeated:
         raise FormatError(f"ids in {name} repeat {', '.join(repeated)}")
     try:
-        spec = GenSpec(**manifest["spec"])
+        GenSpec(**manifest["spec"])
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad spec in {name}: {exc}") from None
     configs = {}
@@ -90,13 +90,7 @@ def _load_dataset_dir(path: Path) -> Dataset:
         seed_file = path / f"seeds_{cid}.tri"
         if seed_file.exists():
             seeds[cid] = io.read_triangulation_set(seed_file)
-    return Dataset(
-        spec=spec,
-        ids=ids,
-        configs=configs,
-        vertex_counts=manifest["vertex_counts"],
-        seeds=seeds,
-    )
+    return Dataset(ids=ids, configs=configs, vertex_counts=manifest["vertex_counts"], seeds=seeds)
 
 
 def _seeds(dataset: Dataset, cid, count=None) -> list:

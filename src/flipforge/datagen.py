@@ -45,7 +45,6 @@ class GenSpec:
 
 @dataclass
 class Dataset:
-    spec: GenSpec
     ids: list
     configs: dict  # id -> PointConfig
     vertex_counts: dict  # id -> realized vertex count
@@ -91,7 +90,7 @@ def generate(spec: GenSpec) -> Dataset:
         ids.append(cid)
         configs[cid] = config
         vertex_counts[cid] = config.n
-    return Dataset(spec=spec, ids=ids, configs=configs, vertex_counts=vertex_counts)
+    return Dataset(ids=ids, configs=configs, vertex_counts=vertex_counts)
 
 
 def _refine(colors, adjacency):

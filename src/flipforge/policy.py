@@ -397,6 +397,14 @@ def nls_accept_probability(encoded: EncodedState, params) -> Tensor:
     return ad.sigmoid(x)
 
 
+def actor_head(encoded: EncodedState, params, model: ModelConfig) -> Tensor:
+    """Per graph, the acceptance probability for the "nls_accept" actor, and
+    otherwise the probability of each of its actions within its action set."""
+    if model.actor_kind == "nls_accept":
+        return nls_accept_probability(encoded, params)
+    return policy_distribution(actor_logits(encoded, params, model), encoded.graph.action_offsets)
+
+
 class PolicyModel:
     """Bundles a model config with concrete parameter values.
 
@@ -421,17 +429,8 @@ class PolicyModel:
         return {k: ad.leaf(tape, v) for k, v in self.params.items()}
 
     def forward(self, graph: StateGraph):
-        """``(encoding, head)`` of the batch ``graph``, with no tape.
-
-        The actor head is a flat array: per graph, the acceptance
-        probability for the "nls_accept" actor, and otherwise the
-        probability of each action of ``graph.actions`` within its graph's
-        action set.
-        """
+        """``(encoding, head)`` of the batch ``graph``, with no tape; the
+        :func:`actor_head` is a flat array."""
         params = self._const_params()
         enc = encode(graph, params, self.config)
-        if self.config.actor_kind == "nls_accept":
-            head = nls_accept_probability(enc, params)
-        else:
-            head = policy_distribution(actor_logits(enc, params, self.config), graph.action_offsets)
-        return enc, head.data.reshape(-1)
+        return enc, actor_head(enc, params, self.config).data.reshape(-1)

@@ -271,8 +271,9 @@ class RandomWalkStrategy(Strategy):
 class _LearnedStrategy(Strategy):
     """A move chosen by :meth:`choose` from the model's actor head on the state.
 
-    Training applies ``choose`` to each environment's slice of one batched
-    head, so search and training pick moves by the same rule.
+    :meth:`choices` moves a batch of states by one forward pass; a search
+    step is its batch of one, and each training rollout step one batch, so
+    search and training pick moves by the same code.
     """
 
     actor_kinds = ()  # the actor kinds of the models that can drive it
@@ -283,14 +284,32 @@ class _LearnedStrategy(Strategy):
     def step(self, tri, actions, ctx):
         if not actions:
             return tri, None
-        from .policy import state_graph  # numpy loads only for the learned strategies
-
-        graph = state_graph([(ctx.config, tri, actions)], self.model.config.actor_kind)
-        _encoded, head = self.model.forward(graph)
-        index, accepted = self.choose(head, len(actions), ctx.rng)
+        _graph, _encoded, [(index, accepted, _head)] = self.choices(
+            [(ctx.config, tri, actions)], ctx.rng
+        )
         if not accepted:
             return tri, None
         return apply_flip(tri, actions[index]), actions[index]
+
+    def choices(self, states, rng):
+        """``(graph, encoding, moves)``: one forward pass over ``states`` and a move each.
+
+        ``states`` are ``(config, tri, actions)`` triples, each with at least
+        one action; ``graph`` is their union.  ``moves[j]`` is ``(index,
+        accepted, head)``: :meth:`choose` on graph ``j``'s slice ``head`` of
+        the actor head (its acceptance probability, or its actions'
+        probabilities), called in state order with draws from ``rng``.
+        """
+        from .policy import state_graph  # numpy loads only for the learned strategies
+
+        graph = state_graph(states, self.model.config.actor_kind)
+        encoded, head = self.model.forward(graph)
+        bounds = range(graph.size + 1) if graph.kind == "nls_accept" else graph.action_offsets
+        moves = []
+        for j, (_config, _tri, actions) in enumerate(states):
+            part = head[bounds[j] : bounds[j + 1]]
+            moves.append((*self.choose(part, len(actions), rng), part))
+        return graph, encoded, moves
 
     def choose(self, head, count, rng):
         """``(index, accepted)``: the move among ``count`` actions that ``head`` gives."""

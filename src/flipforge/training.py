@@ -4,18 +4,18 @@ Each iteration samples initial triangulations weighted toward under-visited
 states, collects fixed-horizon rollouts in environments stepped in lockstep,
 augments rewards with a count-based expansion bonus, and performs one
 full-batch clipped-surrogate update with Adam.  Each environment is a
-:class:`~flipforge.search.SearchContext`.  Each rollout step evaluates the
-states of all running environments as one disjoint-union graph; every
-environment then moves by the search layer's learned strategy applied to its
-slice of the actor head, and a flipped state is validated on its first
-arrival in its environment.  The update replays each step's union in one
-taped pass.  Everything is deterministic for a fixed seed.
+:class:`~flipforge.search.SearchContext`.  Each rollout step moves the
+states of all running environments by one batched choice of the search
+layer's learned strategy, one forward pass over their disjoint-union graph,
+and a flipped state is validated on its first arrival in its environment.
+The update replays each step's union in one taped pass.  Everything is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,17 +23,7 @@ from . import autodiff as ad
 from .errors import TrainingError
 from .flips import apply_flip, flippable_circuits
 from .objectives import Objective, evaluate, left_sum, reward
-from .policy import (
-    ModelConfig,
-    PolicyModel,
-    StateGraph,
-    actor_logits,
-    encode,
-    nls_accept_probability,
-    policy_distribution,
-    state_graph,
-    value_estimate,
-)
+from .policy import ModelConfig, PolicyModel, StateGraph, actor_head, encode, value_estimate
 from .search import AcceptanceStrategy, PolicyStrategy, SearchContext
 from .triangulation import Triangulation
 
@@ -68,9 +58,6 @@ class TrainerConfig:
             raise ValueError("learning_rate must be finite and nonnegative")
         if not math.isfinite(self.bonus_coef):
             raise ValueError(f"bonus_coef must be finite, got {self.bonus_coef}")
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class VisitCounter:
@@ -174,13 +161,12 @@ def collect_rollouts(
 ) -> RolloutBuffer:
     """Fixed-horizon episodes from the given starts under the current policy.
 
-    The environments step in lockstep: each step evaluates every running
-    environment's state in one forward pass over their disjoint union, then
-    moves them in environment order, each by the learned strategy's
-    ``choose`` on its slice of the actor head with draws from ``rng``.
-    Reach episodes terminate early on the first success with terminal
-    reward +1; environments with no feasible action finish early with a
-    done flag.  A finished environment leaves the batch.
+    The environments step in lockstep: each step moves every running
+    environment by one call of the learned strategy's ``choices``, one
+    forward pass over their states' disjoint union with draws from ``rng``
+    in environment order.  A reach episode ends on its first success, with
+    terminal reward +1 and a done flag, and leaves the batch; an environment
+    whose state has no feasible action leaves it with no done flag.
     """
     nls = model.config.actor_kind == "nls_accept"
     strategy = AcceptanceStrategy(model) if nls else PolicyStrategy(model, mode="sample")
@@ -206,19 +192,13 @@ def collect_rollouts(
                 stepping.append((i, actions))
         if not stepping:
             break
-        union = state_graph(
-            [(envs[i].config, states[i], actions) for i, actions in stepping],
-            model.config.actor_kind,
+        union, enc, moves = strategy.choices(
+            [(envs[i].config, states[i], actions) for i, actions in stepping], rng
         )
-        enc, heads = model.forward(union)
         values = value_estimate(enc, params, model.config).data.reshape(-1)
-        # each graph's slice of the head: its acceptance probability, or its actions' probabilities
-        bounds = np.arange(union.size + 1) if nls else union.action_offsets
         running, transitions = [], []
-        for j, (i, actions) in enumerate(stepping):
+        for j, ((i, actions), (index, accepted, head)) in enumerate(zip(stepping, moves)):
             env, tri = envs[i], states[i]
-            head = heads[bounds[j] : bounds[j + 1]]
-            index, accepted = strategy.choose(head, len(actions), rng)
             nxt = apply_flip(tri, actions[index]) if accepted else tri
             if nls:
                 p_accept = float(head[0])
@@ -285,7 +265,6 @@ class LossReport:
     policy_loss: float
     value_loss: float
     entropy_loss: float
-    total_loss: float
     clip_fraction: float
     approx_kl: float = 0.0  # mean of (r - 1) - log r over the ratios r
     grad_norm: float = 0.0  # L2 norm of the batch-mean gradient before Adam
@@ -303,9 +282,10 @@ def _step_loss(model, params, step: RolloutStep, trainer: TrainerConfig, adv: np
     graph, trs = step.graph, step.transitions
     k = len(trs)
     enc = encode(graph, params, model.config)
+    head = actor_head(enc, params, model.config)
     if model.config.actor_kind == "nls_accept":
         eps = 1e-9
-        p_accept = ad.clip(nls_accept_probability(enc, params), eps, 1.0 - eps)
+        p_accept = ad.clip(head, eps, 1.0 - eps)
         accepted = np.array([[float(tr.action_index >= 0)] for tr in trs])
         # p where the proposal was accepted and 1 - p where it was not
         chosen = ad.add(
@@ -317,11 +297,10 @@ def _step_loss(model, params, step: RolloutStep, trainer: TrainerConfig, adv: np
             ad.mul(p_accept, ad.log(p_accept)), ad.mul(p_reject, ad.log(p_reject))
         )
     else:
-        probs = policy_distribution(actor_logits(enc, params, model.config), graph.action_offsets)
-        log_probs = ad.log(ad.clip(probs, 1e-12, 1.0))
+        log_probs = ad.log(ad.clip(head, 1e-12, 1.0))
         taken = graph.action_offsets[:-1] + np.array([tr.action_index for tr in trs])
         log_prob = ad.gather_rows(log_probs, taken)
-        entropy_neg = ad.scatter_rows(ad.mul(probs, log_probs), graph.action_owners, k)
+        entropy_neg = ad.scatter_rows(ad.mul(head, log_probs), graph.action_owners, k)
 
     log_ratio = ad.sub(log_prob, ad.constant(np.array([[tr.old_log_prob] for tr in trs])))
     ratio = ad.exp(log_ratio)
@@ -362,7 +341,7 @@ def ppo_update(model: PolicyModel, buffer: RolloutBuffer, trainer: TrainerConfig
     """
     transitions = buffer.transitions
     if not transitions:
-        return LossReport(0.0, 0.0, 0.0, 0.0, 0.0)
+        return LossReport(0.0, 0.0, 0.0, 0.0)
     advantages = [np.array([t.advantage for t in step.transitions]) for step in buffer.steps]
     if trainer.normalize_advantages and len(transitions) > 1:
         every = np.array([t.advantage for t in transitions])
@@ -396,11 +375,6 @@ def ppo_update(model: PolicyModel, buffer: RolloutBuffer, trainer: TrainerConfig
         policy_loss=float(np.mean(p_losses)),
         value_loss=float(np.mean(v_losses)),
         entropy_loss=float(np.mean(e_losses)),
-        total_loss=float(
-            np.mean(p_losses)
-            + trainer.value_coef * np.mean(v_losses)
-            + trainer.entropy_coef * np.mean(e_losses)
-        ),
         clip_fraction=float(np.mean(clips)),
         approx_kl=float(np.mean(kls)),
         grad_norm=float(np.mean(grad_norms)),

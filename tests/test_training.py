@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import flipforge as ff
 from flipforge.flips import apply_flip, enumerate_circuits, flippable_circuits
 from flipforge.objectives import Objective
 from flipforge.policy import ModelConfig, PolicyModel
-from flipforge.search import SearchContext
+from flipforge.datagen import seed_triangulations
+from flipforge.search import SearchContext, make_strategy
 from flipforge.training import (
     RolloutBuffer,
     TrainerConfig,
@@ -102,7 +104,6 @@ def make_model(dim=2, hidden=8, kind="snn", seed=0):
 def test_collect_rollouts_horizon_zero(square_env, square_seeds):
     model = make_model()
     trainer = small_trainer(horizon=5)
-    trainer = TrainerConfig(**{**trainer.to_dict(), "horizon": 5})
     buffer = collect_rollouts(model, [], trainer, VisitCounter(), np.random.default_rng(0))
     assert buffer.transitions == []
 
@@ -228,7 +229,7 @@ def test_ppo_zero_advantage_keeps_policy_gradient_zero(square_env, square_seeds)
         tr.advantage = 0.0
         tr.ret = tr.value  # value loss also vanishes
     before = {k: v.copy() for k, v in model.params.items()}
-    trainer2 = TrainerConfig(**{**trainer.to_dict(), "entropy_coef": 0.0})
+    trainer2 = dataclasses.replace(trainer, entropy_coef=0.0)
     adam_params = [ad.Parameter(k, v) for k, v in model.params.items()]
     report = ppo_update(model, buffer, trainer2, adam_params)
     assert report.policy_loss == pytest.approx(0.0, abs=1e-12)
@@ -373,6 +374,36 @@ def test_lockstep_environment_without_flips_leaves_at_once(square_env, square_se
     assert buffer.mean_action_count == 1.0
 
 
+@pytest.mark.parametrize("kind", ["snn", "egnn_only", "pool_mlp", "nls_accept"])
+def test_search_step_and_rollout_step_move_alike(hexagon, hexagon_table, kind):
+    """A one-environment rollout step and a search step are the same batch of one."""
+    start = seed_triangulations(hexagon, cap=1)[0]
+    actions = flippable_circuits(start, hexagon_table)
+    model = make_model(kind=kind, seed=2)
+    if kind == "nls_accept":
+        strategy = make_strategy("nls_accept", model=model)
+    else:
+        strategy = make_strategy("policy", model=model, params={"mode": "sample"})
+    moves = []
+    for seed in range(8):
+        env = SearchContext(hexagon, hexagon_table, Objective.MIN_WEIGHT)
+        rng = np.random.default_rng(seed)
+        trainer = small_trainer(horizon=1, num_envs=1)
+        [tr] = collect_rollouts(model, [(env, start)], trainer, VisitCounter(), rng).transitions
+        rolled = tr.actions[tr.action_index] if tr.action_index >= 0 else None
+        ctx = SearchContext(
+            hexagon, hexagon_table, Objective.MIN_WEIGHT, seed=np.random.default_rng(seed)
+        )
+        nxt, action = strategy.step(start, actions, ctx)
+        assert action is rolled
+        assert nxt is start if rolled is None else nxt == apply_flip(start, rolled)
+        assert ctx.rng.bit_generator.state == rng.bit_generator.state
+        moves.append(None if rolled is None else rolled.action_id)
+    # the seeds draw more than one move, and stays only for the acceptance gate
+    assert len(set(moves)) > 1
+    assert (None in moves) == (kind == "nls_accept")
+
+
 def test_gae_lambda_one_is_discounted_monte_carlo():
     rewards = [1.0, -2.0, 0.5, 3.0]
     values = [0.4, -0.1, 0.2, 0.9]
@@ -456,5 +487,5 @@ def test_ppo_diagnostics_match_their_definitions(hexagon, square_env, square_see
     model = make_model(seed=9)
     buffer = rollout_and_gae(model, env, seeds, trainer)
     adam_params = [ad.Parameter(k, v) for k, v in model.params.items()]
-    two = TrainerConfig(**{**trainer.to_dict(), "ppo_epochs": 2})
+    two = dataclasses.replace(trainer, ppo_epochs=2)
     assert ppo_update(model, buffer, two, adam_params).approx_kl > 0.0

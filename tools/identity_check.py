@@ -13,11 +13,15 @@ each tree at ``FLIPFORGE_THREADS`` 1 and 2:
 
 - ``gen`` in 2D, 3D and 4D;
 - ``enumerate --dump`` on square2d, octahedron3d, the 12-point lattice prism and
-  the 12-point 4D lattice set;
+  the 12-point 4D lattice set, and once more on the prism into the seed file
+  of a one-configuration prism dataset;
 - ``search`` with every baseline strategy on every objective, and greedy
   ``min_diameter`` on the 2D and 4D sets;
 - ``train`` (3D and 4D, and the 3D ``nls_accept``, ``egnn_only`` and
-  ``pool_mlp`` actors), ``search`` with the ``nls_accept`` strategy, ``eval``
+  ``pool_mlp`` actors) on ``min_weight``, and ``train`` on ``frst_reach`` over
+  the prism dataset with the ``snn`` and ``nls_accept`` actors, whose
+  rollouts start from states that are already fine and regular and end
+  episodes on a success; ``search`` with the ``nls_accept`` strategy, ``eval``
   in argmax and sample mode, and ``eval`` in sample mode on the
   ``egnn_only`` and ``pool_mlp`` checkpoints;
 - ``sample-frst`` with the random-walk, lift-only and policy locators on the
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import json
 import os
 import shutil
 import subprocess
@@ -78,6 +83,9 @@ def commands():
             "enumerate", f"poly/{name}.poly", "--limit", "2000",
             "--dump", f"out/enumerate_{name}.tri",
         ]))
+    out.append(("seeds_prism", [
+        "enumerate", "poly/prism.poly", "--limit", "300", "--dump", "data/prism/seeds_prism.tri",
+    ]))
     for strategy in STRATEGIES:
         for objective in OBJECTIVES:
             out.append((f"search_{strategy}_{objective}", [
@@ -91,12 +99,17 @@ def commands():
             "greedy", "--budget", "20", "--starts", "2", "--ref-limit", "300", "--seed", "1",
             "--out", f"out/search_greedy_min_diameter_{dim}d",
         ]))
-    for name, dim, actor in (
-        ("train3d", 3, []), ("train4d", 4, []), ("train3d_nls", 3, ["--actor", "nls_accept"]),
-        ("train3d_egnn", 3, ["--actor", "egnn_only"]), ("train3d_pool", 3, ["--actor", "pool_mlp"]),
+    nls = ["--actor", "nls_accept"]
+    for name, data, objective, actor in (
+        ("train3d", "out/gen3d", "min_weight", []), ("train4d", "out/gen4d", "min_weight", []),
+        ("train3d_nls", "out/gen3d", "min_weight", nls),
+        ("train3d_egnn", "out/gen3d", "min_weight", ["--actor", "egnn_only"]),
+        ("train3d_pool", "out/gen3d", "min_weight", ["--actor", "pool_mlp"]),
+        ("train_prism_reach", "data/prism", "frst_reach", []),
+        ("train_prism_reach_nls", "data/prism", "frst_reach", nls),
     ):
         out.append((name, [
-            "train", "--data", f"out/gen{dim}d", "--objective", "min_weight", "--iterations", "2",
+            "train", "--data", data, "--objective", objective, "--iterations", "2",
             "--envs", "3", "--horizon", "5", "--hidden", "8", "--checkpoint-every", "2", *actor,
             "--seed", "1", "--out", f"out/{name}",
         ]))
@@ -164,6 +177,12 @@ def run_all(tree: Path, run_dir: Path, threads: int):
     write_poly(run_dir / "poly" / "prism.poly", PRISM)
     write_poly(run_dir / "poly" / "cross4d.poly", CROSS4D)
     write_poly(run_dir / "poly" / "lattice4d.poly", LATTICE4D)
+    # a one-configuration dataset; the seeds_prism command writes its seeds
+    (run_dir / "data" / "prism").mkdir(parents=True)
+    write_poly(run_dir / "data" / "prism" / "config_prism.poly", PRISM)
+    manifest = {"spec": {"dim": 3, "samples": 12, "count": 1}, "ids": ["prism"],
+                "vertex_counts": {"prism": 12}}
+    (run_dir / "data" / "prism" / "manifest.json").write_text(json.dumps(manifest) + "\n")
     env = dict(
         os.environ,
         PYTHONPATH=str(tree / "src"),
